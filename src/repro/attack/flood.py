@@ -75,7 +75,7 @@ class TrafficGenerator:
 
     def _emit(self) -> None:
         sim = self.host.network.sim
-        now = sim.now
+        now = sim._now
         if now > self.stop:
             return
         packet = self.factory(self.sent, now)
@@ -84,7 +84,7 @@ class TrafficGenerator:
             self.sent += 1
         nxt = now + self._next_gap()
         if nxt <= self.stop:
-            sim.schedule_at(nxt, self._emit)
+            sim.push_at(nxt, self._emit, ())
 
 
 def spoofed_source_picker(network: Network, rng: np.random.Generator,

@@ -62,8 +62,8 @@ class Link:
         "src", "dst", "bandwidth", "delay", "buffer_bytes",
         "_backlog", "_last_update",
         "_m_tx_packets", "_m_tx_bytes", "_m_dropped_packets",
-        "_m_dropped_bytes",
-        "drop_window", "arrival_window", "drop_log",
+        "_m_dropped_bytes", "_deliver",
+        "drop_window", "drop_log",
     )
 
     def __init__(self, src: "Node", dst: "Node", bandwidth: float,
@@ -87,9 +87,10 @@ class Link:
         self._m_tx_bytes = _TX_BYTES.labelled(link=name)
         self._m_dropped_packets = _DROPPED_PACKETS.labelled(link=name)
         self._m_dropped_bytes = _DROPPED_BYTES.labelled(link=name)
-        # sliding windows for congestion detection (pushback) and stats
+        # bound once: every accepted packet is delivered through it
+        self._deliver = dst.receive
+        # sliding drop window for congestion detection (pushback)
         self.drop_window = WindowedCounter(stats_window)
-        self.arrival_window = WindowedCounter(stats_window)
         # recent drops as (time, packet) — pushback classifies these
         self.drop_log: list[tuple[float, Packet]] = []
 
@@ -142,32 +143,35 @@ class Link:
         self._drain(now)
         return self._backlog
 
-    def utilization(self, now: float) -> float:
-        """Arrival rate over the stats window divided by capacity (can be > 1)."""
-        return (self.arrival_window.rate(now) * BITS_PER_BYTE) / self.bandwidth
-
     def drop_rate(self, now: float) -> float:
         """Dropped bytes/second over the stats window."""
         return self.drop_window.rate(now)
 
     def send(self, packet: Packet, sim: "Simulator") -> bool:
         """Enqueue ``packet`` for transmission; returns False on tail drop."""
-        now = sim.now
-        self._drain(now)
-        self.arrival_window.add(now, packet.size)
-        if self._backlog + packet.size > self.buffer_bytes:
+        now = sim._now
+        backlog = self._backlog
+        if now > self._last_update:  # inlined _drain
+            backlog -= (now - self._last_update) * self.bandwidth / BITS_PER_BYTE
+            if not backlog > 0.0:
+                backlog = 0.0
+            self._last_update = now
+        size = packet.size
+        if backlog + size > self.buffer_bytes:
+            self._backlog = backlog
             self._m_dropped_packets.value += 1
-            self._m_dropped_bytes.value += packet.size
-            self.drop_window.add(now, packet.size)
+            self._m_dropped_bytes.value += size
+            self.drop_window.add(now, size)
             self.drop_log.append((now, packet))
             if len(self.drop_log) > 10_000:  # bound memory in long floods
                 del self.drop_log[:5_000]
             return False
-        self._backlog += packet.size
-        serialization = self._backlog * BITS_PER_BYTE / self.bandwidth
+        backlog += size
+        self._backlog = backlog
         self._m_tx_packets.value += 1
-        self._m_tx_bytes.value += packet.size
-        sim.schedule(serialization + self.delay, self.dst.receive, packet, self)
+        self._m_tx_bytes.value += size
+        sim.push_at(now + (backlog * BITS_PER_BYTE / self.bandwidth + self.delay),
+                    self._deliver, (packet, self))
         return True
 
     def transmit_batch(self, batch: PacketBatch,
@@ -195,7 +199,6 @@ class Link:
         self._drain(now)
         sizes = batch.size
         total = int(sizes.sum())
-        self.arrival_window.add(now, total)
         room = self.buffer_bytes - self._backlog
         if total <= room:
             accepted: Optional[PacketBatch] = batch

@@ -65,6 +65,8 @@ class Network:
         self.routers: dict[int, Router] = {}
         self.hosts: dict[int, Host] = {}  # address value -> Host
         self.links: dict[tuple[int, int], Link] = {}  # (src asn, dst asn)
+        # adjacencies taken down by fail_link, as (a, b) in call order
+        self._failed_links: list[tuple[int, int]] = []
         self._access = access
         self.drop_log_enabled = False
         self.global_drops: Counter[str] = Counter()
@@ -160,7 +162,6 @@ class Network:
             raise TopologyError(
                 f"failing AS{a} <-> AS{b} would partition the Internet"
             )
-        self._failed_links = getattr(self, "_failed_links", [])
         self._failed_links.append((a, b))
         for x, y in ((a, b), (b, a)):
             self.routers[x].links.pop(y, None)
@@ -170,7 +171,7 @@ class Network:
     def restore_link(self, a: int, b: int,
                      params: Optional[LinkParams] = None) -> None:
         """Bring a previously failed adjacency back and reconverge."""
-        failed = getattr(self, "_failed_links", [])
+        failed = self._failed_links
         if (a, b) not in failed and (b, a) not in failed:
             raise TopologyError(f"AS{a} <-> AS{b} was not failed")
         for pair in ((a, b), (b, a)):
@@ -183,8 +184,11 @@ class Network:
         self._reconverge()
 
     def _reconverge(self) -> None:
+        """Recompute routing after a topology change.  This is the single
+        invalidation point of every router's route cache."""
         self.routing = build_routing(self.topology)
         for router in self.routers.values():
+            router.route_cache.clear()
             device = router.adaptive_device
             if device is not None and hasattr(device, "on_routing_update"):
                 device.on_routing_update()

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol as Typi
 
 import numpy as np
 
-from repro.net.addressing import IPv4Address
+from repro.net.addressing import IPv4Address, _as_int
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketBatch
 from repro.util.stats import WindowedCounter
@@ -36,6 +36,9 @@ __all__ = ["Node", "Host", "Router", "PacketFilter", "AdaptiveDeviceHook"]
 PacketFilter = Callable[[Packet, "Router", Optional[Link], float], bool]
 # A responder: (packet, host, now) -> packets to send back (or None)
 Responder = Callable[[Packet, "Host", float], Optional[Iterable[Packet]]]
+
+#: Destinations a router's route cache holds before it starts over.
+ROUTE_CACHE_SIZE = 4096
 
 
 class AdaptiveDeviceHook(TypingProtocol):
@@ -107,7 +110,7 @@ class Host(Node):
         self.responders.append(responder)
 
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        now = self.network.sim.now
+        now = self.network.sim._now
         if self._proc_window is not None:
             if self._proc_window.rate(now) >= self.processing_pps:
                 self.cpu_dropped += 1
@@ -150,9 +153,10 @@ class Host(Node):
         if self.uplink is None:
             raise RuntimeError(f"{self.name} is not attached to the network")
         self.sent_packets += 1
+        sim = self.network.sim
         if packet.created_at == 0.0:
-            packet.created_at = self.network.sim.now
-        return self.uplink.send(packet, self.network.sim)
+            packet.created_at = sim._now
+        return self.uplink.send(packet, sim)
 
     def send_batch(self, batch: PacketBatch) -> int:
         """Transmit a whole batch over the access uplink; returns the
@@ -185,6 +189,11 @@ class Router(Node):
     2. adaptive-device redirect if the device claims ownership of the packet,
     3. TTL decrement (inter-AS hops only) and next-hop forwarding or local
        host delivery.
+
+    Step 3 resolves each destination address once through the topology's
+    LPM and the routing table, then serves it from a bounded per-router
+    route cache.  :meth:`Network._reconverge` — the one place routes or
+    links change — clears every router's cache.
     """
 
     def __init__(self, network: "Network", asn: int) -> None:
@@ -200,6 +209,8 @@ class Router(Node):
         self.delivered_packets = 0
         self.drops: Counter[str] = Counter()           # reason -> count
         self.drops_by_kind: Counter[tuple[str, str]] = Counter()  # (reason, kind)
+        # destination address -> (destination asn, egress link or None)
+        self.route_cache: dict[int, tuple[int, Optional[Link]]] = {}
 
     # ------------------------------------------------------------- filters
     def add_filter(self, name: str, fn: PacketFilter) -> None:
@@ -222,7 +233,7 @@ class Router(Node):
         self.network.note_drop(self.asn, packet, reason)
 
     def receive(self, packet: Packet, link: Optional[Link]) -> None:
-        now = self.network.sim.now
+        now = self.network.sim._now
         for name, fn in self.filters:
             if not fn(packet, self, link, now):
                 self._drop(packet, f"filter:{name}")
@@ -284,10 +295,15 @@ class Router(Node):
         return None
 
     def forward(self, packet: Packet) -> None:
-        dst_asn = self.network.topology.as_of(packet.dst)
-        if dst_asn is None:
-            self._drop(packet, "no-route")
-            return
+        dst = packet.dst
+        key = dst.value if type(dst) is IPv4Address else _as_int(dst)
+        route = self.route_cache.get(key)
+        if route is None:
+            route = self._route(key)
+            if route is None:
+                self._drop(packet, "no-route")
+                return
+        dst_asn, egress = route
         if dst_asn == self.asn:
             self._deliver_local(packet)
             return
@@ -295,19 +311,42 @@ class Router(Node):
             self._drop(packet, "ttl-expired")
             return
         packet.ttl -= 1
-        next_asn = self.network.routing[self.asn].next_hop(dst_asn)
-        egress = self.links.get(next_asn)
         if egress is None:
+            # raises RoutingError if there is no next hop at all
+            self.network.routing[self.asn].next_hop(dst_asn)
             self._drop(packet, "no-link")
             return
+        size = packet.size
         self.forwarded_packets += 1
-        self.forwarded_bytes += packet.size
+        self.forwarded_bytes += size
         # transport-work accounting: one inter-AS hop's worth of bytes
         # ("network resources ... wasted for transporting attack traffic
         # around the globe", Sec. 6)
-        self.network.byte_hops_by_kind[packet.kind] += packet.size
-        if not egress.send(packet, self.network.sim):
+        net = self.network
+        net.byte_hops_by_kind[packet.kind] += size
+        if not egress.send(packet, net.sim):
             self._drop(packet, "queue-full")
+
+    def _route(self, key: int) -> Optional[tuple[int, Optional[Link]]]:
+        """Resolve and cache ``(destination asn, egress link)`` for a
+        destination address; None (not cached) when no AS owns it.
+
+        The next hop is looked up only where one exists, so resolving a
+        route never raises: a packet whose TTL expires here is dropped
+        before any routing error could surface.
+        """
+        net = self.network
+        dst_asn = net.topology.as_of(key)
+        if dst_asn is None:
+            return None
+        egress = None
+        table = net.routing[self.asn]
+        if dst_asn != self.asn and table.has_route(dst_asn):
+            egress = self.links.get(table.next_hop(dst_asn))
+        if len(self.route_cache) >= ROUTE_CACHE_SIZE:
+            self.route_cache.clear()
+        route = self.route_cache[key] = (dst_asn, egress)
+        return route
 
     def forward_batch(self, batch: PacketBatch) -> None:
         """Vectorised forwarding: one LPM batch resolves every destination

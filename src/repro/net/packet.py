@@ -65,7 +65,7 @@ class ICMPType(enum.Enum):
     TIME_EXCEEDED = 11
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated IP packet.
 

@@ -1,29 +1,35 @@
 """Deterministic discrete-event simulation engine.
 
-A minimal but complete event loop: a binary heap of ``(time, seq, event)``
-tuples where ``seq`` is a monotone tiebreaker, so runs are bit-for-bit
-reproducible regardless of callback identity.  All network elements (links,
-hosts, attack processes, trigger components) schedule callbacks here.
+A minimal but complete event loop: a binary heap of plain
+``(time, seq, fn, args)`` tuples where ``seq`` is a monotone tiebreaker, so
+runs are bit-for-bit reproducible regardless of callback identity.  All
+network elements (links, hosts, attack processes, trigger components)
+schedule callbacks here.
 
-Hot-path notes: heap entries are plain tuples so every sift comparison runs
-in C (no Python ``__lt__`` dispatch), :class:`Event` is a ``__slots__``
-class rather than a dataclass, and cancelled-event tombstones are swept out
-by periodic heap compaction instead of lingering until their pop time.
-Compaction filters the backing list and re-heapifies; because ``(time,
-seq)`` is a total order, the pop sequence — and therefore simulation
-output — is unchanged bit for bit.
+Hot-path notes: every sift comparison runs in C on the ``(time, seq)``
+prefix (seqs are unique, so ``fn`` is never compared), and scheduling
+allocates nothing but the heap tuple.  :meth:`Simulator.schedule_at`
+returns an :class:`Event` cancel handle; per-packet callers that never
+cancel use the handle-free :meth:`Simulator.push_at` it is built on.
+Cancellation records the event's ``seq`` in a tombstone set, which
+:meth:`Simulator.run` consults only while it is non-empty.  Tombstones are
+swept by periodic heap compaction instead of lingering until their pop
+time; compaction filters the backing list and re-heapifies, and because
+``(time, seq)`` is a total order the pop sequence — and therefore
+simulation output — is unchanged bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.metrics import declare
 
-__all__ = ["Event", "SimClock", "Simulator"]
+__all__ = ["Event", "Recurrence", "SimClock", "Simulator"]
 
 #: Compact the heap once at least this many tombstones have accumulated
 #: *and* they outnumber the live events.
@@ -55,34 +61,49 @@ class SimClock:
 
 
 class Event:
-    """A scheduled callback.  Ordered by (time, seq)."""
+    """Cancel handle of one scheduled callback, ordered by (time, seq).
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    The heap holds only the event's plain tuple; the handle remembers
+    where it sits.  ``_epoch`` ties the handle to the simulator's
+    :meth:`~Simulator.reset` generation, so a handle that outlived a reset
+    can never cancel the new event that reuses its ``seq``; ``_dead`` makes
+    a second cancel a no-op even after compaction swept the tombstone.
+    """
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple = (), cancelled: bool = False,
-                 _sim: "Optional[Simulator]" = None) -> None:
+    __slots__ = ("time", "seq", "_sim", "_epoch", "_dead")
+
+    def __init__(self, time: float, seq: int, sim: "Simulator") -> None:
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-        self._sim = _sim
+        self._sim = sim
+        self._epoch = sim._epoch
+        self._dead = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (O(1); it stays in the heap until
-        the next compaction sweep or its pop time)."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._sim is not None:
-                self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+        the next compaction sweep or its pop time).  A no-op once the event
+        has fired, was cancelled, or the simulator was reset."""
+        self._sim._cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, seq={self.seq}{state})"
+        return f"Event(t={self.time:.6f}, seq={self.seq})"
+
+
+class Recurrence:
+    """Cancel handle of a :meth:`Simulator.schedule_every` recurrence:
+    :meth:`cancel` stops every later firing, including from inside the
+    callback itself."""
+
+    __slots__ = ("event", "stopped")
+
+    def __init__(self) -> None:
+        self.event: Optional[Event] = None  # the next pending firing
+        self.stopped = False
+
+    def cancel(self) -> None:
+        self.stopped = True
+        if self.event is not None:
+            self.event.cancel()
 
 
 class Simulator:
@@ -98,9 +119,13 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = itertools.count()
         self._now = 0.0
+        # seqs of cancelled events still in the heap (tombstones)
+        self._cancelled: set[int] = set()
+        # bumped by reset(): handles from an earlier generation are inert
+        self._epoch = 0
         # registry-backed counters (unlabelled: the most recently built
         # simulator owns the family's live series — one world per run)
         self._m_processed = _EVENTS.labelled()
@@ -109,9 +134,8 @@ class Simulator:
         # batch-slot counters are created lazily on the first
         # schedule_batch(), so scalar-only runs keep byte-identical
         # registry snapshots (no extra zero-valued series)
-        self._m_batch_events = None
-        self._m_batch_packets = None
-        self._cancelled_pending = 0
+        self._m_batch_events: Any = None
+        self._m_batch_packets: Any = None
         self.running = False
         self._reset_hooks: list[Callable[[], None]] = []
 
@@ -129,6 +153,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Events fired so far (updated when :meth:`run` returns)."""
         return self._m_processed.value
 
     @property
@@ -147,9 +172,15 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time:.6f} < now {self._now:.6f}")
-        ev = Event(time, next(self._seq), fn, args, False, self)
-        heapq.heappush(self._heap, (time, ev.seq, ev))
-        return ev
+        return Event(time, self.push_at(time, fn, args), self)
+
+    def push_at(self, time: float, fn: Callable[..., Any], args: tuple) -> int:
+        """Handle-free :meth:`schedule_at` for per-packet callers: no past
+        check (``time >= now`` is the caller's contract) and no cancel
+        handle.  Returns the event's ``seq``."""
+        seq = next(self._seq)
+        heapq.heappush(self._heap, (time, seq, fn, args))
+        return seq
 
     @property
     def batch_events(self) -> int:
@@ -180,31 +211,43 @@ class Simulator:
         return self.schedule(delay, fn, batch, *args)
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any,
-                       until: Optional[float] = None, start: Optional[float] = None) -> Event:
+                       until: Optional[float] = None,
+                       start: Optional[float] = None) -> Recurrence:
         """Schedule a periodic callback (first firing at ``start`` or now+interval).
 
-        The callback may return False to stop the recurrence.
+        The callback may return False to stop the recurrence; so does
+        cancelling the returned :class:`Recurrence`.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be > 0, got {interval}")
         first = self._now + interval if start is None else start
+        handle = Recurrence()
 
         def tick() -> None:
             if until is not None and self._now > until:
                 return
             result = fn(*args)
-            if result is False:
+            if result is False or handle.stopped:
                 return
             if until is None or self._now + interval <= until:
-                self.schedule(interval, tick)
+                handle.event = self.schedule(interval, tick)
 
-        return self.schedule_at(first, tick)
+        handle.event = self.schedule_at(first, tick)
+        return handle
 
-    def _note_cancelled(self) -> None:
+    def _cancel(self, event: Event) -> None:
+        cancelled, heap = self._cancelled, self._heap
+        if event._dead or event._epoch != self._epoch:
+            return
+        # pops run in (time, seq) order, so an event that already fired
+        # sorts before everything still queued
+        if not heap or (event.time, event.seq) < (heap[0][0], heap[0][1]):
+            return
+        event._dead = True
+        cancelled.add(event.seq)
         self._m_cancelled.value += 1
-        self._cancelled_pending += 1
-        if (self._cancelled_pending >= _COMPACT_MIN_CANCELLED
-                and self._cancelled_pending * 2 >= len(self._heap)):
+        if (len(cancelled) >= _COMPACT_MIN_CANCELLED
+                and len(cancelled) * 2 >= len(heap)):
             self._compact()
 
     def _compact(self) -> None:
@@ -213,40 +256,42 @@ class Simulator:
         ``(time, seq)`` totally orders entries, so rebuilding the heap
         cannot change the order live events pop in.
         """
+        cancelled = self._cancelled
         # in-place so aliases held by a running `run()` loop stay valid
-        self._heap[:] = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap[:] = [entry for entry in self._heap if entry[1] not in cancelled]
         heapq.heapify(self._heap)
-        self._cancelled_pending = 0
+        cancelled.clear()
         self._m_compactions.value += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events until the heap drains, ``until`` is reached, or
         ``max_events`` have fired.  Returns the number of events processed."""
-        processed = self._m_processed
-        processed_before = processed.value
-        heap = self._heap
+        heap, cancelled, pop = self._heap, self._cancelled, heapq.heappop
+        horizon = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        fired = 0
         self.running = True
         try:
             while heap:
-                if max_events is not None and processed.value - processed_before >= max_events:
+                if fired >= limit:
                     break
-                time, _, ev = heap[0]
-                if until is not None and time > until:
-                    self._now = until
+                if heap[0][0] > horizon:
+                    self._now = horizon
                     break
-                heapq.heappop(heap)
-                if ev.cancelled:
-                    self._cancelled_pending -= 1
+                time, seq, fn, args = pop(heap)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
                     continue
                 self._now = time
-                ev.fn(*ev.args)
-                processed.value += 1
+                fn(*args)
+                fired += 1
             else:
                 if until is not None:
                     self._now = max(self._now, until)
         finally:
             self.running = False
-        return processed.value - processed_before
+            self._m_processed.value += fired
+        return fired
 
     def add_reset_hook(self, fn: Callable[[], None]) -> None:
         """Register a callback run (then discarded) by :meth:`reset`.
@@ -263,17 +308,19 @@ class Simulator:
 
         Also restarts the ``seq`` tiebreaker, so a reset simulator
         reproduces a fresh one bit for bit (same-timestamp events fire in
-        the same order and carry the same ``seq`` values).  Reset hooks
-        (:meth:`add_reset_hook`) run once and are then discarded — a
-        re-armed subsystem must re-register.
+        the same order and carry the same ``seq`` values), and retires every
+        outstanding cancel handle.  Reset hooks (:meth:`add_reset_hook`)
+        run once and are then discarded — a re-armed subsystem must
+        re-register.
         """
         self._heap.clear()
+        self._cancelled.clear()
+        self._epoch += 1
         self._now = 0.0
         self._m_processed.reset()
         if self._m_batch_events is not None:
             self._m_batch_events.reset()
             self._m_batch_packets.reset()
-        self._cancelled_pending = 0
         self._seq = itertools.count()
         hooks, self._reset_hooks = self._reset_hooks, []
         for fn in hooks:

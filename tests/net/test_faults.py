@@ -253,6 +253,15 @@ class TestSimulatorReset:
         net.run(until=1.0)
         assert nms.watchdog_ticks == 3  # no zombie heartbeat survived reset
 
+    def test_stop_watchdog_mid_run_stops_heartbeat(self):
+        net, tcsp, nms = build_world()
+        nms.start_watchdog(interval=0.1)
+        net.run(until=0.35)
+        nms.stop_watchdog()
+        net.run(until=1.0)
+        assert nms.watchdog_ticks == 3
+        assert net.sim.pending == 0
+
     def test_reset_hooks_run_once_then_discarded(self):
         net, _, _ = build_world()
         fired = []

@@ -1,7 +1,7 @@
 """Unit tests for the discrete-event simulator."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.net import Simulator
@@ -162,6 +162,31 @@ class TestPeriodic:
         with pytest.raises(SimulationError):
             sim.schedule_every(0.0, lambda: None)
 
+    def test_cancel_after_first_tick_stops_recurrence(self):
+        """Regression: the handle used to be the first firing's event, so
+        cancelling it after that firing did nothing."""
+        sim = Simulator()
+        ticks = []
+        handle = sim.schedule_every(1.0, lambda: ticks.append(sim.now))
+        sim.run(until=2.5)
+        handle.cancel()
+        sim.run(until=6)
+        assert ticks == [1.0, 2.0]
+        assert sim.pending == 0
+
+    def test_cancel_from_inside_the_callback(self):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) == 2:
+                handle.cancel()
+
+        handle = sim.schedule_every(1.0, tick)
+        sim.run(until=10)
+        assert ticks == [1.0, 2.0]
+
 
 class TestHeapCompaction:
     def test_mass_cancellation_compacts_heap(self):
@@ -202,9 +227,106 @@ class TestHeapCompaction:
         ev = sim.schedule(1.0, lambda: None)
         ev.cancel()
         ev.cancel()
-        assert sim._cancelled_pending == 1
+        assert sim._cancelled == {ev.seq}
+        assert sim._m_cancelled.value == 1
         sim.run()
-        assert sim._cancelled_pending == 0
+        assert sim._cancelled == set()
+
+
+class TestCancelHandles:
+    def test_cancel_after_firing_is_a_no_op(self):
+        sim = Simulator()
+        ev = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        ev.cancel()
+        assert sim._cancelled == set()
+        assert sim._m_cancelled.value == 0
+        assert sim.run() == 1
+
+    def test_stale_handle_cannot_cancel_reused_seq(self):
+        sim = Simulator()
+        old = sim.schedule(1.0, lambda: None)
+        sim.reset()
+        out = []
+        new = sim.schedule(1.0, out.append, "new")
+        assert (new.time, new.seq) == (old.time, old.seq)
+        old.cancel()
+        sim.run()
+        assert out == ["new"]
+
+
+#: Heap operations: schedule (delay, index of a handle the callback cancels
+#: when it fires, or None), cancel a handle, run to now + dt, compact, reset.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+              st.one_of(st.none(), st.integers(0, 40))),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("run"), st.sampled_from([0.0, 0.7, 1.0, 3.0])),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("reset")),
+), max_size=60)
+
+
+class TestHeapProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS)
+    # a second cancel after compaction swept the first tombstone
+    @example(ops=[("schedule", 0.0, None), ("schedule", 0.0, None),
+                  ("cancel", 1), ("compact",), ("cancel", 1)])
+    def test_exactly_uncancelled_events_fire_in_order(self, ops):
+        """The simulator against a sorted-list oracle: every uncancelled
+        event fires once, in (time, seq) order, and cancelled ones never
+        do — also when a firing callback cancels another event, across
+        compactions, and with handles that outlived a reset."""
+        sim = Simulator()
+        handles = []       # every handle ever returned, in schedule order
+        live = {}          # oracle: handle index -> (time, seq), pending only
+        victims = {}       # handle index -> handle index its callback cancels
+        fired, expected = [], []
+
+        def fire(i):
+            fired.append(i)
+            if victims.get(i) is not None and victims[i] < len(handles):
+                handles[victims[i]].cancel()
+
+        def oracle_run(until):
+            while live:
+                i = min(live, key=live.get)
+                if live[i][0] > until:
+                    break
+                del live[i]
+                expected.append(i)
+                j = victims.get(i)
+                if j is not None:
+                    live.pop(j, None)
+
+        for op in ops:
+            if op[0] == "schedule":
+                i = len(handles)
+                handles.append(sim.schedule(op[1], fire, i))
+                live[i] = (handles[i].time, handles[i].seq)
+                victims[i] = op[2]
+            elif op[0] == "cancel" and handles:
+                i = op[1] % len(handles)
+                handles[i].cancel()
+                live.pop(i, None)
+            elif op[0] == "run":
+                until = sim.now + op[1]
+                oracle_run(until)
+                sim.run(until=until)
+            elif op[0] == "compact":
+                sim._compact()
+                assert sim.pending == len(live)
+            elif op[0] == "reset":
+                sim.reset()
+                live.clear()
+                assert sim._cancelled == set() and sim.pending == 0
+            assert fired == expected
+        oracle_run(float("inf"))
+        sim.run()
+        assert fired == expected
+        assert sim._cancelled == set() and sim.pending == 0
 
 
 class TestDeterminism:
