@@ -21,12 +21,13 @@ packets he or she owns".  Every stage runs under the
 on the spot.
 
 The decision path itself — redirect decision behind the per-flow LRU
-cache, the two-stage pipeline, and the safety containment — lives in the
-engine-agnostic :class:`repro.service.core.DecisionCore`; this class owns
-everything simulator-specific around it (crash/fail-policy lifecycle,
-routing-update reactions, the vectorised batch path) and injects its
-``device.*`` registry counters into the shared core, so the extraction
-is invisible to every experiment table.
+cache, the two-stage pipeline, the safety containment, and their batch
+front end — lives in the engine-agnostic
+:class:`repro.service.core.DecisionCore`.  This class keeps only what is
+simulator-specific around it (crash/fail-policy lifecycle and
+routing-update reactions) and injects its ``device.*`` registry
+counters into the shared core, so the extraction is invisible to every
+experiment table.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import DeploymentError
-from repro.core.components import ComponentContext
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.core.safety import SafetyMonitor
 from repro.net.addressing import Prefix
-from repro.net.packet import Packet, Protocol
+from repro.net.packet import Packet
 from repro.net.topology import ASRole
 from repro.obs.metrics import declare, reset_metrics
 
@@ -51,13 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import PacketBatch
     from repro.service.core import DecisionCore
 
-__all__ = ["DeviceContext", "ServiceInstance", "AdaptiveDevice",
-           "FLOW_CACHE_CAPACITY"]
-
-#: Default per-device LRU flow-cache capacity (distinct 4-tuples); the
-#: authoritative constant is :data:`repro.service.core.FLOW_CACHE_CAPACITY`
-#: (duplicated here because the service package is imported lazily).
-FLOW_CACHE_CAPACITY = 4096
+__all__ = ["DeviceContext", "ServiceInstance", "AdaptiveDevice"]
 
 _REDIRECTED = declare("device.redirected", "counter", labels=("asn",),
                       help="packets redirected into the device's stages")
@@ -143,7 +137,6 @@ class AdaptiveDevice:
         #: ``device.*`` counters
         self._core: "DecisionCore" = DecisionCore(
             context, registry, strict=strict, stage_order=stage_order,
-            flow_cache_capacity=FLOW_CACHE_CAPACITY,
             counters={
                 "redirected": self._m_redirected,
                 "dropped": self._m_dropped,
@@ -161,6 +154,12 @@ class AdaptiveDevice:
         #: traffic until the NMS re-installs services after restart.
         self.crashed = False
         self.fail_policy = "fail-open"
+        #: Sec. 4.2 routing-update reaction (see :meth:`on_routing_update`):
+        #: "adapt" keeps services running, "disable" parks every service
+        #: with a topology-dependent component in ``pending_routing_reconfig``
+        self.routing_update_policy = "adapt"
+        self.routing_updates = 0
+        self.pending_routing_reconfig: set[str] = set()
 
     # ----------------------------------------------------- decision-core views
     @property
@@ -170,20 +169,12 @@ class AdaptiveDevice:
         disable the service, keep forwarding)."""
         return self._core.strict
 
-    @strict.setter
-    def strict(self, value: bool) -> None:
-        self._core.strict = value
-
     @property
     def stage_order(self) -> str:
         """"src-first" per the paper ("first sending ... and then
         receiving", Sec. 4.1); "dst-first" exists only for the E13
         ablation."""
         return self._core.stage_order
-
-    @stage_order.setter
-    def stage_order(self, value: str) -> None:
-        self._core.stage_order = value
 
     @property
     def flow_cache_capacity(self) -> int:
@@ -197,62 +188,34 @@ class AdaptiveDevice:
     def _flow_cache(self):
         return self._core.flow_cache
 
-    # ------------------------------------------------------ legacy stat views
+    # ------------------------------------------------- read-only stat views
     @property
     def redirected(self) -> int:
         return self._m_redirected.value
-
-    @redirected.setter
-    def redirected(self, value: int) -> None:
-        self._m_redirected.value = value
 
     @property
     def dropped(self) -> int:
         return self._m_dropped.value
 
-    @dropped.setter
-    def dropped(self, value: int) -> None:
-        self._m_dropped.value = value
-
     @property
     def safety_disables(self) -> int:
         return self._m_safety_disables.value
-
-    @safety_disables.setter
-    def safety_disables(self, value: int) -> None:
-        self._m_safety_disables.value = value
 
     @property
     def crashes(self) -> int:
         return self._m_crashes.value
 
-    @crashes.setter
-    def crashes(self, value: int) -> None:
-        self._m_crashes.value = value
-
     @property
     def restarts(self) -> int:
         return self._m_restarts.value
-
-    @restarts.setter
-    def restarts(self, value: int) -> None:
-        self._m_restarts.value = value
 
     @property
     def flow_cache_hits(self) -> int:
         return self._m_fc_hits.value
 
-    @flow_cache_hits.setter
-    def flow_cache_hits(self, value: int) -> None:
-        self._m_fc_hits.value = value
-
     @property
     def flow_cache_misses(self) -> int:
         return self._m_fc_misses.value
-
-    @flow_cache_misses.setter
-    def flow_cache_misses(self, value: int) -> None:
-        self._m_fc_misses.value = value
 
     def reset_stats(self) -> None:
         """Zero all counters (between experiment phases) — the mirror of
@@ -313,8 +276,8 @@ class AdaptiveDevice:
         until :meth:`reconfirm_topology` (the NMS pushing fresh
         configuration) re-enables it.  Returns the affected user ids.
         """
-        self.routing_updates = getattr(self, "routing_updates", 0) + 1
-        policy = getattr(self, "routing_update_policy", "adapt")
+        self.routing_updates += 1
+        policy = self.routing_update_policy
         affected: list[str] = []
         for user_id, instance in self.services.items():
             has_topo = any(
@@ -328,16 +291,14 @@ class AdaptiveDevice:
                 if policy == "disable":
                     instance.active = False
         if policy == "disable":
-            pending = getattr(self, "pending_routing_reconfig", set())
-            pending.update(affected)
-            self.pending_routing_reconfig = pending
+            self.pending_routing_reconfig.update(affected)
             if affected:
                 self.invalidate_flow_cache()
         return affected
 
     def reconfirm_topology(self, user_id: Optional[str] = None) -> int:
         """Re-enable services disabled by a routing update; returns count."""
-        pending: set[str] = getattr(self, "pending_routing_reconfig", set())
+        pending = self.pending_routing_reconfig
         targets = [user_id] if user_id is not None else list(pending)
         revived = 0
         for uid in targets:
@@ -389,26 +350,14 @@ class AdaptiveDevice:
                       ingress_asn: Optional[int]
                       ) -> tuple[Optional["PacketBatch"],
                                  Optional["PacketBatch"]]:
-        """Vectorised redirect decision + two-stage pipeline over a batch.
+        """:meth:`wants` + :meth:`process` over a whole batch; returns
+        ``(passed, dropped)`` sub-batches (either may be ``None``).
 
-        The pipeline has two vectorised stages and a scalar residue:
-
-        1. flow resolution — the batch's 4-tuples collapse to unique flows
-           (``np.unique`` over packed uint64 key columns); cached flows are
-           resolved with one dict probe each, and the *miss set only* is
-           batch-fed through the ownership registry's compiled LPM
-           (:meth:`OwnershipRegistry.owners_of_many`),
-        2. redirect decision — a boolean take over the per-flow verdicts,
-        3. residual scalar path — only packets an active service actually
-           claims are materialised and run through the core's
-           :meth:`~repro.service.core.DecisionCore.run_stages`, exactly as
-           the scalar engine would.
-
-        Returns ``(passed, dropped)`` sub-batches (either may be ``None``).
-        Counter totals (redirected / dropped / cache hits / misses) equal
-        the scalar loop's for any packet order, provided the batch's
-        distinct flows fit the flow cache (no LRU churn mid-batch) — the
-        property pinned by tests/core/test_device_batch.py.
+        A running device delegates to
+        :meth:`~repro.service.core.DecisionCore.decide_many`, whose
+        verdicts, counters and flow-cache order equal the per-packet
+        loop's (pinned by tests/core/test_device_batch.py).  A crashed
+        one applies its fail policy to the batch.
         """
         n = len(batch)
         if n == 0:
@@ -424,221 +373,9 @@ class AdaptiveDevice:
                 (s is not None or d is not None
                  for s, d in zip(src_owners, dst_owners)),
                 dtype=bool, count=n)
-            if not owned.any():
-                return batch, None
-            dropped = batch.select(owned)
-            self._m_dropped.value += len(dropped)
-            passed = batch.select(~owned) if not owned.all() else None
-            return passed, dropped
-
-        core = self._core
-        cache = core.synced_cache()
-        key_a, key_b = batch.flow_keys()
-        pairs = np.empty(n, dtype=[("a", np.uint64), ("b", np.uint64)])
-        pairs["a"] = key_a
-        pairs["b"] = key_b
-        unique_flows, first_idx, inverse, counts = np.unique(
-            pairs, return_index=True, return_inverse=True, return_counts=True)
-        n_unique = len(unique_flows)
-        entries: list[tuple] = [()] * n_unique
-        hits = 0
-        misses: list[tuple[int, tuple, int]] = []  # (slot, key, row)
-        for j in range(n_unique):
-            row = int(first_idx[j])
-            key = (int(batch.src[row]), int(batch.dst[row]),
-                   Protocol(int(batch.proto[row])), int(batch.dport[row]))
-            entry = cache.get(key)
-            if entry is not None:
-                # scalar parity: first packet of the flow hits, and so do
-                # its count-1 repeats
-                hits += int(counts[j])
-                cache.move_to_end(key)
-                entries[j] = entry
-            else:
-                # scalar parity: first packet misses, repeats then hit
-                hits += int(counts[j]) - 1
-                misses.append((j, key, row))
-        if misses:
-            miss_rows = np.array([row for _, _, row in misses],
-                                 dtype=np.int64)
-            src_owners = self.registry.owners_of_many(batch.src[miss_rows])
-            dst_owners = self.registry.owners_of_many(batch.dst[miss_rows])
-            services = self.services
-            capacity = core.flow_cache_capacity
-            for k, (j, key, _row) in enumerate(misses):
-                src_owner, dst_owner = src_owners[k], dst_owners[k]
-                src_inst = (None if src_owner is None
-                            else services.get(src_owner.user_id))
-                dst_inst = (None if dst_owner is None
-                            else services.get(dst_owner.user_id))
-                wants = ((src_inst is not None and src_inst.active)
-                         or (dst_inst is not None and dst_inst.active))
-                entry = (src_owner, dst_owner, wants)
-                entries[j] = entry
-                cache[key] = entry
-                if len(cache) > capacity:
-                    cache.popitem(last=False)
-        self._m_fc_hits.value += hits
-        self._m_fc_misses.value += len(misses)
-
-        wants_flow = np.fromiter((e[2] for e in entries), dtype=bool,
-                                 count=n_unique)
-        wanted = wants_flow[inverse]
-        n_wanted = int(wanted.sum())
-        if n_wanted == 0:
-            return batch, None
-        # scalar parity: each redirected packet re-probes the cache inside
-        # process() (one extra hit) before running its stages
-        self._m_redirected.value += n_wanted
-        self._m_fc_hits.value += n_wanted
-
-        # vectorised policy fast path: flows whose every active stage
-        # graph compiles to a batch program (repro.policy) skip per-packet
-        # materialisation entirely — filter/blacklist/limit graphs run as
-        # row-mask programs, pure-observer chains as one vectorised update
-        # per component.  Flows with non-vectorizable stages take the
-        # scalar residue, and order-sensitive policies (token buckets,
-        # bounded logs) only run batched when all their traffic lands in a
-        # single owner-pair group — otherwise group-by-group execution
-        # would reorder the component's view of the packet stream relative
-        # to the scalar row order.
-        residual = wanted.copy()
-        keep = np.ones(n, dtype=bool)
-        groups: dict[tuple, list[int]] = {}
-        for j in range(n_unique):
-            if not wants_flow[j]:
-                continue
-            src_owner, dst_owner, _ = entries[j]
-            gkey = (None if src_owner is None else src_owner.user_id,
-                    None if dst_owner is None else dst_owner.user_id)
-            groups.setdefault(gkey, []).append(j)
-        group_programs = {
-            gkey: self._batch_stage_programs(
-                *entries[flow_js[0]][:2])
-            for gkey, flow_js in groups.items()}
-        poisoned = self._order_sensitive_overlaps(groups, group_programs)
-        for gkey, flow_js in groups.items():
-            programs = group_programs[gkey]
-            if programs is None or (poisoned and not poisoned.isdisjoint(
-                    uid for uid in gkey if uid is not None)):
-                continue
-            member = np.zeros(n_unique, dtype=bool)
-            member[flow_js] = True
-            in_group = member[inverse] & wanted
-            group_rows = np.nonzero(in_group)[0]
-            survivors = self._run_batch_stages(batch, group_rows, programs,
-                                               now, ingress_asn)
-            if len(survivors) < len(group_rows):
-                self._m_dropped.value += len(group_rows) - len(survivors)
-                keep[group_rows] = False
-                keep[survivors] = True
-            residual &= ~in_group
-
-        for i in np.nonzero(residual)[0]:
-            i = int(i)
-            src_owner, dst_owner, _ = entries[int(inverse[i])]
-            pkt = batch.packet_at(i)
-            out = core.run_stages(pkt, src_owner, dst_owner, now,
-                                  ingress_asn)
-            if out is None:
-                keep[i] = False
-            else:
-                batch.write_back(i, out)
-        if keep.all():
-            return batch, None
-        dropped = batch.select(~keep)
-        passed = batch.select(keep) if keep.any() else None
-        return passed, dropped
-
-    def _batch_stage_programs(self, src_owner: Optional[NetworkUser],
-                              dst_owner: Optional[NetworkUser]
-                              ) -> Optional[list[tuple]]:
-        """Compiled batch programs for both stages of one owner pair.
-
-        Returns ``(owner, stage, instance, graph, compiled)`` per active
-        stage graph, in scalar stage order — or ``None`` when any stage
-        has no batch program (non-vectorizable ops) or the two stages
-        share component state (batching one whole stage before the other
-        would reorder that component's packet stream vs. the per-packet
-        walk); the scalar residue then keeps exact semantics.
-        """
-        stages = [(src_owner, "source"), (dst_owner, "dest")]
-        if self.stage_order == "dst-first":  # E13 ablation only
-            stages.reverse()
-        programs: list[tuple] = []
-        for owner, stage in stages:
-            if owner is None:
-                continue
-            instance = self.services.get(owner.user_id)
-            if (instance is None or not instance.active
-                    or instance.disabled_for_violation):
-                continue
-            graph = (instance.src_graph if stage == "source"
-                     else instance.dst_graph)
-            if graph is None:
-                continue
-            compiled = graph.compiled()
-            if not compiled.batch_supported:
-                return None
-            programs.append((owner, stage, instance, graph, compiled))
-        if (len(programs) == 2
-                and programs[0][4].shares_state_with(programs[1][4])):
-            return None
-        return programs
-
-    def _order_sensitive_overlaps(self, groups: dict, group_programs: dict
-                                  ) -> set[str]:
-        """User ids whose order-sensitive stage policies span more than
-        one owner-pair group this batch — their groups must take the
-        scalar residue to preserve the component's packet order."""
-        seen: dict[str, int] = {}
-        sensitive: set[str] = set()
-        for gkey in groups:
-            for uid in gkey:
-                if uid is None:
-                    continue
-                seen[uid] = seen.get(uid, 0) + 1
-                instance = self.services.get(uid)
-                if instance is None:
-                    continue
-                for graph in (instance.src_graph, instance.dst_graph):
-                    if graph is not None and graph.compiled().order_sensitive:
-                        sensitive.add(uid)
-        return {uid for uid in sensitive if seen.get(uid, 0) > 1}
-
-    def _run_batch_stages(self, batch: "PacketBatch", rows: np.ndarray,
-                          programs: list[tuple], now: float,
-                          ingress_asn: Optional[int]) -> np.ndarray:
-        """Run ``batch[rows]`` through compiled stage programs; returns the
-        surviving row indices.
-
-        Counter parity with the scalar walk is exact: graph/component
-        tallies advance inside :meth:`CompiledPolicy.run_batch`, and the
-        per-packet safety-monitor snapshot collapses to aggregate in/out
-        accounting (the compiled kernels implement each component's
-        declared semantics directly, so no violation is possible).
-        """
-        local_origin = ingress_asn is None
-        for owner, stage, instance, graph, compiled in programs:
-            n = len(rows)
-            if n == 0:
-                break
-            ctx = ComponentContext(
-                now=now, asn=self.context.asn,
-                is_transit=self.context.is_transit,
-                local_prefix=self.context.local_prefix, stage=stage,
-                owner=owner, ingress_asn=ingress_asn,
-                local_origin=local_origin,
-            )
-            monitor = instance.monitor
-            sizes = batch.size[rows]
-            monitor.packets_in += n
-            monitor.bytes_in += int(sizes.sum())
-            alive = compiled.run_batch(batch, rows, ctx)
-            monitor.packets_out += int(alive.sum())
-            monitor.bytes_out += int(sizes[alive].sum())
-            rows = rows[alive]
-        return rows
+            self._m_dropped.value += int(owned.sum())
+            return batch.split(~owned)
+        return self._core.decide_many(batch, now, ingress_asn)
 
 
 def attach_device(network: "Network", asn: int,

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import ComponentGraphError
 from repro.core.components import Component, ComponentContext, Verdict
 from repro.net.packet import Packet
 from repro.obs.metrics import declare
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.packet import PacketBatch
     from repro.policy.compiler import CompiledPolicy
 
 _PACKETS_IN = declare(
@@ -186,54 +183,6 @@ class ComponentGraph:
             )
 
     # --------------------------------------------------------------- execution
-    def batch_plan(self) -> Optional[list[Component]]:
-        """The PASS-chain of pure batch-capable observers, or ``None``.
-
-        A graph qualifies for the device's vectorised observer path only
-        when every component is reachable along one PASS chain from the
-        entry, is ``batch_capable``, declares neither drops nor mutations
-        (``may_drop``/``may_shrink``/``modifies_headers``), and wires no
-        DROP edge — i.e. every packet provably passes unmodified, so the
-        per-packet verdict walk collapses to one vectorised update per
-        component.
-        """
-        if self._entry is None:
-            return None
-        plan: list[Component] = []
-        seen: set[str] = set()
-        node: Optional[str] = self._entry
-        while node is not None:
-            if node in seen:
-                return None
-            seen.add(node)
-            component = self._components[node]
-            caps = component.capabilities
-            if (not component.batch_capable or caps.may_drop
-                    or caps.may_shrink or caps.modifies_headers):
-                return None
-            if (node, Verdict.DROP) in self._edges:
-                return None
-            plan.append(component)
-            node = self._edges.get((node, Verdict.PASS))
-        if len(plan) != len(self._components):
-            return None
-        return plan
-
-    def process_batch(self, batch: "PacketBatch", rows: np.ndarray,
-                      ctx: ComponentContext,
-                      plan: Optional[list[Component]] = None) -> None:
-        """Run ``batch[rows]`` through a pure-observer chain (see
-        :meth:`batch_plan`); counter totals match the scalar walk."""
-        plan = plan if plan is not None else self.batch_plan()
-        if plan is None:
-            raise ComponentGraphError(
-                f"graph {self.name!r} has no pure-observer batch plan")
-        n = len(rows)
-        self._m_packets_in.value += n
-        for component in plan:
-            component._m_processed.value += n
-            component.process_batch(batch, rows, ctx)
-
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         """Run the packet through the graph; returns the final verdict.
 

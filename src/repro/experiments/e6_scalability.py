@@ -140,7 +140,7 @@ def flow_cache_table(cfg: ExperimentConfig) -> Table:
         cold = (time.perf_counter() - start) / reps * 1e6
 
         device.invalidate_flow_cache()
-        device.flow_cache_hits = device.flow_cache_misses = 0
+        device.reset_stats()
         start = time.perf_counter()
         for i in range(reps):
             device.wants(packets[i % n_flows])

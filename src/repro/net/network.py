@@ -190,7 +190,7 @@ class Network:
         for router in self.routers.values():
             router.route_cache.clear()
             device = router.adaptive_device
-            if device is not None and hasattr(device, "on_routing_update"):
+            if device is not None:
                 device.on_routing_update()
 
     # -------------------------------------------------------------- execution

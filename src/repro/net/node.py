@@ -53,6 +53,16 @@ class AdaptiveDeviceHook(TypingProtocol):
         """Run the two processing stages; None means the packet was dropped."""
         ...  # pragma: no cover
 
+    def process_batch(self, batch: PacketBatch, now: float,
+                      ingress: Optional[int]
+                      ) -> tuple[Optional[PacketBatch], Optional[PacketBatch]]:
+        """``wants`` + ``process`` over a batch: ``(passed, dropped)``."""
+        ...  # pragma: no cover
+
+    def on_routing_update(self) -> list[str]:
+        """React to a routing change; returns the affected user ids."""
+        ...  # pragma: no cover
+
 
 class Node:
     """Anything that can terminate a link."""
@@ -258,9 +268,8 @@ class Router(Node):
         """Batch ingress: the vectorised mirror of :meth:`receive`.
 
         Mitigation filters are per-packet callables, so their presence
-        forces the scalar-fallback path; likewise an attached device
-        without a ``process_batch`` method.  Otherwise the batch flows
-        through the device's vectorised redirect decision and on to
+        forces the scalar-fallback path.  Otherwise the batch flows
+        through the device's batched redirect decision and on to
         :meth:`forward_batch` intact.
         """
         if len(batch) == 0:
@@ -271,10 +280,6 @@ class Router(Node):
             return
         device = self.adaptive_device
         if device is not None:
-            if not hasattr(device, "process_batch"):
-                for p in batch.to_packets():
-                    self.receive(p, link)
-                return
             now = self.network.sim.now
             ingress = self._ingress_asn(link)
             passed, dropped = device.process_batch(batch, now, ingress)

@@ -357,6 +357,14 @@ class PacketBatch:
         out.kinds = self.kinds
         return out
 
+    def split(self, keep: np.ndarray
+              ) -> tuple[Optional["PacketBatch"], Optional["PacketBatch"]]:
+        """``(kept, rest)`` for a boolean row mask; an empty side is
+        ``None``, and an all-True mask keeps ``self`` itself."""
+        if keep.all():
+            return self, None
+        return (self.select(keep) if keep.any() else None), self.select(~keep)
+
     def kind_counts(self) -> dict[str, int]:
         """Packets per ground-truth kind (bincount over the code column)."""
         counts = np.bincount(self.kind_code, minlength=len(self.kinds))

@@ -4,11 +4,8 @@ Property: ``process_batch`` over any permutation of a batch records a
 byte-identical registry snapshot and the same per-packet verdicts as the
 scalar ``wants``/``process`` loop the router runs — and that equality
 holds when the comparison fans out through :func:`parallel_map` or a raw
-process pool (the counters are order-invariant by construction: unique
-flows are tallied in sorted order).
-
-Parity requires distinct flows <= the device flow-cache capacity (no LRU
-evictions); the traffic here stays far under it.
+process pool.  Flow-cache parity across capacities, evictions included,
+is the hypothesis property in test_device_batch_lru.py.
 """
 
 import hashlib

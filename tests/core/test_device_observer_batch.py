@@ -1,12 +1,14 @@
-"""The device's vectorised pure-observer fast path vs the scalar walk.
+"""The pure-observer batch fast path vs the scalar walk.
 
 When every installed stage graph is a PASS-chain of batch-capable
-observers (no drops, no mutations), ``AdaptiveDevice.process_batch``
-collapses the per-packet verdict loop into one ``process_batch`` call per
-component (see :meth:`repro.core.graph.ComponentGraph.batch_plan`).
-Property under test: the fast path leaves component state, collector
-counters and the metrics registry identical to the per-packet reference —
-and never falls back to the scalar ``ComponentGraph.process`` walk.
+observers (no drops, no mutations), the policy compiler lowers it to an
+``OBSERVER_BATCH`` program, and ``AdaptiveDevice.process_batch`` (through
+:meth:`repro.service.core.DecisionCore.decide_many`) runs one
+``process_batch`` call per component instead of the per-packet verdict
+loop.  Property under test: the fast path leaves component state,
+collector counters and the metrics registry identical to the per-packet
+reference — and never falls back to the scalar ``ComponentGraph.process``
+walk.
 """
 
 import hashlib
@@ -129,20 +131,6 @@ class TestObserverFastPath:
         state, _, redirected = _run(batched=True)
         assert redirected > 0
         assert any(s[0] > 0 for s in state)
-
-    def test_plan_exists_for_observer_chain(self):
-        graph = ComponentGraph("obs")
-        graph.chain(StatisticsCollector(),
-                    TrafficMatrixCollector(resolver=_resolver))
-        plan = graph.batch_plan()
-        assert plan is not None and len(plan) == 2
-
-    def test_no_plan_when_chain_may_drop(self):
-        graph = ComponentGraph("filtered")
-        graph.chain(StatisticsCollector(),
-                    HeaderFilter("f", HeaderMatch(proto=Protocol.TCP,
-                                                  dport=7)))
-        assert graph.batch_plan() is None
 
     def test_mixed_deployment_still_correct(self):
         """One subscriber with a dropping filter: its flows take the
