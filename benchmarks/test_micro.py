@@ -108,25 +108,8 @@ def test_simulator_event_throughput(benchmark):
     benchmark(run_events)
 
 
-def test_packet_forwarding_path(benchmark):
-    """End-to-end delivery of 500 packets over a 5-AS path."""
-
-    def run_net():
-        net = Network(TopologyBuilder.line(5))
-        a = net.add_host(0)
-        b = net.add_host(4)
-        for i in range(500):
-            net.sim.schedule_at(i * 1e-4, a.send,
-                                Packet.udp(a.address, b.address))
-        net.run()
-        assert b.received_packets > 0
-
-    benchmark(run_net)
-
-
-@pytest.fixture(scope="module")
-def batch_line_net():
-    """A 5-AS line with fat links (no drops) shared across batch rounds.
+def _fat_line():
+    """A 5-AS line with fat links (no drops), reusable across rounds.
 
     The fluid-drain queue empties as simulated time advances between
     rounds, so reuse is sound; only delivery counters accumulate.
@@ -136,6 +119,37 @@ def batch_line_net():
     net = Network(TopologyBuilder.line(5), access=fat,
                   link_params_fn=lambda a, b: fat)
     return net, net.add_host(0), net.add_host(4)
+
+
+@pytest.fixture(scope="module")
+def scalar_line_net():
+    return _fat_line()
+
+
+@pytest.fixture(scope="module")
+def batch_line_net():
+    return _fat_line()
+
+
+def test_packet_forwarding_path(benchmark, scalar_line_net):
+    """End-to-end delivery of 500 packets over the prebuilt 5-AS line.
+
+    Like for like with ``test_batch_forwarding_path``: same network,
+    built outside the timed region, so their per-packet ratio measures
+    the scalar vs batched data plane and nothing else.
+    """
+    net, a, b = scalar_line_net
+
+    def run_net():
+        before = b.received_packets
+        start = net.sim.now
+        for i in range(500):
+            net.sim.schedule_at(start + i * 1e-4, a.send,
+                                Packet.udp(a.address, b.address))
+        net.run()
+        assert b.received_packets - before == 500
+
+    benchmark(run_net)
 
 
 @pytest.mark.parametrize("batch_size", [1, 64, 1024, 16384])
@@ -280,7 +294,7 @@ def test_sketch_batch_update(benchmark, sketch_traffic, batch_size):
 
     Compare per-packet against ``test_sketch_scalar_update`` (the exact
     per-packet Counter path): the CI perf-smoke guards the batch-1024
-    ratio via ``tools/bench.py --check-sketch-ratio``.
+    ratio via ``tools/bench.py --check-ratio sketch=MIN``.
     """
     from repro.core.apps.statistics import TrafficMatrixCollector
 
@@ -350,7 +364,7 @@ def test_policy_compiled_batch(benchmark, policy_world, batch_size):
 
     Compare per-packet against ``test_policy_interpreted_walk``: the CI
     perf-smoke guards the batch-1024 ratio via ``tools/bench.py
-    --check-policy-ratio``.
+    --check-ratio policy=MIN``.
     """
     from repro.policy import compile_policy
 

@@ -19,6 +19,7 @@ from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
 from repro.core.service import TrafficControlService
+from repro.mitigation.traceback import reverse_path
 from repro.net.packet import Packet
 
 __all__ = ["SpieTracebackApp", "TcsTraceResult"]
@@ -64,28 +65,17 @@ class SpieTracebackApp:
         return store is not None and store.saw(packet)
 
     def trace(self, packet: Packet, victim_asn: int) -> TcsTraceResult:
-        """Reverse-path walk over the user's digest stores.
+        """Reverse-path walk (:func:`~repro.mitigation.traceback.reverse_path`)
+        over the user's digest stores.
 
         Analogous to SPIE's traceback, but running on the user's own TCS
         deployment — no inter-ISP coordination needed at query time.
         """
-        network = self.service.tcsp.network
-        result = TcsTraceResult()
-        current = victim_asn
-        visited = {victim_asn}
-        if self.saw(current, packet):
-            result.path.append(current)
-        while True:
-            candidates = [n for n in network.topology.neighbors(current)
-                          if n not in visited and self.saw(n, packet)]
-            if not candidates:
-                # distinguish "origin reached" from "left our coverage"
-                uncovered = [n for n in network.topology.neighbors(current)
-                             if n not in visited and n not in self.stores]
-                result.coverage_gap = bool(uncovered) and not result.path
-                break
-            current = candidates[0]
-            visited.add(current)
-            result.path.append(current)
-        result.origin_asn = result.path[-1] if result.path else None
-        return result
+        topology = self.service.tcsp.network.topology
+        path = reverse_path(topology, victim_asn,
+                            lambda asn: self.saw(asn, packet))
+        # distinguish "origin reached" from "left our coverage"
+        gap = not path and any(n not in self.stores
+                               for n in topology.neighbors(victim_asn))
+        return TcsTraceResult(path=path, origin_asn=path[-1] if path else None,
+                              coverage_gap=gap)

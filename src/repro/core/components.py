@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.net.addressing import Prefix
 from repro.net.packet import IP_HEADER_BYTES, Packet, Protocol, TCPFlags
 from repro.obs.metrics import declare
-from repro.util.bloom import BloomFilter
+from repro.util.bloom import DigestBacklog
 from repro.util.sketch import SpaceSaving
 from repro.util.stats import WindowedCounter
 from repro.util.tokenbucket import TokenBucket
@@ -127,17 +127,9 @@ class Component:
     def processed(self) -> int:
         return self._m_processed.value
 
-    @processed.setter
-    def processed(self, value: int) -> None:
-        self._m_processed.value = value
-
     @property
     def dropped(self) -> int:
         return self._m_dropped.value
-
-    @dropped.setter
-    def dropped(self, value: int) -> None:
-        self._m_dropped.value = value
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:  # pragma: no cover
         raise NotImplementedError
@@ -508,17 +500,15 @@ class DigestStoreComponent(Component):
         self.capacity = capacity
         self.window = window
         self.max_windows = max_windows
-        self.windows: list[tuple[float, BloomFilter]] = []
+        #: created on the first packet: its salt is the device's AS number
+        self.backlog: Optional[DigestBacklog] = None
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        start = (ctx.now // self.window) * self.window
-        if not self.windows or self.windows[-1][0] != start:
-            self.windows.append((start, BloomFilter(self.capacity, 0.001, salt=ctx.asn % 255)))
-            if len(self.windows) > self.max_windows:
-                del self.windows[0]
-        self.windows[-1][1].add(packet.digest())
+        if self.backlog is None:
+            self.backlog = DigestBacklog(self.capacity, self.window,
+                                         self.max_windows, salt=ctx.asn % 255)
+        self.backlog.add(packet.digest(), ctx.now)
         return Verdict.PASS
 
     def saw(self, packet: Packet) -> bool:
-        digest = packet.digest()
-        return any(digest in bloom for _, bloom in self.windows)
+        return self.backlog is not None and self.backlog.saw(packet.digest())

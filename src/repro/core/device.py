@@ -180,10 +180,6 @@ class AdaptiveDevice:
     def flow_cache_capacity(self) -> int:
         return self._core.flow_cache_capacity
 
-    @flow_cache_capacity.setter
-    def flow_cache_capacity(self, value: int) -> None:
-        self._core.flow_cache_capacity = value
-
     @property
     def _flow_cache(self):
         return self._core.flow_cache

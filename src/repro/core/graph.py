@@ -52,22 +52,14 @@ class ComponentGraph:
         self._compiled: Optional["CompiledPolicy"] = None
         self._compiled_version = -1
 
-    # ------------------------------------------------------- legacy counters
+    # ------------------------------------------------ read-only counter views
     @property
     def packets_in(self) -> int:
         return self._m_packets_in.value
 
-    @packets_in.setter
-    def packets_in(self, value: int) -> None:
-        self._m_packets_in.value = value
-
     @property
     def packets_dropped(self) -> int:
         return self._m_packets_dropped.value
-
-    @packets_dropped.setter
-    def packets_dropped(self, value: int) -> None:
-        self._m_packets_dropped.value = value
 
     # ---------------------------------------------------------------- building
     def add(self, component: Component, entry: bool = False) -> "ComponentGraph":

@@ -21,9 +21,9 @@ measure exactly that failure.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.errors import MitigationError
 from repro.mitigation.base import Mitigation
@@ -31,11 +31,12 @@ from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import Host, Router
 from repro.net.packet import Packet
-from repro.util.bloom import BloomFilter
+from repro.net.topology import Topology
+from repro.util.bloom import DigestBacklog
 from repro.util.rng import derive_rng
 
 __all__ = ["PPMTraceback", "MarkingCollector", "SpieTraceback",
-           "SpieQueryResult", "TracebackFilter"]
+           "SpieQueryResult", "TracebackFilter", "reverse_path"]
 
 
 class MarkingCollector:
@@ -140,6 +141,29 @@ class SpieQueryResult:
     complete: bool = False  # True when the walk terminated inside coverage
 
 
+def reverse_path(topology: Topology, victim_asn: int,
+                 saw: Callable[[int], bool]) -> list[int]:
+    """SPIE's reverse-path walk: the ASes whose stores remember a packet.
+
+    Starts at the victim's AS (included when it saw the packet) and moves,
+    at each step, to the first unvisited neighbour for which ``saw`` holds.
+    The walk ends when no neighbour saw it: the last AS is the apparent
+    origin — for reflected packets, the *reflector's* AS, because the
+    reflector generated a fresh packet.
+    """
+    path = [victim_asn] if saw(victim_asn) else []
+    visited = {victim_asn}
+    current = victim_asn
+    while True:
+        step = next((n for n in topology.neighbors(current)
+                     if n not in visited and saw(n)), None)
+        if step is None:
+            return path
+        visited.add(step)
+        path.append(step)
+        current = step
+
+
 class SpieTraceback(Mitigation):
     """SPIE hash-based traceback with windowed Bloom digest stores."""
 
@@ -154,15 +178,16 @@ class SpieTraceback(Mitigation):
         self.window = window
         self.fp_rate = fp_rate
         self.max_windows = max_windows
-        # asn -> list of (window start time, bloom)
-        self.stores: dict[int, list[tuple[float, BloomFilter]]] = defaultdict(list)
+        self.stores: dict[int, DigestBacklog] = {}
         self.network: Optional[Network] = None
-        self.digests_stored = 0
 
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
         self.network = network
         for asn in asns:
             router = network.routers[asn]
+            self.stores.setdefault(asn, DigestBacklog(
+                self.capacity, self.window, self.max_windows,
+                salt=asn % 255, fp_rate=self.fp_rate))
 
             def filt(packet: Packet, router: Router, link: Optional[Link],
                      now: float, asn=asn) -> bool:
@@ -173,53 +198,24 @@ class SpieTraceback(Mitigation):
             self.deployed_asns.add(asn)
 
     def _store(self, asn: int, digest: bytes, now: float) -> None:
-        windows = self.stores[asn]
-        start = (now // self.window) * self.window
-        if not windows or windows[-1][0] != start:
-            windows.append((start, BloomFilter(self.capacity, self.fp_rate, salt=asn % 255)))
-            if len(windows) > self.max_windows:  # page out the oldest backlog
-                del windows[0]
-        windows[-1][1].add(digest)
-        self.digests_stored += 1
+        self.stores[asn].add(digest, now)
 
-    def saw(self, asn: int, packet: Packet, around: Optional[float] = None) -> bool:
+    def saw(self, asn: int, packet: Packet) -> bool:
         """Did the router of ``asn`` forward this packet (within the backlog)?"""
-        digest = packet.digest()
-        for start, bloom in self.stores.get(asn, []):
-            if around is not None and not (start <= around < start + self.window):
-                continue
-            if digest in bloom:
-                return True
-        return False
+        store = self.stores.get(asn)
+        return store is not None and store.saw(packet.digest())
 
     def trace(self, packet: Packet, victim_asn: int) -> SpieQueryResult:
-        """Reverse-path walk from the victim's AS toward the packet's origin.
-
-        At each step, move to the (unvisited) neighbour whose digest store
-        remembers the packet.  The walk ends when no neighbour saw it: the
-        current AS is the apparent origin — for reflected packets, the
-        *reflector's* AS, because the reflector generated a fresh packet.
-        """
+        """Reverse-path walk (:func:`reverse_path`) from the victim's AS
+        over the deployed routers' digest stores."""
         if self.network is None:
             raise MitigationError("SPIE not deployed")
-        result = SpieQueryResult()
-        current = victim_asn
-        visited = {victim_asn}
-        if current in self.deployed_asns and self.saw(current, packet):
-            result.path.append(current)
-        while True:
-            candidates = [
-                n for n in self.network.topology.neighbors(current)
-                if n not in visited and n in self.deployed_asns and self.saw(n, packet)
-            ]
-            if not candidates:
-                break
-            current = candidates[0]
-            visited.add(current)
-            result.path.append(current)
-        result.origin_asn = result.path[-1] if result.path else None
-        result.complete = bool(result.path)
-        return result
+        path = reverse_path(
+            self.network.topology, victim_asn,
+            lambda asn: asn in self.deployed_asns and self.saw(asn, packet))
+        return SpieQueryResult(path=path,
+                               origin_asn=path[-1] if path else None,
+                               complete=bool(path))
 
 
 class TracebackFilter(Mitigation):

@@ -220,46 +220,26 @@ class FaultInjector:
         self._m_messages_dropped = _MSG_DROPPED.labelled()
         self._m_messages_seen = _MSG_SEEN.labelled()
 
-    # ------------------------------------------------------ legacy stat views
+    # --------------------------------------------------- read-only stat views
     @property
     def injected(self) -> int:
         return self._m_injected.value
-
-    @injected.setter
-    def injected(self, value: int) -> None:
-        self._m_injected.value = value
 
     @property
     def cleared(self) -> int:
         return self._m_cleared.value
 
-    @cleared.setter
-    def cleared(self, value: int) -> None:
-        self._m_cleared.value = value
-
     @property
     def skipped(self) -> int:
         return self._m_skipped.value
-
-    @skipped.setter
-    def skipped(self, value: int) -> None:
-        self._m_skipped.value = value
 
     @property
     def messages_dropped(self) -> int:
         return self._m_messages_dropped.value
 
-    @messages_dropped.setter
-    def messages_dropped(self, value: int) -> None:
-        self._m_messages_dropped.value = value
-
     @property
     def messages_seen(self) -> int:
         return self._m_messages_seen.value
-
-    @messages_seen.setter
-    def messages_seen(self, value: int) -> None:
-        self._m_messages_seen.value = value
 
     # ---------------------------------------------------------------- arming
     def arm(self) -> None:

@@ -94,38 +94,22 @@ class Link:
         # recent drops as (time, packet) — pushback classifies these
         self.drop_log: list[tuple[float, Packet]] = []
 
-    # ------------------------------------------------------ legacy stat views
+    # --------------------------------------------------- read-only stat views
     @property
     def tx_packets(self) -> int:
         return self._m_tx_packets.value
-
-    @tx_packets.setter
-    def tx_packets(self, value: int) -> None:
-        self._m_tx_packets.value = value
 
     @property
     def tx_bytes(self) -> int:
         return self._m_tx_bytes.value
 
-    @tx_bytes.setter
-    def tx_bytes(self, value: int) -> None:
-        self._m_tx_bytes.value = value
-
     @property
     def dropped_packets(self) -> int:
         return self._m_dropped_packets.value
 
-    @dropped_packets.setter
-    def dropped_packets(self, value: int) -> None:
-        self._m_dropped_packets.value = value
-
     @property
     def dropped_bytes(self) -> int:
         return self._m_dropped_bytes.value
-
-    @dropped_bytes.setter
-    def dropped_bytes(self, value: int) -> None:
-        self._m_dropped_bytes.value = value
 
     def _drain(self, now: float) -> None:
         if now > self._last_update:

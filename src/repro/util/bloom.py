@@ -5,7 +5,8 @@ paper cites both as related work (Sec. 3.1) and as an application of the
 traffic control service (Sec. 4.4, "storing a backlog of packet hashes") —
 stores packet digests in Bloom filters at each router.  This implementation
 is deterministic (seeded double hashing over blake2b) and supports the
-standard membership/saturation queries.
+standard membership/saturation queries; :class:`DigestBacklog` is the
+windowed ring of such filters that both SPIE deployments keep per AS.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["BloomFilter"]
+__all__ = ["BloomFilter", "DigestBacklog"]
 
 
 class BloomFilter:
@@ -85,3 +86,51 @@ class BloomFilter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BloomFilter(bits={self.n_bits}, k={self.n_hashes}, count={self.count})"
+
+
+class DigestBacklog:
+    """SPIE's packet-digest backlog: one Bloom filter per time window.
+
+    A digest lands in the filter of the window holding ``now``; once more
+    than ``max_windows`` windows exist the oldest one is paged out, so
+    packets older than the retained backlog can no longer be traced.
+
+    >>> backlog = DigestBacklog(capacity=100, window=1.0, max_windows=2)
+    >>> backlog.add(b"old", 0.5)
+    >>> backlog.add(b"new", 2.5)
+    >>> backlog.saw(b"old"), len(backlog)
+    (True, 2)
+    >>> backlog.add(b"newer", 3.0)
+    >>> backlog.saw(b"old"), backlog.saw(b"new")
+    (False, True)
+    """
+
+    __slots__ = ("capacity", "window", "max_windows", "salt", "fp_rate",
+                 "windows")
+
+    def __init__(self, capacity: int, window: float, max_windows: int,
+                 salt: int = 0, fp_rate: float = 0.001) -> None:
+        self.capacity = capacity
+        self.window = window
+        self.max_windows = max_windows
+        self.salt = salt
+        self.fp_rate = fp_rate
+        #: (window start time, filter), oldest first
+        self.windows: list[tuple[float, BloomFilter]] = []
+
+    def add(self, digest: bytes, now: float) -> None:
+        windows = self.windows
+        start = (now // self.window) * self.window
+        if not windows or windows[-1][0] != start:
+            windows.append((start, BloomFilter(self.capacity, self.fp_rate,
+                                               salt=self.salt)))
+            if len(windows) > self.max_windows:
+                del windows[0]
+        windows[-1][1].add(digest)
+
+    def saw(self, digest: bytes) -> bool:
+        """Is ``digest`` in any retained window?"""
+        return any(digest in bloom for _, bloom in self.windows)
+
+    def __len__(self) -> int:
+        return len(self.windows)

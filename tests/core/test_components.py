@@ -176,7 +176,7 @@ class TestObservation:
         pkts = [Packet.udp(A("1.1.1.1"), A("2.2.2.2")) for _ in range(4)]
         for i, pkt in enumerate(pkts):
             ds(pkt, ctx(now=float(i)))
-        assert len(ds.windows) == 2
+        assert len(ds.backlog) == 2
         assert not ds.saw(pkts[0])  # paged out
         assert ds.saw(pkts[3])
 

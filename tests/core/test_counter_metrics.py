@@ -1,5 +1,7 @@
 """Graph/component counters live on the obs registry (attribute views stay)."""
 
+import pytest
+
 from repro.core.components import (
     ComponentContext,
     HeaderFilter,
@@ -34,7 +36,7 @@ def test_counters_surface_in_registry_snapshot():
     assert snap["component.dropped{component=f}"] == 1
 
 
-def test_legacy_attribute_views_read_and_write():
+def test_legacy_attribute_views_are_read_only():
     graph = ComponentGraph("legacy")
     comp = HeaderFilter("f", HeaderMatch(proto=Protocol.UDP))
     graph.chain(comp)
@@ -44,12 +46,11 @@ def test_legacy_attribute_views_read_and_write():
     assert graph.packets_in == 1
     assert graph.packets_dropped == 1
     assert comp.processed == 1 and comp.dropped == 1
-    # setters (the pre-migration API allowed resets)
-    graph.packets_in = 0
-    graph.packets_dropped = 0
-    comp.processed = 0
-    comp.dropped = 0
-    assert graph.packets_in == 0 and comp.dropped == 0
+    # the views have no setters: counts change only through the registry
+    for obj, attr in ((graph, "packets_in"), (graph, "packets_dropped"),
+                      (comp, "processed"), (comp, "dropped")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0)
 
 
 def test_namesake_component_clobbers_the_series():
@@ -58,10 +59,10 @@ def test_namesake_component_clobbers_the_series():
     while the earlier object keeps counting privately."""
     with scoped() as registry:
         a = HeaderFilter("dup", HeaderMatch(proto=Protocol.UDP))
-        a.processed = 3
+        a._m_processed.inc(3)
         b = HeaderFilter("dup", HeaderMatch(proto=Protocol.TCP))
         assert b.processed == 0
         assert a.processed == 3  # detached from the series, still readable
-        b.processed = 5
+        b._m_processed.inc(5)
         snap = registry.snapshot()
     assert snap["component.processed{component=dup}"] == 5

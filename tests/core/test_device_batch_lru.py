@@ -64,7 +64,7 @@ def _batched(device, batch):
 def _run(capacity, warm, batches, batched):
     with scoped() as reg:
         device, _ = build_device(N_SUBSCRIBERS)
-        device.flow_cache_capacity = capacity
+        device._core.flow_cache_capacity = capacity
         if warm:
             _scalar(device, _batch(warm))
         trail = []

@@ -193,7 +193,7 @@ class TestProcessFastPath:
 class TestLRUBounds:
     def test_capacity_enforced(self):
         device, users, _ = make_device()
-        device.flow_cache_capacity = 8
+        device._core.flow_cache_capacity = 8
         for i in range(50):
             device.wants(Packet.udp(IPv4Address(0xAC100000 + i),
                                     IPv4Address(users[0].prefixes[0].base + 3)))
@@ -201,7 +201,7 @@ class TestLRUBounds:
 
     def test_lru_evicts_oldest(self):
         device, users, _ = make_device()
-        device.flow_cache_capacity = 2
+        device._core.flow_cache_capacity = 2
         dst = IPv4Address(users[0].prefixes[0].base + 3)
         a = Packet.udp(IPv4Address(1), dst)
         b = Packet.udp(IPv4Address(2), dst)

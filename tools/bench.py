@@ -12,6 +12,8 @@ Usage::
                                                # fail on metric renames
     python tools/bench.py --metrics-out bench.jsonl
                                                # also dump raw JSONL samples
+    python tools/bench.py --check-ratio batch=1.0 --check-ratio policy=5.0
+                                               # fail on ratio regressions
 
 Executes ``benchmarks/test_micro.py`` under pytest-benchmark, routes the
 results through a :class:`repro.obs.MetricRegistry` (``bench.*`` gauges
@@ -52,47 +54,46 @@ BENCH_FILE = "benchmarks/test_micro.py"
 BENCH_FIELDS = {"median_s": "median", "mean_s": "mean",
                 "stddev_s": "stddev", "rounds": "rounds"}
 
-#: Batch-size-parametrized benchmarks publish ``bench.batch.<field>``
-#: gauges labelled (benchmark, batch) instead of folding the size into
-#: the name, so dashboards can sweep the batch dimension.
-_BATCH_NAME = re.compile(r"^(?P<base>test_batch_\w+)\[(?P<batch>\d+)\]$")
+#: One ratio per benchmark family: family -> (numerator benchmark, items
+#: it moves per round, denominator benchmark, items per round).  The ratio
+#: is the numerator's per-item median over the denominator's, so >1 means
+#: the denominator side is cheaper per item; ``--check-ratio`` gates it.
+RATIOS: dict[str, tuple[str, int, str, int]] = {
+    # scalar vs batched forwarding, both over the same prebuilt fat line
+    "batch": ("test_packet_forwarding_path", 500,
+              "test_batch_forwarding_path[1024]", 1024),
+    # exact per-packet Counter vs one vectorised Count-Min update
+    "sketch": ("test_sketch_scalar_update", 500,
+               "test_sketch_batch_update[1024]", 1024),
+    # live facade: owned-flow pipeline vs unowned fast path
+    "service": ("test_service_check_pipeline", 256,
+                "test_service_check_fastpath", 256),
+    # interpreted component-graph walk vs compiled vectorised program
+    "policy": ("test_policy_interpreted_walk[1024]", 1024,
+               "test_policy_compiled_batch[1024]", 1024),
+}
 
-#: Sketch benchmarks publish ``bench.sketch.<field>`` gauges the same
-#: way, so the flow-statistics dimension stays separable from the
-#: forwarding-path one on dashboards.
-_SKETCH_NAME = re.compile(r"^(?P<base>test_sketch_\w+)\[(?P<batch>\d+)\]$")
+#: ``test_<family>_*`` benchmarks publish ``bench.<family>.<field>`` gauges
+#: labelled by benchmark, so each family stays a separate dashboard
+#: dimension.  A family whose ratio compares batch sizes (its denominator
+#: ends in ``[N]``) admits only batch-parametrized members and labels them
+#: with the batch size as well.
+_FAMILY_NAME = {
+    family: re.compile(rf"^(?P<benchmark>test_{family}_\w+)"
+                       + (r"\[(?P<batch>\d+)\]$" if den.endswith("]")
+                          else "$"))
+    for family, (_num, _num_items, den, _den_items) in RATIOS.items()
+}
 
-#: Live-service benchmarks publish ``bench.service.<field>`` gauges, so
-#: the facade's check path stays a separate dashboard dimension from the
-#: simulator's forwarding path.
-_SERVICE_NAME = re.compile(r"^(?P<base>test_service_\w+)$")
 
-#: Policy-compiler benchmarks publish ``bench.policy.<field>`` gauges
-#: labelled (benchmark, batch), keeping the interpreted-walk vs
-#: compiled-batch axis separable from the raw forwarding path.
-_POLICY_NAME = re.compile(r"^(?P<base>test_policy_\w+)\[(?P<batch>\d+)\]$")
-
-#: The scalar/batched pair the perf-smoke ratio compares, with the
-#: packets each moves per round (the scalar benchmark sends 500 packets;
-#: the batch one sends its batch size).
-SCALAR_BENCH = ("test_packet_forwarding_path", 500)
-BATCH_BENCH = ("test_batch_forwarding_path", 1024)
-
-#: Same shape for flow statistics: the exact per-packet Counter path vs
-#: one vectorised Count-Min update of a 1024-key batch.
-SKETCH_SCALAR_BENCH = ("test_sketch_scalar_update", 500)
-SKETCH_BATCH_BENCH = ("test_sketch_batch_update", 1024)
-
-#: The live-facade pair the perf-smoke ratio compares: 256 unowned-flow
-#: checks (fast path) vs 256 owned-flow checks (full pipeline).
-SERVICE_FAST_BENCH = ("test_service_check_fastpath", 256)
-SERVICE_PIPELINE_BENCH = ("test_service_check_pipeline", 256)
-
-#: The policy pair the perf-smoke ratio compares: the interpreted
-#: component-graph walk vs one compiled vectorized batch program, both
-#: over 1024 packets of a HeaderFilter -> PrefixBlacklist graph.
-POLICY_INTERP_BENCH = ("test_policy_interpreted_walk", 1024)
-POLICY_COMPILED_BENCH = ("test_policy_compiled_batch", 1024)
+def _family_of(name: str) -> tuple[str | None, dict[str, str]]:
+    """A benchmark's family (None for none) and its gauge labels."""
+    for family, pattern in _FAMILY_NAME.items():
+        match = pattern.match(name)
+        if match:
+            labels = {k: v for k, v in match.groupdict().items() if v}
+            return family, labels
+    return None, {"benchmark": name}
 
 
 def run_benchmarks(pytest_args: list[str]) -> dict:
@@ -116,38 +117,13 @@ def to_registry(raw: dict) -> MetricRegistry:
     """Publish pytest-benchmark output as ``bench.*`` registry gauges."""
     registry = MetricRegistry("bench")
     for bench in sorted(raw.get("benchmarks", []), key=lambda b: b["name"]):
-        stats = bench["stats"]
-        batched = _BATCH_NAME.match(bench["name"])
-        sketched = _SKETCH_NAME.match(bench["name"])
-        serviced = _SERVICE_NAME.match(bench["name"])
-        policied = _POLICY_NAME.match(bench["name"])
+        family, labels = _family_of(bench["name"])
+        prefix = f"bench.{family}." if family else "bench."
         for field, source in BENCH_FIELDS.items():
-            if policied:
-                registry.gauge(f"bench.policy.{field}",
-                               help=f"pytest-benchmark {field} per policy "
-                                    "execution mode and batch size",
-                               benchmark=policied["base"],
-                               batch=policied["batch"]).set(stats[source])
-            elif serviced:
-                registry.gauge(f"bench.service.{field}",
-                               help=f"pytest-benchmark {field} per live "
-                                    "service-check benchmark",
-                               benchmark=serviced["base"]).set(stats[source])
-            elif batched:
-                registry.gauge(f"bench.batch.{field}",
-                               help=f"pytest-benchmark {field} per batch size",
-                               benchmark=batched["base"],
-                               batch=batched["batch"]).set(stats[source])
-            elif sketched:
-                registry.gauge(f"bench.sketch.{field}",
-                               help=f"pytest-benchmark {field} per sketch "
-                                    "batch size",
-                               benchmark=sketched["base"],
-                               batch=sketched["batch"]).set(stats[source])
-            else:
-                registry.gauge(f"bench.{field}",
-                               help=f"pytest-benchmark {field} per benchmark",
-                               benchmark=bench["name"]).set(stats[source])
+            registry.gauge(prefix + field,
+                           help=f"pytest-benchmark {field} per "
+                                f"{family or 'plain'} benchmark",
+                           **labels).set(bench["stats"][source])
     return registry
 
 
@@ -156,17 +132,10 @@ def normalize(raw: dict) -> dict:
     registry = to_registry(raw)
     benchmarks: dict[str, dict] = {}
     for name, _kind, labels, value in registry.samples(include_timing=True):
-        if name.startswith("bench.service."):
-            field = name.split(".", 2)[2]
-            key = labels["benchmark"]
-        elif name.startswith(("bench.batch.", "bench.sketch.",
-                              "bench.policy.")):
-            field = name.split(".", 2)[2]
-            key = f"{labels['benchmark']}[{labels['batch']}]"
-        else:
-            field = name.split(".", 1)[1]
-            key = labels["benchmark"]
-        benchmarks.setdefault(key, {})[field] = value
+        key = labels["benchmark"]
+        if "batch" in labels:
+            key += f"[{labels['batch']}]"
+        benchmarks.setdefault(key, {})[name.rsplit(".", 1)[1]] = value
     info = raw.get("machine_info", {})
     return {
         "suite": BENCH_FILE,
@@ -179,81 +148,38 @@ def normalize(raw: dict) -> dict:
 
 def schema_of(normalized: dict) -> dict:
     """The name-level shape of a snapshot: metric names + benchmark names."""
-    metrics = [f"bench.{field}" for field in sorted(BENCH_FIELDS)]
-    names = normalized["benchmarks"]
-    if any(_BATCH_NAME.match(name) for name in names):
-        metrics += [f"bench.batch.{field}" for field in sorted(BENCH_FIELDS)]
-    if any(_SKETCH_NAME.match(name) for name in names):
-        metrics += [f"bench.sketch.{field}" for field in sorted(BENCH_FIELDS)]
-    if any(_SERVICE_NAME.match(name) for name in names):
-        metrics += [f"bench.service.{field}" for field in sorted(BENCH_FIELDS)]
-    if any(_POLICY_NAME.match(name) for name in names):
-        metrics += [f"bench.policy.{field}" for field in sorted(BENCH_FIELDS)]
+    prefixes = {"bench."} | {
+        f"bench.{family}." for family, _ in map(_family_of,
+                                                normalized["benchmarks"])
+        if family}
     return {
-        "metrics": sorted(metrics),
+        "metrics": sorted(prefix + field for prefix in prefixes
+                          for field in BENCH_FIELDS),
         "benchmarks": sorted(normalized["benchmarks"]),
     }
 
 
-def batch_ratio(normalized: dict) -> float | None:
-    """Scalar-vs-batched per-packet forwarding ratio (>1 = batching wins).
-
-    ``None`` when either side is absent from the snapshot (e.g. a run
-    filtered with ``-k``).
-    """
-    scalar_name, scalar_packets = SCALAR_BENCH
-    batch_base, batch_size = BATCH_BENCH
+def ratio(normalized: dict, family: str) -> float | None:
+    """The family's per-item ratio (see :data:`RATIOS`); ``None`` when
+    either benchmark is absent (e.g. a run filtered with ``-k``)."""
+    num, num_items, den, den_items = RATIOS[family]
     benches = normalized["benchmarks"]
-    scalar = benches.get(scalar_name)
-    batched = benches.get(f"{batch_base}[{batch_size}]")
-    if not scalar or not batched:
+    if num not in benches or den not in benches:
         return None
-    return ((scalar["median_s"] / scalar_packets)
-            / (batched["median_s"] / batch_size))
+    return ((benches[num]["median_s"] / num_items)
+            / (benches[den]["median_s"] / den_items))
 
 
-def sketch_ratio(normalized: dict) -> float | None:
-    """Exact-scalar vs batched-sketch per-key update ratio (>1 = sketch
-    batching wins).  ``None`` when either benchmark is absent."""
-    scalar_name, scalar_keys = SKETCH_SCALAR_BENCH
-    batch_base, batch_size = SKETCH_BATCH_BENCH
-    benches = normalized["benchmarks"]
-    scalar = benches.get(scalar_name)
-    batched = benches.get(f"{batch_base}[{batch_size}]")
-    if not scalar or not batched:
-        return None
-    return ((scalar["median_s"] / scalar_keys)
-            / (batched["median_s"] / batch_size))
-
-
-def service_ratio(normalized: dict) -> float | None:
-    """Fast-path vs pipeline per-check ratio for the live facade (>1 =
-    the unowned fast path is cheaper).  ``None`` when either benchmark is
-    absent from the snapshot."""
-    fast_name, fast_checks = SERVICE_FAST_BENCH
-    pipe_name, pipe_checks = SERVICE_PIPELINE_BENCH
-    benches = normalized["benchmarks"]
-    fast = benches.get(fast_name)
-    pipe = benches.get(pipe_name)
-    if not fast or not pipe:
-        return None
-    return ((pipe["median_s"] / pipe_checks)
-            / (fast["median_s"] / fast_checks))
-
-
-def policy_ratio(normalized: dict) -> float | None:
-    """Interpreted-walk vs compiled-batch per-packet ratio (>1 = the
-    compiled vectorized program wins).  ``None`` when either benchmark is
-    absent from the snapshot."""
-    interp_name, interp_packets = POLICY_INTERP_BENCH
-    compiled_base, compiled_batch = POLICY_COMPILED_BENCH
-    benches = normalized["benchmarks"]
-    interp = benches.get(f"{interp_name}[{interp_packets}]")
-    compiled = benches.get(f"{compiled_base}[{compiled_batch}]")
-    if not interp or not compiled:
-        return None
-    return ((interp["median_s"] / interp_packets)
-            / (compiled["median_s"] / compiled_batch))
+def _ratio_floor(spec: str) -> tuple[str, float]:
+    """Parse ``--check-ratio NAME=MIN``."""
+    family, sep, floor = spec.partition("=")
+    if not sep or family not in RATIOS:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=MIN with NAME one of {sorted(RATIOS)}, got {spec!r}")
+    try:
+        return family, float(floor)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad floor in {spec!r}") from None
 
 
 def check_schema(normalized: dict, schema_path: Path) -> list[str]:
@@ -313,22 +239,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the emitted name schema here and exit 0")
     parser.add_argument("--metrics-out", type=Path, metavar="FILE",
                         help="also dump the registry samples as JSONL")
-    parser.add_argument("--check-batch-ratio", type=float, metavar="MIN",
-                        help="fail unless the batched forwarding path is at "
-                             "least MIN times faster per packet than the "
-                             "scalar one (perf-smoke regression guard)")
-    parser.add_argument("--check-sketch-ratio", type=float, metavar="MIN",
-                        help="fail unless the batched sketch update is at "
-                             "least MIN times faster per key than the exact "
-                             "per-packet Counter path")
-    parser.add_argument("--check-service-ratio", type=float, metavar="MIN",
-                        help="fail unless the live facade's unowned fast "
-                             "path is at least MIN times cheaper per check "
-                             "than the owned-flow pipeline")
-    parser.add_argument("--check-policy-ratio", type=float, metavar="MIN",
-                        help="fail unless the compiled vectorized batch "
-                             "program is at least MIN times faster per "
-                             "packet than the interpreted graph walk")
+    parser.add_argument("--check-ratio", type=_ratio_floor, action="append",
+                        default=[], metavar="NAME=MIN",
+                        help="fail unless the NAME ratio is at least MIN; "
+                             f"repeatable (NAME one of {', '.join(RATIOS)})")
     parser.add_argument("pytest_args", nargs="*",
                         help="extra arguments forwarded to pytest (prefix "
                              "with -- to separate)")
@@ -360,59 +274,18 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"schema check: {problem}", file=sys.stderr)
             return 1
         print(f"schema check: ok ({args.check_schema})")
-    if args.check_batch_ratio is not None:
-        ratio = batch_ratio(normalized)
-        if ratio is None:
-            print("batch ratio: scalar or batched forwarding benchmark "
-                  "missing from this run", file=sys.stderr)
+    for family, floor in args.check_ratio:
+        num, _, den, _ = RATIOS[family]
+        value = ratio(normalized, family)
+        if value is None:
+            print(f"{family} ratio: {num} or {den} missing from this run",
+                  file=sys.stderr)
             return 1
-        print(f"batch ratio: batched forwarding is {ratio:.1f}x the scalar "
-              f"per-packet rate (floor {args.check_batch_ratio:g}x)")
-        if ratio < args.check_batch_ratio:
-            print(f"batch ratio: {ratio:.2f} below floor "
-                  f"{args.check_batch_ratio:g} — batched data plane "
-                  "regressed", file=sys.stderr)
-            return 1
-    if args.check_sketch_ratio is not None:
-        ratio = sketch_ratio(normalized)
-        if ratio is None:
-            print("sketch ratio: scalar or batched sketch benchmark "
-                  "missing from this run", file=sys.stderr)
-            return 1
-        print(f"sketch ratio: batched sketch update is {ratio:.1f}x the "
-              f"exact per-key rate (floor {args.check_sketch_ratio:g}x)")
-        if ratio < args.check_sketch_ratio:
-            print(f"sketch ratio: {ratio:.2f} below floor "
-                  f"{args.check_sketch_ratio:g} — vectorised sketch path "
-                  "regressed", file=sys.stderr)
-            return 1
-    if args.check_service_ratio is not None:
-        ratio = service_ratio(normalized)
-        if ratio is None:
-            print("service ratio: fast-path or pipeline service benchmark "
-                  "missing from this run", file=sys.stderr)
-            return 1
-        print(f"service ratio: the unowned fast path is {ratio:.1f}x cheaper "
-              f"per check than the owned-flow pipeline (floor "
-              f"{args.check_service_ratio:g}x)")
-        if ratio < args.check_service_ratio:
-            print(f"service ratio: {ratio:.2f} below floor "
-                  f"{args.check_service_ratio:g} — live check fast path "
-                  "regressed", file=sys.stderr)
-            return 1
-    if args.check_policy_ratio is not None:
-        ratio = policy_ratio(normalized)
-        if ratio is None:
-            print("policy ratio: interpreted or compiled policy benchmark "
-                  "missing from this run", file=sys.stderr)
-            return 1
-        print(f"policy ratio: the compiled batch program is {ratio:.1f}x the "
-              f"interpreted per-packet rate (floor "
-              f"{args.check_policy_ratio:g}x)")
-        if ratio < args.check_policy_ratio:
-            print(f"policy ratio: {ratio:.2f} below floor "
-                  f"{args.check_policy_ratio:g} — vectorized policy "
-                  "programs regressed", file=sys.stderr)
+        print(f"{family} ratio: {den} is {value:.1f}x cheaper per item than "
+              f"{num} (floor {floor:g}x)")
+        if value < floor:
+            print(f"{family} ratio: {value:.2f} below floor {floor:g}",
+                  file=sys.stderr)
             return 1
     if args.compare:
         with open(args.compare) as fh:
