@@ -17,9 +17,11 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.core.components import SourceAntiSpoof
+from repro.core.compose import RuleSpec, deploy_rules
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
+from repro.core.ownership import NetworkUser
 from repro.core.service import TrafficControlService
 from repro.mitigation.base import Mitigation
 from repro.net.addressing import Prefix
@@ -67,10 +69,11 @@ class AntiSpoofApp:
 class TcsAntiSpoofMitigation(Mitigation):
     """Mitigation-interface adapter for the E2/E4 comparisons.
 
-    Packet-level deployment goes through a provided service facade; the
-    fluid filter reproduces the same semantics analytically: a spoofed flow
-    claiming a protected prefix dies at its *source AS* whenever that stub
-    AS hosts an adaptive device with the rule.
+    Packet-level deployment runs the owner's source-stage rule on the TCS
+    decision path at each stub border; the fluid filter reproduces the
+    same semantics analytically: a spoofed flow claiming a protected
+    prefix dies at its *source AS* whenever that stub AS hosts an adaptive
+    device with the rule.
     """
 
     name = "tcs-antispoof"
@@ -80,30 +83,19 @@ class TcsAntiSpoofMitigation(Mitigation):
         super().__init__()
         self.protected_prefixes = list(protected_prefixes)
         self.protected_asns = set(protected_asns)
-        self._network: Optional[Network] = None
 
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
-        """Standalone deployment (without the TCSP plumbing): install the
-        anti-spoof check as a router filter at the given stub ASes."""
-        self._network = network
-        from repro.net.node import Host
-
-        for asn in asns:
-            if network.topology.role_of(asn) is not ASRole.STUB:
-                continue  # the rule only applies at peripheral ISPs
-            router = network.routers[asn]
-            local_prefix = network.topology.prefix_of(asn)
-
-            def filt(packet, router, link, now, local_prefix=local_prefix):
-                if link is None or not isinstance(link.src, Host):
-                    return True  # transit traffic is never touched
-                for prefix in self.protected_prefixes:
-                    if prefix.contains(packet.src) and not local_prefix.overlaps(prefix):
-                        return False
-                return True
-
-            router.add_filter(self.name, filt)
-            self.deployed_asns.add(asn)
+        """Standalone deployment (without the TCSP plumbing): the owner's
+        source-stage ``anti-spoof`` rule as router filter ``tcs-antispoof``
+        at the given stub ASes."""
+        stubs = [asn for asn in asns
+                 if network.topology.role_of(asn) is ASRole.STUB]
+        owner = NetworkUser(self.name, "protected prefixes",
+                            self.protected_prefixes)
+        rule = RuleSpec(action="anti-spoof",
+                        prefixes=tuple(str(p) for p in self.protected_prefixes))
+        deploy_rules(network, stubs, owner, self.name, src_rules=(rule,))
+        self.deployed_asns.update(stubs)
 
     def fluid_filter(self):
         mitigation = self

@@ -14,8 +14,8 @@ component graphs: users say *what* ("block RSTs", "rate-limit UDP to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import DeploymentError
 from repro.core.components import (
@@ -31,10 +31,15 @@ from repro.core.components import (
 )
 from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
+from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.net.addressing import Prefix
 from repro.net.packet import ICMPType, Protocol, TCPFlags
 
-__all__ = ["RuleSpec", "ServiceSpec", "build_graph", "compile_spec"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import Network
+
+__all__ = ["RuleSpec", "ServiceSpec", "build_graph", "compile_spec",
+           "deploy_rules"]
 
 #: rule actions the composer understands
 ACTIONS = ("drop", "rate-limit", "scrub-payload", "blacklist",
@@ -179,3 +184,39 @@ def spec_factory(spec: ServiceSpec, trigger_action=None):
         return compile_spec(spec, device_ctx, trigger_action=trigger_action)
 
     return factory
+
+
+def deploy_rules(network: "Network", asns: Iterable[int], owner: NetworkUser,
+                 name: str, *, src_rules: Iterable[RuleSpec] = (),
+                 dst_rules: Iterable[RuleSpec] = ()) -> None:
+    """Deploy ``owner``'s rules at each AS in ``asns`` as router filter
+    ``name``, without the TCSP/NMS control plane.
+
+    Per AS the rules become graphs for that AS's device context, which
+    :meth:`~repro.service.core.DecisionCore.install` compiles and vets on
+    a core whose registry holds only ``owner``: ``src_rules`` run in the
+    source-owner stage, ``dst_rules`` in the destination-owner stage.  Scope
+    confinement (only the owner's traffic reaches its rules), stage order
+    and the Sec. 4.5 monitor are therefore the decision path's own.
+    """
+    # deferred import: repro.service.core imports repro.core modules
+    from repro.service.core import DecisionCore
+
+    stage_rules = (tuple(src_rules), tuple(dst_rules))
+    registry = OwnershipRegistry()
+    registry.register(owner)
+    topology = network.topology
+    for asn in asns:
+        context = DeviceContext(asn=asn, role=topology.role_of(asn),
+                                local_prefix=topology.prefix_of(asn))
+        graphs = [build_graph(ServiceSpec(name, rules), context)
+                  if rules else None for rules in stage_rules]
+        core = DecisionCore(context, registry, strict=False)
+        core.install(owner, *graphs)
+
+        def keep(packet, router, link, now, core=core):
+            return (not core.wants(packet)
+                    or core.process(packet, now,
+                                    router._ingress_asn(link)) is not None)
+
+        network.routers[asn].add_filter(name, keep)

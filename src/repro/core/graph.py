@@ -133,46 +133,18 @@ class ComponentGraph:
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
-        """Raise unless the graph is non-empty, acyclic, and fully wired."""
-        if not self._components or self._entry is None:
-            raise ComponentGraphError(f"graph {self.name!r} is empty")
-        # acyclicity over the union of PASS/DROP edges, from any node
-        adjacency: dict[str, list[str]] = {n: [] for n in self._components}
-        for (src, _), dst in self._edges.items():
-            adjacency[src].append(dst)
-        state: dict[str, int] = {}
+        """Raise unless the graph is non-empty, acyclic, and fully wired.
 
-        def visit(node: str) -> None:
-            state[node] = 1
-            for nxt in adjacency[node]:
-                mark = state.get(nxt, 0)
-                if mark == 1:
-                    raise ComponentGraphError(
-                        f"graph {self.name!r} has a cycle through {nxt!r}"
-                    )
-                if mark == 0:
-                    visit(nxt)
-            state[node] = 2
+        The check is the policy compiler's structural pass; this raises
+        its first error.
+        """
+        # deferred import: repro.policy lowers graphs (circular at module scope)
+        from repro.policy.ir import lower_graph
+        from repro.policy.passes import Severity, structural_pass
 
-        for node in self._components:
-            if state.get(node, 0) == 0:
-                visit(node)
-        # reachability: warn-level condition made strict — unreachable
-        # components are almost certainly configuration bugs
-        reachable = {self._entry}
-        frontier = [self._entry]
-        while frontier:
-            node = frontier.pop()
-            for verdict in (Verdict.PASS, Verdict.DROP):
-                nxt = self._edges.get((node, verdict))
-                if nxt is not None and nxt not in reachable:
-                    reachable.add(nxt)
-                    frontier.append(nxt)
-        unreachable = set(self._components) - reachable
-        if unreachable:
-            raise ComponentGraphError(
-                f"graph {self.name!r}: unreachable components {sorted(unreachable)}"
-            )
+        for diag in structural_pass(lower_graph(self)):
+            if diag.severity is Severity.ERROR:
+                raise ComponentGraphError(diag.message)
 
     # --------------------------------------------------------------- execution
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:

@@ -76,16 +76,15 @@ def vet_component(component: Component) -> None:
 
 
 def vet_graph(graph: ComponentGraph) -> None:
-    """Vet every component and the graph structure before deployment."""
-    graph.validate()
-    for component in graph.components():
-        vet_component(component)
-    total_extra = sum(c.capabilities.extra_traffic_bps for c in graph.components())
-    if total_extra > 2 * MAX_EXTRA_TRAFFIC_BPS:
-        raise VettingError(
-            f"graph {graph.name!r} aggregates {total_extra:.0f} bit/s of "
-            f"side-channel traffic (max {2 * MAX_EXTRA_TRAFFIC_BPS:.0f})"
-        )
+    """Vet every component and the graph structure before deployment.
+
+    This is the policy compiler with vetting on: its structural and
+    vetting passes are the one implementation of both checks.
+    """
+    # deferred import: repro.policy's vetting pass imports this module
+    from repro.policy.compiler import compile_policy
+
+    compile_policy(graph, vet=True)
 
 
 @dataclass(frozen=True)

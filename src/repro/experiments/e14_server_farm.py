@@ -22,6 +22,7 @@ from repro.experiments.common import ExperimentConfig, register
 from repro.mitigation import Pushback, PushbackConfig
 from repro.net import LinkParams, Network
 from repro.scenario import TopologySpec
+from repro.scenario.defenses import tcs_blacklist
 from repro.util.tables import Table
 from repro.util.units import Mbps, ms
 
@@ -45,18 +46,7 @@ def _run_once(cfg: ExperimentConfig, defense: str):
         pushback = Pushback(PushbackConfig(top_aggregates=3))
         pushback.deploy(net, net.topology.as_numbers, until=1.2)
     elif defense == "tcs":
-        victim_prefix = net.topology.prefix_of(victim.asn)
-        agent_prefixes = [net.topology.prefix_of(a.asn) for a in agents]
-        for asn in {a.asn for a in agents}:
-            prefix = net.topology.prefix_of(asn)
-
-            def filt(pkt, router, link, now, prefix=prefix,
-                     victim_prefix=victim_prefix):
-                return not (victim_prefix.contains(pkt.dst)
-                            and prefix.contains(pkt.src))
-
-            net.routers[asn].add_filter("tcs-blacklist", filt)
-        del agent_prefixes
+        tcs_blacklist(net, victim.asn, {a.asn for a in agents})
 
     DirectFlood(net, agents, victim, rate_pps=500.0, duration=0.8,
                 spoof="none", seed=cfg.seed).launch()

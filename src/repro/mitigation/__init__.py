@@ -23,7 +23,6 @@ interface so experiment E2 can sweep mitigation x attack-class uniformly.
 
 from repro.mitigation.base import (
     Mitigation,
-    MitigationReport,
     deployment_sample,
 )
 from repro.mitigation.ingress import IngressFiltering, RouteBasedFiltering
@@ -40,7 +39,6 @@ from repro.mitigation.lasthop import LastHopFilter
 
 __all__ = [
     "Mitigation",
-    "MitigationReport",
     "deployment_sample",
     "IngressFiltering",
     "RouteBasedFiltering",

@@ -1,4 +1,4 @@
-"""Common mitigation interface and report structure.
+"""Common mitigation interface and deployment sampling.
 
 A mitigation deploys onto a set of ASes of a packet-level network (and
 optionally exposes a fluid-model filter).  Experiments drive all baselines
@@ -9,7 +9,6 @@ the E2 effectiveness matrix compares like with like.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.net.network import Network
 from repro.net.topology import ASRole, Topology
 from repro.util.rng import derive_rng
 
-__all__ = ["Mitigation", "MitigationReport", "deployment_sample"]
+__all__ = ["Mitigation", "deployment_sample"]
 
 
 class Mitigation(abc.ABC):
@@ -48,30 +47,6 @@ class Mitigation(abc.ABC):
 
     def is_deployed_at(self, asn: int) -> bool:
         return asn in self.deployed_asns
-
-
-@dataclass(frozen=True)
-class MitigationReport:
-    """Uniform outcome record for the mitigation-effectiveness matrix (E2)."""
-
-    mitigation: str
-    attack_kind: str
-    victim_attack_fraction: float   # attack traffic reaching victim / sent toward it
-    legit_goodput: float            # legit delivered / legit sent
-    collateral_fraction: float      # legit killed by the mitigation itself
-    identified_true_sources: int    # ground-truth attack origins identified
-    identified_false_sources: int   # innocent parties identified as sources
-    notes: str = ""
-
-    def as_row(self) -> tuple:
-        return (
-            self.mitigation, self.attack_kind,
-            round(self.victim_attack_fraction, 3),
-            round(self.legit_goodput, 3),
-            round(self.collateral_fraction, 3),
-            self.identified_true_sources, self.identified_false_sources,
-            self.notes,
-        )
 
 
 def deployment_sample(topology: Topology, fraction: float,

@@ -424,12 +424,12 @@ def analyze(graph: "ComponentGraph") -> tuple[Policy, list[Diagnostic]]:
 
 
 def compile_policy(graph: "ComponentGraph", vet: bool = True) -> CompiledPolicy:
-    """Compile ``graph``; raises exactly like the pre-compiler paths.
+    """Compile ``graph``: the one structural and Sec. 4.5 check.
 
     Structural errors raise :class:`ComponentGraphError` and (with
     ``vet=True``) vetting errors raise :class:`VettingError`, each carrying
-    the first diagnostic's message — byte-identical to
-    ``graph.validate()`` / ``vet_graph(graph)``.  ``vet=False`` is the
+    the first diagnostic's message; ``graph.validate()`` and
+    ``vet_graph(graph)`` run these same passes.  ``vet=False`` is the
     runtime path (:meth:`ComponentGraph.compiled`): execution of an
     already-installed graph must never start failing vetting the
     interpreter would have tolerated.

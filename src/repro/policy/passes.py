@@ -2,12 +2,12 @@
 
 Every pass returns structured :class:`Diagnostic` records instead of
 raising, so ``repro policy verify`` can show *all* problems at once; the
-compiler turns the first ``error`` back into the exception (and message)
-the pre-compiler code paths raised, keeping error behaviour byte-stable.
+compiler turns the first ``error`` into the exception.
 
-The structural pass replays :meth:`ComponentGraph.validate` — same
-traversal order, same witness node, same message strings — so a graph is
-rejected identically whether it is vetted directly or compiled.
+These are the only implementations of the checks:
+:meth:`ComponentGraph.validate` raises the structural pass's first error
+and :func:`~repro.core.safety.vet_graph` is the compiler with vetting on,
+so a graph is rejected identically whichever entry point checks it.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ class Diagnostic:
 
 # ------------------------------------------------------------------ structure
 def structural_pass(policy: Policy) -> list[Diagnostic]:
-    """Cycles + reachability, mirroring ``ComponentGraph.validate()``."""
+    """Cycles + reachability (what ``ComponentGraph.validate()`` raises)."""
     if not policy.ops or policy.entry is None:
         return [Diagnostic(Severity.ERROR, "structure.empty",
                            f"graph {policy.name!r} is empty")]
     # acyclicity over the union of PASS/DROP edges, from any node —
     # adjacency built in edge insertion order, nodes visited in insertion
-    # order, exactly like validate()
+    # order, so the cycle witness is deterministic
     adjacency: dict[int, list[int]] = {op.index: [] for op in policy.ops}
     for src, _verdict, dst in policy.edge_list:
         adjacency[src].append(dst)
@@ -88,6 +88,8 @@ def structural_pass(policy: Policy) -> list[Diagnostic]:
                 Severity.ERROR, "structure.cycle",
                 f"graph {policy.name!r} has a cycle through {name!r}",
                 (name,))]
+    # unreachable components are almost certainly configuration bugs, so
+    # they are an error rather than a warning
     reachable = {policy.entry}
     frontier = [policy.entry]
     while frontier:
@@ -109,7 +111,7 @@ def structural_pass(policy: Policy) -> list[Diagnostic]:
 
 # -------------------------------------------------------------------- vetting
 def vetting_pass(policy: Policy) -> list[Diagnostic]:
-    """Sec. 4.5 static vetting as diagnostics (messages == vet_graph)."""
+    """Sec. 4.5 static vetting as diagnostics (what ``vet_graph`` raises)."""
     diags: list[Diagnostic] = []
     for op in policy.ops:
         try:

@@ -9,22 +9,20 @@ wrapper for cooperative legitimate clients (overlays, i3 triggers), and
 finalizers that run after the simulation (e.g. pushback reads its
 aggregates off the live routers).
 
-The deploy bodies are the ones E2's mitigation matrix always used — they
-moved here verbatim so every experiment and the CLI share a single
-implementation.  A second registry maps the defenses that also exist in
-the fluid model (ingress, route-based, TCS anti-spoofing) to their
+Every experiment and the CLI share these deploy bodies; the TCS arms
+install the victim's rules through :func:`~repro.core.compose.deploy_rules`,
+the one TCS decision path.  A second registry maps the defenses that also
+exist in the fluid model (ingress, route-based, TCS anti-spoofing) to their
 :class:`~repro.net.fluid.FluidFilter` builders for the fluid engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.apps import TcsAntiSpoofMitigation
-from repro.core.components import ComponentContext, Verdict
-from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
-from repro.core.device import DeviceContext
+from repro.core.compose import RuleSpec, deploy_rules
 from repro.core.ownership import NetworkUser
 from repro.mitigation import (
     I3Defense,
@@ -40,15 +38,15 @@ from repro.mitigation import (
 )
 from repro.mitigation.traceback import MarkingCollector
 from repro.net import Protocol
-from repro.net.topology import ASRole
 from repro.scenario.spec import DefenseSpec, SpecError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fluid import FluidNetwork
+    from repro.net.network import Network
     from repro.scenario.build import BuiltScenario
 
 __all__ = ["DefenseHandle", "defense", "fluid_defense", "deploy",
-           "fluid_filters", "names", "fluid_names"]
+           "fluid_filters", "names", "fluid_names", "tcs_blacklist"]
 
 
 @dataclass
@@ -253,9 +251,37 @@ def _deploy_lasthop(built: "BuiltScenario",
     return handle
 
 
+#: The TCS distributed-firewall rule: drop UDP to anything but the
+#: victim's port-80 service.  It runs in the destination-owner stage, so
+#: it only ever sees traffic bound for the owner.
+OFFSERVICE_UDP = RuleSpec(action="drop", proto="udp", dport_not_in=(80,),
+                          label="offservice-udp")
+
+
+def _victim_user(net: "Network", victim_asn: int) -> NetworkUser:
+    return NetworkUser("tcs-victim", "victim",
+                       [net.topology.prefix_of(victim_asn)])
+
+
+def tcs_blacklist(net: "Network", victim_asn: int,
+                  src_asns: Iterable[int]) -> None:
+    """Blacklist each source AS's own prefix at that AS's border for
+    traffic bound to the victim (router filter ``tcs-blacklist``)."""
+    owner = _victim_user(net, victim_asn)
+    for asn in src_asns:
+        rule = RuleSpec(action="blacklist",
+                        prefixes=(str(net.topology.prefix_of(asn)),))
+        deploy_rules(net, [asn], owner, "tcs-blacklist", dst_rules=(rule,))
+
+
 @defense("tcs")
 def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
-    """The paper's own service, specialised per attack class (Sec. 4.3)."""
+    """The paper's own service, specialised per attack class (Sec. 4.3).
+
+    Every arm is the victim's rules on the TCS decision path
+    (:func:`~repro.core.compose.deploy_rules`): they touch only traffic
+    the victim owns (Sec. 4.5).
+    """
     net, sc = built.network, built.scenario
     attack_kind = sc.config.attack_kind
     handle = DefenseHandle(name="tcs")
@@ -272,34 +298,18 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
             }
             src_asns.discard(None)
             handle.identified.update(src_asns)
-            victim_prefix = net.topology.prefix_of(sc.victim_asn)
-            for asn in src_asns:
-                prefix = net.topology.prefix_of(asn)
-
-                def filt(pkt, router, link, now,
-                         prefix=prefix, victim_prefix=victim_prefix):
-                    # scope-confined: only the owner's (victim-bound)
-                    # traffic from the offending prefix is touched
-                    return not (victim_prefix.contains(pkt.dst)
-                                and prefix.contains(pkt.src))
-
-                net.routers[asn].add_filter("tcs-blacklist", filt)
+            tcs_blacklist(net, sc.victim_asn, src_asns)
 
         net.sim.schedule_at(sc.config.attack_start + 0.2, react_tcs)
         handle.notes = "TCS blacklist near sources (genuine addresses)"
     elif attack_kind == "direct-spoofed":
         # spoofed sources defeat source-based rules, but the victim
-        # owns the *destination*: a distributed firewall rule (drop
-        # off-service UDP toward the victim) runs in the dst-owner
-        # stage at every stub border, killing the flood at the source.
-        victim_prefix = net.topology.prefix_of(sc.victim_asn)
-        for asn in net.topology.stub_ases:
-            def filt(pkt, router, link, now, victim_prefix=victim_prefix):
-                return not (victim_prefix.contains(pkt.dst)
-                            and pkt.proto is Protocol.UDP
-                            and pkt.dport != 80)
-
-            net.routers[asn].add_filter("tcs-firewall", filt)
+        # owns the *destination*: a distributed firewall rule in the
+        # dst-owner stage at every stub border kills the flood at the
+        # source.
+        deploy_rules(net, net.topology.stub_ases,
+                     _victim_user(net, sc.victim_asn), "tcs-firewall",
+                     dst_rules=(OFFSERVICE_UDP,))
         handle.notes = "TCS distributed firewall (dst-owner stage) at stub borders"
     else:
         prefix = net.topology.prefix_of(sc.victim_asn)
@@ -314,46 +324,20 @@ def _deploy_tcs_spec(built: "BuiltScenario",
                      spec: DefenseSpec) -> DefenseHandle:
     """TCS deployed from a *declarative* service spec via the policy compiler.
 
-    Where ``tcs`` hand-writes its per-attack router filters, this variant
-    states the policy as a :class:`ServiceSpec` (rules may come from the
-    defense spec's ``rules`` parameter) and lowers it through
-    :func:`compile_spec` — structural validation, Sec. 4.5 vetting, and
-    program generation all run as compiler passes — then installs the
-    compiled policy at every stub border as the dst-owner stage would.
+    The policy is a list of :class:`RuleSpec` (the defense spec's
+    ``rules`` parameter, else :data:`OFFSERVICE_UDP`), compiled per stub
+    border and run in the victim's destination-owner stage.
     """
     net, sc = built.network, built.scenario
-    victim_prefix = net.topology.prefix_of(sc.victim_asn)
     rules = spec.get("rules", None)
-    if rules:
-        rule_specs = tuple(RuleSpec(**r) for r in rules)
-    else:
-        # the distributed-firewall default: drop off-service UDP bound
-        # for the victim (same semantics as the "tcs" direct-spoofed arm)
-        rule_specs = (RuleSpec(action="drop", proto="udp",
-                               dport_not_in=(80,),
-                               dst_prefix=str(victim_prefix),
-                               label="offservice-udp"),)
-    service_spec = ServiceSpec(name="tcs-spec", rules=rule_specs)
-    owner = NetworkUser("tcs-spec-victim", "victim", [victim_prefix])
-    deployed = 0
-    for asn in net.topology.stub_ases:
-        device_ctx = DeviceContext(asn=asn, role=ASRole.STUB,
-                                   local_prefix=net.topology.prefix_of(asn))
-        compiled = compile_spec(service_spec, device_ctx).compiled()
-
-        def filt(pkt, router, link, now,
-                 compiled=compiled, device_ctx=device_ctx, owner=owner):
-            ctx = ComponentContext(
-                now=now, asn=device_ctx.asn, is_transit=False,
-                local_prefix=device_ctx.local_prefix, stage="dest",
-                owner=owner, ingress_asn=None, local_origin=True)
-            return compiled.process(pkt, ctx) is Verdict.PASS
-
-        net.routers[asn].add_filter("tcs-spec", filt)
-        deployed += 1
+    rule_specs = (tuple(RuleSpec(**r) for r in rules) if rules
+                  else (OFFSERVICE_UDP,))
+    stubs = net.topology.stub_ases
+    deploy_rules(net, stubs, _victim_user(net, sc.victim_asn), "tcs-spec",
+                 dst_rules=rule_specs)
     return DefenseHandle(
         name="tcs-spec",
-        notes=f"declarative spec compiled at {deployed} stub borders")
+        notes=f"declarative spec compiled at {len(stubs)} stub borders")
 
 
 # --------------------------------------------------------------------------

@@ -127,7 +127,11 @@ class DecisionCore:
                 src_graph: Optional[ComponentGraph] = None,
                 dst_graph: Optional[ComponentGraph] = None
                 ) -> "ServiceInstance":
-        """Install (after vetting) a user's stage graphs."""
+        """Install (after vetting) a user's stage graphs.
+
+        Every graph compiles before anything is mutated, so a rejected
+        graph leaves the installed policy untouched.
+        """
         from repro.core.device import ServiceInstance
 
         if src_graph is None and dst_graph is None:

@@ -24,13 +24,12 @@ from typing import Optional
 
 from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
-from repro.errors import DeploymentError
+from repro.errors import AddressError, DeploymentError
 from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.net.addressing import IPv4Address, Prefix, _as_int
 from repro.net.packet import Packet, Protocol
 from repro.net.topology import ASRole
 from repro.obs.metrics import declare
-from repro.policy.compiler import compile_policy
 from repro.service.clock import Clock, WallClock
 from repro.service.core import DecisionCore, FLOW_CACHE_CAPACITY
 from repro.util.tokenbucket import TokenBucket
@@ -154,12 +153,12 @@ class ServiceFacade:
                     dst_graph: Optional[ComponentGraph] = None) -> int:
         """Atomically replace a live service's stage graphs.
 
-        Every non-None graph is compiled (with Sec. 4.5 vetting) *before*
-        anything is mutated, so a rejected swap leaves the old policy
-        fully active — the compiler is the transaction guard.  On success
-        the flow cache is invalidated and the policy generation advances;
-        the new generation is returned so callers can verify the swap
-        took effect.
+        :meth:`DecisionCore.install` compiles (with Sec. 4.5 vetting) every
+        non-None graph *before* anything is mutated, so a rejected swap
+        leaves the old policy fully active — the compiler is the
+        transaction guard.  On success the flow cache is invalidated and
+        the policy generation advances; the new generation is returned so
+        callers can verify the swap took effect.
         """
         if src_graph is None and dst_graph is None:
             raise DeploymentError(
@@ -169,19 +168,10 @@ class ServiceFacade:
         if instance is None:
             raise DeploymentError(f"no service for user {user_id!r} here")
         try:
-            for graph in (src_graph, dst_graph):
-                if graph is not None:
-                    compile_policy(graph, vet=True)
+            core.install(instance.user, src_graph, dst_graph)
         except Exception:
             self._m_policy_compile_failures.value += 1
             raise
-        if src_graph is not None:
-            instance.src_graph = src_graph
-        if dst_graph is not None:
-            instance.dst_graph = dst_graph
-        # a swapped-in policy gets a clean safety slate, like install()
-        instance.disabled_for_violation = False
-        core.invalidate()
         self._m_policy_swaps.value += 1
         self._m_policy_generation.value = core.generation
         return core.generation
@@ -248,14 +238,24 @@ class TrafficController:
 
     def allow(self, client, *, dst=None, cost: float = 1.0,
               now: Optional[float] = None) -> Verdict:
-        """Admission bucket first, then the ownership/pipeline check."""
+        """Admission bucket first, then the ownership/pipeline check.
+
+        A ``client`` that is not a dotted-quad IPv4 address passes
+        directly (:data:`PASS_DIRECT`).
+        """
         if now is None:
             now = self.facade.clock.now()
         if self.admission is not None and not self.admission.admit(now, cost=cost):
             self._m_admission_rejected.value += 1
             return DROP_ADMISSION
+        try:
+            client_i = _as_int(client)
+        except AddressError:
+            # an IPv6, unix-socket or empty peer: no registered IPv4
+            # prefix can own it, so it takes the direct path
+            return PASS_DIRECT
         dst_addr = self.service_address if dst is None else dst
-        return self.facade.check(client, dst_addr, proto=self.proto,
+        return self.facade.check(client_i, dst_addr, proto=self.proto,
                                  dport=self.dport, now=now)
 
     def swap_policy(self, user_id: str,

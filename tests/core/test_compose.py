@@ -153,3 +153,25 @@ class TestEndToEndDeployment:
         client.send(Packet.udp(client.address, victim.address, dport=80))
         net.run()
         assert victim.received_packets == 1
+
+    def test_deploy_rules_installs_a_scoped_router_filter(self):
+        from repro.core.compose import deploy_rules
+        from repro.net import Network, TopologyBuilder
+
+        net = Network(TopologyBuilder.hierarchical(2, 2, 3, seed=8))
+        stubs = net.topology.stub_ases
+        victim = net.add_host(stubs[0])
+        bystander = net.add_host(stubs[2])
+        client = net.add_host(stubs[1])
+        owner = NetworkUser("acme", prefixes=[net.topology.prefix_of(stubs[0])])
+        deploy_rules(net, [stubs[1]], owner, "acme-dns", dst_rules=(
+            RuleSpec(action="drop", proto="udp", dport=53),))
+        assert [asn for asn, router in net.routers.items()
+                if router.has_filter("acme-dns")] == [stubs[1]]
+        client.send(Packet.udp(client.address, victim.address, dport=53))
+        client.send(Packet.udp(client.address, bystander.address, dport=53))
+        net.run()
+        # only the owner's traffic reaches its rule
+        assert victim.received_packets == 0
+        assert bystander.received_packets == 1
+        assert net.routers[stubs[1]].drops["filter:acme-dns"] == 1

@@ -189,6 +189,7 @@ class TestErrorsAndCache:
         with pytest.raises(ComponentGraphError) as validate_err:
             graph.validate()
         assert str(compiled_err.value) == str(validate_err.value)
+        assert str(validate_err.value) == "graph 'empty' is empty"
 
     def test_vetting_error_matches_vet_graph(self):
         from repro.core.safety import vet_graph
@@ -207,6 +208,9 @@ class TestErrorsAndCache:
         with pytest.raises(VettingError) as vet_err:
             vet_graph(graph)
         assert str(compiled_err.value) == str(vet_err.value)
+        assert str(vet_err.value) == (
+            "component 'g' may grow packets by factor 2.0: byte "
+            "amplification is forbidden (Sec. 4.5)")
         # vet=False (the runtime path) must not reject an installed graph
         compile_policy(graph, vet=False)
 

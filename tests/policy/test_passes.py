@@ -44,6 +44,7 @@ class TestStructuralPass:
         with pytest.raises(ComponentGraphError) as err:
             graph.validate()
         assert diags[0].message == str(err.value)
+        assert str(err.value) == "graph 'void' is empty"
 
     def test_cycle_matches_validate(self):
         graph = ComponentGraph("loop")
@@ -54,6 +55,7 @@ class TestStructuralPass:
         with pytest.raises(ComponentGraphError) as err:
             graph.validate()
         assert diags[0].message == str(err.value)
+        assert str(err.value) == "graph 'loop' has a cycle through 'a'"
 
     def test_unreachable_matches_validate(self):
         graph = ComponentGraph("island")
@@ -65,6 +67,8 @@ class TestStructuralPass:
         with pytest.raises(ComponentGraphError) as err:
             graph.validate()
         assert diags[0].message == str(err.value)
+        assert str(err.value) == (
+            "graph 'island': unreachable components ['stranded']")
 
 
 class TestVettingPass:
@@ -82,6 +86,9 @@ class TestVettingPass:
         with pytest.raises(VettingError) as err:
             vet_graph(graph)
         assert diags[0].message == str(err.value)
+        assert str(err.value) == (
+            "component 'evil' declares writes to forbidden header fields "
+            "['ttl'] (Sec. 4.5)")
 
     def test_aggregate_cap_matches_vet_graph(self):
         class Chatty(Component):
@@ -100,6 +107,9 @@ class TestVettingPass:
         with pytest.raises(VettingError) as err:
             vet_graph(graph)
         assert diags[0].message == str(err.value)
+        assert str(err.value) == (
+            "graph 'chatty' aggregates 189000 bit/s of side-channel traffic "
+            "(max 128000)")
 
     def test_clean_graph_passes(self):
         graph = ComponentGraph("fine")

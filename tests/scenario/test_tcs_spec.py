@@ -33,3 +33,24 @@ def test_rules_parameter_overrides_the_default_policy():
         {"action": "drop", "proto": "icmp", "label": "icmp-only"}])
     defended = run_scenario(with_defense(spec))
     assert defended.attack_delivered > 0
+
+
+def test_rules_touch_only_the_victims_traffic():
+    """Sec. 4.5 scope confinement: a catch-all UDP drop installed by the
+    victim must not touch traffic between two other stub hosts."""
+    from repro.net import Packet
+    from repro.scenario.build import build
+
+    spec = with_defense(DefenseSpec.of("tcs-spec", rules=[
+        {"action": "drop", "proto": "udp"}]))
+    built = build(spec)
+    net = built.network
+    others = [a for a in net.topology.stub_ases
+              if a != built.victim_asn and a not in built.agent_asns]
+    sender, receiver = net.add_host(others[0]), net.add_host(others[-1])
+    sender.send(Packet.udp(sender.address, receiver.address, dport=53,
+                           kind="bystander"))
+    net.run(until=1.0)
+    assert receiver.received_by_kind.get("bystander", 0) == 1
+    assert not any(router.drops.get("filter:tcs-spec")
+                   for router in net.routers.values())

@@ -12,9 +12,13 @@ from repro.service import (
     TrafficController,
     WsgiTrafficMiddleware,
 )
-from repro.service.facade import DROP_ADMISSION, Verdict
+from repro.service.facade import DROP_ADMISSION, PASS_DIRECT, Verdict
 from repro.service.middleware import blocked_status
 from repro.util import TokenBucket
+
+
+#: peers no registered IPv4 prefix can own: IPv6, a unix socket, empty
+NON_IPV4_PEERS = ("::1", "2001:db8::7", "unix:/tmp/s", "")
 
 
 def make_controller(admission=None):
@@ -24,6 +28,18 @@ def make_controller(admission=None):
     graph.chain(PrefixBlacklist("b", [Prefix.parse("203.0.113.0/24")]))
     facade.subscribe(user, dst_graph=graph)
     return TrafficController(facade, "10.1.0.5", admission=admission)
+
+
+class TestNonIpv4Clients:
+    def test_allow_passes_them_directly(self):
+        controller = make_controller()
+        for peer in NON_IPV4_PEERS:
+            assert controller.allow(peer) is PASS_DIRECT
+
+    def test_admission_bucket_still_applies(self):
+        controller = make_controller(admission=TokenBucket(rate=0.0, burst=1.0))
+        assert controller.allow("::1") is PASS_DIRECT
+        assert controller.allow("::1") is DROP_ADMISSION
 
 
 class TestBlockedStatus:
@@ -80,6 +96,13 @@ class TestWsgi:
         _, headers, body = call_wsgi(app, "203.0.113.9")
         assert body == b"nope"
         assert headers["Content-Length"] == "4"
+
+    def test_non_ipv4_peer_reaches_the_app(self):
+        app = WsgiTrafficMiddleware(demo_wsgi_app, make_controller())
+        for peer in NON_IPV4_PEERS:
+            status, _headers, body = call_wsgi(app, peer)
+            assert status == "200 OK"
+            assert body == b"hello\n"
 
     def test_missing_remote_addr_fails_safe(self):
         app = WsgiTrafficMiddleware(demo_wsgi_app, make_controller())
@@ -144,6 +167,13 @@ class TestAsgi:
         app = AsgiTrafficMiddleware(lifespan_app, make_controller())
         call_asgi(app, "203.0.113.9", scope_type="lifespan")
         assert seen == ["lifespan"]
+
+    def test_non_ipv4_peer_reaches_the_app(self):
+        app = AsgiTrafficMiddleware(demo_asgi_app, make_controller())
+        for peer in NON_IPV4_PEERS:
+            sent = call_asgi(app, peer)
+            assert sent[0]["status"] == 200
+            assert sent[1]["body"] == b"hello\n"
 
     def test_missing_client_fails_safe(self):
         app = AsgiTrafficMiddleware(demo_asgi_app, make_controller())
