@@ -8,8 +8,8 @@ peripheral ISP and that carries this web site's spoofed IP address."
 
 :class:`AntiSpoofApp` wraps the service facade; :class:`TcsAntiSpoofMitigation`
 adapts it to the common :class:`~repro.mitigation.base.Mitigation`
-interface so E2 can compare it head-to-head with the baselines, and
-provides the fluid-model filter for the E4 deployment sweeps.
+interface so E2 can compare it head-to-head with the baselines, and runs
+the same rule as the fluid filter of the E4/E12 deployment sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.core.components import SourceAntiSpoof
-from repro.core.compose import RuleSpec, deploy_rules
+from repro.core.compose import RuleFilter, RuleSpec, deploy_rules
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
@@ -25,9 +25,8 @@ from repro.core.ownership import NetworkUser
 from repro.core.service import TrafficControlService
 from repro.mitigation.base import Mitigation
 from repro.net.addressing import Prefix
-from repro.net.fluid import Flow
 from repro.net.network import Network
-from repro.net.topology import ASRole
+from repro.net.topology import ASRole, Topology
 
 __all__ = ["AntiSpoofApp", "TcsAntiSpoofMitigation"]
 
@@ -69,45 +68,38 @@ class AntiSpoofApp:
 class TcsAntiSpoofMitigation(Mitigation):
     """Mitigation-interface adapter for the E2/E4 comparisons.
 
-    Packet-level deployment runs the owner's source-stage rule on the TCS
-    decision path at each stub border; the fluid filter reproduces the
-    same semantics analytically: a spoofed flow claiming a protected
-    prefix dies at its *source AS* whenever that stub AS hosts an adaptive
-    device with the rule.
+    Both engines run one rule set: the owner's source-stage
+    ``anti-spoof`` rule on the TCS decision path at each stub border,
+    as router filter ``tcs-antispoof`` (:meth:`deploy`) or as the
+    equivalent fluid filter (:meth:`fluid_filter`).
     """
 
     name = "tcs-antispoof"
 
-    def __init__(self, protected_prefixes: Sequence[Prefix],
-                 protected_asns: Sequence[int]) -> None:
+    def __init__(self, protected_prefixes: Sequence[Prefix]) -> None:
         super().__init__()
         self.protected_prefixes = list(protected_prefixes)
-        self.protected_asns = set(protected_asns)
 
-    def deploy(self, network: Network, asns: Iterable[int]) -> None:
-        """Standalone deployment (without the TCSP plumbing): the owner's
-        source-stage ``anti-spoof`` rule as router filter ``tcs-antispoof``
-        at the given stub ASes."""
-        stubs = [asn for asn in asns
-                 if network.topology.role_of(asn) is ASRole.STUB]
+    def rule_set(self, topology: Topology, asns: Iterable[int]) -> tuple:
+        """``(stub asns, owner, name, src_rules, dst_rules)``: the arguments
+        :func:`~repro.core.compose.deploy_rules` and
+        :class:`~repro.core.compose.RuleFilter` share."""
+        stubs = [asn for asn in asns if topology.role_of(asn) is ASRole.STUB]
         owner = NetworkUser(self.name, "protected prefixes",
                             self.protected_prefixes)
         rule = RuleSpec(action="anti-spoof",
                         prefixes=tuple(str(p) for p in self.protected_prefixes))
-        deploy_rules(network, stubs, owner, self.name, src_rules=(rule,))
+        return stubs, owner, self.name, (rule,), ()
+
+    def deploy(self, network: Network, asns: Iterable[int]) -> None:
+        """Standalone deployment (without the TCSP plumbing) at the given
+        ASes' stub borders."""
+        stubs, owner, name, src, dst = self.rule_set(network.topology, asns)
+        deploy_rules(network, stubs, owner, name, src_rules=src, dst_rules=dst)
         self.deployed_asns.update(stubs)
 
-    def fluid_filter(self):
-        mitigation = self
-
-        class _Fluid:
-            def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
-                              path) -> float:
-                if (pos == 0 and asn in mitigation.deployed_asns
-                        and flow.spoofed
-                        and flow.source_address_asn in mitigation.protected_asns
-                        and flow.src_asn not in mitigation.protected_asns):
-                    return 0.0
-                return 1.0
-
-        return _Fluid()
+    def fluid_filter(self, topology: Topology, asns: Iterable[int]) -> RuleFilter:
+        """The fluid form of :meth:`deploy`."""
+        stubs, owner, name, src, dst = self.rule_set(topology, asns)
+        return RuleFilter(topology, stubs, owner, name, src_rules=src,
+                          dst_rules=dst)

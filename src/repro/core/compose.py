@@ -15,7 +15,8 @@ component graphs: users say *what* ("block RSTs", "rate-limit UDP to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.errors import DeploymentError
 from repro.core.components import (
@@ -36,10 +37,13 @@ from repro.net.addressing import Prefix
 from repro.net.packet import ICMPType, Protocol, TCPFlags
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.fluid import Flow
     from repro.net.network import Network
+    from repro.net.topology import Topology
+    from repro.service.core import DecisionCore
 
-__all__ = ["RuleSpec", "ServiceSpec", "build_graph", "compile_spec",
-           "deploy_rules"]
+__all__ = ["RuleFilter", "RuleSpec", "ServiceSpec", "build_graph", "compile_spec",
+           "deploy_rules", "rule_core"]
 
 #: rule actions the composer understands
 ACTIONS = ("drop", "rate-limit", "scrub-payload", "blacklist",
@@ -186,33 +190,39 @@ def spec_factory(spec: ServiceSpec, trigger_action=None):
     return factory
 
 
+def rule_core(topology: "Topology", asn: int, owner: NetworkUser, name: str,
+              *, src_rules: Iterable[RuleSpec] = (),
+              dst_rules: Iterable[RuleSpec] = ()) -> "DecisionCore":
+    """``owner``'s ``src_rules`` (source-owner stage) and ``dst_rules``
+    (destination-owner stage) as graphs ``name`` for AS ``asn``'s device
+    context, on a core whose registry holds only ``owner``: scope
+    confinement, stage order and the Sec. 4.5 monitor are the decision
+    path's own."""
+    # deferred import: repro.service.core imports repro.core modules
+    from repro.service.core import DecisionCore
+
+    registry = OwnershipRegistry()
+    registry.register(owner)
+    context = DeviceContext(asn=asn, role=topology.role_of(asn),
+                            local_prefix=topology.prefix_of(asn))
+    stage_rules = (tuple(src_rules), tuple(dst_rules))
+    graphs = [build_graph(ServiceSpec(name, rules), context)
+              if rules else None for rules in stage_rules]
+    core = DecisionCore(context, registry, strict=False)
+    core.install(owner, *graphs)
+    return core
+
+
 def deploy_rules(network: "Network", asns: Iterable[int], owner: NetworkUser,
                  name: str, *, src_rules: Iterable[RuleSpec] = (),
                  dst_rules: Iterable[RuleSpec] = ()) -> None:
     """Deploy ``owner``'s rules at each AS in ``asns`` as router filter
-    ``name``, without the TCSP/NMS control plane.
-
-    Per AS the rules become graphs for that AS's device context, which
-    :meth:`~repro.service.core.DecisionCore.install` compiles and vets on
-    a core whose registry holds only ``owner``: ``src_rules`` run in the
-    source-owner stage, ``dst_rules`` in the destination-owner stage.  Scope
-    confinement (only the owner's traffic reaches its rules), stage order
-    and the Sec. 4.5 monitor are therefore the decision path's own.
-    """
-    # deferred import: repro.service.core imports repro.core modules
-    from repro.service.core import DecisionCore
-
-    stage_rules = (tuple(src_rules), tuple(dst_rules))
-    registry = OwnershipRegistry()
-    registry.register(owner)
-    topology = network.topology
+    ``name`` (each AS's :func:`rule_core`), without the TCSP/NMS control
+    plane."""
+    src_rules, dst_rules = tuple(src_rules), tuple(dst_rules)
     for asn in asns:
-        context = DeviceContext(asn=asn, role=topology.role_of(asn),
-                                local_prefix=topology.prefix_of(asn))
-        graphs = [build_graph(ServiceSpec(name, rules), context)
-                  if rules else None for rules in stage_rules]
-        core = DecisionCore(context, registry, strict=False)
-        core.install(owner, *graphs)
+        core = rule_core(network.topology, asn, owner, name,
+                         src_rules=src_rules, dst_rules=dst_rules)
 
         def keep(packet, router, link, now, core=core):
             return (not core.wants(packet)
@@ -220,3 +230,31 @@ def deploy_rules(network: "Network", asns: Iterable[int], owner: NetworkUser,
                                     router._ingress_asn(link)) is not None)
 
         network.routers[asn].add_filter(name, keep)
+
+
+class RuleFilter:
+    """The fluid form of :func:`deploy_rules`: each flow's representative
+    header runs through the AS's :func:`rule_core` (built when a flow
+    first reaches the AS), so a flow passes whole or not at all."""
+
+    def __init__(self, topology: "Topology", asns: Iterable[int],
+                 owner: NetworkUser, name: str, *,
+                 src_rules: Iterable[RuleSpec] = (),
+                 dst_rules: Iterable[RuleSpec] = ()) -> None:
+        self.topology, self.asns = topology, frozenset(asns)
+        self._build = partial(rule_core, topology, owner=owner, name=name,
+                              src_rules=tuple(src_rules),
+                              dst_rules=tuple(dst_rules))
+        self._cores: dict[int, "DecisionCore"] = {}
+
+    def pass_fraction(self, flow: "Flow", asn: int, prev_asn: Optional[int],
+                      pos: int, path: Sequence[int]) -> float:
+        if asn not in self.asns:
+            return 1.0
+        core = self._cores.get(asn)
+        if core is None:
+            core = self._cores[asn] = self._build(asn)
+        h = flow.header(self.topology)
+        # prev_asn is None at the flow's source AS: local origin
+        keep = not core.wants(h) or core.process(h, 0.0, prev_asn) is not None
+        return 1.0 if keep else 0.0

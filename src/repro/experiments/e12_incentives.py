@@ -72,9 +72,8 @@ def incentive_table(cfg: ExperimentConfig) -> Table:
         return loads
 
     baseline = attack_tier_loads([])
-    mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)], [victim_asn])
-    mit.deployed_asns = set(topo.stub_ases)
-    defended = attack_tier_loads([mit.fluid_filter()])
+    mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
+    defended = attack_tier_loads([mit.fluid_filter(topo, topo.stub_ases)])
     for tier in ("core", "transit", "edge"):
         before = baseline.get(tier, 0.0)
         after = defended.get(tier, 0.0)
@@ -112,10 +111,10 @@ def containment_table(cfg: ExperimentConfig) -> Table:
     deploy_order = list(topo.stub_ases)
     derive_rng(cfg.seed, "e12b-deploy").shuffle(deploy_order)
     for fraction in (0.25, 0.5, 1.0):
-        mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)], [victim_asn])
-        mit.deployed_asns = set(deploy_order[: int(round(fraction * len(deploy_order)))])
-        req, res = model.evaluate(filters=[mit.fluid_filter()],
-                                  congestion=False)
+        mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
+        filt = mit.fluid_filter(
+            topo, deploy_order[: int(round(fraction * len(deploy_order)))])
+        req, res = model.evaluate(filters=[filt], congestion=False)
         filtered = float(req.filtered.sum())
         killed_at_source = filtered / total_attack * 100
         core_load = sum(load for (a, b), load in {**req.link_load}.items()

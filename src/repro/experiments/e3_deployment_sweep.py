@@ -58,12 +58,12 @@ def _sweep_trial(point: _SweepPoint) -> dict[float, tuple[float, float, float]]:
         # (b) route-based at the top-degree `fraction` of all ASes
         rbf = RouteBasedFiltering()
         rbf.deployed_asns = set(by_degree[: int(round(fraction * n_ases))])
-        r_rbf = fluid.evaluate(flows, filters=[rbf.bind_fluid(fluid)],
+        r_rbf = fluid.evaluate(flows, filters=[rbf.fluid_filter(fluid)],
                                congestion=False)
         # (c) route-based at random ASes (placement matters!)
         rbf_rand = RouteBasedFiltering()
         rbf_rand.deployed_asns = set(shuffled_all[: int(round(fraction * n_ases))])
-        r_rand = fluid.evaluate(flows, filters=[rbf_rand.bind_fluid(fluid)],
+        r_rand = fluid.evaluate(flows, filters=[rbf_rand.fluid_filter(fluid)],
                                 congestion=False)
         result[fraction] = (r_ing.survival_fraction("attack"),
                             r_rbf.survival_fraction("attack"),
@@ -138,7 +138,7 @@ def routing_model_table(cfg: ExperimentConfig) -> Table:
         for fluid in (fluid_sp, fluid_vf):
             rbf = RouteBasedFiltering()
             rbf.deployed_asns = set(deployed)
-            result = fluid.evaluate(routable, filters=[rbf.bind_fluid(fluid)],
+            result = fluid.evaluate(routable, filters=[rbf.fluid_filter(fluid)],
                                     congestion=False)
             row.append(round(result.survival_fraction("attack"), 3))
         table.add_row(*row)

@@ -17,34 +17,21 @@ edge* filter, which saves the victim but wastes the whole transport path.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.apps import TcsAntiSpoofMitigation
+from repro.core.compose import RuleFilter
 from repro.experiments.common import ExperimentConfig, register
 from repro.net import Flow, FluidNetwork
 from repro.scenario import TopologySpec
 from repro.scenario.attacks import reflector_fanout, reflector_roles
+from repro.scenario.defenses import OFFSERVICE_UDP, victim_user
 from repro.util.rng import derive_rng
 from repro.util.tables import Table
 
 __all__ = ["run", "defense_sweep_table", "placement_table"]
 
 FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
-
-
-class _VictimEdgeFilter:
-    """Comparator: drop reflected attack traffic at the victim's own AS."""
-
-    def __init__(self, victim_asn: int) -> None:
-        self.victim_asn = victim_asn
-
-    def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
-                      path: Sequence[int]) -> float:
-        if asn == self.victim_asn and flow.kind.startswith("attack"):
-            return 0.0
-        return 1.0
 
 
 def _build(cfg: ExperimentConfig, trial: int):
@@ -84,10 +71,9 @@ def defense_sweep_table(cfg: ExperimentConfig) -> Table:
                           + sum(v for k, v in res0.byte_hops.items()
                                 if k.startswith("attack")))
         for fraction in FRACTIONS:
-            mit = TcsAntiSpoofMitigation(
-                [topo.prefix_of(victim_asn)], [victim_asn])
-            mit.deployed_asns = set(stubs[: int(round(fraction * len(stubs)))])
-            filt = mit.fluid_filter()
+            mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
+            filt = mit.fluid_filter(
+                topo, stubs[: int(round(fraction * len(stubs)))])
             req, res = model.evaluate(filters=[filt], extra_flows=legit,
                                       congestion=False)
             attack = res.delivered_rate("attack-reflected", dst_asn=victim_asn)
@@ -130,13 +116,15 @@ def placement_table(cfg: ExperimentConfig) -> Table:
 
     base_bh = byte_hops(req0, res0)
     # TCS at all stub borders
-    mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)], [victim_asn])
-    mit.deployed_asns = set(topo.stub_ases)
-    req1, res1 = model.evaluate(filters=[mit.fluid_filter()],
+    mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
+    req1, res1 = model.evaluate(filters=[mit.fluid_filter(topo, topo.stub_ases)],
                                 extra_flows=legit, congestion=False)
-    # victim-edge filter
-    req2, res2 = model.evaluate(filters=[_VictimEdgeFilter(victim_asn)],
-                                extra_flows=legit, congestion=False)
+    # victim-edge comparator: the distributed-firewall rule at the
+    # victim's own AS only
+    edge = RuleFilter(topo, [victim_asn], victim_user(topo, victim_asn),
+                      "victim-edge", dst_rules=(OFFSERVICE_UDP,))
+    req2, res2 = model.evaluate(filters=[edge], extra_flows=legit,
+                                congestion=False)
     table.add_row("none", 1.0, 1.0)
     table.add_row("tcs@stub-borders (close to source)",
                   round(res1.delivered_rate("attack-reflected",

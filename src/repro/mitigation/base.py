@@ -9,12 +9,11 @@ the E2 effectiveness matrix compares like with like.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import MitigationError
-from repro.net.fluid import FluidFilter
 from repro.net.network import Network
 from repro.net.topology import ASRole, Topology
 from repro.util.rng import derive_rng
@@ -40,10 +39,6 @@ class Mitigation(abc.ABC):
         for asn in self.deployed_asns:
             network.routers[asn].remove_filter(self.name)
         self.deployed_asns.clear()
-
-    def fluid_filter(self) -> Optional[FluidFilter]:
-        """Fluid-model equivalent, when the scheme has one (else None)."""
-        return None
 
     def is_deployed_at(self, asn: int) -> bool:
         return asn in self.deployed_asns

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.mitigation.base import Mitigation
-from repro.net.fluid import Flow, FluidFilter
+from repro.net.fluid import Flow, FluidFilter, FluidNetwork
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import Host, Router
@@ -114,31 +114,21 @@ class RouteBasedFiltering(Mitigation):
             router.add_filter(self.name, filt)
             self.deployed_asns.add(asn)
 
-    def fluid_filter(self) -> FluidFilter:
+    def fluid_filter(self, fluid_net: FluidNetwork) -> FluidFilter:
+        """Fluid filter on ``fluid_net``, whose routing gives the expected
+        ingress."""
         mitigation = self
 
         class _Fluid:
-            def __init__(self) -> None:
-                self.fluid_net = None  # bound lazily on first use
-
             def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
                               path: Sequence[int]) -> float:
                 if asn not in mitigation.deployed_asns or not flow.spoofed:
-                    return 1.0
-                if self.fluid_net is None:
                     return 1.0
                 claimed = flow.source_address_asn
                 if pos == 0:
                     # locally injected with a foreign source: ingress check
                     return 0.0 if claimed != asn else 1.0
-                expected = self.fluid_net.expected_ingress(asn, claimed)
+                expected = fluid_net.expected_ingress(asn, claimed)
                 return 1.0 if prev_asn in expected else 0.0
 
         return _Fluid()
-
-    def bind_fluid(self, fluid_net) -> FluidFilter:
-        """Fluid filter bound to a concrete :class:`FluidNetwork` (needed
-        for the expected-ingress computation)."""
-        filt = self.fluid_filter()
-        filt.fluid_net = fluid_net
-        return filt

@@ -15,13 +15,14 @@ following the vectorise-the-inner-loop guidance of the HPC coding guides.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import RoutingError, TopologyError
+from repro.net.packet import Packet
 from repro.net.topology import ASRole, Topology, TopologyBuilder
 from repro.util.units import Mbps
 
@@ -53,6 +54,14 @@ class Flow:
     def source_address_asn(self) -> int:
         """AS of the address written in the source field."""
         return self.src_asn if self.claimed_src_asn == -1 else self.claimed_src_asn
+
+    def header(self, topology: Topology) -> Packet:
+        """The flow's representative packet: first addresses of the claimed
+        source's and destination's prefixes, UDP to the port-80 service
+        (legit) or port 53 (floods, DNS reflection); ``uid=0`` draws no id."""
+        return Packet.udp(topology.prefix_of(self.source_address_asn).first,
+                          topology.prefix_of(self.dst_asn).first,
+                          dport=80 if self.kind == "legit" else 53, uid=0)
 
 
 class FlowSet:
@@ -281,9 +290,9 @@ class FluidNetwork:
 
         # --- filter pass: survival fraction per flow + byte-hop accounting
         survival = np.ones(n, dtype=np.float64)
-        byte_hops: Counter[str] = Counter({f.kind: 0.0 for f in flow_list})
-        filtered_hops_weighted: Counter[str] = Counter()  # kind -> sum(drop_rate*hops)
-        filtered_total: Counter[str] = Counter()
+        byte_hops: dict[str, float] = {f.kind: 0.0 for f in flow_list}
+        filtered_hops_weighted: defaultdict[str, float] = defaultdict(float)  # rate*hops
+        filtered_total: defaultdict[str, float] = defaultdict(float)
         # hop-expanded incidence: flow index + link key per traversed link
         inc_flow: list[int] = []
         inc_link: list[tuple[int, int]] = []

@@ -9,11 +9,12 @@ wrapper for cooperative legitimate clients (overlays, i3 triggers), and
 finalizers that run after the simulation (e.g. pushback reads its
 aggregates off the live routers).
 
-Every experiment and the CLI share these deploy bodies; the TCS arms
-install the victim's rules through :func:`~repro.core.compose.deploy_rules`,
-the one TCS decision path.  A second registry maps the defenses that also
-exist in the fluid model (ingress, route-based, TCS anti-spoofing) to their
-:class:`~repro.net.fluid.FluidFilter` builders for the fluid engine.
+Every experiment and the CLI share these deploy bodies.  A second registry
+maps the defenses the fluid model also expresses (ingress, route-based,
+``tcs``, ``tcs-spec``) to :class:`~repro.net.fluid.FluidFilter` builders.
+Each TCS arm's rule set comes from :func:`_tcs_rules` for both engines:
+:func:`~repro.core.compose.deploy_rules` installs it on routers,
+:class:`~repro.core.compose.RuleFilter` runs it on fluid flows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.core.apps import TcsAntiSpoofMitigation
-from repro.core.compose import RuleSpec, deploy_rules
+from repro.core.compose import RuleFilter, RuleSpec, deploy_rules
 from repro.core.ownership import NetworkUser
 from repro.mitigation import (
     I3Defense,
@@ -43,10 +44,11 @@ from repro.scenario.spec import DefenseSpec, SpecError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.fluid import FluidNetwork
     from repro.net.network import Network
+    from repro.net.topology import Topology
     from repro.scenario.build import BuiltScenario
 
-__all__ = ["DefenseHandle", "defense", "fluid_defense", "deploy",
-           "fluid_filters", "names", "fluid_names", "tcs_blacklist"]
+__all__ = ["DefenseHandle", "defense", "fluid_defense", "deploy", "fluid_filters",
+           "names", "fluid_names", "tcs_blacklist", "victim_user"]
 
 
 @dataclass
@@ -258,20 +260,43 @@ OFFSERVICE_UDP = RuleSpec(action="drop", proto="udp", dport_not_in=(80,),
                           label="offservice-udp")
 
 
-def _victim_user(net: "Network", victim_asn: int) -> NetworkUser:
+def victim_user(topology: "Topology", victim_asn: int) -> NetworkUser:
     return NetworkUser("tcs-victim", "victim",
-                       [net.topology.prefix_of(victim_asn)])
+                       [topology.prefix_of(victim_asn)])
 
 
 def tcs_blacklist(net: "Network", victim_asn: int,
                   src_asns: Iterable[int]) -> None:
     """Blacklist each source AS's own prefix at that AS's border for
     traffic bound to the victim (router filter ``tcs-blacklist``)."""
-    owner = _victim_user(net, victim_asn)
+    owner = victim_user(net.topology, victim_asn)
     for asn in src_asns:
         rule = RuleSpec(action="blacklist",
                         prefixes=(str(net.topology.prefix_of(asn)),))
         deploy_rules(net, [asn], owner, "tcs-blacklist", dst_rules=(rule,))
+
+
+def _tcs_rules(built: "BuiltScenario", spec: DefenseSpec) -> tuple:
+    """``(asns, owner, name, src_rules, dst_rules)`` at the stub borders,
+    for both engines: ``tcs-spec``'s rules (its ``rules`` parameter, else
+    :data:`OFFSERVICE_UDP`), or the ``tcs`` firewall (spoofed floods) or
+    anti-spoofing (reflector attacks) arm."""
+    topo, victim_asn = built.topology, built.victim_asn
+    stubs = topo.stub_ases
+    if spec.name == "tcs-spec":
+        rules = spec.get("rules", None)
+        rule_specs = (tuple(RuleSpec(**r) for r in rules) if rules
+                      else (OFFSERVICE_UDP,))
+        return stubs, victim_user(topo, victim_asn), "tcs-spec", (), rule_specs
+    attack_kind = built.scenario.config.attack_kind
+    if attack_kind == "direct-spoofed":
+        return (stubs, victim_user(topo, victim_asn), "tcs-firewall", (),
+                (OFFSERVICE_UDP,))
+    if attack_kind == "direct-unspoofed":
+        raise SpecError("the tcs blacklist arm reacts to the victim's "
+                        "packet log; run it on the packet engine")
+    return TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)]).rule_set(
+        topo, stubs)
 
 
 @defense("tcs")
@@ -302,20 +327,14 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
 
         net.sim.schedule_at(sc.config.attack_start + 0.2, react_tcs)
         handle.notes = "TCS blacklist near sources (genuine addresses)"
-    elif attack_kind == "direct-spoofed":
-        # spoofed sources defeat source-based rules, but the victim
-        # owns the *destination*: a distributed firewall rule in the
-        # dst-owner stage at every stub border kills the flood at the
-        # source.
-        deploy_rules(net, net.topology.stub_ases,
-                     _victim_user(net, sc.victim_asn), "tcs-firewall",
-                     dst_rules=(OFFSERVICE_UDP,))
-        handle.notes = "TCS distributed firewall (dst-owner stage) at stub borders"
-    else:
-        prefix = net.topology.prefix_of(sc.victim_asn)
-        mit = TcsAntiSpoofMitigation([prefix], [sc.victim_asn])
-        mit.deploy(net, net.topology.stub_ases)
-        handle.notes = "TCS anti-spoofing at all stub borders"
+        return handle
+    # spoofed sources defeat source-based rules, but the victim owns the
+    # *destination* (firewall, dst-owner stage) and the address reflector
+    # requests claim (anti-spoofing, src-owner stage)
+    asns, owner, name, src, dst = _tcs_rules(built, spec)
+    deploy_rules(net, asns, owner, name, src_rules=src, dst_rules=dst)
+    handle.notes = ("TCS distributed firewall (dst-owner stage) at stub borders"
+                    if name == "tcs-firewall" else "TCS anti-spoofing at all stub borders")
     return handle
 
 
@@ -324,20 +343,15 @@ def _deploy_tcs_spec(built: "BuiltScenario",
                      spec: DefenseSpec) -> DefenseHandle:
     """TCS deployed from a *declarative* service spec via the policy compiler.
 
-    The policy is a list of :class:`RuleSpec` (the defense spec's
-    ``rules`` parameter, else :data:`OFFSERVICE_UDP`), compiled per stub
-    border and run in the victim's destination-owner stage.
+    The policy is a list of :class:`RuleSpec` (see :func:`_tcs_rules`),
+    compiled per stub border and run in the victim's dst-owner stage.
     """
-    net, sc = built.network, built.scenario
-    rules = spec.get("rules", None)
-    rule_specs = (tuple(RuleSpec(**r) for r in rules) if rules
-                  else (OFFSERVICE_UDP,))
-    stubs = net.topology.stub_ases
-    deploy_rules(net, stubs, _victim_user(net, sc.victim_asn), "tcs-spec",
-                 dst_rules=rule_specs)
+    asns, owner, name, src, dst = _tcs_rules(built, spec)
+    deploy_rules(built.network, asns, owner, name, src_rules=src,
+                 dst_rules=dst)
     return DefenseHandle(
         name="tcs-spec",
-        notes=f"declarative spec compiled at {len(stubs)} stub borders")
+        notes=f"declarative spec compiled at {len(asns)} stub borders")
 
 
 # --------------------------------------------------------------------------
@@ -365,14 +379,16 @@ def _fluid_rbf(built: "BuiltScenario", spec: DefenseSpec,
     rbf = RouteBasedFiltering()
     rbf.deployed_asns = set(
         deployment_sample(built.topology, fraction, seed=built.spec.seed))
-    return [rbf.bind_fluid(fluid)]
+    return [rbf.fluid_filter(fluid)]
 
 
 @fluid_defense("tcs")
+@fluid_defense("tcs-spec")
 def _fluid_tcs(built: "BuiltScenario", spec: DefenseSpec,
                fluid: "FluidNetwork") -> list:
-    topo = built.topology
-    mit = TcsAntiSpoofMitigation([topo.prefix_of(built.victim_asn)],
-                                 [built.victim_asn])
-    mit.deployed_asns = set(topo.stub_ases)
-    return [mit.fluid_filter()]
+    asns, owner, name, src, dst = _tcs_rules(built, spec)
+    if any(r.action in ("rate-limit", "trigger") for r in (*src, *dst)):
+        raise SpecError("rate-limit and trigger rules keep state one fluid "
+                        "header cannot model; run them on the packet engine")
+    return [RuleFilter(built.topology, asns, owner, name, src_rules=src,
+                       dst_rules=dst)]

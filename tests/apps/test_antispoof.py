@@ -71,7 +71,7 @@ class TestTcsAntiSpoofMitigation:
         agents = [net.add_host(a) for a in stubs[1:3]]
         reflectors = [net.add_host(a) for a in stubs[3:6]]
         prefix = net.topology.prefix_of(victim.asn)
-        mit = TcsAntiSpoofMitigation([prefix], [victim.asn])
+        mit = TcsAntiSpoofMitigation([prefix])
         mit.deploy(net, net.topology.as_numbers)
         ReflectorAttack(net, agents, reflectors, victim, rate_pps=100.0,
                         duration=0.3, seed=1).launch()
@@ -80,7 +80,7 @@ class TestTcsAntiSpoofMitigation:
 
     def test_transit_ases_skipped(self):
         net = Network(TopologyBuilder.hierarchical(2, 2, 3, seed=2))
-        mit = TcsAntiSpoofMitigation([net.topology.prefix_of(0)], [0])
+        mit = TcsAntiSpoofMitigation([net.topology.prefix_of(0)])
         mit.deploy(net, net.topology.as_numbers)
         assert mit.deployed_asns == set(net.topology.stub_ases)
 
@@ -89,9 +89,8 @@ class TestTcsAntiSpoofMitigation:
         fluid = FluidNetwork(topo)
         stubs = topo.stub_ases
         victim_asn, agent_asn, refl_asn = stubs[0], stubs[1], stubs[2]
-        mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)], [victim_asn])
-        mit.deployed_asns = {agent_asn}
-        filt = mit.fluid_filter()
+        mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
+        filt = mit.fluid_filter(topo, [agent_asn])
         flows = FlowSet([
             # spoofed request claiming the victim: killed at source
             Flow(agent_asn, refl_asn, 1e6, kind="attack-request",

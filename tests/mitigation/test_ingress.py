@@ -144,7 +144,7 @@ class TestFluidFilters:
         fluid = FluidNetwork(topo)
         rbf = RouteBasedFiltering()
         rbf.deployed_asns = {2}
-        filt = rbf.bind_fluid(fluid)
+        filt = rbf.fluid_filter(fluid)
         # flow from AS0 claiming AS4 (victim side): at AS2 it arrives from
         # AS1, but traffic from AS4 should arrive from AS3.
         flows = FlowSet([Flow(0, 3, 1e6, kind="attack", claimed_src_asn=4)])
@@ -158,7 +158,7 @@ class TestFluidFilters:
         fluid = FluidNetwork(topo)
         rbf = RouteBasedFiltering()
         rbf.deployed_asns = {2}
-        filt = rbf.bind_fluid(fluid)
+        filt = rbf.fluid_filter(fluid)
         flows = FlowSet([Flow(1, 4, 1e6, kind="attack", claimed_src_asn=0)])
         r = fluid.evaluate(flows, filters=[filt])
         assert r.survival_fraction("attack") == 1.0
@@ -168,19 +168,8 @@ class TestFluidFilters:
         fluid = FluidNetwork(topo)
         rbf = RouteBasedFiltering()
         rbf.deployed_asns = {0}
-        filt = rbf.bind_fluid(fluid)
+        filt = rbf.fluid_filter(fluid)
         r = fluid.evaluate(
             FlowSet([Flow(0, 3, 1e6, kind="attack", claimed_src_asn=2)]),
             filters=[filt])
         assert r.survival_fraction("attack") == 0.0
-
-    def test_unbound_rbf_fluid_is_noop(self):
-        topo = TopologyBuilder.line(4)
-        fluid = FluidNetwork(topo)
-        rbf = RouteBasedFiltering()
-        rbf.deployed_asns = {1}
-        filt = rbf.fluid_filter()  # not bound to a FluidNetwork
-        r = fluid.evaluate(
-            FlowSet([Flow(0, 3, 1e6, kind="attack", claimed_src_asn=2)]),
-            filters=[filt])
-        assert r.survival_fraction("attack") == 1.0

@@ -1,10 +1,15 @@
 """Engine behavior: the backend-agnostic run path and its guard rails."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.e2_mitigation_matrix import run_cell
+from repro.net import IPv4Address, Packet
+from repro.scenario import defenses
 from repro.scenario import (
+    DefenseSpec,
     Engine,
     FluidEngine,
     MetricSet,
@@ -53,12 +58,36 @@ class TestFluidEngine:
         assert m.collateral == 0.0
 
     def test_agrees_with_packet_engine_on_filtering_defenses(self):
-        """The documented cross-backend comparison: full-coverage filtering
-        yields zero attack survival on both engines."""
-        for name in ("spoofed-flood-ingress", "reflector-tcs"):
-            spec = preset(name)
-            assert PacketEngine().run(spec).attack_survival == 0.0
-            assert FluidEngine().run(spec).attack_survival == 0.0
+        """The documented cross-backend comparison: every full-coverage
+        filtering defense both engines express gives equal attack survival
+        and collateral on both, for spoofed floods and reflector attacks."""
+        for name in ("spoofed-flood", "reflector-baseline"):
+            for defense in ("tcs", "tcs-spec", "ingress"):
+                spec = dataclasses.replace(preset(name),
+                                           defense=DefenseSpec.of(defense))
+                packet, fluid = PacketEngine().run(spec), FluidEngine().run(spec)
+                cell = (name, defense)
+                assert fluid.attack_survival == packet.attack_survival, cell
+                assert fluid.collateral == packet.collateral, cell
+                assert packet.attack_survival == 0.0, cell
+
+    def test_tcs_arms_without_a_fluid_form_raise(self):
+        assert "tcs-spec" in defenses.fluid_names()
+        reactive = dataclasses.replace(preset("botnet-flood-pushback"),
+                                       defense=DefenseSpec.of("tcs"))
+        with pytest.raises(SpecError, match="packet engine"):
+            FluidEngine().run(reactive)
+        stateful = dataclasses.replace(
+            preset("spoofed-flood"), defense=DefenseSpec.of(
+                "tcs-spec", rules=[{"action": "rate-limit", "rate_bps": 1e6}]))
+        with pytest.raises(SpecError, match="rate-limit"):
+            FluidEngine().run(stateful)
+
+    def test_fluid_decisions_draw_no_packet_ids(self):
+        addr = IPv4Address.parse("10.0.0.1")
+        before = Packet.udp(addr, addr).uid
+        FluidEngine().run(preset("reflector-tcs"))
+        assert Packet.udp(addr, addr).uid == before + 1
 
     def test_rejects_fault_specs(self):
         with pytest.raises(SpecError, match="fault"):
