@@ -158,5 +158,8 @@ class OwnershipRegistry:
     def users(self) -> list[NetworkUser]:
         return list(self._users.values())
 
+    def __contains__(self, user_id: object) -> bool:
+        return user_id in self._users
+
     def __len__(self) -> int:
         return len(self._users)

@@ -202,11 +202,14 @@ class Family:
         idiom for per-object counters (a reconstructed Link or device must
         start from zero even when an earlier namesake registered first).
         """
-        if set(labels) != set(self.labelnames):
+        try:
+            if len(labels) != len(self.labelnames):
+                raise KeyError
+            key = tuple([str(labels[n]) for n in self.labelnames])
+        except KeyError:
             raise MetricError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}")
-        key = tuple(str(labels[n]) for n in self.labelnames)
+                f"got {tuple(sorted(labels))}") from None
         child = self._children.get(key)
         if child is not None and not fresh:
             return child
@@ -244,9 +247,13 @@ class MetricDecl:
     def labelled(self, fresh: bool = True,
                  registry: "Optional[MetricRegistry]" = None,
                  **labels: str) -> Any:
-        reg = registry if registry is not None else get_registry()
-        family = reg.family(self.name, self.kind, self.labelnames,
-                            help=self.help, buckets=self.buckets)
+        reg = registry if registry is not None else _stack[-1]
+        family = reg._families.get(self.name)
+        if (family is None or family.kind != self.kind
+                or family.labelnames != self.labelnames):
+            # creates the family, or raises on a shape conflict
+            family = reg.family(self.name, self.kind, self.labelnames,
+                                help=self.help, buckets=self.buckets)
         return family.labelled(fresh=fresh, **labels)
 
 

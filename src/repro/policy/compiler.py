@@ -19,12 +19,21 @@ Mutable component state (blacklist prefixes, token buckets, collector
 dicts) is read at execution time, so runtime reconfiguration never
 requires a recompile; only structural graph mutation does
 (:meth:`ComponentGraph.compiled` re-lowers on version bumps).
+
+Compiling splits into a **plan** and a **binding**.  The plan holds what
+follows from the graph's structural key alone (diagnostics, edge arrays,
+the batch schedule as op indices, the signature) and is shared, through a
+weak process-wide cache, by every graph of one shape; only graphs that
+compile without errors reach the cache.  The binding is the
+:class:`CompiledPolicy`: one graph's components and counters, so per-
+component state is never shared.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import weakref
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -186,86 +195,52 @@ class _BatchStep:
         return m & ~alive
 
 
-class CompiledPolicy:
-    """The compiler's output: IR + diagnostics + two executable programs."""
+class _Plan:
+    """What compiling derives from a graph's structural key alone: the
+    diagnostics, the scalar edge arrays and the batch schedule in op-index
+    form.  Holds no component, so every graph of one shape shares it."""
 
-    __slots__ = ("graph", "policy", "diagnostics", "signature",
-                 "order_sensitive", "batch_unsupported",
-                 "_comps", "_pass_next", "_drop_next", "_entry",
-                 "_steps", "_slot_of", "_g_in", "_g_dropped",
-                 "_component_ids")
+    __slots__ = ("key", "diagnostics", "pass_next", "drop_next", "entry",
+                 "order_sensitive", "batch_unsupported", "steps", "slot_of",
+                 "_signature", "__weakref__")
 
-    def __init__(self, graph: "ComponentGraph", policy: Policy,
+    def __init__(self, key: tuple, policy: Policy,
                  diagnostics: Sequence[Diagnostic]) -> None:
-        self.graph = graph
-        self.policy = policy
-        self.diagnostics = tuple(diagnostics)
-        self.signature = _signature_of(policy)
-        self._g_in = graph._m_packets_in
-        self._g_dropped = graph._m_packets_dropped
-        self._component_ids = frozenset(id(op.component) for op in policy.ops)
-        self._build_scalar()
+        self.key = key
+        ops = policy.ops
+        self.pass_next = [-1 if op.pass_to is None else op.pass_to
+                          for op in ops]
+        self.drop_next = [-1 if op.drop_to is None else op.drop_to
+                          for op in ops]
+        assert policy.entry is not None  # only valid graphs get a plan
+        self.entry = policy.entry
         self.order_sensitive = False
         self.batch_unsupported: Optional[str] = None
-        self._steps: Optional[list[_BatchStep]] = None
-        self._slot_of: dict[int, int] = {}
-        if not self.errors:
-            extra = self._build_batch()
-            self.diagnostics = self.diagnostics + tuple(extra)
-
-    # ------------------------------------------------------------ properties
-    @property
-    def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics
-                     if d.severity is Severity.ERROR)
+        #: ``(member op indices, pass_to, drop_to)`` per batch step
+        self.steps: Optional[list[tuple[list[int], Optional[int],
+                                        Optional[int]]]] = None
+        self.slot_of: dict[int, int] = {}
+        self._signature: Optional[str] = None
+        self.diagnostics = tuple(diagnostics) + tuple(self._plan_batch(policy))
 
     @property
-    def batch_supported(self) -> bool:
-        return self._steps is not None
+    def signature(self) -> str:
+        """Deterministic sha256 over structure + per-op parameters.
 
-    def shares_state_with(self, other: "CompiledPolicy") -> bool:
-        """True when the two policies execute any common component object —
-        batching one before the other would reorder that component's view
-        of the packet stream."""
-        return bool(self._component_ids & other._component_ids)
+        Excludes the graph name (so the same spec compiled for different
+        devices signs identically) and never iterates unordered sets.
+        """
+        if self._signature is None:
+            op_keys, entry = self.key[0], self.key[1]
+            h = hashlib.sha256()
+            for op_key in op_keys:
+                h.update(repr(op_key).encode())
+                h.update(b"\n")
+            h.update(repr(("entry", entry)).encode())
+            self._signature = h.hexdigest()
+        return self._signature
 
-    # -------------------------------------------------------- scalar program
-    def _build_scalar(self) -> None:
-        ops = self.policy.ops
-        self._comps = [op.component for op in ops]
-        self._pass_next = [-1 if op.pass_to is None else op.pass_to
-                           for op in ops]
-        self._drop_next = [-1 if op.drop_to is None else op.drop_to
-                           for op in ops]
-        self._entry = -1 if self.policy.entry is None else self.policy.entry
-
-    def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        """Scalar execution — verdicts and counters byte-identical to
-        :meth:`ComponentGraph.process` on a validated graph."""
-        if self._entry < 0:
-            raise ComponentGraphError(f"graph {self.policy.name!r} is empty")
-        self._g_in.value += 1
-        comps, pn, dn = self._comps, self._pass_next, self._drop_next
-        doomed = False
-        i = self._entry
-        while i >= 0:
-            verdict = comps[i](packet, ctx)
-            if verdict is Verdict.DROP:
-                doomed = True
-                i = dn[i]
-            elif verdict is Verdict.PASS:
-                i = pn[i]
-            else:  # pragma: no cover - foreign verdicts exit like the walk
-                i = -1
-        if doomed:
-            self._g_dropped.value += 1
-            return Verdict.DROP
-        return Verdict.PASS
-
-    # --------------------------------------------------------- batch program
-    def _build_batch(self) -> list[Diagnostic]:
-        policy = self.policy
-        assert policy.entry is not None
+    def _plan_batch(self, policy: Policy) -> list[Diagnostic]:
         live, diags = dead_op_pass(policy)
         self.order_sensitive = any(
             policy.ops[i].kind in ORDER_SENSITIVE_KINDS for i in live)
@@ -286,23 +261,81 @@ class CompiledPolicy:
         diags.extend(fuse_diags)
         runs, reorder_diags = reorder_observer_runs(policy, groups, live)
         diags.extend(reorder_diags)
-        steps: list[_BatchStep] = []
-        slot_of: dict[int, int] = {}
+        steps: list[tuple[list[int], Optional[int], Optional[int]]] = []
         for exec_order, tail in runs:
             head = policy.ops[tail]
-            members = [policy.ops[i] for i in exec_order]
-            drop_to = head.drop_to if len(members) == 1 else None
+            drop_to = head.drop_to if len(exec_order) == 1 else None
             if drop_to is not None and drop_to not in live:
                 drop_to = None  # infeasible edge: target is dead
-            step = _BatchStep(members, head.pass_to, drop_to)
-            slot = len(steps)
-            steps.append(step)
             for i in exec_order:
-                slot_of[i] = slot
-        self._steps = steps
-        self._slot_of = slot_of
+                self.slot_of[i] = len(steps)
+            steps.append((exec_order, head.pass_to, drop_to))
+        self.steps = steps
         return diags
 
+
+class CompiledPolicy:
+    """The compiler's output: a shared :class:`_Plan` bound to one graph's
+    live components and counters, with a scalar and a batch program."""
+
+    __slots__ = ("graph", "policy", "diagnostics", "order_sensitive",
+                 "batch_unsupported", "_plan", "_comps", "_steps", "_g_in",
+                 "_g_dropped", "_component_ids")
+
+    def __init__(self, graph: "ComponentGraph", policy: Policy,
+                 plan: _Plan) -> None:
+        self.graph = graph
+        self.policy = policy
+        self.diagnostics = plan.diagnostics
+        self.order_sensitive = plan.order_sensitive
+        self.batch_unsupported = plan.batch_unsupported
+        self._plan = plan
+        self._comps = [op.component for op in policy.ops]
+        self._g_in = graph._m_packets_in
+        self._g_dropped = graph._m_packets_dropped
+        self._component_ids = frozenset(id(c) for c in self._comps)
+        # bound to this graph's components on the first run_batch
+        self._steps: Optional[list[_BatchStep]] = None
+
+    # ------------------------------------------------------------ properties
+    @property
+    def signature(self) -> str:
+        return self._plan.signature
+
+    @property
+    def batch_supported(self) -> bool:
+        return self._plan.steps is not None
+
+    def shares_state_with(self, other: "CompiledPolicy") -> bool:
+        """True when the two policies execute any common component object —
+        batching one before the other would reorder that component's view
+        of the packet stream."""
+        return bool(self._component_ids & other._component_ids)
+
+    # -------------------------------------------------------- scalar program
+    def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
+        """Scalar execution — verdicts and counters byte-identical to
+        :meth:`ComponentGraph.process` on a validated graph."""
+        self._g_in.value += 1
+        plan = self._plan
+        comps, pn, dn = self._comps, plan.pass_next, plan.drop_next
+        doomed = False
+        i = plan.entry
+        while i >= 0:
+            verdict = comps[i](packet, ctx)
+            if verdict is Verdict.DROP:
+                doomed = True
+                i = dn[i]
+            elif verdict is Verdict.PASS:
+                i = pn[i]
+            else:  # pragma: no cover - foreign verdicts exit like the walk
+                i = -1
+        if doomed:
+            self._g_dropped.value += 1
+            return Verdict.DROP
+        return Verdict.PASS
+
+    # --------------------------------------------------------- batch program
     def run_batch(self, batch: "PacketBatch", rows: np.ndarray,
                   ctx: ComponentContext) -> np.ndarray:
         """Vectorized execution of ``batch[rows]``; returns the boolean
@@ -312,10 +345,17 @@ class CompiledPolicy:
         walk over the same rows in ascending order.
         """
         steps = self._steps
+        plan = self._plan
         if steps is None:
-            raise ComponentGraphError(
-                f"graph {self.policy.name!r} has no batch program "
-                f"({self.batch_unsupported})")
+            if plan.steps is None:
+                raise ComponentGraphError(
+                    f"graph {self.policy.name!r} has no batch program "
+                    f"({plan.batch_unsupported})")
+            ops = self.policy.ops
+            steps = self._steps = [
+                _BatchStep([ops[i] for i in members], pass_to, drop_to)
+                for members, pass_to, drop_to in plan.steps]
+        slot_of = plan.slot_of
         n = len(rows)
         self._g_in.value += n
         n_slots = len(steps)
@@ -331,7 +371,7 @@ class CompiledPolicy:
             if target is None:
                 alive_out |= mask & ~doomed
                 return
-            slot = self._slot_of[target]
+            slot = slot_of[target]
             if reach[slot] is None:
                 reach[slot] = mask.copy()
                 doom[slot] = doomed & mask
@@ -339,7 +379,7 @@ class CompiledPolicy:
                 reach[slot] |= mask
                 doom[slot] |= doomed & mask
 
-        entry_slot = self._slot_of[self.policy.entry]  # type: ignore[index]
+        entry_slot = slot_of[plan.entry]
         reach[entry_slot] = np.ones(n, dtype=bool)
         doom[entry_slot] = np.zeros(n, dtype=bool)
         for slot, step in enumerate(steps):
@@ -358,7 +398,7 @@ class CompiledPolicy:
         return alive_out
 
 
-# ------------------------------------------------------------------ signature
+# ------------------------------------------------------------------- plan key
 def _caps_key(component: Component) -> tuple:
     caps = component.capabilities
     return (caps.may_drop, caps.may_shrink, tuple(sorted(caps.modifies_headers)),
@@ -394,22 +434,23 @@ def _params_key(op: PolicyOp) -> tuple:
     return ()
 
 
-def _signature_of(policy: Policy) -> str:
-    """Deterministic sha256 over structure + per-op parameters.
+def _plan_key(policy: Policy, vet: bool) -> tuple:
+    """The key graphs share a plan under: the per-op tuples the signature
+    hashes, the entry, ``vet``, and which filters have a batch kernel
+    (``_params_key`` maps a non-enum predicate value to ``None``)."""
+    ops = policy.ops
+    op_keys = tuple(
+        (op.index, op.name, op.kind.value, type(op.component).__name__,
+         _caps_key(op.component), _params_key(op), op.pass_to, op.drop_to)
+        for op in ops)
+    kernels = tuple(_filter_vectorizable(op.component.match)
+                    for op in ops if op.kind is OpKind.FILTER)
+    return op_keys, policy.entry, vet, kernels
 
-    Excludes the graph name (so the same spec compiled for different
-    devices signs identically) and never iterates unordered sets.
-    """
-    h = hashlib.sha256()
-    for op in policy.ops:
-        h.update(repr((
-            op.index, op.name, op.kind.value, type(op.component).__name__,
-            _caps_key(op.component), _params_key(op),
-            op.pass_to, op.drop_to,
-        )).encode())
-        h.update(b"\n")
-    h.update(repr(("entry", policy.entry)).encode())
-    return h.hexdigest()
+
+#: Live plans by key.  A plan lives only while some CompiledPolicy uses it.
+_PLANS: "weakref.WeakValueDictionary[tuple, _Plan]" = (
+    weakref.WeakValueDictionary())
 
 
 # ------------------------------------------------------------------- drivers
@@ -432,20 +473,25 @@ def compile_policy(graph: "ComponentGraph", vet: bool = True) -> CompiledPolicy:
     ``vet_graph(graph)`` run these same passes.  ``vet=False`` is the
     runtime path (:meth:`ComponentGraph.compiled`): execution of an
     already-installed graph must never start failing vetting the
-    interpreter would have tolerated.
+    interpreter would have tolerated.  A graph whose structural key
+    matches a live plan skips the passes: the key fixes their outcome.
     """
     policy = lower_graph(graph)
-    diags = structural_pass(policy)
-    structural_errors = [d for d in diags if d.severity is Severity.ERROR]
-    if structural_errors:
-        raise ComponentGraphError(structural_errors[0].message)
-    if vet:
-        vet_diags = vetting_pass(policy)
-        vet_errors = [d for d in vet_diags if d.severity is Severity.ERROR]
-        if vet_errors:
-            raise VettingError(vet_errors[0].message)
-        diags.extend(vet_diags)
-    compiled = CompiledPolicy(graph, policy, diags)
+    key = _plan_key(policy, vet)
+    plan = _PLANS.get(key)
+    if plan is None:
+        diags = structural_pass(policy)
+        structural_errors = [d for d in diags if d.severity is Severity.ERROR]
+        if structural_errors:
+            raise ComponentGraphError(structural_errors[0].message)
+        if vet:
+            vet_diags = vetting_pass(policy)
+            vet_errors = [d for d in vet_diags if d.severity is Severity.ERROR]
+            if vet_errors:
+                raise VettingError(vet_errors[0].message)
+            diags.extend(vet_diags)
+        plan = _PLANS[key] = _Plan(key, policy, diags)
+    compiled = CompiledPolicy(graph, policy, plan)
     # prime the graph's cache so execution layers (device/decision core)
     # reuse this compilation instead of re-lowering
     graph._compiled = compiled

@@ -133,7 +133,7 @@ class ServiceFacade:
                   src_graph: Optional[ComponentGraph] = None,
                   dst_graph: Optional[ComponentGraph] = None):
         """Register the user's prefixes (if new) and install their graphs."""
-        if not any(u.user_id == user.user_id for u in self.registry.users):
+        if user.user_id not in self.registry:
             self.registry.register(user)
         return self.core.install(user, src_graph, dst_graph)
 

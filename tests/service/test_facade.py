@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
 from repro.core.components import PrefixBlacklist, RateLimiterComponent
+from repro.errors import OwnershipError
 from repro.net import IPv4Address, Prefix, Simulator
 from repro.service import ManualClock, ServiceFacade, TrafficController
 from repro.service.facade import DROP_ADMISSION, PASS_DIRECT
@@ -161,6 +162,28 @@ class TestSubscribe:
         facade = ServiceFacade(registry)
         facade.subscribe(user, dst_graph=blacklist_graph())
         assert len(registry) == 1
+
+    def test_resubscribe_keeps_registry_version_and_installs_graph(self):
+        facade, user = make_facade()
+        version = facade.registry.version
+        graph = blacklist_graph("198.51.100.0/24", name="blk2")
+        facade.subscribe(user, dst_graph=graph)
+        assert facade.registry.version == version
+        assert facade.core.services["acme"].dst_graph is graph
+        assert not facade.check("198.51.100.7", "10.1.0.5").allowed
+
+    def test_new_user_on_a_taken_prefix_is_rejected(self):
+        facade, _ = make_facade()
+        intruder = NetworkUser("mallory", prefixes=[Prefix.parse("10.1.0.0/16")])
+        with pytest.raises(OwnershipError):
+            facade.subscribe(intruder, dst_graph=blacklist_graph())
+        assert "mallory" not in facade.registry
+        assert "mallory" not in facade.core.services
+
+    def test_registry_membership_by_user_id(self):
+        facade, _ = make_facade()
+        assert "acme" in facade.registry
+        assert "mallory" not in facade.registry
 
 
 class TestTrafficController:

@@ -85,3 +85,26 @@ class TestWindowedCounter:
             w.add(t)
         w.total(1.1)  # cutoff 0.1: events at 0.2 and 0.4 remain
         assert len(w) == 2
+
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.floats(min_value=0.0, max_value=0.5),
+                              st.integers(min_value=0, max_value=1500)),
+                    max_size=200),
+           st.sampled_from([0.0, 0.25, 1.0]))
+    def test_running_sum_matches_naive_sum(self, steps, window):
+        """``total``/``rate`` equal the sum over every event still inside
+        the window, for any interleaving of adds and queries."""
+        w = WindowedCounter(window=window)
+        events: list[tuple[float, int]] = []
+        now = 0.0
+        for is_add, dt, weight in steps:
+            now += dt
+            if is_add:
+                w.add(now, weight)
+                events.append((now, weight))
+                continue
+            naive = sum(wt for t, wt in events if t >= now - window)
+            assert w.total(now) == naive
+            assert w.rate(now) == (naive / window if window > 0 else 0.0)
+            assert len(w) == sum(1 for t, _ in events if t >= now - window)
+
