@@ -83,10 +83,9 @@ class RouteBasedFiltering(Mitigation):
         for asn in asns:
             router = network.routers[asn]
             prefix = network.topology.prefix_of(asn)
-            table = network.routing[asn]
 
             def filt(packet: Packet, router: Router, link: Optional[Link],
-                     now: float, prefix=prefix, table=table, asn=asn) -> bool:
+                     now: float, prefix=prefix, asn=asn) -> bool:
                 src_asn = network.topology.as_of(packet.src)
                 if src_asn is None:
                     self.dropped += 1
@@ -106,7 +105,8 @@ class RouteBasedFiltering(Mitigation):
                 ingress = router._ingress_asn(link)
                 if ingress is None:
                     return True
-                if ingress not in table.expected_ingress(src_asn):
+                # read at run time: fail_link/restore_link replace routing
+                if ingress not in network.routing.expected_ingress(asn, src_asn):
                     self.dropped += 1
                     return False
                 return True

@@ -146,8 +146,7 @@ class Pushback(Mitigation):
         aggregate_asn = self.network.topology.prefix_table.lookup(prefix.first)
         if aggregate_asn is None or aggregate_asn == asn:
             return
-        table = self.network.routing[asn]
-        for neighbour in table.expected_ingress(aggregate_asn):
+        for neighbour in self.network.routing.expected_ingress(asn, aggregate_asn):
             if neighbour in self.deployed_asns and prefix not in self.limits.get(neighbour, {}):
                 self._install(neighbour, prefix, limit_bytes_s, depth - 1)
 

@@ -25,7 +25,7 @@ from repro.net.topology import (
     parse_as_rel2,
     synthesize_as_rel2,
 )
-from repro.net.routing import RoutingTable, build_routing
+from repro.net.routing import Routing, build_routing
 from repro.net.policy import PolicyRouting, Relationship
 from repro.net.link import Link
 from repro.net.network import LinkParams, Network
@@ -57,7 +57,7 @@ __all__ = [
     "TopologyBuilder",
     "parse_as_rel2",
     "synthesize_as_rel2",
-    "RoutingTable",
+    "Routing",
     "build_routing",
     "PolicyRouting",
     "Relationship",

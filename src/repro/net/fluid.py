@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.packet import Packet
+from repro.net.routing import Routing
 from repro.net.topology import ASRole, Topology, TopologyBuilder
 from repro.util.units import Mbps
 
@@ -161,23 +162,20 @@ def flood_flows(topology: Topology, victim: int, n_sources: int,
 class FluidNetwork:
     """Fluid traffic evaluation on an AS topology.
 
-    Routing is lazy: one BFS per *destination or claimed-source* AS actually
-    referenced, cached — so sweeps over thousands of ASes stay fast.
+    Routing is a lazy :class:`~repro.net.routing.Routing`, the one the
+    packet network uses: one BFS per *destination or claimed-source* AS
+    actually referenced — so sweeps over thousands of ASes stay fast.
     """
 
     def __init__(self, topology: Topology,
                  capacity_fn: Optional[Callable[[int, int], float]] = None,
                  path_fn: Optional[Callable[[int, int], list[int]]] = None) -> None:
         self.topology = topology
-        self._adj: dict[int, list[int]] = {
-            asn: sorted(topology.graph.neighbors(asn)) for asn in topology.graph.nodes
-        }
-        self._bfs_cache: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+        self.routing = Routing(topology.graph)
         self.capacity_fn = capacity_fn or self._default_capacity
         #: optional routing override (e.g. PolicyRouting(topo).path for
-        #: valley-free paths); None = shortest-path BFS routing
+        #: valley-free paths); None = shortest-path routing
         self.path_fn = path_fn
-        self._path_fn_cache: dict[tuple[int, int], list[int]] = {}
 
     @classmethod
     def from_as_rel2(cls, source, prefix_length: int = 24,
@@ -200,77 +198,34 @@ class FluidNetwork:
         return Mbps(4_000)
 
     # ---------------------------------------------------------------- routing
-    def _bfs(self, root: int) -> tuple[dict[int, int], dict[int, int]]:
-        """BFS from ``root``: (parent-toward-root, hop distance) maps."""
-        if root in self._bfs_cache:
-            return self._bfs_cache[root]
-        if root not in self._adj:
-            raise TopologyError(f"unknown AS {root}")
-        parent = {root: root}
-        dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        self._bfs_cache[root] = (parent, dist)
-        return parent, dist
-
     def path(self, src_asn: int, dst_asn: int) -> list[int]:
         """AS path ``[src, ..., dst]``: shortest-path by default, or the
         injected ``path_fn``'s choice (deterministic either way)."""
         if self.path_fn is not None:
-            key = (src_asn, dst_asn)
-            cached = self._path_fn_cache.get(key)
-            if cached is None:
-                cached = list(self.path_fn(src_asn, dst_asn))
-                self._path_fn_cache[key] = cached
-            return list(cached)
-        parent, dist = self._bfs(dst_asn)
-        if src_asn not in dist:
-            raise RoutingError(f"AS {src_asn} unreachable from AS {dst_asn}")
-        path = [src_asn]
-        node = src_asn
-        while node != dst_asn:
-            node = parent[node]
-            path.append(node)
-        return path
+            return list(self.path_fn(src_asn, dst_asn))
+        return self.routing.path(src_asn, dst_asn)
 
     def distance(self, a: int, b: int) -> int:
         """Hop distance between two ASes."""
-        _, dist = self._bfs(b)
-        if a not in dist:
-            raise RoutingError(f"AS {a} unreachable from AS {b}")
-        return dist[a]
+        return self.routing.distance(a, b)
 
     def expected_ingress(self, at_asn: int, claimed_src_asn: int) -> frozenset[int]:
-        """Neighbours of ``at_asn`` on a shortest path from ``claimed_src_asn``.
-
-        The fluid-model analogue of :meth:`RoutingTable.expected_ingress`,
+        """Neighbours of ``at_asn`` on a route from ``claimed_src_asn``,
         used by route-based filtering.  Unknown claimed sources yield the
         empty set (no interface is legitimate for a bogus address).
         """
-        if claimed_src_asn not in self._adj:
+        if self.path_fn is None:
+            return self.routing.expected_ingress(at_asn, claimed_src_asn)
+        if claimed_src_asn not in self.routing:
             return frozenset()
-        if self.path_fn is not None:
-            # under single-path policy routing the only legitimate ingress
-            # is the penultimate hop of the policy path from the claimed
-            # source (no route -> no legitimate interface at all)
-            try:
-                path = self.path(claimed_src_asn, at_asn)
-            except RoutingError:
-                return frozenset()
-            return frozenset({path[-2]}) if len(path) >= 2 else frozenset()
-        _, dist = self._bfs(claimed_src_asn)
-        d_here = dist.get(at_asn)
-        if d_here is None:
+        # under single-path policy routing the only legitimate ingress
+        # is the penultimate hop of the policy path from the claimed
+        # source (no route -> no legitimate interface at all)
+        try:
+            path = self.path(claimed_src_asn, at_asn)
+        except RoutingError:
             return frozenset()
-        return frozenset(n for n in self._adj[at_asn] if dist.get(n, -2) + 1 == d_here)
+        return frozenset({path[-2]}) if len(path) >= 2 else frozenset()
 
     # ------------------------------------------------------------- evaluation
     def evaluate(self, flows: FlowSet | Iterable[Flow],

@@ -16,7 +16,7 @@ from repro.net.addressing import IPv4Address
 from repro.net.link import Link
 from repro.net.node import Host, Router
 from repro.net.packet import Packet
-from repro.net.routing import RoutingTable, as_path, build_routing
+from repro.net.routing import Routing, build_routing
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
 from repro.util.units import Mbps, ms
@@ -61,7 +61,7 @@ class Network:
                  link_params_fn: Optional[Callable[[int, int], LinkParams]] = None) -> None:
         self.topology = topology
         self.sim = Simulator()
-        self.routing: dict[int, RoutingTable] = build_routing(topology)
+        self.routing: Routing = build_routing(topology)
         self.routers: dict[int, Router] = {}
         self.hosts: dict[int, Host] = {}  # address value -> Host
         self.links: dict[tuple[int, int], Link] = {}  # (src asn, dst asn)
@@ -133,8 +133,8 @@ class Network:
         self.global_drops[reason] += len(batch)
 
     def path(self, src_asn: int, dst_asn: int) -> list[int]:
-        """AS path under the current routing tables."""
-        return as_path(self.routing, src_asn, dst_asn)
+        """AS path under the current routing."""
+        return self.routing.path(src_asn, dst_asn)
 
     def link_between(self, a: int, b: int) -> Link:
         try:
@@ -146,7 +146,7 @@ class Network:
     def fail_link(self, a: int, b: int) -> None:
         """Take the AS adjacency a<->b down and reconverge routing.
 
-        Both directed links are removed, next-hop tables are recomputed,
+        Both directed links are removed, routing is rebuilt,
         and every attached adaptive device is notified ("upon routing
         updates, the configuration of modules that depend on the topology
         can be either automatically adapted or ... temporarily disabled",

@@ -201,7 +201,7 @@ class Router(Node):
        host delivery.
 
     Step 3 resolves each destination address once through the topology's
-    LPM and the routing table, then serves it from a bounded per-router
+    LPM and the network's routing, then serves it from a bounded per-router
     route cache.  :meth:`Network._reconverge` — the one place routes or
     links change — clears every router's cache.
     """
@@ -318,7 +318,7 @@ class Router(Node):
         packet.ttl -= 1
         if egress is None:
             # raises RoutingError if there is no next hop at all
-            self.network.routing[self.asn].next_hop(dst_asn)
+            self.network.routing.next_hop(self.asn, dst_asn)
             self._drop(packet, "no-link")
             return
         size = packet.size
@@ -345,9 +345,9 @@ class Router(Node):
         if dst_asn is None:
             return None
         egress = None
-        table = net.routing[self.asn]
-        if dst_asn != self.asn and table.has_route(dst_asn):
-            egress = self.links.get(table.next_hop(dst_asn))
+        routing = net.routing
+        if dst_asn != self.asn and routing.has_route(self.asn, dst_asn):
+            egress = self.links.get(routing.next_hop(self.asn, dst_asn))
         if len(self.route_cache) >= ROUTE_CACHE_SIZE:
             self.route_cache.clear()
         route = self.route_cache[key] = (dst_asn, egress)
@@ -384,9 +384,8 @@ class Router(Node):
             if len(batch) == 0:
                 return
         batch.ttl -= 1
-        table = net.routing[self.asn]
         unique_dsts, inverse = np.unique(dst_asn, return_inverse=True)
-        hop_of = np.array([table.next_hop(int(d)) for d in unique_dsts],
+        hop_of = np.array([net.routing.next_hop(self.asn, int(d)) for d in unique_dsts],
                           dtype=np.int64)
         next_asn = hop_of[inverse]
         for hop in np.unique(hop_of):

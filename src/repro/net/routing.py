@@ -1,126 +1,116 @@
-"""Shortest-path AS routing.
+"""Shortest-path AS routing, shared by the packet network and the fluid model.
 
-Each router needs a next-hop table toward every destination AS.  We compute
-one BFS tree per destination (unweighted shortest paths — adequate for all
-the paper's placement arguments; BGP policy routing is a documented
-non-goal) and invert it into per-source next-hop maps.
+Routes are unweighted shortest paths (adequate for all the paper's placement
+arguments; BGP policy routing is :mod:`repro.net.policy`).  A :class:`Routing`
+builds one BFS tree per root AS the first time that root is asked about, so
+a network pays only for the destinations and claimed sources it touches.
 
-``RoutingTable`` additionally answers "which interface did this packet
-*legitimately* enter from?" — the information route-based packet filtering
-(Park & Lee [15], cited in Sec. 3.2) and the adaptive device's context-aware
-anti-spoofing rely on.
+Besides next hops and paths, :meth:`Routing.expected_ingress` answers "which
+interface did this packet *legitimately* enter from?" — the information
+route-based packet filtering (Park & Lee [15], cited in Sec. 3.2) and
+pushback's upstream propagation rely on.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import networkx as nx
 
-
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.net.topology import Topology
 
-__all__ = ["RoutingTable", "build_routing", "as_path"]
+__all__ = ["Routing", "build_routing"]
 
 
-class RoutingTable:
-    """Per-AS next-hop map: destination ASN -> neighbour ASN.
+class Routing:
+    """Shortest-path routes over one snapshot of an AS graph.
 
-    A destination equal to the local ASN maps to itself (local delivery).
+    The adjacency lists are copied at construction, so a ``Routing`` keeps
+    answering for the graph it was built on after that graph changes
+    (:meth:`Network._reconverge` builds a new one).  The tree rooted at
+    ``r`` is a BFS from ``r`` visiting neighbours in ascending ASN order:
+    a node's parent in it is its next hop toward ``r``, and since links are
+    symmetric its distances are also hop counts *from* ``r``.
     """
 
-    __slots__ = ("asn", "_next_hop", "_expected_in")
+    __slots__ = ("_adj", "_trees")
 
-    def __init__(self, asn: int, next_hop: dict[int, int],
-                 expected_in: dict[int, frozenset[int]]) -> None:
-        self.asn = asn
-        self._next_hop = next_hop
-        self._expected_in = expected_in
+    def __init__(self, graph: nx.Graph) -> None:
+        self._adj: dict[int, list[int]] = {
+            asn: sorted(graph.neighbors(asn)) for asn in graph.nodes
+        }
+        #: root -> (parent toward root, hop distance), built on first use
+        self._trees: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
 
-    def next_hop(self, dst_asn: int) -> int:
-        """Neighbour toward ``dst_asn`` (== own asn for local delivery)."""
-        try:
-            return self._next_hop[dst_asn]
-        except KeyError as exc:
-            raise RoutingError(f"AS {self.asn}: no route to AS {dst_asn}") from exc
+    def __contains__(self, asn: object) -> bool:
+        return asn in self._adj
 
-    def has_route(self, dst_asn: int) -> bool:
-        return dst_asn in self._next_hop
-
-    def expected_ingress(self, src_asn: int) -> frozenset[int]:
-        """Neighbours from which traffic sourced at ``src_asn`` may arrive.
-
-        Under symmetric shortest-path routing this is the set of neighbours
-        that lie on a shortest path from ``src_asn`` to this AS.  Route-based
-        filtering drops packets arriving on other interfaces.
-        """
-        return self._expected_in.get(src_asn, frozenset())
-
-    def __len__(self) -> int:
-        return len(self._next_hop)
-
-
-def build_routing(topology: Topology) -> dict[int, RoutingTable]:
-    """Compute routing tables for every AS in ``topology``.
-
-    Complexity O(V * (V + E)) — one BFS per destination.  For each pair
-    (src, dst) the next hop is the BFS-tree parent of ``src`` in the tree
-    rooted at ``dst`` (ties broken by lowest neighbour ASN, so routing is
-    deterministic across runs).
-    """
-    g = topology.graph
-    nodes = sorted(g.nodes)
-    next_hop: dict[int, dict[int, int]] = {asn: {asn: asn} for asn in nodes}
-    # dist[dst][v]: hop count v -> dst, reused for expected-ingress sets.
-    dist: dict[int, dict[int, int]] = {}
-    for dst in nodes:
-        parent: dict[int, int] = {dst: dst}
-        d = {dst: 0}
-        frontier = [dst]
+    def _tree(self, root: int) -> tuple[dict[int, int], dict[int, int]]:
+        tree = self._trees.get(root)
+        if tree is not None:
+            return tree
+        adj = self._adj
+        if root not in adj:
+            raise TopologyError(f"unknown AS {root}")
+        parent = {root: root}
+        dist = {root: 0}
+        frontier = [root]
         while frontier:
             nxt: list[int] = []
             for u in frontier:
-                for v in sorted(g.neighbors(u)):
-                    if v not in d:
-                        d[v] = d[u] + 1
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
                         parent[v] = u
                         nxt.append(v)
             frontier = nxt
-        if len(d) != len(nodes):
-            missing = set(nodes) - set(d)
-            raise RoutingError(f"graph disconnected: {sorted(missing)[:5]} unreachable from {dst}")
-        dist[dst] = d
-        for v in nodes:
-            if v != dst:
-                next_hop[v][dst] = parent[v]
-    # expected ingress: neighbour n of v is a valid ingress for source s iff
-    # dist(s, n) + 1 == dist(s, v)  (n lies on some shortest path s -> v).
-    tables: dict[int, RoutingTable] = {}
-    for v in nodes:
-        expected: dict[int, frozenset[int]] = {}
-        neighbors = sorted(g.neighbors(v))
-        for s in nodes:
-            if s == v:
-                continue
-            ds = dist[s]
-            expected[s] = frozenset(n for n in neighbors if ds[n] + 1 == ds[v])
-        tables[v] = RoutingTable(v, next_hop[v], expected)
-    return tables
+        tree = self._trees[root] = (parent, dist)
+        return tree
+
+    def has_route(self, src: int, dst: int) -> bool:
+        return dst in self._adj and src in self._tree(dst)[1]
+
+    def next_hop(self, src: int, dst: int) -> int:
+        """Neighbour of ``src`` toward ``dst`` (``src`` itself when equal)."""
+        if not self.has_route(src, dst):
+            raise RoutingError(f"AS {src}: no route to AS {dst}")
+        return self._trees[dst][0][src]
+
+    def path(self, src: int, dst: int) -> list[int]:
+        """The AS path ``[src, ..., dst]``."""
+        parent, dist = self._tree(dst)
+        if src not in dist:
+            raise RoutingError(f"AS {src} unreachable from AS {dst}")
+        path = [src]
+        node = src
+        while node != dst:
+            node = parent[node]
+            path.append(node)
+        return path
+
+    def distance(self, src: int, dst: int) -> int:
+        """Hop count from ``src`` to ``dst``."""
+        dist = self._tree(dst)[1]
+        if src not in dist:
+            raise RoutingError(f"AS {src} unreachable from AS {dst}")
+        return dist[src]
+
+    def expected_ingress(self, at: int, src: int) -> frozenset[int]:
+        """Neighbours of ``at`` from which traffic sourced at ``src`` may
+        arrive: those on some shortest path from ``src`` to ``at``.
+
+        Route-based filtering drops packets arriving on other interfaces.
+        An unknown ``src``, or an ``at`` it cannot reach, yields the empty
+        set (no interface is legitimate for a bogus address).
+        """
+        if src not in self._adj:
+            return frozenset()
+        dist = self._tree(src)[1]
+        here = dist.get(at)
+        if here is None:
+            return frozenset()
+        return frozenset(n for n in self._adj[at] if dist.get(n, -2) + 1 == here)
 
 
-def as_path(tables: dict[int, RoutingTable], src_asn: int, dst_asn: int,
-            max_hops: int = 512) -> list[int]:
-    """The AS-level path ``[src, ..., dst]`` implied by the tables."""
-    path = [src_asn]
-    current = src_asn
-    while current != dst_asn:
-        current = tables[current].next_hop(dst_asn)
-        path.append(current)
-        if len(path) > max_hops:
-            raise RoutingError(f"routing loop between AS {src_asn} and AS {dst_asn}")
-    return path
-
-
-def paths_through(tables: dict[int, RoutingTable], pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
-    """AS paths for many (src, dst) pairs."""
-    for s, d in pairs:
-        yield as_path(tables, s, d)
+def build_routing(topology: Topology) -> Routing:
+    """Shortest-path routing over ``topology``'s current AS graph."""
+    return Routing(topology.graph)

@@ -1,5 +1,6 @@
 """Tests for ingress filtering and route-based packet filtering."""
 
+import networkx as nx
 
 from repro.attack import DirectFlood
 from repro.mitigation import IngressFiltering, RouteBasedFiltering
@@ -120,6 +121,23 @@ class TestRouteBasedFilteringPacketLevel:
         a.send(Packet.udp(spoof, victim.address, kind="attack"))
         net.run()
         assert victim.received_packets == 0
+
+    def test_checks_against_routes_after_a_link_failure(self):
+        """RBF checks ingress against the routes the routers use now, not
+        the ones in force when it was deployed."""
+        topo = TopologyBuilder.from_graph(
+            nx.Graph([(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)]))
+        net = Network(topo)
+        a = net.add_host(0)
+        victim = net.add_host(3, record=True)
+        rbf = RouteBasedFiltering()
+        rbf.deploy(net, [3])
+        net.fail_link(1, 3)
+        assert net.path(0, 3) == [0, 2, 4, 3]
+        a.send(Packet.udp(a.address, victim.address, kind="legit"))
+        net.run()
+        assert victim.received_packets == 1
+        assert net.total_dropped("filter:rbf") == 0
 
 
 class TestFluidFilters:

@@ -4,7 +4,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.net import Flow, FlowSet, FluidNetwork, TopologyBuilder
 
 
@@ -39,8 +39,10 @@ class TestPaths:
         fn = FluidNetwork(TopologyBuilder.line(3))
         with pytest.raises(Exception):
             fn.path(0, 99)
-        with pytest.raises(RoutingError):
-            fn.distance(99, 0) if 99 in fn._adj else (_ for _ in ()).throw(RoutingError("x"))
+        with pytest.raises(RoutingError, match="AS 99 unreachable from AS 0"):
+            fn.distance(99, 0)
+        with pytest.raises(TopologyError, match="unknown AS 99"):
+            fn.distance(0, 99)
 
     def test_expected_ingress(self):
         fn = FluidNetwork(TopologyBuilder.line(4))

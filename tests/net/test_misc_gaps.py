@@ -2,18 +2,6 @@
 
 import pytest
 
-from repro.net import TopologyBuilder, build_routing
-from repro.net.routing import paths_through
-
-
-class TestPathsThrough:
-    def test_yields_one_path_per_pair(self):
-        topo = TopologyBuilder.line(4)
-        tables = build_routing(topo)
-        pairs = [(0, 3), (3, 0), (1, 2)]
-        paths = list(paths_through(tables, pairs))
-        assert paths == [[0, 1, 2, 3], [3, 2, 1, 0], [1, 2]]
-
 
 class TestProbeObserverBounds:
     def test_max_records_bound(self):

@@ -9,7 +9,7 @@ from repro.attack.flood import TrafficGenerator
 from repro.errors import RoutingError, TopologyError
 from repro.net import IPv4Address, Network, Packet, TopologyBuilder
 from repro.net import node as node_module
-from repro.net.routing import RoutingTable
+from repro.net.routing import Routing
 
 
 def ring_net(without=None):
@@ -107,7 +107,9 @@ class TestBoundsAndOrder:
         whose TTL expires first is dropped, any other still raises."""
         net = Network(TopologyBuilder.line(3))
         a, c = net.add_host(0), net.add_host(2)
-        net.routing[0] = RoutingTable(0, {0: 0, 1: 1}, {})  # AS2 unroutable
+        unroutable = nx.Graph([(0, 1)])
+        unroutable.add_node(2)
+        net.routing = Routing(unroutable)  # AS2 unreachable
         a.send(Packet.udp(a.address, c.address, ttl=1))
         net.run()
         assert net.routers[0].drops["ttl-expired"] == 1

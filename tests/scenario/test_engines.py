@@ -61,10 +61,11 @@ class TestFluidEngine:
         """The documented cross-backend comparison: every full-coverage
         filtering defense both engines express gives equal attack survival
         and collateral on both, for spoofed floods and reflector attacks."""
+        arms = (DefenseSpec.of("tcs"), DefenseSpec.of("tcs-spec"),
+                DefenseSpec.of("ingress"), DefenseSpec.of("rbf", fraction=1.0))
         for name in ("spoofed-flood", "reflector-baseline"):
-            for defense in ("tcs", "tcs-spec", "ingress"):
-                spec = dataclasses.replace(preset(name),
-                                           defense=DefenseSpec.of(defense))
+            for defense in arms:
+                spec = dataclasses.replace(preset(name), defense=defense)
                 packet, fluid = PacketEngine().run(spec), FluidEngine().run(spec)
                 cell = (name, defense)
                 assert fluid.attack_survival == packet.attack_survival, cell
