@@ -22,7 +22,7 @@ prevented from the very beginning":
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SafetyViolation, VettingError
 from repro.core.components import Component
@@ -87,8 +87,7 @@ def vet_graph(graph: ComponentGraph) -> None:
     compile_policy(graph, vet=True)
 
 
-@dataclass(frozen=True)
-class PacketSnapshot:
+class PacketSnapshot(NamedTuple):
     """Immutable copy of the safety-relevant header fields."""
 
     src: int
@@ -98,8 +97,7 @@ class PacketSnapshot:
 
     @classmethod
     def of(cls, packet: Packet) -> "PacketSnapshot":
-        return cls(src=int(packet.src), dst=int(packet.dst),
-                   ttl=packet.ttl, size=packet.size)
+        return cls(packet.src.value, packet.dst.value, packet.ttl, packet.size)
 
 
 class SafetyMonitor:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from socket import inet_aton, inet_ntoa
 from typing import Generic, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
@@ -87,24 +88,12 @@ class IPv4Address:
 
     def __post_init__(self) -> None:
         if not (0 <= self.value <= _MAX):
-            raise AddressError(f"address out of range: {self.value:#x}")
+            raise _out_of_range(self.value)
 
     @classmethod
     def parse(cls, text: str) -> "IPv4Address":
         """Parse dotted-quad notation."""
-        parts = text.split(".")
-        if len(parts) != 4:
-            raise AddressError(f"not a dotted quad: {text!r}")
-        value = 0
-        for part in parts:
-            try:
-                octet = int(part)
-            except ValueError as exc:
-                raise AddressError(f"bad octet in {text!r}") from exc
-            if not (0 <= octet <= 255):
-                raise AddressError(f"octet out of range in {text!r}")
-            value = (value << 8) | octet
-        return cls(value)
+        return cls(_parse_quad(text))
 
     def __str__(self) -> str:
         v = self.value
@@ -114,11 +103,44 @@ class IPv4Address:
         return self.value
 
 
+def _out_of_range(value: int) -> AddressError:
+    return AddressError(f"address out of range: {value:#x}")
+
+
+def _parse_quad(text: str) -> int:
+    """Dotted-quad notation to its 32-bit int.
+
+    A canonical quad (what ``str(IPv4Address)`` prints) is parsed in C and
+    confirmed by printing it back; any other text takes the octet loop,
+    which accepts whatever ``int()`` accepts per octet (``" 10"``, ``"010"``).
+    """
+    try:
+        packed = inet_aton(text)
+    except (OSError, TypeError, ValueError):
+        pass
+    else:
+        if inet_ntoa(packed) == text:
+            return int.from_bytes(packed, "big")
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise AddressError(f"not a dotted quad: {text!r}")
+    value = 0
+    for part in parts:
+        try:
+            octet = int(part)
+        except ValueError as exc:
+            raise AddressError(f"bad octet in {text!r}") from exc
+        if not (0 <= octet <= 255):
+            raise AddressError(f"octet out of range in {text!r}")
+        value = (value << 8) | octet
+    return value
+
+
 def _as_int(addr: "IPv4Address | int | str") -> int:
     if isinstance(addr, IPv4Address):
         return addr.value
     if isinstance(addr, str):
-        return IPv4Address.parse(addr).value
+        return _parse_quad(addr)
     return int(addr)
 
 
@@ -268,8 +290,11 @@ class CompiledPrefixTable(Generic[T]):
         self._none_mask: Optional[np.ndarray] = None
 
     def lookup(self, addr: "IPv4Address | int | str") -> Optional[T]:
-        """Longest-prefix-match lookup; None when nothing matches."""
+        """Longest-prefix-match lookup; None when nothing matches.
+        An address outside the 32-bit space raises AddressError."""
         a = addr if type(addr) is int else _as_int(addr)
+        if a >> 32:  # negative, or past 2**32 - 1
+            raise _out_of_range(a)
         return self._values[bisect_right(self._starts, a) - 1]
 
     def lookup_many(self, addrs) -> np.ndarray:
@@ -428,6 +453,8 @@ class PrefixTable(Generic[T]):
         value = self._root.value if self._root.has_value else None
         node = self._root
         a = _as_int(addr)
+        if a >> 32:
+            raise _out_of_range(a)
         for i in range(32):
             node = node.children[(a >> (31 - i)) & 1]  # type: ignore[assignment]
             if node is None:
@@ -437,10 +464,13 @@ class PrefixTable(Generic[T]):
         return value
 
     def lookup(self, addr: "IPv4Address | int | str") -> Optional[T]:
-        """Longest-prefix-match lookup; None when nothing matches."""
+        """Longest-prefix-match lookup; None when nothing matches.
+        An address outside the 32-bit space raises AddressError."""
         compiled = self._compiled
         if compiled is not None:
             a = addr if type(addr) is int else _as_int(addr)
+            if a >> 32:
+                raise _out_of_range(a)
             return compiled._values[bisect_right(compiled._starts, a) - 1]
         self._lookups_since_change += 1
         if self._lookups_since_change >= _COMPILE_AFTER_LOOKUPS:

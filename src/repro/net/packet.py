@@ -37,6 +37,11 @@ class Protocol(enum.Enum):
     TCP = 6
     UDP = 17
 
+    # members are singletons compared by identity (pickling returns the
+    # same member), so the identity hash agrees with ==; it runs in C,
+    # where Enum's own hashes the member name in Python on every probe
+    __hash__ = object.__hash__
+
 
 class TCPFlags(enum.Flag):
     """TCP flag bits relevant to the attack scenarios."""

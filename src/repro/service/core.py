@@ -304,11 +304,10 @@ class DecisionCore:
                  ingress_asn: Optional[int]) -> ComponentContext:
         """The Sec. 4.2 contextual information one stage's graph sees."""
         context = self.context
-        return ComponentContext(
-            now=now, asn=context.asn, is_transit=context.is_transit,
-            local_prefix=context.local_prefix, stage=stage, owner=owner,
-            ingress_asn=ingress_asn, local_origin=ingress_asn is None,
-        )
+        # positional (keywords cost a dict per owned check), in field order
+        return ComponentContext(now, context.asn, context.is_transit,
+                                context.local_prefix, stage, owner,
+                                ingress_asn, ingress_asn is None)
 
     def _run_stage(self, packet: Packet, instance: "ServiceInstance",
                    graph: ComponentGraph,

@@ -5,8 +5,9 @@ every request — ``check(src, dst) -> Verdict`` — with exactly the
 simulator's semantics: ownership LPM behind the per-flow LRU cache, the
 two-stage owner pipeline, and Sec. 4.5 safety containment.  Unowned
 traffic takes the fast path (one cache probe, a shared singleton
-verdict); owned traffic is materialised as a :class:`Packet` and run
-through the installed stage graphs.
+verdict); owned traffic is materialised as a :class:`Packet`, run
+through the installed stage graphs, and answered with a verdict shared
+by every check with the same outcome and owners.
 
 :class:`TrafficController` adds the deployment-facing conveniences the
 middleware adapters need: a default protected service address, and an
@@ -118,6 +119,9 @@ class ServiceFacade:
         self._m_policy_swaps = _POLICY_SWAPS.labelled()
         self._m_policy_generation = _POLICY_GENERATION.labelled()
         self._m_policy_compile_failures = _POLICY_COMPILE_FAILURES.labelled()
+        #: one shared redirected verdict per (allowed, src id, dst id),
+        #: like PASS_DIRECT for the direct path; cleared when it fills
+        self._verdicts: dict[tuple, Verdict] = {}
         self.core = DecisionCore(
             context, self.registry, strict=strict, stage_order=stage_order,
             flow_cache_capacity=flow_cache_capacity,
@@ -198,16 +202,24 @@ class ServiceFacade:
             now = self.clock.now()
         packet = Packet(IPv4Address(src_i), IPv4Address(dst_i), proto=proto,
                         size=size, sport=sport, dport=dport)
-        out = core.run_stages(packet, src_owner, dst_owner, now, None)
-        src_id = None if src_owner is None else src_owner.user_id
-        dst_id = None if dst_owner is None else dst_owner.user_id
-        if out is None:
+        allowed = core.run_stages(packet, src_owner, dst_owner, now,
+                                  None) is not None
+        if allowed:
+            self._m_pass.value += 1
+        else:
             self._m_drop.value += 1
-            return Verdict(allowed=False, redirected=True, reason="filtered",
-                           src_owner=src_id, dst_owner=dst_id)
-        self._m_pass.value += 1
-        return Verdict(allowed=True, redirected=True, reason="processed",
-                       src_owner=src_id, dst_owner=dst_id)
+        key = (allowed,
+               None if src_owner is None else src_owner.user_id,
+               None if dst_owner is None else dst_owner.user_id)
+        verdicts = self._verdicts
+        verdict = verdicts.get(key)
+        if verdict is None:
+            if len(verdicts) >= FLOW_CACHE_CAPACITY:
+                verdicts.clear()
+            verdict = verdicts[key] = Verdict(
+                allowed, True, "processed" if allowed else "filtered",
+                key[1], key[2])
+        return verdict
 
     def check_packet(self, packet: Packet,
                      now: Optional[float] = None) -> Verdict:

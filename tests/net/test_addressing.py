@@ -5,7 +5,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressError
 from repro.net import AddressAllocator, IPv4Address, Prefix, PrefixTable
-from repro.net.addressing import HostAddressPool, summarize
+from repro.net.addressing import HostAddressPool, _as_int, summarize
+
+
+def _octet_loop(text):
+    """The dotted-quad parser as it was before the C fast path: the oracle."""
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise AddressError(f"not a dotted quad: {text!r}")
+    value = 0
+    for part in parts:
+        try:
+            octet = int(part)
+        except ValueError as exc:
+            raise AddressError(f"bad octet in {text!r}") from exc
+        if not (0 <= octet <= 255):
+            raise AddressError(f"octet out of range in {text!r}")
+        value = (value << 8) | octet
+    return value
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except AddressError as exc:
+        return "error", str(exc)
+
+
+_QUAD_CHARS = st.sampled_from(list("0123456789.") + [" ", "+", "-", "_", "x",
+                                                      "\n", "\x00", "١", "٣"])
 
 
 class TestIPv4Address:
@@ -31,7 +59,25 @@ class TestIPv4Address:
     def test_int_str_roundtrip(self, v):
         a = IPv4Address(v)
         assert IPv4Address.parse(str(a)).value == v
+        assert _as_int(str(a)) == v
         assert int(a) == v
+
+    @given(text=st.one_of(
+        st.text(),
+        st.text(_QUAD_CHARS, max_size=20),
+        st.lists(st.integers(-300, 300).map(str), min_size=1, max_size=6)
+        .map(".".join),
+        st.sampled_from([" 10.0.0.1", "+10.0.0.1", "1_0.0.0.1", "10.0.0.01",
+                         "١.2.3.4", "10.0.0.1 ", "10.0.0.1\n", "0x0a.0.0.1",
+                         "10.1", "10.0.0.1\x00", "1.2.3.4 junk", "\ud800.1.1.1",
+                         "-0.0.0.0", "010.0.0.0", "1.2.3.256"]),
+    ))
+    @settings(max_examples=300)
+    def test_parse_matches_octet_loop(self, text):
+        """Every text parses to the old loop's value, or raises its error."""
+        expected = _outcome(_octet_loop, text)
+        assert _outcome(_as_int, text) == expected
+        assert _outcome(lambda t: IPv4Address.parse(t).value, text) == expected
 
 
 class TestPrefix:
@@ -153,6 +199,31 @@ class TestPrefixTable:
         for i, p in enumerate(prefixes):
             t.insert(p, i)
         assert dict(t.items()) == {p: i for i, p in enumerate(prefixes)}
+
+    def _ten_and_top(self):
+        t = PrefixTable()
+        t.insert(Prefix.parse("10.0.0.0/8"), "ten")
+        t.insert(Prefix.parse("255.255.255.0/24"), "top")
+        return t
+
+    _OUT_OF_RANGE = (-1, 2**32, 2**32 + (10 << 24))
+
+    @pytest.mark.parametrize("addr", _OUT_OF_RANGE)
+    def test_trie_rejects_out_of_range(self, addr):
+        # a fresh table answers from the trie walk, which used to read
+        # only the low 32 bits
+        with pytest.raises(AddressError, match="address out of range"):
+            self._ten_and_top().lookup(addr)
+
+    @pytest.mark.parametrize("addr", _OUT_OF_RANGE)
+    def test_compiled_rejects_out_of_range(self, addr):
+        # bisect used to fall off either end onto the last interval
+        t = self._ten_and_top()
+        with pytest.raises(AddressError, match="address out of range"):
+            t.compile().lookup(addr)
+        with pytest.raises(AddressError, match="address out of range"):
+            t.lookup(addr)  # served from the cached compiled table
+        assert t.lookup(0xFFFFFFFF) == "top" and t.lookup(10 << 24) == "ten"
 
     def test_contains_dunder(self):
         t = PrefixTable()

@@ -6,6 +6,8 @@ of stays pinned by tests/core/test_device.py and test_flow_cache.py,
 which now run through the delegation.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import (
@@ -107,6 +109,25 @@ class TestFlowCache:
         core.registry.register(
             NetworkUser("globex", prefixes=[Prefix.parse("10.2.0.0/16")]))
         assert len(core.synced_cache()) == 0
+
+    def test_unpickled_protocol_hits_the_same_entry(self):
+        # Protocol hashes by identity; unpickling returns the same member
+        proto = pickle.loads(pickle.dumps(Protocol.UDP))
+        assert proto is Protocol.UDP and hash(proto) == hash(Protocol.UDP)
+        core, acme = make_core()
+        core.install(acme, dst_graph=drop_udp_graph())
+        src, dst = A("10.8.0.1").value, A("10.1.0.1").value
+        entry = core.flow_entry(src, dst, Protocol.UDP, 53)
+        assert core.flow_entry(src, dst, proto, 53) is entry
+        assert (core.m_fc_misses.value, core.m_fc_hits.value) == (1, 1)
+
+    def test_pickled_packet_hits_wants(self):
+        core, acme = make_core()
+        core.install(acme, dst_graph=drop_udp_graph())
+        pkt = Packet.udp(A("10.8.0.1"), A("10.1.0.1"), dport=53)
+        assert core.wants(pkt)
+        assert core.wants(pickle.loads(pickle.dumps(pkt)))
+        assert (core.m_fc_misses.value, core.m_fc_hits.value) == (1, 1)
 
     def test_inactive_service_not_wanted_until_reactivated(self):
         core, acme = make_core()

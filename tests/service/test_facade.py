@@ -4,10 +4,11 @@ import pytest
 
 from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
 from repro.core.components import PrefixBlacklist, RateLimiterComponent
-from repro.errors import OwnershipError
+from repro.errors import AddressError, OwnershipError
 from repro.net import IPv4Address, Prefix, Simulator
 from repro.service import ManualClock, ServiceFacade, TrafficController
-from repro.service.facade import DROP_ADMISSION, PASS_DIRECT
+from repro.service.core import FLOW_CACHE_CAPACITY
+from repro.service.facade import DROP_ADMISSION, PASS_DIRECT, Verdict
 from repro.util import TokenBucket
 
 A = IPv4Address.parse
@@ -71,6 +72,62 @@ class TestCheck:
         assert facade._m_pass.value == 2
         assert facade._m_drop.value == 1
         assert facade._m_redirected.value == 2
+
+
+    def test_out_of_range_address_raises_and_is_not_cached(self):
+        facade, _ = make_facade()
+        top = NetworkUser("top", prefixes=[Prefix.parse("255.255.255.0/24")])
+        facade.subscribe(top, dst_graph=blacklist_graph(name="top"))
+        facade.check("198.51.100.7", "10.1.0.5")
+        cached = len(facade.core.flow_cache)
+        for dst in (-1, 2**32, 2**32 + int(A("10.1.0.5"))):
+            # used to run the pipeline of whoever owns the wrapped address
+            with pytest.raises(AddressError, match="address out of range"):
+                facade.check(1, dst)
+        assert len(facade.core.flow_cache) == cached
+
+
+class TestSharedVerdicts:
+    """Owned checks share one verdict per (allowed, src owner, dst owner)."""
+
+    def test_owned_verdicts_equal_freshly_built_ones(self):
+        facade, _ = make_facade()
+        assert facade.check("198.51.100.7", "10.1.0.5") == Verdict(
+            allowed=True, redirected=True, reason="processed",
+            src_owner=None, dst_owner="acme")
+        assert facade.check("203.0.113.9", "10.1.0.5") == Verdict(
+            allowed=False, redirected=True, reason="filtered",
+            src_owner=None, dst_owner="acme")
+
+    def test_same_outcome_and_owners_share_one_object(self):
+        facade, _ = make_facade()
+        first = facade.check("198.51.100.7", "10.1.0.5")
+        assert facade.check("198.51.100.8", "10.1.0.6", dport=443) is first
+        dropped = facade.check("203.0.113.9", "10.1.0.5")
+        assert facade.check("203.0.113.10", "10.1.9.9") is dropped
+        assert dropped is not first
+
+    def test_swap_from_filtered_to_processed(self):
+        facade, _ = make_facade()
+        assert facade.check("203.0.113.9", "10.1.0.5").reason == "filtered"
+        facade.swap_policy("acme", dst_graph=blacklist_graph("192.0.2.0/24"))
+        verdict = facade.check("203.0.113.9", "10.1.0.5")
+        assert verdict.reason == "processed" and verdict.allowed
+
+    def test_table_is_bounded_by_the_flow_cache_capacity(self):
+        facade = ServiceFacade(clock=ManualClock())
+        n = 65  # 65 * 65 owner pairs > FLOW_CACHE_CAPACITY
+        assert n * n > FLOW_CACHE_CAPACITY
+        base = int(A("10.0.0.0"))
+        for i in range(n):
+            user = NetworkUser(f"u{i}", prefixes=[Prefix(base | i << 16, 16)])
+            facade.subscribe(user, dst_graph=blacklist_graph(name=f"g{i}"))
+        for i in range(n):
+            for j in range(n):
+                verdict = facade.check(base + 1 | i << 16, base + 1 | j << 16)
+                assert (verdict.src_owner, verdict.dst_owner) == (f"u{i}", f"u{j}")
+                assert len(facade._verdicts) <= FLOW_CACHE_CAPACITY
+        assert len(facade._verdicts) == n * n - FLOW_CACHE_CAPACITY
 
 
 class TestLiveReconfiguration:
