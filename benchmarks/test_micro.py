@@ -206,9 +206,9 @@ def test_routing_table_construction(benchmark):
 
 @pytest.fixture(scope="module")
 def sketch_traffic():
-    """A zipf-ish source population with an AS resolver, as packets and as
-    one SoA batch (the statistics collector's two input shapes)."""
-    from repro.core.components import ComponentContext
+    """A zipf-ish source population over 64 source ASes, pre-encoded into
+    int64 statistics flow keys, with per-packet sizes."""
+    from repro.core.apps.statistics import encode_flow_key
 
     rng = np.random.default_rng(7)
     fan_in = 4096
@@ -216,17 +216,9 @@ def sketch_traffic():
     weights /= weights.sum()
     srcs = rng.choice(fan_in, size=16384, p=weights).astype(np.int64) + 1
     sizes = rng.integers(64, 1500, size=16384).astype(np.int64)
-    dst = IPv4Address(10 << 24)
-    packets = [Packet.udp(IPv4Address(int(s)), dst, size=int(z))
-               for s, z in zip(srcs[:500], sizes[:500])]
-    batch = PacketBatch.udp(srcs, int(dst))
-    batch.size[:] = sizes
-    ctx = ComponentContext(now=0.0, asn=1, is_transit=False,
-                           local_prefix=Prefix.make(0, 8), stage="dest",
-                           owner=None)
-    resolver = lambda addr: int(addr) % 64  # noqa: E731 — 64 source ASes
-    resolver_many = lambda a: np.asarray(a, dtype=np.int64) % 64  # noqa: E731
-    return packets, batch, ctx, resolver, resolver_many
+    keys = np.array([encode_flow_key(int(s) % 64, Protocol.UDP.value)
+                     for s in srcs], dtype=np.int64)
+    return keys, sizes
 
 
 @pytest.fixture(scope="module")
@@ -283,46 +275,43 @@ def test_service_check_pipeline(benchmark, service_world):
 
 
 def test_sketch_scalar_update(benchmark, sketch_traffic):
-    """The exact per-packet Counter path: 500 scalar collector updates."""
-    from repro.core.apps.statistics import TrafficMatrixCollector
+    """500 per-key ``add`` calls on a Count-Min flow-statistics backend."""
+    from repro.core.flowstats import make_flow_stats
 
-    packets, _batch, ctx, resolver, _many = sketch_traffic
-    collector = TrafficMatrixCollector(resolver=resolver, backend="exact")
+    keys, sizes = sketch_traffic
+    pairs = list(zip(keys[:500].tolist(), sizes[:500].tolist()))
+    stats = make_flow_stats("cmsketch", seed=7)
 
     def run_scalar():
-        for packet in packets:
-            collector.process(packet, ctx)
+        add = stats.add
+        for key, size in pairs:
+            add(key, 1, size)
 
     benchmark(run_scalar)
 
 
 @pytest.mark.parametrize("batch_size", [64, 1024, 16384])
 def test_sketch_batch_update(benchmark, sketch_traffic, batch_size):
-    """One vectorised sketch-backed collector update of a whole batch.
+    """One ``add_batch`` over ``batch_size`` of the same keys on the same
+    Count-Min backend.
 
-    Compare per-packet against ``test_sketch_scalar_update`` (the exact
-    per-packet Counter path): the CI perf-smoke guards the batch-1024
-    ratio via ``tools/bench.py --check-ratio sketch=MIN``.
+    Compare per key against ``test_sketch_scalar_update``: the CI
+    perf-smoke guards the batch-1024 ratio via ``tools/bench.py
+    --check-ratio sketch=MIN``.
     """
-    from repro.core.apps.statistics import TrafficMatrixCollector
+    from repro.core.flowstats import make_flow_stats
 
-    _packets, batch, ctx, resolver, resolver_many = sketch_traffic
-    rows = np.arange(batch_size)
-    collector = TrafficMatrixCollector(resolver=resolver,
-                                       resolver_many=resolver_many,
-                                       backend="cmsketch", seed=7)
+    keys, sizes = sketch_traffic
+    keys, sizes = keys[:batch_size], sizes[:batch_size]
+    stats = make_flow_stats("cmsketch", seed=7)
 
-    def run_batch():
-        collector.process_batch(batch, rows, ctx)
-
-    benchmark(run_batch)
+    benchmark(stats.add_batch, keys, nbytes=sizes)
 
 
 @pytest.fixture(scope="module")
 def policy_world():
-    """A dropping/filtering graph (HeaderFilter -> PrefixBlacklist), 1024
-    mixed packets, and the same burst as one SoA batch — the two inputs
-    the policy compiler's programs and the interpreted walk share."""
+    """A dropping/filtering graph (HeaderFilter -> PrefixBlacklist) and
+    1024 mixed packets for the interpreted walk."""
     from repro.core.components import ComponentContext, PrefixBlacklist
 
     def build() -> ComponentGraph:
@@ -343,18 +332,17 @@ def policy_world():
                               rng.integers(0, 128, 1024),
                               rng.integers(64, 1500, 1024))
     ]
-    batch = PacketBatch.from_packets(packets)
     ctx = ComponentContext(now=0.0, asn=1, is_transit=False,
                            local_prefix=Prefix.make(0, 8), stage="dest",
                            owner=None)
-    return build, packets, batch, ctx
+    return build, packets, ctx
 
 
 @pytest.mark.parametrize("batch_size", [1, 1024])
 def test_policy_interpreted_walk(benchmark, policy_world, batch_size):
     """The scalar interpreted graph walk over ``batch_size`` packets (the
     pre-compiler execution path, kept as the differential oracle)."""
-    build, packets, _batch, ctx = policy_world
+    build, packets, ctx = policy_world
     graph = build()
     subset = packets[:batch_size]
 
@@ -364,20 +352,3 @@ def test_policy_interpreted_walk(benchmark, policy_world, batch_size):
             process(packet, ctx)
 
     benchmark(run_walk)
-
-
-@pytest.mark.parametrize("batch_size", [1, 1024])
-def test_policy_compiled_batch(benchmark, policy_world, batch_size):
-    """One vectorized batch-program run over ``batch_size`` rows.
-
-    Compare per-packet against ``test_policy_interpreted_walk``: the CI
-    perf-smoke guards the batch-1024 ratio via ``tools/bench.py
-    --check-ratio policy=MIN``.
-    """
-    from repro.policy import compile_policy
-
-    build, _packets, batch, ctx = policy_world
-    compiled = compile_policy(build(), vet=True)
-    rows = np.arange(batch_size)
-
-    benchmark(compiled.run_batch, batch, rows, ctx)

@@ -343,22 +343,18 @@ def cmd_policy(args: argparse.Namespace) -> int:
                   f"{type(op.component).__name__:<20} "
                   f"{' '.join(edges) or 'exit'}")
         print(f"signature      : {compiled.signature}")
-        print(f"batch program  : "
-              f"{'yes' if compiled.batch_supported else 'no'}")
-        print(f"order-sensitive: "
-              f"{'yes' if compiled.order_sensitive else 'no'}")
         for diag in compiled.diagnostics:
             print(f"  {diag}")
         return 0
 
-    # bench: interpreted walk vs compiled programs over one random burst
+    # bench: interpreted walk vs compiled program over one random burst
     import time
 
     import numpy as np
 
     from repro.core.components import ComponentContext
     from repro.core.ownership import NetworkUser
-    from repro.net import IPv4Address, Packet, PacketBatch
+    from repro.net import IPv4Address, Packet
 
     n = args.batch
     rng = np.random.default_rng(args.seed if args.seed is not None else 42)
@@ -368,8 +364,6 @@ def cmd_policy(args: argparse.Namespace) -> int:
                    dport=int(rng.integers(0, 1024)))
         for _ in range(n)
     ]
-    batch = PacketBatch.from_packets(packets)
-    rows = np.arange(n)
     ctx = ComponentContext(
         now=0.0, asn=0, is_transit=False,
         local_prefix=device_ctx.local_prefix, stage="dest",
@@ -392,17 +386,10 @@ def cmd_policy(args: argparse.Namespace) -> int:
     r_interp = pkts_per_s(lambda: [graph.process(p, ctx) for p in packets])
     r_scalar = pkts_per_s(lambda: [compiled.process(p, ctx) for p in packets])
     print(f"spec {spec.name!r}, {len(compiled.policy)} op(s), "
-          f"batch size {n}:")
+          f"burst of {n} packets:")
     print(f"  interpreted walk : {r_interp:>12,.0f} pkts/s")
     print(f"  compiled scalar  : {r_scalar:>12,.0f} pkts/s  "
           f"({r_scalar / r_interp:.2f}x)")
-    if compiled.batch_supported:
-        r_batch = pkts_per_s(lambda: compiled.run_batch(batch, rows, ctx))
-        print(f"  compiled batch   : {r_batch:>12,.0f} pkts/s  "
-              f"({r_batch / r_interp:.2f}x)")
-    else:
-        print("  compiled batch   : unsupported (see 'policy show' "
-              "diagnostics)")
     return 0
 
 

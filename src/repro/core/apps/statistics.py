@@ -20,15 +20,13 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.core.components import Capabilities, Component, ComponentContext, Verdict
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.flowstats import FlowStatsBackend, make_flow_stats
 from repro.core.graph import ComponentGraph
 from repro.core.service import TrafficControlService
-from repro.net.packet import Packet, PacketBatch, Protocol
+from repro.net.packet import Packet, Protocol
 from repro.obs.metrics import declare
 
 __all__ = [
@@ -70,23 +68,18 @@ class TrafficMatrixCollector(Component):
     ``backend`` picks the flow-statistics store ("exact" | "bloom" |
     "cmsketch" | "countsketch", or a ready
     :class:`~repro.core.flowstats.FlowStatsBackend`).  ``resolver`` maps a
-    source address to its AS (memoized through a small LRU);
-    ``resolver_many`` is the optional vectorised form used by the batched
-    path (e.g. ``Topology.as_of_many``).
+    source address to its AS (memoized through a small LRU).
     """
 
     capabilities = Capabilities(extra_traffic_bps=2_000.0)
-    batch_capable = True
 
     def __init__(self, name: str = "traffic-matrix", resolver=None,
                  backend: Union[str, FlowStatsBackend] = "exact",
-                 resolver_many=None, seed: int = 0,
-                 resolver_cache: int = 1024, **backend_params) -> None:
+                 seed: int = 0, resolver_cache: int = 1024,
+                 **backend_params) -> None:
         super().__init__(name)
         #: maps an address value to an AS number (injected at deploy time)
         self.resolver = resolver
-        #: vectorised resolver over an int64 address column (optional)
-        self.resolver_many = resolver_many
         self.stats: FlowStatsBackend = make_flow_stats(
             backend, seed=seed, **backend_params)
         self.first_seen: Optional[float] = None
@@ -146,32 +139,6 @@ class TrafficMatrixCollector(Component):
             self.first_seen = ctx.now
         self.last_seen = ctx.now
         return Verdict.PASS
-
-    def process_batch(self, batch: PacketBatch, rows: np.ndarray,
-                      ctx: ComponentContext) -> None:
-        """Vectorised :meth:`process` over the selected batch rows: one
-        resolver call and one backend update per sub-batch."""
-        n = len(rows)
-        if n == 0:
-            return
-        if self._m_updates is None:
-            self._bind_metrics(ctx.asn)
-        srcs = batch.src[rows]
-        if self.resolver_many is not None:
-            asns = np.asarray(self.resolver_many(srcs), dtype=np.int64)
-        elif self.resolver is not None:
-            asns = np.fromiter((self._resolve(int(a)) for a in srcs),
-                               dtype=np.int64, count=n)
-        else:
-            asns = np.full(n, -1, dtype=np.int64)
-        keys = (((asns.view(np.uint64) & np.uint64(_NO_ASN)) << np.uint64(8))
-                | (batch.proto[rows].view(np.uint64) & np.uint64(0xFF)))
-        self.stats.add_batch(keys, nbytes=batch.size[rows])
-        self._m_updates.value += n
-        self._publish_state_bytes()
-        if self.first_seen is None:
-            self.first_seen = ctx.now
-        self.last_seen = ctx.now
 
     # ----------------------------------------------------------- legacy view
     @property
@@ -244,8 +211,7 @@ class DistributedStatisticsApp:
     def graph_factory(self, device_ctx: DeviceContext) -> ComponentGraph:
         topology = self.service.tcsp.network.topology
         collector = TrafficMatrixCollector(
-            resolver=topology.as_of, resolver_many=topology.as_of_many,
-            backend=self.backend,
+            resolver=topology.as_of, backend=self.backend,
             seed=self.seed + device_ctx.asn, **self.backend_params)
         self.collectors[device_ctx.asn] = collector
         graph = ComponentGraph(f"stats:{self.service.user.user_id}")

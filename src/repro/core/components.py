@@ -19,8 +19,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.net.addressing import Prefix
 from repro.net.packet import IP_HEADER_BYTES, Packet, Protocol, TCPFlags
@@ -32,7 +30,6 @@ from repro.util.tokenbucket import TokenBucket
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ownership import NetworkUser
-    from repro.net.packet import PacketBatch
 
 _HEAVY_HITTERS = declare(
     "trigger.heavy_hitters", "counter", labels=("asn",),
@@ -111,10 +108,6 @@ class Component:
     #: Sec. 4.2: components whose behaviour depends on the routing topology
     #: must be adapted or temporarily disabled on routing updates.
     topology_dependent: bool = False
-    #: Pure observers that implement :meth:`process_batch` set this; the
-    #: device then feeds them whole sub-batches (one vectorised update
-    #: instead of per-packet calls) when every stage in the graph qualifies.
-    batch_capable: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -132,16 +125,6 @@ class Component:
         return self._m_dropped.value
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:  # pragma: no cover
-        raise NotImplementedError
-
-    def process_batch(self, batch: "PacketBatch", rows: np.ndarray,
-                      ctx: ComponentContext) -> None:  # pragma: no cover
-        """Vectorised observe-only path over ``batch[rows]``.
-
-        Only meaningful for ``batch_capable`` components whose capabilities
-        declare neither drops nor mutations — the caller passes every
-        packet and accounts ``processed`` itself.
-        """
         raise NotImplementedError
 
     def __call__(self, packet: Packet, ctx: ComponentContext) -> Verdict:
@@ -349,7 +332,6 @@ class StatisticsCollector(Component):
     """
 
     capabilities = Capabilities(extra_traffic_bps=1_000.0)
-    batch_capable = True
 
     def __init__(self, name: str = "stats", window: float = 1.0) -> None:
         super().__init__(name)
@@ -365,29 +347,6 @@ class StatisticsCollector(Component):
         self.rate.add(ctx.now)
         self.byte_rate.add(ctx.now, packet.size)
         return Verdict.PASS
-
-    def process_batch(self, batch: "PacketBatch", rows: np.ndarray,
-                      ctx: ComponentContext) -> None:
-        n = len(rows)
-        if n == 0:
-            return
-        protos = batch.proto[rows]
-        sizes = batch.size[rows]
-        uniq, first, inverse = np.unique(protos, return_index=True,
-                                         return_inverse=True)
-        pkts = np.bincount(inverse, minlength=len(uniq))
-        octets = np.bincount(inverse, weights=sizes,
-                             minlength=len(uniq)).astype(np.int64)
-        # first-appearance order keeps dict insertion order equal to the
-        # scalar per-packet path
-        for j in np.argsort(first, kind="stable"):
-            proto = Protocol(int(uniq[j])).name
-            self.packets_by_proto[proto] = (
-                self.packets_by_proto.get(proto, 0) + int(pkts[j]))
-            self.bytes_by_proto[proto] = (
-                self.bytes_by_proto.get(proto, 0) + int(octets[j]))
-        self.rate.add(ctx.now, n)
-        self.byte_rate.add(ctx.now, int(sizes.sum()))
 
 
 class TriggerComponent(Component):

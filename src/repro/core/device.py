@@ -21,21 +21,18 @@ packets he or she owns".  Every stage runs under the
 on the spot.
 
 The decision path itself — redirect decision behind the per-flow LRU
-cache, the two-stage pipeline, the safety containment, and their batch
-front end — lives in the engine-agnostic
-:class:`repro.service.core.DecisionCore`.  This class keeps only what is
-simulator-specific around it (crash/fail-policy lifecycle and
-routing-update reactions) and injects its ``device.*`` registry
-counters into the shared core, so the extraction is invisible to every
-experiment table.
+cache, the two-stage pipeline and the safety containment — lives in the
+engine-agnostic :class:`repro.service.core.DecisionCore`.  This class
+keeps only what is simulator-specific around it (crash/fail-policy
+lifecycle and routing-update reactions) and injects its ``device.*``
+registry counters into the shared core, so the extraction is invisible
+to every experiment table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import DeploymentError
 from repro.core.graph import ComponentGraph
@@ -48,7 +45,6 @@ from repro.obs.metrics import declare, reset_metrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
-    from repro.net.packet import PacketBatch
     from repro.service.core import DecisionCore
 
 __all__ = ["DeviceContext", "ServiceInstance", "AdaptiveDevice"]
@@ -341,37 +337,6 @@ class AdaptiveDevice:
             self._m_dropped.value += 1
             return None
         return self._core.process(packet, now, ingress_asn)
-
-    def process_batch(self, batch: "PacketBatch", now: float,
-                      ingress_asn: Optional[int]
-                      ) -> tuple[Optional["PacketBatch"],
-                                 Optional["PacketBatch"]]:
-        """:meth:`wants` + :meth:`process` over a whole batch; returns
-        ``(passed, dropped)`` sub-batches (either may be ``None``).
-
-        A running device delegates to
-        :meth:`~repro.service.core.DecisionCore.decide_many`, whose
-        verdicts, counters and flow-cache order equal the per-packet
-        loop's (pinned by tests/core/test_device_batch.py).  A crashed
-        one applies its fail policy to the batch.
-        """
-        n = len(batch)
-        if n == 0:
-            return batch, None
-        if self.crashed:
-            if self.fail_policy == "fail-open":
-                return batch, None
-            # fail-closed: every *owned* packet is blocked, counters match
-            # wants() + process() on the scalar path
-            src_owners = self.registry.owners_of_many(batch.src)
-            dst_owners = self.registry.owners_of_many(batch.dst)
-            owned = np.fromiter(
-                (s is not None or d is not None
-                 for s, d in zip(src_owners, dst_owners)),
-                dtype=bool, count=n)
-            self._m_dropped.value += int(owned.sum())
-            return batch.split(~owned)
-        return self._core.decide_many(batch, now, ingress_asn)
 
 
 def attach_device(network: "Network", asn: int,

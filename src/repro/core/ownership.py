@@ -131,13 +131,6 @@ class OwnershipRegistry:
         """The registered user owning this address (LPM), or None."""
         return self._table.lookup(addr)
 
-    def owners_of_many(self, addrs):
-        """Vectorised :meth:`owner_of` over a batch of addresses: an object
-        ndarray of :class:`NetworkUser` / ``None``, aligned with the input
-        (the device's batched redirect decision feeds address columns
-        straight into the compiled LPM)."""
-        return self._table.lookup_many(addrs)
-
     def owners_of_packet(self, packet: Packet) -> tuple[Optional[NetworkUser], Optional[NetworkUser]]:
         """(source owner, destination owner) — the two processing stages."""
         return self.owner_of(packet.src), self.owner_of(packet.dst)

@@ -53,12 +53,6 @@ class AdaptiveDeviceHook(TypingProtocol):
         """Run the two processing stages; None means the packet was dropped."""
         ...  # pragma: no cover
 
-    def process_batch(self, batch: PacketBatch, now: float,
-                      ingress: Optional[int]
-                      ) -> tuple[Optional[PacketBatch], Optional[PacketBatch]]:
-        """``wants`` + ``process`` over a batch: ``(passed, dropped)``."""
-        ...  # pragma: no cover
-
     def on_routing_update(self) -> list[str]:
         """React to a routing change; returns the affected user ids."""
         ...  # pragma: no cover
@@ -267,27 +261,16 @@ class Router(Node):
     def receive_batch(self, batch: PacketBatch, link: Optional[Link]) -> None:
         """Batch ingress: the vectorised mirror of :meth:`receive`.
 
-        Mitigation filters are per-packet callables, so their presence
-        forces the scalar-fallback path.  Otherwise the batch flows
-        through the device's batched redirect decision and on to
-        :meth:`forward_batch` intact.
+        Mitigation filters and the adaptive device decide per packet, so
+        either one sends the batch through :meth:`receive` row by row.
+        Otherwise the batch goes on to :meth:`forward_batch` intact.
         """
         if len(batch) == 0:
             return
-        if self.filters:
+        if self.filters or self.adaptive_device is not None:
             for p in batch.to_packets():
                 self.receive(p, link)
             return
-        device = self.adaptive_device
-        if device is not None:
-            now = self.network.sim.now
-            ingress = self._ingress_asn(link)
-            passed, dropped = device.process_batch(batch, now, ingress)
-            if dropped is not None and len(dropped):
-                self._drop_batch(dropped, "adaptive-device")
-            if passed is None or len(passed) == 0:
-                return
-            batch = passed
         self.forward_batch(batch)
 
     def _ingress_asn(self, link: Optional[Link]) -> Optional[int]:

@@ -219,7 +219,7 @@ class PacketBatch:
     One object carries N packets as parallel NumPy columns, so the data
     plane can amortise per-packet event dispatch into per-batch array
     operations: one heap event per batch, one drop-tail decision pass per
-    link, one vectorised LPM per device.
+    link, one vectorised LPM per router hop.
 
     Columns (all length N, int64 unless noted):
 
@@ -362,14 +362,6 @@ class PacketBatch:
         out.kinds = self.kinds
         return out
 
-    def split(self, keep: np.ndarray
-              ) -> tuple[Optional["PacketBatch"], Optional["PacketBatch"]]:
-        """``(kept, rest)`` for a boolean row mask; an empty side is
-        ``None``, and an all-True mask keeps ``self`` itself."""
-        if keep.all():
-            return self, None
-        return (self.select(keep) if keep.any() else None), self.select(~keep)
-
     def kind_counts(self) -> dict[str, int]:
         """Packets per ground-truth kind (bincount over the code column)."""
         counts = np.bincount(self.kind_code, minlength=len(self.kinds))
@@ -380,15 +372,6 @@ class PacketBatch:
         totals = np.bincount(self.kind_code, weights=self.size,
                              minlength=len(self.kinds))
         return {k: int(t) for k, t in zip(self.kinds, totals) if t}
-
-    def flow_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """The device flow-cache key as two uint64 columns:
-        ``src<<32|dst`` and ``proto<<16|dport``."""
-        a = (self.src.astype(np.uint64) << np.uint64(32)) \
-            | self.dst.astype(np.uint64)
-        b = (self.proto.astype(np.uint64) << np.uint64(16)) \
-            | (self.dport.astype(np.uint64) & np.uint64(0xFFFF))
-        return a, b
 
     # ----------------------------------------------------- scalar fallback
     def packet_at(self, i: int) -> Packet:
@@ -414,14 +397,6 @@ class PacketBatch:
     def to_packets(self) -> list[Packet]:
         """Materialise every row (the scalar-fallback path)."""
         return [self.packet_at(i) for i in range(len(self))]
-
-    def write_back(self, i: int, packet: Packet) -> None:
-        """Fold a scalar stage's mutations of row ``i``'s packet back into
-        the columns (the fields the safety monitor tracks)."""
-        self.src[i] = packet.src.value
-        self.dst[i] = packet.dst.value
-        self.ttl[i] = packet.ttl
-        self.size[i] = packet.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = ",".join(f"{k}={c}" for k, c in self.kind_counts().items())

@@ -8,13 +8,11 @@ steps into a small compiler:
 * :mod:`repro.policy.ir` — a typed intermediate representation lowered
   from :class:`~repro.core.graph.ComponentGraph` (one op per component,
   explicit PASS/DROP edges),
-* :mod:`repro.policy.passes` — structural validation, Sec. 4.5 vetting and
-  optimization passes emitting structured :class:`Diagnostic` records,
+* :mod:`repro.policy.passes` — structural validation and Sec. 4.5
+  vetting passes emitting structured :class:`Diagnostic` records,
 * :mod:`repro.policy.compiler` — :func:`compile_policy` producing a
   :class:`CompiledPolicy`: a scalar program byte-identical to the
-  interpreted graph walk (kept as the differential oracle) plus a
-  vectorized batch program running filter/blacklist/limit graphs over
-  whole :class:`~repro.net.packet.PacketBatch` row sets.
+  interpreted graph walk (kept as the differential oracle).
 """
 
 from repro.policy.compiler import CompiledPolicy, analyze, compile_policy

@@ -33,40 +33,28 @@ __all__ = ["OpKind", "PolicyOp", "Policy", "lower_graph", "classify"]
 
 
 class OpKind(enum.Enum):
-    """Semantic family of one op — drives kernel selection and passes."""
+    """Semantic family of one op — part of the plan key and signature."""
 
-    #: header-predicate drop (vectorized via column kernels)
+    #: header-predicate drop
     FILTER = "filter"
-    #: source-prefix membership drop (vectorized via masked compares)
+    #: source-prefix membership drop
     BLACKLIST = "blacklist"
-    #: context-aware anti-spoofing drop (vectorized per device context)
+    #: context-aware anti-spoofing drop
     ANTISPOOF = "antispoof"
-    #: token-bucket admission — order-sensitive, run row-sequentially
+    #: token-bucket admission
     RATE_LIMIT = "rate-limit"
-    #: bounded per-packet log lines — order-sensitive, run row-sequentially
+    #: bounded per-packet log lines
     LOGGER = "logger"
-    #: pure observer with a native ``process_batch`` (stats collectors)
-    OBSERVER_BATCH = "observer-batch"
-    #: payload deletion — mutates sizes, never vectorized
+    #: payload deletion — mutates sizes
     SCRUB = "scrub"
-    #: payload-digest drop — needs per-packet digests, never vectorized
+    #: payload-digest drop
     HASH_FILTER = "hash-filter"
-    #: threshold trigger — callback side effects, never vectorized
+    #: threshold trigger — callback side effects
     TRIGGER = "trigger"
-    #: packet-digest backlog — needs ``packet.digest()``, never vectorized
+    #: packet-digest backlog
     DIGEST = "digest"
-    #: anything the compiler has no model for
+    #: anything the compiler has no model for (collectors included)
     OPAQUE = "opaque"
-
-
-#: kinds the batch program knows how to execute
-VECTORIZABLE_KINDS = frozenset({
-    OpKind.FILTER, OpKind.BLACKLIST, OpKind.ANTISPOOF, OpKind.RATE_LIMIT,
-    OpKind.LOGGER, OpKind.OBSERVER_BATCH,
-})
-
-#: kinds whose per-op state depends on the order packets are seen in
-ORDER_SENSITIVE_KINDS = frozenset({OpKind.RATE_LIMIT, OpKind.LOGGER})
 
 
 def classify(component: Component) -> OpKind:
@@ -89,12 +77,6 @@ def classify(component: Component) -> OpKind:
         return OpKind.HASH_FILTER
     if isinstance(component, DigestStoreComponent):
         return OpKind.DIGEST
-    caps = component.capabilities
-    if (component.batch_capable and not caps.may_drop and not caps.may_shrink
-            and not caps.modifies_headers):
-        # any pure observer exposing process_batch, e.g. the traffic-matrix
-        # collector — no per-class knowledge needed
-        return OpKind.OBSERVER_BATCH
     return OpKind.OPAQUE
 
 

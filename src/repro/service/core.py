@@ -3,20 +3,15 @@
 :class:`DecisionCore` owns the paper's per-packet decision path —
 ownership-LPM redirect decision behind a per-flow LRU cache, the
 source-owner/destination-owner two-stage pipeline, and the Sec. 4.5
-safety containment that disables a violating service on the spot.  It
-has two front ends over one set of helpers (miss admission, stage
-selection, component context):
-
-* per packet — :meth:`~DecisionCore.wants` then
-  :meth:`~DecisionCore.process`,
-* per :class:`~repro.net.packet.PacketBatch` —
-  :meth:`~DecisionCore.decide_many`, whose verdicts, counters and final
-  flow-cache order equal the per-packet loop over the same rows.
+safety containment that disables a violating service on the spot.  A
+check has one implementation: :meth:`~DecisionCore.wants`, then
+:meth:`~DecisionCore.process`, which runs each stage's
+:class:`~repro.policy.compiler.CompiledPolicy`.
 
 Both consumers share it byte-for-byte:
 
 * the simulator's :class:`~repro.core.device.AdaptiveDevice` delegates
-  its scalar and batch paths here (and injects its ``device.*`` registry
+  its decision path here (and injects its ``device.*`` registry
   counters, so experiment tables are unchanged by the extraction),
 * the live :class:`~repro.service.facade.ServiceFacade` drives the same
   core from wall-clock (or injected) time and emits ``service.*``
@@ -32,8 +27,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import DeploymentError, SafetyViolation
 from repro.core.components import ComponentContext, Verdict
 from repro.core.graph import ComponentGraph
@@ -44,7 +37,6 @@ from repro.net.packet import Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import DeviceContext, ServiceInstance
-    from repro.net.packet import PacketBatch
 
 __all__ = ["DecisionCore", "StatCell", "FLOW_CACHE_CAPACITY"]
 
@@ -211,13 +203,8 @@ class DecisionCore:
         """Slow path: resolve owners via the registry and cache the result."""
         self.m_fc_misses.value += 1
         registry = self.registry
-        return self._admit(key, registry.owner_of(key[0]),
-                           registry.owner_of(key[1]))
-
-    def _admit(self, key: tuple, src_owner: Optional[NetworkUser],
-               dst_owner: Optional[NetworkUser]) -> tuple:
-        """Cache the decision for a flow whose owners are resolved: the
-        newest LRU slot, evicting the oldest past capacity."""
+        src_owner = registry.owner_of(key[0])
+        dst_owner = registry.owner_of(key[1])
         services = self.services
         src_inst = None if src_owner is None else services.get(src_owner.user_id)
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
@@ -263,8 +250,8 @@ class DecisionCore:
     def run_stages(self, packet: Packet, src_owner: Optional[NetworkUser],
                    dst_owner: Optional[NetworkUser], now: float,
                    ingress_asn: Optional[int]) -> Optional[Packet]:
-        """The two-stage loop with owners already resolved (shared by the
-        scalar path, the batch path's residual rows, and the live facade)."""
+        """The two-stage loop with owners already resolved (shared by
+        :meth:`process` and the live facade)."""
         for owner, stage, instance, graph in self._stages(src_owner,
                                                           dst_owner):
             packet_after = self._run_stage(
@@ -333,197 +320,3 @@ class DecisionCore:
             packet.size = before.size
             return packet
         return result
-
-    # ------------------------------------------------------------ batch path
-    def decide_many(self, batch: "PacketBatch", now: float,
-                    ingress_asn: Optional[int]
-                    ) -> tuple[Optional["PacketBatch"],
-                               Optional["PacketBatch"]]:
-        """The per-packet :meth:`wants` + :meth:`process` loop over a
-        batch, staged parse → decide → run:
-
-        1. flow resolution — the rows collapse to unique 4-tuples
-           (``np.unique`` over packed uint64 key columns); cached flows
-           cost one dict probe each, and only the misses go through the
-           ownership registry's batched LPM before :meth:`_admit`,
-        2. redirect decision — a boolean take over the per-flow verdicts,
-        3. stages — owner pairs whose stage graphs all compile to batch
-           programs run vectorised; every other redirected row is
-           materialised through :meth:`run_stages` in row order.
-
-        Verdicts, counters and the final flow-cache order equal the
-        per-packet loop's.  A batch with more new flows than the cache
-        has room for would make that loop evict mid-batch, so it *is*
-        run through that loop.  Returns ``(passed, dropped)``
-        sub-batches (either may be ``None``).
-        """
-        n = len(batch)
-        cache = self.synced_cache()
-        key_a, key_b = batch.flow_keys()
-        pairs = np.empty(n, dtype=[("a", np.uint64), ("b", np.uint64)])
-        pairs["a"] = key_a
-        pairs["b"] = key_b
-        # unique over the reversed rows, so return_index names each
-        # flow's *last* row
-        _, rev_index, rev_inverse = np.unique(
-            pairs[::-1], return_index=True, return_inverse=True)
-        last_row = n - 1 - rev_index
-        inverse = rev_inverse[::-1]
-        src, dst, proto, dport = batch.src, batch.dst, batch.proto, batch.dport
-        keys = [(int(src[r]), int(dst[r]), Protocol(int(proto[r])),
-                 int(dport[r])) for r in last_row.tolist()]
-        # every slot holds an entry once the misses are admitted
-        entries: list = [cache.get(key) for key in keys]
-        new = [j for j, entry in enumerate(entries) if entry is None]
-        if len(cache) + len(new) > self.flow_cache_capacity:
-            return self._decide_each(batch, now, ingress_asn)
-        if new:
-            rows = last_row[new]
-            owners = zip(self.registry.owners_of_many(src[rows]),
-                         self.registry.owners_of_many(dst[rows]))
-            for j, (src_owner, dst_owner) in zip(new, owners):
-                entries[j] = self._admit(keys[j], src_owner, dst_owner)
-        # every packet moves its flow to the LRU end, so the batch leaves
-        # its flows ordered by their last row
-        for j in np.argsort(last_row).tolist():
-            cache.move_to_end(keys[j])
-        # per packet, the first of a new flow misses and the rest hit
-        self.m_fc_hits.value += n - len(new)
-        self.m_fc_misses.value += len(new)
-
-        wants_flow = np.fromiter((entry[2] for entry in entries), dtype=bool,
-                                 count=len(entries))
-        wanted = wants_flow[inverse]
-        n_wanted = int(wanted.sum())
-        if n_wanted == 0:
-            return batch, None
-        # process() re-probes the cache: one more hit per redirected packet
-        self.m_redirected.value += n_wanted
-        self.m_fc_hits.value += n_wanted
-
-        # owner pairs whose stages all compile to batch programs run as
-        # row-mask programs; order-sensitive policies (token buckets,
-        # bounded logs) run batched only when all their traffic lands in
-        # one owner pair, else group-by-group execution would reorder the
-        # component's view of the packet stream
-        groups: dict[tuple, list[int]] = {}
-        for j in np.nonzero(wants_flow)[0].tolist():
-            src_owner, dst_owner, _ = entries[j]
-            groups.setdefault(
-                (None if src_owner is None else src_owner.user_id,
-                 None if dst_owner is None else dst_owner.user_id),
-                []).append(j)
-        poisoned = self._order_sensitive_overlaps(groups)
-        keep = np.ones(n, dtype=bool)
-        residual = wanted.copy()
-        for gkey, flow_js in groups.items():
-            if not poisoned.isdisjoint(gkey):
-                continue
-            programs = self._batch_programs(*entries[flow_js[0]][:2])
-            if programs is None:
-                continue
-            member = np.zeros(len(entries), dtype=bool)
-            member[flow_js] = True
-            in_group = member[inverse]
-            group_rows = np.nonzero(in_group)[0]
-            survivors = self._run_programs(batch, group_rows, programs, now,
-                                           ingress_asn)
-            if len(survivors) < len(group_rows):
-                self.m_dropped.value += len(group_rows) - len(survivors)
-                keep[group_rows] = False
-                keep[survivors] = True
-            residual &= ~in_group
-
-        for i in np.nonzero(residual)[0].tolist():
-            src_owner, dst_owner, _ = entries[inverse[i]]
-            out = self.run_stages(batch.packet_at(i), src_owner, dst_owner,
-                                  now, ingress_asn)
-            if out is None:
-                keep[i] = False
-            else:
-                batch.write_back(i, out)
-        return batch.split(keep)
-
-    def _decide_each(self, batch: "PacketBatch", now: float,
-                     ingress_asn: Optional[int]
-                     ) -> tuple[Optional["PacketBatch"],
-                                Optional["PacketBatch"]]:
-        """:meth:`decide_many` as the literal per-packet loop."""
-        keep = np.ones(len(batch), dtype=bool)
-        for i in range(len(batch)):
-            packet = batch.packet_at(i)
-            if self.wants(packet):
-                out = self.process(packet, now, ingress_asn)
-                if out is None:
-                    keep[i] = False
-                else:
-                    batch.write_back(i, out)
-        return batch.split(keep)
-
-    def _batch_programs(self, src_owner: Optional[NetworkUser],
-                        dst_owner: Optional[NetworkUser]
-                        ) -> Optional[list[tuple]]:
-        """``(owner, stage, instance, compiled)`` per stage graph of one
-        owner pair, in stage order — or ``None`` when a stage has no
-        batch program (non-vectorizable ops) or the two stages share
-        component state (running one whole stage before the other would
-        reorder that component's packet stream); those rows then take
-        the per-packet stages.
-        """
-        programs: list[tuple] = []
-        for owner, stage, instance, graph in self._stages(src_owner,
-                                                          dst_owner):
-            compiled = graph.compiled()
-            if not compiled.batch_supported:
-                return None
-            programs.append((owner, stage, instance, compiled))
-        if (len(programs) == 2
-                and programs[0][3].shares_state_with(programs[1][3])):
-            return None
-        return programs
-
-    def _order_sensitive_overlaps(self, groups: dict) -> set[str]:
-        """User ids whose order-sensitive stage policies span more than
-        one owner-pair group this batch — their groups must take the
-        per-packet stages to preserve the component's packet order."""
-        seen: dict[str, int] = {}
-        sensitive: set[str] = set()
-        for gkey in groups:
-            for uid in gkey:
-                if uid is None:
-                    continue
-                seen[uid] = seen.get(uid, 0) + 1
-                instance = self.services.get(uid)
-                if instance is None:
-                    continue
-                for graph in (instance.src_graph, instance.dst_graph):
-                    if graph is not None and graph.compiled().order_sensitive:
-                        sensitive.add(uid)
-        return {uid for uid in sensitive if seen[uid] > 1}
-
-    def _run_programs(self, batch: "PacketBatch", rows: np.ndarray,
-                      programs: list[tuple], now: float,
-                      ingress_asn: Optional[int]) -> np.ndarray:
-        """Run ``batch[rows]`` through compiled stage programs; returns the
-        surviving row indices.
-
-        Graph and component tallies advance inside
-        :meth:`CompiledPolicy.run_batch`; the safety monitor gets
-        aggregate in/out accounting, because the compiled kernels
-        implement each component's declared semantics and cannot
-        violate them.
-        """
-        for owner, stage, instance, compiled in programs:
-            n = len(rows)
-            if n == 0:
-                break
-            monitor = instance.monitor
-            sizes = batch.size[rows]
-            monitor.packets_in += n
-            monitor.bytes_in += int(sizes.sum())
-            alive = compiled.run_batch(
-                batch, rows, self._context(owner, stage, now, ingress_asn))
-            monitor.packets_out += int(alive.sum())
-            monitor.bytes_out += int(sizes[alive].sum())
-            rows = rows[alive]
-        return rows

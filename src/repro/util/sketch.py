@@ -15,13 +15,12 @@ Design contract shared by every sketch:
   ``blake2b(seed)`` exactly like :mod:`repro.util.bloom`'s double hashing,
   so equal seeds give byte-equal tables across processes and platforms
   (the serial == ``parallel_map`` == process-pool guarantee).
-* **Integer keys** — sketches hash ``int64``/``uint64`` keys, matching the
-  packed flow keys the batched data plane already computes
-  (:meth:`repro.net.packet.PacketBatch.flow_keys`).  Callers that key by
-  richer tuples encode them first (see :mod:`repro.core.flowstats`).
+* **Integer keys** — sketches hash ``int64``/``uint64`` keys.  Callers
+  that key by richer tuples encode them first (see
+  :mod:`repro.core.flowstats`).
 * **Scalar and vectorised paths** — ``update(key, w)`` for per-packet
   code, ``update_batch(keys, weights)`` doing one NumPy scatter-add per
-  row for the batched data plane.
+  row over a whole key array.
 * **Mergeability** — ``merge(other)`` combines same-shaped, same-seeded
   sketches by addition, so per-device sketches aggregate into one
   distributed view without shipping per-flow state.

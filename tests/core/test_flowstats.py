@@ -3,8 +3,7 @@
 Covers the :class:`~repro.core.flowstats.FlowStatsBackend` contract for
 all four kinds, the exact backend's byte-identical-ordering guarantee
 (batch vs scalar), the sketch backends' constant-state/heavy-hitter
-behaviour, and the TrafficMatrixCollector's scalar-vs-batched parity
-plus its resolver LRU.
+behaviour, and the TrafficMatrixCollector's backends and resolver LRU.
 """
 
 import numpy as np
@@ -23,7 +22,7 @@ from repro.core.flowstats import (
     make_flow_stats,
 )
 from repro.errors import ReproError
-from repro.net import IPv4Address, Packet, PacketBatch, Prefix, Protocol
+from repro.net import IPv4Address, Packet, Prefix, Protocol
 from repro.obs import scoped
 
 
@@ -164,42 +163,12 @@ def _traffic(n=400, hosts=37):
     sizes = rng.integers(64, 1500, n).astype(np.int64)
     protos = np.where(rng.random(n) < 0.5, Protocol.TCP.value,
                       Protocol.UDP.value).astype(np.int64)
-    batch = PacketBatch(src=srcs, dst=np.full(n, 10 << 24, dtype=np.int64),
-                        proto=protos, size=sizes)
-    packets = [Packet(src=IPv4Address(int(s)), dst=IPv4Address(10 << 24),
-                      proto=Protocol(int(p)), size=int(z))
-               for s, p, z in zip(srcs, protos, sizes)]
-    return batch, packets
+    return [Packet(src=IPv4Address(int(s)), dst=IPv4Address(10 << 24),
+                   proto=Protocol(int(p)), size=int(z))
+            for s, p, z in zip(srcs, protos, sizes)]
 
 
 class TestCollectorParity:
-    def test_scalar_vs_batch_exact_backend(self):
-        resolver = lambda addr: int(addr) % 5  # noqa: E731
-        batch, packets = _traffic()
-        with scoped():
-            scalar = TrafficMatrixCollector(resolver=resolver)
-            for p in packets:
-                scalar.process(p, _ctx())
-            batched = TrafficMatrixCollector(
-                resolver=resolver,
-                resolver_many=lambda a: np.asarray(a, dtype=np.int64) % 5)
-            batched.process_batch(batch, np.arange(len(packets)), _ctx())
-            assert list(scalar.packets.items()) == list(batched.packets.items())
-            assert list(scalar.bytes.items()) == list(batched.bytes.items())
-
-    def test_lru_fallback_batch_matches_vectorised(self):
-        resolver = lambda addr: int(addr) % 5  # noqa: E731
-        batch, packets = _traffic()
-        rows = np.arange(len(packets))
-        with scoped():
-            lru = TrafficMatrixCollector(resolver=resolver)
-            lru.process_batch(batch, rows, _ctx())
-            vec = TrafficMatrixCollector(
-                resolver=resolver,
-                resolver_many=lambda a: np.asarray(a, dtype=np.int64) % 5)
-            vec.process_batch(batch, rows, _ctx())
-            assert lru.packets == vec.packets
-
     def test_resolver_lru_hits_and_misses(self):
         calls = []
 
@@ -229,14 +198,14 @@ class TestCollectorParity:
 
     @pytest.mark.parametrize("kind", ["cmsketch", "countsketch"])
     def test_sketch_backend_counts_match_exact_totals(self, kind):
-        batch, packets = _traffic()
-        rows = np.arange(len(packets))
+        packets = _traffic()
         with scoped():
             exact = TrafficMatrixCollector(resolver=lambda a: int(a) % 5)
-            exact.process_batch(batch, rows, _ctx())
             sk = TrafficMatrixCollector(
                 resolver=lambda a: int(a) % 5, backend=kind, seed=9)
-            sk.process_batch(batch, rows, _ctx())
+            for p in packets:
+                exact.process(p, _ctx())
+                sk.process(p, _ctx())
             # the handful of (asn x proto) keys are far below capacity:
             # sketch estimates are exact here
             for key, pkts, nbytes in exact.stats.items():

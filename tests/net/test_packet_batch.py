@@ -10,6 +10,9 @@ counter totals while coarsening intra-batch departure spacing.
 import numpy as np
 import pytest
 
+from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
+from repro.core.components import HeaderFilter, HeaderMatch
+from repro.core.device import attach_device
 from repro.errors import SimulationError
 from repro.net import (
     IPv4Address,
@@ -77,21 +80,6 @@ class TestConstruction:
 
     def test_concat_empty(self):
         assert len(PacketBatch.concat([])) == 0
-
-    def test_flow_keys_pack_unsigned(self):
-        hi = 2**32 - 1
-        b = PacketBatch(src=np.array([hi]), dst=hi, proto=Protocol.TCP,
-                        dport=2**16 - 1)
-        a, key_b = b.flow_keys()
-        assert a.dtype == np.uint64 and key_b.dtype == np.uint64
-        assert int(a[0]) == (hi << 32) | hi
-
-    def test_write_back(self):
-        b = PacketBatch(src=np.array([1]), dst=2, ttl=10)
-        p = b.packet_at(0)
-        p.ttl -= 3
-        b.write_back(0, p)
-        assert b.ttl[0] == 7
 
 
 def _run_line(batched: bool, access=None, n_packets: int = 40):
@@ -286,3 +274,45 @@ class TestBatchDropReasons:
             net.run()
             assert hub_host.received_packets == 2
             assert leaf_host.received_packets == 2
+
+
+class TestBatchThroughDevice:
+    """A router with an attached adaptive device decides every packet of
+    an arriving batch on the scalar path, so a burst and the same packets
+    sent one by one leave the same delivery, drop and device counters."""
+
+    def _run(self, batched):
+        with scoped():
+            net = Network(TopologyBuilder.line(3))
+            a, b = net.add_host(0), net.add_host(2)
+            registry = OwnershipRegistry()
+            victim = NetworkUser("victim", prefixes=[net.topology.prefix_of(2)])
+            registry.register(victim)
+            device = attach_device(net, 1, registry)
+            graph = ComponentGraph("drop-dns")
+            graph.chain(HeaderFilter("dns", HeaderMatch(proto=Protocol.UDP,
+                                                        dport=53)))
+            device.install(victim, dst_graph=graph)
+            dport = np.where(np.arange(48) % 3 == 0, 53, 80)
+            batch = PacketBatch.udp(
+                np.full(48, int(a.address), dtype=np.int64), int(b.address),
+                dport=dport, kind=["attack" if d == 53 else "legit"
+                                   for d in dport])
+            if batched:
+                a.send_batch(batch)
+            else:
+                for packet in batch.to_packets():
+                    a.send(packet)
+            net.run()
+            router = net.routers[1]
+            return (b.received_packets, dict(b.received_by_kind),
+                    router.drops["adaptive-device"],
+                    dict(router.drops_by_kind),
+                    (device.redirected, device.dropped,
+                     device.flow_cache_hits, device.flow_cache_misses))
+
+    def test_burst_matches_packet_by_packet(self):
+        burst = self._run(batched=True)
+        assert burst == self._run(batched=False)
+        assert burst[:3] == (32, {"legit": 32}, 16)
+        assert burst[4] == (48, 16, 94, 2)

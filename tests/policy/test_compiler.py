@@ -20,7 +20,7 @@ from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
 from repro.errors import ComponentGraphError, VettingError
-from repro.net import ASRole, IPv4Address, Packet, PacketBatch, Prefix, Protocol
+from repro.net import ASRole, IPv4Address, Packet, Prefix, Protocol
 from repro.net.packet import TCPFlags
 from repro.policy import compile_policy
 
@@ -91,39 +91,20 @@ def component_state(graph: ComponentGraph) -> dict:
 
 
 @pytest.mark.parametrize("builder", [build_mixed_chain, build_drop_dag])
-def test_differential_scalar_batch_parity(builder):
-    """Interpreted walk, compiled scalar program, and compiled batch
-    program produce identical verdicts, counters, and observer state."""
+def test_differential_interpreter_compiled_parity(builder):
+    """Interpreted walk and compiled program produce identical verdicts,
+    counters, and observer state."""
     packets = random_packets(256, seed=7)
 
-    g_interp, g_scalar, g_batch = builder(), builder(), builder()
+    g_interp, g_scalar = builder(), builder()
     verdicts_interp = [g_interp.process(p, ctx(i * 1e-4))
                        for i, p in enumerate(packets)]
     compiled_scalar = compile_policy(g_scalar, vet=True)
     verdicts_scalar = [compiled_scalar.process(p, ctx(i * 1e-4))
                        for i, p in enumerate(packets)]
     assert verdicts_interp == verdicts_scalar
+    assert Verdict.DROP in verdicts_scalar and Verdict.PASS in verdicts_scalar
     assert component_state(g_interp) == component_state(g_scalar)
-
-    # batch path: one burst per timestamp-sharing window of 32 packets so
-    # rate limiters see the same `now` sequence as the scalar walks do not
-    # (token buckets admit per-row in ascending order within one call)
-    compiled_batch = compile_policy(g_batch, vet=True)
-    assert compiled_batch.batch_supported
-    batch = PacketBatch.from_packets(packets)
-    alive_all = []
-    for start in range(0, len(packets), 32):
-        rows = np.arange(start, min(start + 32, len(packets)))
-        alive = compiled_batch.run_batch(batch, rows, ctx(start * 1e-4))
-        alive_all.extend(bool(a) for a in alive)
-
-    # scalar reference under the same batched timestamps
-    g_ref = builder()
-    compiled_ref = compile_policy(g_ref, vet=True)
-    verdicts_ref = [compiled_ref.process(p, ctx((i // 32) * 32 * 1e-4))
-                    for i, p in enumerate(packets)]
-    assert alive_all == [v is Verdict.PASS for v in verdicts_ref]
-    assert component_state(g_batch) == component_state(g_ref)
 
 
 class TestSignature:

@@ -17,7 +17,7 @@ from repro.core.components import (
 from repro.core.graph import ComponentGraph
 from repro.net import Prefix, Protocol
 from repro.policy import OpKind, lower_graph
-from repro.policy.ir import ORDER_SENSITIVE_KINDS, VECTORIZABLE_KINDS, classify
+from repro.policy.ir import classify
 
 
 class TestClassify:
@@ -30,7 +30,7 @@ class TestClassify:
              OpKind.ANTISPOOF),
             (RateLimiterComponent("r", 1e6), OpKind.RATE_LIMIT),
             (LoggerComponent("l"), OpKind.LOGGER),
-            (StatisticsCollector("s"), OpKind.OBSERVER_BATCH),
+            (StatisticsCollector("s"), OpKind.OPAQUE),
             (PayloadScrubber("p"), OpKind.SCRUB),
             (PayloadHashFilter("h", [b"\x00" * 8]), OpKind.HASH_FILTER),
         ]
@@ -45,12 +45,6 @@ class TestClassify:
                 return Verdict.PASS
 
         assert classify(Custom("x")) is OpKind.OPAQUE
-
-    def test_vectorizable_and_order_sensitive_sets(self):
-        assert OpKind.FILTER in VECTORIZABLE_KINDS
-        assert OpKind.OPAQUE not in VECTORIZABLE_KINDS
-        assert OpKind.SCRUB not in VECTORIZABLE_KINDS
-        assert ORDER_SENSITIVE_KINDS == {OpKind.RATE_LIMIT, OpKind.LOGGER}
 
 
 class TestLowerGraph:

@@ -1,4 +1,4 @@
-"""Pass pipeline: structural/vetting parity and the optimization passes."""
+"""Pass pipeline: structural and vetting parity with the graph checks."""
 
 import pytest
 
@@ -8,23 +8,14 @@ from repro.core.components import (
     HeaderFilter,
     HeaderMatch,
     LoggerComponent,
-    PrefixBlacklist,
-    StatisticsCollector,
     Verdict,
 )
 from repro.core.graph import ComponentGraph
 from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, vet_graph
 from repro.errors import ComponentGraphError, VettingError
-from repro.net import Prefix, Protocol
-from repro.policy import Severity, lower_graph
-from repro.policy.passes import (
-    dead_op_pass,
-    fuse_filter_runs,
-    reorder_observer_runs,
-    structural_pass,
-    topo_order,
-    vetting_pass,
-)
+from repro.net import Protocol
+from repro.policy import lower_graph
+from repro.policy.passes import structural_pass, vetting_pass
 
 
 def filters(*names: str) -> list[HeaderFilter]:
@@ -115,68 +106,3 @@ class TestVettingPass:
         graph = ComponentGraph("fine")
         graph.chain(*filters("a"), LoggerComponent("log"))
         assert vetting_pass(lower_graph(graph)) == []
-
-
-class TestDeadOpPass:
-    def test_op_behind_infeasible_drop_edge_is_dead(self):
-        graph = ComponentGraph("g")
-        graph.add(StatisticsCollector("stats"))
-        graph.add(LoggerComponent("never"))
-        # stats can never drop, so its DROP edge can never fire
-        graph.connect("stats", "never", Verdict.DROP)
-        policy = lower_graph(graph)
-        live, diags = dead_op_pass(policy)
-        assert live == {policy.op("stats").index}
-        assert [d.code for d in diags] == ["opt.dead"]
-        assert diags[0].ops == ("never",)
-        assert diags[0].severity is Severity.INFO
-
-    def test_feasible_drop_edge_stays_live(self):
-        graph = ComponentGraph("g")
-        graph.add(HeaderFilter("f", HeaderMatch(proto=Protocol.UDP)))
-        graph.add(LoggerComponent("droplog"))
-        graph.connect("f", "droplog", Verdict.DROP)
-        policy = lower_graph(graph)
-        live, diags = dead_op_pass(policy)
-        assert live == {0, 1}
-        assert diags == []
-
-
-class TestFuseAndReorder:
-    def test_adjacent_filters_fuse(self):
-        graph = ComponentGraph("g")
-        graph.chain(*filters("a", "b", "c"), LoggerComponent("log"))
-        policy = lower_graph(graph)
-        live, _ = dead_op_pass(policy)
-        order = topo_order(policy, live)
-        groups, diags = fuse_filter_runs(policy, order, live)
-        assert groups[0] == [0, 1, 2]
-        assert [d.code for d in diags] == ["opt.fuse"]
-
-    def test_wired_drop_edge_blocks_fusion(self):
-        graph = ComponentGraph("g")
-        graph.chain(*filters("a", "b"))
-        graph.add(LoggerComponent("droplog"))
-        graph.connect("a", "droplog", Verdict.DROP)
-        policy = lower_graph(graph)
-        live, _ = dead_op_pass(policy)
-        groups, diags = fuse_filter_runs(policy, topo_order(policy, live), live)
-        # "a" routes drops somewhere, so it cannot merge with "b"
-        assert [0] in groups and [1] in groups
-        assert diags == []
-
-    def test_observer_run_sinks_scalar_loggers(self):
-        graph = ComponentGraph("g")
-        graph.chain(LoggerComponent("log"), StatisticsCollector("stats"),
-                    PrefixBlacklist("bl", [Prefix.parse("10.0.0.0/8")]))
-        policy = lower_graph(graph)
-        live, _ = dead_op_pass(policy)
-        groups, _ = fuse_filter_runs(policy, topo_order(policy, live), live)
-        runs, diags = reorder_observer_runs(policy, groups, live)
-        (members, tail), rest = runs[0], runs[1:]
-        # stats (OBSERVER_BATCH) scheduled before log, but the run still
-        # exits through log's PASS edge (the original chain tail)
-        assert members == [policy.op("stats").index, policy.op("log").index]
-        assert tail == policy.op("stats").index
-        assert [d.code for d in diags] == ["opt.reorder"]
-        assert rest == [([policy.op("bl").index], policy.op("bl").index)]

@@ -1,7 +1,7 @@
 """The compile plan cache: graphs of one shape share a plan, never state.
 
 A plan is what compiling derives from a graph's structural key alone
-(diagnostics, edge arrays, batch schedule, signature); the
+(diagnostics, edge arrays, signature); the
 :class:`CompiledPolicy` binds it to one graph's components.  These tests
 pin that a compile which reuses a cached plan is indistinguishable from
 one that builds its plan fresh, and count the plans the live service's
@@ -10,7 +10,6 @@ subscriber and churn paths create.
 
 import gc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +24,7 @@ from repro.core.components import (
 from repro.core.compose import RuleSpec, ServiceSpec, build_graph
 from repro.core.device import DeviceContext
 from repro.errors import ComponentGraphError, VettingError
-from repro.net import ASRole, PacketBatch, Prefix
+from repro.net import ASRole, Prefix
 from repro.policy import compile_policy
 from repro.policy import compiler
 from repro.service import ServiceFacade
@@ -70,19 +69,12 @@ SPEC_PAIRS = st.lists(st.sampled_from(sorted(RULES)), min_size=1,
 
 
 def drive(compiled, graph):
-    """Scalar verdicts, then (when supported) batch keep-masks, then the
-    component and graph counters they left behind.  Packets are made
-    afresh: a scrubber shrinks the ones it sees."""
+    """Verdicts, then the component and graph counters they left behind.
+    Packets are made afresh: a scrubber shrinks the ones it sees."""
     packets = random_packets(96, seed=11)
-    batch = PacketBatch.from_packets(packets)
     verdicts = [compiled.process(p, ctx(i * 1e-4))
                 for i, p in enumerate(packets)]
-    masks = []
-    if compiled.batch_supported:
-        for start in range(0, len(packets), 32):
-            rows = np.arange(start, min(start + 32, len(packets)))
-            masks.append(compiled.run_batch(batch, rows, ctx(start * 1e-4)))
-    return verdicts, [m.tolist() for m in masks], component_state(graph)
+    return verdicts, component_state(graph)
 
 
 @given(SPEC_PAIRS)
@@ -105,9 +97,6 @@ def test_cached_compile_equals_fresh_compile(pair):
     assert (cached._plan is warm._plan) == (fresh.signature == warm.signature)
     assert cached.signature == fresh.signature
     assert cached.diagnostics == fresh.diagnostics
-    assert cached.batch_supported == fresh.batch_supported
-    assert cached.order_sensitive == fresh.order_sensitive
-    assert cached.batch_unsupported == fresh.batch_unsupported
     assert drive(cached, g_cached) == drive(fresh, g_fresh)
 
 
@@ -123,17 +112,14 @@ def test_same_shape_shares_the_plan_not_the_state():
     b = compile_policy(g_b, vet=True)
     assert a._plan is b._plan
     assert a.signature == b.signature
-    assert not a.shares_state_with(b)
+    assert not set(map(id, a._comps)) & set(map(id, b._comps))
 
     packets = random_packets(64, seed=3)
-    batch = PacketBatch.from_packets(packets)
     for i, p in enumerate(packets):
         a.process(p, ctx(i * 1e-4))
-    a.run_batch(batch, np.arange(len(packets)), ctx())
-    assert g_a.packets_in == 2 * len(packets)
+    assert g_a.packets_in == len(packets)
     assert g_b.packets_in == 0
     assert all(c.processed == 0 for c in g_b.components())
-    assert b._steps is None  # bound to components on its own first batch
 
 
 def test_signature_bytes_are_pinned():
@@ -172,19 +158,21 @@ def test_runtime_plan_does_not_skip_vetting():
     assert compile_policy(graph(), vet=False)._plan is runtime._plan
 
 
-def test_a_filter_without_a_batch_kernel_gets_its_own_plan():
-    """``HeaderMatch(icmp_type=3)`` and ``HeaderMatch()`` sign alike (a
-    non-enum predicate value signs as ``None``), but only the second has a
-    batch kernel."""
+def test_a_non_enum_predicate_signs_apart_from_no_predicate():
+    """``HeaderMatch(icmp_type=3)`` drops nothing (a packet's ICMP type is
+    an enum member, never the int 3) while ``HeaderMatch()`` drops
+    everything, so the two must not share a signature or a plan."""
     def graph(match):
         g = ComponentGraph("k")
         g.chain(HeaderFilter("f", match))
         return compile_policy(g, vet=True)
 
-    with_kernel, without = graph(HeaderMatch()), graph(HeaderMatch(icmp_type=3))
-    assert with_kernel.signature == without.signature
-    assert with_kernel._plan is not without._plan
-    assert with_kernel.batch_supported and not without.batch_supported
+    everything, nothing = graph(HeaderMatch()), graph(HeaderMatch(icmp_type=3))
+    assert everything.signature != nothing.signature
+    assert everything._plan is not nothing._plan
+    packet = random_packets(1, seed=0)[0]
+    assert everything.process(packet, ctx()) is Verdict.DROP
+    assert nothing.process(packet, ctx()) is Verdict.PASS
 
 
 def test_rejected_graph_never_reaches_the_cache():

@@ -217,6 +217,25 @@ class TestSafetyContainment:
         assert pkt.dst == A("10.1.0.1")
         assert core.services["acme"].disabled_for_violation
 
+    def test_violation_in_the_source_stage_skips_the_destination_stage(self):
+        """An owner of both ends whose source-stage graph lies: the first
+        packet disables the service, so the same owner's destination
+        stage never sees it, and later packets skip both stages."""
+        core, acme = make_core(strict=False)
+        src_graph = ComponentGraph("lying-src")
+        src_graph.add(LyingMutator("liar"))
+        dst_graph = drop_udp_graph("acme-dst")
+        core.install(acme, src_graph=src_graph, dst_graph=dst_graph)
+        for _ in range(2):
+            pkt = Packet.udp(A("10.1.0.1"), A("10.1.0.2"))
+            assert core.wants(pkt)
+            assert core.process(pkt, 0.0, None) is pkt
+            assert pkt.dst == A("10.1.0.2")
+        assert core.services["acme"].disabled_for_violation
+        assert core.m_safety_disables.value == 1
+        assert (src_graph.packets_in, dst_graph.packets_in) == (1, 0)
+        assert core.m_dropped.value == 0
+
 
 class TestDeviceParity:
     """The delegating device and a standalone core agree exactly."""

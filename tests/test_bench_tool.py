@@ -12,8 +12,8 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import bench  # noqa: E402
 
-#: benchmark -> median seconds: both sides of every ratio, plus one
-#: benchmark outside every family
+#: benchmark -> median seconds: both sides of every ratio, plus two
+#: benchmarks outside every family
 MEDIANS = {
     "test_packet_forwarding_path": 0.010,
     "test_batch_forwarding_path[1024]": 0.001,
@@ -22,7 +22,6 @@ MEDIANS = {
     "test_service_check_pipeline": 0.0026,
     "test_service_check_fastpath": 0.0002,
     "test_policy_interpreted_walk[1024]": 0.0013,
-    "test_policy_compiled_batch[1024]": 0.0001,
     "test_fluid_evaluation": 0.002,
 }
 
@@ -31,7 +30,6 @@ EXPECTED = {
     "batch": (0.010 / 500) / (0.001 / 1024),
     "sketch": (0.0009 / 500) / (0.0001 / 1024),
     "service": (0.0026 / 256) / (0.0002 / 256),
-    "policy": (0.0013 / 1024) / (0.0001 / 1024),
 }
 
 
@@ -57,6 +55,9 @@ def test_family_gauges_keep_their_names_and_labels():
     # not batch-parametrized, so outside the sketch family
     assert ("bench.median_s", (
         ("benchmark", "test_sketch_scalar_update"),)) in samples
+    # no family claims the interpreted policy walk
+    assert ("bench.median_s", (
+        ("benchmark", "test_policy_interpreted_walk[1024]"),)) in samples
 
 
 @pytest.mark.parametrize("family", sorted(EXPECTED))
@@ -67,8 +68,8 @@ def test_ratio_is_the_per_item_median_ratio(family):
 
 def test_ratio_is_none_when_a_side_is_missing():
     medians = dict(MEDIANS)
-    del medians["test_policy_compiled_batch[1024]"]
-    assert bench.ratio(bench.normalize(raw(medians)), "policy") is None
+    del medians["test_sketch_batch_update[1024]"]
+    assert bench.ratio(bench.normalize(raw(medians)), "sketch") is None
 
 
 def run_main(monkeypatch, tmp_path, medians, *flags):
@@ -79,7 +80,7 @@ def run_main(monkeypatch, tmp_path, medians, *flags):
 def test_check_ratio_passes_and_fails_on_the_floor(monkeypatch, tmp_path):
     assert run_main(monkeypatch, tmp_path, MEDIANS,
                     "--check-ratio", "batch=20", "--check-ratio",
-                    "policy=12.5") == 0
+                    "sketch=18") == 0
     assert run_main(monkeypatch, tmp_path, MEDIANS,
                     "--check-ratio", "batch=1", "--check-ratio",
                     "service=14") == 1

@@ -115,7 +115,6 @@ class TestPolicyCommand:
         assert main(["policy", "show"]) == 0
         out = capsys.readouterr().out
         assert "FILTER" in out and "signature" in out
-        assert "opt.fuse" in out  # demo spec has fusable filters
 
     def test_verify_reports_ok(self, capsys):
         assert main(["policy", "verify"]) == 0
@@ -147,7 +146,7 @@ class TestPolicyCommand:
     def test_bench_reports_ratio(self, capsys):
         assert main(["policy", "bench", "--batch", "64"]) == 0
         out = capsys.readouterr().out
-        assert "interpreted walk" in out and "compiled batch" in out
+        assert "interpreted walk" in out and "compiled scalar" in out
 
 
 class TestMetricsOut:

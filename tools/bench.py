@@ -12,7 +12,7 @@ Usage::
                                                # fail on metric renames
     python tools/bench.py --metrics-out bench.jsonl
                                                # also dump raw JSONL samples
-    python tools/bench.py --check-ratio batch=1.0 --check-ratio policy=5.0
+    python tools/bench.py --check-ratio batch=1.0 --check-ratio sketch=1.0
                                                # fail on ratio regressions
 
 Executes ``benchmarks/test_micro.py`` under pytest-benchmark, routes the
@@ -62,15 +62,12 @@ RATIOS: dict[str, tuple[str, int, str, int]] = {
     # scalar vs batched forwarding, both over the same prebuilt fat line
     "batch": ("test_packet_forwarding_path", 500,
               "test_batch_forwarding_path[1024]", 1024),
-    # exact per-packet Counter vs one vectorised Count-Min update
+    # per-key Count-Min adds vs one add_batch over the same keys
     "sketch": ("test_sketch_scalar_update", 500,
                "test_sketch_batch_update[1024]", 1024),
     # live facade: owned-flow pipeline vs unowned fast path
     "service": ("test_service_check_pipeline", 256,
                 "test_service_check_fastpath", 256),
-    # interpreted component-graph walk vs compiled vectorised program
-    "policy": ("test_policy_interpreted_walk[1024]", 1024,
-               "test_policy_compiled_batch[1024]", 1024),
 }
 
 #: ``test_<family>_*`` benchmarks publish ``bench.<family>.<field>`` gauges
