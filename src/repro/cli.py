@@ -237,8 +237,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a demo app behind the live traffic-control middleware."""
     from wsgiref.simple_server import WSGIRequestHandler, make_server
 
-    facade, controller, app = _build_serve_app(
-        args.protect, args.block, args.admit_rate, args.admit_burst)
+    from repro.errors import ReproError
+
+    try:
+        facade, controller, app = _build_serve_app(
+            args.protect, args.block, args.admit_rate, args.admit_burst)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     class _QuietHandler(WSGIRequestHandler):
         def log_message(self, *a):  # pragma: no cover - silence stderr noise
@@ -269,8 +275,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _load_service_spec(path: Optional[str]):
     """A :class:`ServiceSpec` from a JSON file, or the built-in demo spec
-    (which exercises every optimization pass: fusable filters, an
-    observer run, a blacklist, a rate limit)."""
+    (two header filters, a logger, a statistics collector, a blacklist
+    and a rate limit)."""
     import json as _json
     from pathlib import Path
 
@@ -339,12 +345,9 @@ def cmd_policy(args: argparse.Namespace) -> int:
                 edges.append(f"pass->{op.pass_to}")
             if op.drop_to is not None:
                 edges.append(f"drop->{op.drop_to}")
-            print(f"  [{op.index}] {op.name:<18} {op.kind.name:<14} "
+            print(f"  [{op.index}] {op.name:<18} "
                   f"{type(op.component).__name__:<20} "
                   f"{' '.join(edges) or 'exit'}")
-        print(f"signature      : {compiled.signature}")
-        for diag in compiled.diagnostics:
-            print(f"  {diag}")
         return 0
 
     # bench: interpreted walk vs compiled program over one random burst
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "policy", help="inspect, verify, or benchmark compiled policies")
     pol_sub = p_policy.add_subparsers(dest="action", required=True)
     for act, hlp in (
-            ("show", "dump the lowered IR, signature, and diagnostics"),
+            ("show", "dump the lowered IR"),
             ("verify", "run every compiler pass; nonzero exit on errors"),
             ("bench", "compiled vs interpreted throughput")):
         pp = pol_sub.add_parser(act, parents=[common()], help=hlp)

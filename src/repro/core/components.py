@@ -16,7 +16,8 @@ components whose behaviour contradicts their declaration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -378,8 +379,9 @@ class TriggerComponent(Component):
                  per_source_threshold: Optional[float] = None,
                  hh_min_share: float = 0.05) -> None:
         super().__init__(name)
-        if threshold_pps <= 0:
-            raise ReproError(f"trigger threshold must be > 0, got {threshold_pps}")
+        if not 0.0 < threshold_pps < math.inf:  # NaN fails both comparisons
+            raise ReproError(
+                f"trigger threshold must be finite and > 0, got {threshold_pps}")
         if per_source_threshold is not None and track_sources <= 0:
             raise ReproError("per_source_threshold requires track_sources > 0")
         self.threshold_pps = threshold_pps

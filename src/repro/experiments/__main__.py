@@ -20,7 +20,9 @@ import os
 import sys
 import time
 
-from repro.experiments.common import ExperimentConfig, run_all, run_parallel
+from repro.errors import ReproError
+from repro.experiments.common import (ExperimentConfig, run_all,
+                                     run_parallel, selected_ids)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,7 +44,11 @@ def main(argv: list[str] | None = None) -> int:
 
     workers = max(1, args.parallel or 1)
     cfg = ExperimentConfig(seed=args.seed, scale=args.scale, workers=workers)
-    only = args.experiments or None
+    try:
+        only = selected_ids(args.experiments or None)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     if workers > 1:
         results = run_parallel(cfg, only=only, max_workers=workers)

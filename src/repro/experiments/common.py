@@ -23,10 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
+from repro.errors import ReproError
 from repro.util.tables import Table
 
-__all__ = ["ExperimentConfig", "register", "registry", "run_all",
-           "run_parallel", "parallel_map"]
+__all__ = ["ExperimentConfig", "register", "registry", "selected_ids",
+           "run_all", "run_parallel", "parallel_map"]
 
 _X = TypeVar("_X")
 _Y = TypeVar("_Y")
@@ -93,17 +94,29 @@ def registry() -> dict[str, Callable[[ExperimentConfig], list[Table]]]:
     return dict(_REGISTRY)
 
 
+def selected_ids(only: Iterable[str] | None = None) -> list[str]:
+    """The registry ids ``only`` names (all when ``None``), sorted.
+
+    Raises :class:`~repro.errors.ReproError` on any id the registry does
+    not know, so a typo runs nothing loudly instead of nothing quietly.
+    """
+    known = registry()
+    if only is None:
+        return sorted(known)
+    wanted = set(only)
+    unknown = sorted(wanted - known.keys())
+    if unknown:
+        raise ReproError(f"unknown experiment id(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(sorted(known))}")
+    return sorted(wanted)
+
+
 def run_all(cfg: ExperimentConfig | None = None,
             only: Iterable[str] | None = None) -> dict[str, list[Table]]:
     """Run all (or selected) experiments serially; returns {id: [tables]}."""
     cfg = cfg or ExperimentConfig()
-    wanted = set(only) if only is not None else None
-    results: dict[str, list[Table]] = {}
-    for exp_id, runner in sorted(registry().items()):
-        if wanted is not None and exp_id not in wanted:
-            continue
-        results[exp_id] = runner(cfg)
-    return results
+    runners = registry()
+    return {exp_id: runners[exp_id](cfg) for exp_id in selected_ids(only)}
 
 
 def _run_one(exp_id: str, cfg: ExperimentConfig) -> list[Table]:
@@ -131,9 +144,7 @@ def run_parallel(cfg: ExperimentConfig | None = None,
     cannot be created (single-process environments, nested workers).
     """
     cfg = cfg or ExperimentConfig()
-    wanted = set(only) if only is not None else None
-    ids = [exp_id for exp_id in sorted(registry())
-           if wanted is None or exp_id in wanted]
+    ids = selected_ids(only)
     if _in_pool_worker():
         return run_all(cfg, only=ids)
     try:

@@ -178,13 +178,13 @@ class Prefix:
             length = int(len_text)
         except ValueError as exc:
             raise AddressError(f"bad length in {text!r}") from exc
-        base = IPv4Address.parse(addr_text).value
-        mask = (0xFFFFFFFF << (32 - length)) & _MAX if length else 0
-        return cls(base & mask, length)
+        return cls.make(IPv4Address.parse(addr_text).value, length)
 
     @classmethod
     def make(cls, addr: "IPv4Address | int | str", length: int) -> "Prefix":
         """Build a prefix containing ``addr``, masking host bits."""
+        if not (0 <= length <= 32):  # before the shift, which needs it
+            raise AddressError(f"prefix length out of range: {length}")
         mask = (0xFFFFFFFF << (32 - length)) & _MAX if length else 0
         return cls(_as_int(addr) & mask, length)
 

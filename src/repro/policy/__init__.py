@@ -16,13 +16,12 @@ steps into a small compiler:
 """
 
 from repro.policy.compiler import CompiledPolicy, analyze, compile_policy
-from repro.policy.ir import OpKind, Policy, PolicyOp, lower_graph
+from repro.policy.ir import Policy, PolicyOp, lower_graph
 from repro.policy.passes import Diagnostic, Severity
 
 __all__ = [
     "CompiledPolicy",
     "Diagnostic",
-    "OpKind",
     "Policy",
     "PolicyOp",
     "Severity",

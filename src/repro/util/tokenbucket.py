@@ -8,6 +8,8 @@ instead of wall-clock time.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ReproError
 
 __all__ = ["TokenBucket"]
@@ -31,7 +33,8 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "_tokens", "_last", "admitted", "rejected")
 
     def __init__(self, rate: float, burst: float) -> None:
-        if rate < 0 or burst <= 0:
+        # NaN fails every comparison, so this also rejects a NaN
+        if not (0.0 <= rate < math.inf and 0.0 < burst < math.inf):
             raise ReproError(f"invalid token bucket: rate={rate}, burst={burst}")
         self.rate = float(rate)
         self.burst = float(burst)

@@ -224,6 +224,15 @@ class TestTrigger:
         with pytest.raises(ReproError):
             TriggerComponent("t", threshold_pps=0.0, action=lambda c, r: None)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold(self, threshold):
+        from repro.errors import ReproError
+
+        # a NaN threshold used to pass the ``<= 0`` check and never fire
+        with pytest.raises(ReproError, match="finite"):
+            TriggerComponent("t", threshold_pps=threshold,
+                             action=lambda c, r: None)
+
     def test_never_drops(self):
         t = TriggerComponent("t", threshold_pps=1.0, action=lambda c, r: None)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))

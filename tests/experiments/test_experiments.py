@@ -6,7 +6,14 @@ with the declared columns and (b) exhibit the paper's qualitative shape.
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, registry, run_all
+from repro.errors import ReproError
+from repro.experiments.__main__ import main as run_experiments
+from repro.experiments.common import (
+    ExperimentConfig,
+    registry,
+    run_all,
+    run_parallel,
+)
 
 CFG = ExperimentConfig(seed=42, scale=0.2)
 
@@ -19,6 +26,19 @@ class TestRegistry:
     def test_run_all_subset(self):
         results = run_all(CFG, only=["E5"])
         assert set(results) == {"E5"}
+
+    @pytest.mark.parametrize("runner", [run_all, run_parallel])
+    def test_unknown_ids_raise(self, runner):
+        # used to run nothing and return {} — a typo passed silently
+        with pytest.raises(ReproError, match="unknown experiment id.*E99"):
+            runner(CFG, only=["E5", "E99"])
+
+    def test_runner_exits_2_listing_known_ids(self, capsys):
+        assert run_experiments(["E99", "e2x", "--scale", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "E99, e2x" in captured.err
+        assert "known: E1, E10" in captured.err
 
 
 class TestE1:

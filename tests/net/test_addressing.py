@@ -90,6 +90,14 @@ class TestPrefix:
         with pytest.raises(AddressError):
             Prefix(IPv4Address.parse("10.1.2.3").value, 16)
 
+    @pytest.mark.parametrize("length", [-1, 33])
+    def test_length_out_of_range_rejected(self, length):
+        # /33 used to reach the mask shift first: "negative shift count"
+        with pytest.raises(AddressError, match="prefix length out of range"):
+            Prefix.parse(f"10.0.0.0/{length}")
+        with pytest.raises(AddressError, match="prefix length out of range"):
+            Prefix.make("10.0.0.0", length)
+
     def test_parse_masks_host_bits(self):
         assert str(Prefix.parse("10.1.2.3/16")) == "10.1.0.0/16"
 

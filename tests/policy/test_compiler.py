@@ -1,21 +1,22 @@
-"""Compiled policies: differential parity, signatures, caching, errors."""
+"""Compiled policies: differential parity, caching, errors."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.components import (
     ComponentContext,
     HeaderFilter,
     HeaderMatch,
     LoggerComponent,
-    PayloadHashFilter,
     PrefixBlacklist,
     RateLimiterComponent,
     SourceAntiSpoof,
     StatisticsCollector,
+    TriggerComponent,
     Verdict,
 )
-from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
+from repro.core.compose import RuleSpec, ServiceSpec, build_graph
 from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
@@ -86,6 +87,11 @@ def component_state(graph: ComponentGraph) -> dict:
             state[comp.name] += (tuple(comp.entries),)
         if isinstance(comp, RateLimiterComponent):
             state[comp.name] += (comp.bucket.admitted, comp.bucket.rejected)
+        if isinstance(comp, StatisticsCollector):
+            state[comp.name] += (dict(comp.packets_by_proto),
+                                 dict(comp.bytes_by_proto))
+        if isinstance(comp, TriggerComponent):
+            state[comp.name] += (comp.fired, comp.armed)
     state["__graph__"] = (graph.packets_in, graph.packets_dropped)
     return state
 
@@ -107,59 +113,58 @@ def test_differential_interpreter_compiled_parity(builder):
     assert component_state(g_interp) == component_state(g_scalar)
 
 
-class TestSignature:
-    DEV = DeviceContext(asn=3, role=ASRole.STUB,
-                        local_prefix=Prefix.parse("10.3.0.0/16"))
+DEV = DeviceContext(asn=3, role=ASRole.STUB,
+                    local_prefix=Prefix.parse("10.3.0.0/16"))
 
-    SPEC = ServiceSpec(name="svc", rules=(
-        RuleSpec(action="drop", proto="tcp", tcp_flags="rst"),
-        RuleSpec(action="blacklist", prefixes=("203.0.113.0/24",
-                                               "198.51.100.0/24")),
-        RuleSpec(action="rate-limit", rate_bps=1e6),
-        RuleSpec(action="log"),
-    ))
+PREFIXES = ("203.0.113.0/24", "198.51.100.0/24", "10.1.0.0/16", "128.0.0.0/2")
 
-    def test_same_spec_same_signature(self):
-        a = compile_spec(self.SPEC, self.DEV).compiled().signature
-        b = compile_spec(self.SPEC, self.DEV).compiled().signature
-        assert a == b
+#: per action, the rules it can take.  Two specs over one action list
+#: share a plan key whatever their parameters.
+RULES = {
+    "drop": st.builds(RuleSpec, action=st.just("drop"),
+                      proto=st.sampled_from([None, "tcp", "udp", "icmp"]),
+                      dport=st.sampled_from([None, 7, 53]),
+                      tcp_flags=st.sampled_from([None, "rst", "syn"]),
+                      max_size=st.sampled_from([None, 512])),
+    "rate-limit": st.builds(RuleSpec, action=st.just("rate-limit"),
+                            rate_bps=st.sampled_from([1e5, 2e6])),
+    "blacklist": st.builds(RuleSpec, action=st.just("blacklist"),
+                           prefixes=st.sampled_from(PREFIXES).map(lambda p: (p,))),
+    "anti-spoof": st.builds(RuleSpec, action=st.just("anti-spoof"),
+                            prefixes=st.sampled_from(PREFIXES).map(lambda p: (p,))),
+    "trigger": st.builds(RuleSpec, action=st.just("trigger"),
+                         threshold_pps=st.sampled_from([10.0, 1000.0])),
+    "log": st.just(RuleSpec(action="log")),
+    "collect-stats": st.just(RuleSpec(action="collect-stats")),
+    "scrub-payload": st.just(RuleSpec(action="scrub-payload")),
+}
 
-    def test_signature_ignores_device_asn(self):
-        other = DeviceContext(asn=77, role=ASRole.TRANSIT,
-                              local_prefix=Prefix.parse("10.7.0.0/16"))
-        a = compile_spec(self.SPEC, self.DEV).compiled().signature
-        b = compile_spec(self.SPEC, other).compiled().signature
-        assert a == b
 
-    def test_signature_independent_of_kwargs_order(self):
-        """Satellite pin: dict/kwargs construction order must not leak
-        into the signature (rules are logically identical)."""
-        r1 = RuleSpec(**{"action": "drop", "proto": "tcp",
-                         "tcp_flags": "rst", "dport": 80})
-        r2 = RuleSpec(**{"dport": 80, "tcp_flags": "rst",
-                         "proto": "tcp", "action": "drop"})
-        a = compile_spec(ServiceSpec("s", (r1,)), self.DEV).compiled()
-        b = compile_spec(ServiceSpec("s", (r2,)), self.DEV).compiled()
-        assert a.signature == b.signature
+def spec_for(actions):
+    """A service spec with one rule per action, in order."""
+    return st.tuples(*(RULES[a] for a in actions)).map(
+        lambda rules: ServiceSpec("svc", rules))
 
-    def test_signature_independent_of_set_iteration_order(self):
-        """PayloadHashFilter's banned set must be signed in sorted order,
-        not set-iteration order."""
-        digests = [bytes([i]) * 8 for i in range(16)]
 
-        def sig(order):
-            graph = ComponentGraph("h")
-            graph.chain(PayloadHashFilter("hf", order))
-            return compile_policy(graph, vet=True).signature
+#: 1-5 actions drawn from all eight
+ACTION_LISTS = st.lists(st.sampled_from(sorted(RULES)), min_size=1,
+                        max_size=5)
 
-        assert sig(digests) == sig(list(reversed(digests)))
 
-    def test_rule_order_changes_signature(self):
-        swapped = ServiceSpec(name="svc", rules=tuple(reversed(
-            self.SPEC.rules)))
-        a = compile_spec(self.SPEC, self.DEV).compiled().signature
-        b = compile_spec(swapped, self.DEV).compiled().signature
-        assert a != b
+@given(ACTION_LISTS.flatmap(spec_for))
+@settings(max_examples=80, deadline=None)
+def test_generated_interpreter_compiled_parity(spec):
+    """The interpreted walk and the compiled program agree on generated
+    specs: verdicts, component state and graph counters.  Each side gets
+    its own packets, since a scrubber shrinks the ones it sees."""
+    g_interp, g_compiled = build_graph(spec, DEV), build_graph(spec, DEV)
+    compiled = compile_policy(g_compiled, vet=True)
+    verdicts_interp = [g_interp.process(p, ctx(i * 1e-4)) for i, p
+                       in enumerate(random_packets(128, seed=5))]
+    verdicts_compiled = [compiled.process(p, ctx(i * 1e-4)) for i, p
+                         in enumerate(random_packets(128, seed=5))]
+    assert verdicts_interp == verdicts_compiled
+    assert component_state(g_interp) == component_state(g_compiled)
 
 
 class TestErrorsAndCache:

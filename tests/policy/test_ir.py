@@ -1,50 +1,14 @@
 """Lowering component graphs into the typed policy IR."""
 
 from repro.core.components import (
-    Capabilities,
-    Component,
     HeaderFilter,
     HeaderMatch,
     LoggerComponent,
-    PayloadHashFilter,
-    PayloadScrubber,
-    PrefixBlacklist,
-    RateLimiterComponent,
-    SourceAntiSpoof,
-    StatisticsCollector,
     Verdict,
 )
 from repro.core.graph import ComponentGraph
-from repro.net import Prefix, Protocol
-from repro.policy import OpKind, lower_graph
-from repro.policy.ir import classify
-
-
-class TestClassify:
-    def test_known_components(self):
-        cases = [
-            (HeaderFilter("f", HeaderMatch(proto=Protocol.UDP)), OpKind.FILTER),
-            (PrefixBlacklist("b", [Prefix.parse("10.0.0.0/8")]),
-             OpKind.BLACKLIST),
-            (SourceAntiSpoof("a", [Prefix.parse("10.0.0.0/8")]),
-             OpKind.ANTISPOOF),
-            (RateLimiterComponent("r", 1e6), OpKind.RATE_LIMIT),
-            (LoggerComponent("l"), OpKind.LOGGER),
-            (StatisticsCollector("s"), OpKind.OPAQUE),
-            (PayloadScrubber("p"), OpKind.SCRUB),
-            (PayloadHashFilter("h", [b"\x00" * 8]), OpKind.HASH_FILTER),
-        ]
-        for component, kind in cases:
-            assert classify(component) is kind, component.name
-
-    def test_unknown_component_is_opaque(self):
-        class Custom(Component):
-            capabilities = Capabilities(may_drop=True)
-
-            def process(self, packet, ctx):
-                return Verdict.PASS
-
-        assert classify(Custom("x")) is OpKind.OPAQUE
+from repro.net import Protocol
+from repro.policy import lower_graph
 
 
 class TestLowerGraph:
@@ -73,9 +37,5 @@ class TestLowerGraph:
     def test_live_component_references(self):
         graph = self.build()
         policy = lower_graph(graph)
-        assert policy.op("f").component is graph.component("f")
-
-    def test_may_drop_follows_capabilities(self):
-        policy = lower_graph(self.build())
-        assert policy.op("f").may_drop
-        assert not policy.op("log").may_drop
+        assert ([id(op.component) for op in policy.ops]
+                == [id(c) for c in graph.components()])

@@ -1,11 +1,12 @@
 """The compile plan cache: graphs of one shape share a plan, never state.
 
-A plan is what compiling derives from a graph's structural key alone
-(diagnostics, edge arrays, signature); the
-:class:`CompiledPolicy` binds it to one graph's components.  These tests
-pin that a compile which reuses a cached plan is indistinguishable from
-one that builds its plan fresh, and count the plans the live service's
-subscriber and churn paths create.
+A plan is what a successful compile derives from a graph's shape (the
+edge arrays), keyed on what the passes read: each op's capabilities and
+edges, the entry and ``vet``.  The :class:`CompiledPolicy` binds it to
+one graph's components.  These tests pin that a compile which reuses a
+cached plan is indistinguishable from one that builds its plan fresh,
+and count the plans the live service's subscriber and churn paths
+create.
 """
 
 import gc
@@ -28,44 +29,18 @@ from repro.net import ASRole, Prefix
 from repro.policy import compile_policy
 from repro.policy import compiler
 from repro.service import ServiceFacade
-from tests.policy.test_compiler import component_state, ctx, random_packets
-
-DEV = DeviceContext(asn=3, role=ASRole.STUB,
-                    local_prefix=Prefix.parse("10.3.0.0/16"))
-
-PREFIXES = ("203.0.113.0/24", "198.51.100.0/24", "10.1.0.0/16", "128.0.0.0/2")
-
-#: per action, the rules it can take; the small parameter ranges make two
-#: draws for one action list often, but not always, compile to one shape
-RULES = {
-    "drop": st.builds(RuleSpec, action=st.just("drop"),
-                      proto=st.sampled_from([None, "tcp", "udp", "icmp"]),
-                      dport=st.sampled_from([None, 7, 53]),
-                      tcp_flags=st.sampled_from([None, "rst", "syn"]),
-                      max_size=st.sampled_from([None, 512])),
-    "rate-limit": st.builds(RuleSpec, action=st.just("rate-limit"),
-                            rate_bps=st.sampled_from([1e5, 2e6])),
-    "blacklist": st.builds(RuleSpec, action=st.just("blacklist"),
-                           prefixes=st.sampled_from(PREFIXES).map(lambda p: (p,))),
-    "anti-spoof": st.builds(RuleSpec, action=st.just("anti-spoof"),
-                            prefixes=st.sampled_from(PREFIXES).map(lambda p: (p,))),
-    "trigger": st.builds(RuleSpec, action=st.just("trigger"),
-                         threshold_pps=st.sampled_from([10.0, 1000.0])),
-    "log": st.just(RuleSpec(action="log")),
-    "collect-stats": st.just(RuleSpec(action="collect-stats")),
-    "scrub-payload": st.just(RuleSpec(action="scrub-payload")),
-}
-
-
-def specs_for(actions):
-    spec = st.tuples(*(RULES[a] for a in actions)).map(
-        lambda rules: ServiceSpec("svc", rules))
-    return st.tuples(spec, spec)
-
+from tests.policy.test_compiler import (
+    ACTION_LISTS,
+    DEV,
+    component_state,
+    ctx,
+    random_packets,
+    spec_for,
+)
 
 #: two specs over one action list
-SPEC_PAIRS = st.lists(st.sampled_from(sorted(RULES)), min_size=1,
-                      max_size=5).flatmap(specs_for)
+SPEC_PAIRS = ACTION_LISTS.flatmap(
+    lambda actions: st.tuples(spec_for(actions), spec_for(actions)))
 
 
 def drive(compiled, graph):
@@ -94,9 +69,9 @@ def test_cached_compile_equals_fresh_compile(pair):
     fresh = compile_policy(g_fresh, vet=True)
     assert fresh._plan is not cached._plan
 
-    assert (cached._plan is warm._plan) == (fresh.signature == warm.signature)
-    assert cached.signature == fresh.signature
-    assert cached.diagnostics == fresh.diagnostics
+    plan = cached._plan
+    assert (plan.pass_next, plan.drop_next, plan.entry) == (
+        fresh._plan.pass_next, fresh._plan.drop_next, fresh._plan.entry)
     assert drive(cached, g_cached) == drive(fresh, g_fresh)
 
 
@@ -111,7 +86,6 @@ def test_same_shape_shares_the_plan_not_the_state():
     a = compile_policy(g_a, vet=True)
     b = compile_policy(g_b, vet=True)
     assert a._plan is b._plan
-    assert a.signature == b.signature
     assert not set(map(id, a._comps)) & set(map(id, b._comps))
 
     packets = random_packets(64, seed=3)
@@ -122,20 +96,22 @@ def test_same_shape_shares_the_plan_not_the_state():
     assert all(c.processed == 0 for c in g_b.components())
 
 
-def test_signature_bytes_are_pinned():
-    """The signature is the plan's sha256 over the same per-op tuples as
-    before plans existed; this digest was recorded from that code."""
+def test_plan_key_follows_rule_order_not_the_device():
+    """One spec compiled for two devices shares a plan; reversing its
+    rules moves capabilities between ops, so it makes another."""
     spec = ServiceSpec(name="svc", rules=(
-        RuleSpec(action="drop", proto="tcp", tcp_flags="rst", dport=80),
-        RuleSpec(action="blacklist", prefixes=("203.0.113.0/24",
-                                               "198.51.100.0/24")),
-        RuleSpec(action="rate-limit", rate_bps=1e6),
-        RuleSpec(action="trigger", threshold_pps=500.0),
+        RuleSpec(action="drop", proto="tcp", tcp_flags="rst"),
+        RuleSpec(action="blacklist", prefixes=("203.0.113.0/24",)),
         RuleSpec(action="log"),
     ))
-    for _ in range(2):  # fresh plan, then the cached one
-        assert compile_policy(build_graph(spec, DEV)).signature == (
-            "83a2d3cc2d565cfe32169f734222a1f7babc2d765c00ed6e96cd2b1b1f98a12e")
+    other = DeviceContext(asn=77, role=ASRole.TRANSIT,
+                          local_prefix=Prefix.parse("10.7.0.0/16"))
+    here = compile_policy(build_graph(spec, DEV), vet=True)
+    there = compile_policy(build_graph(spec, other), vet=True)
+    reversed_spec = ServiceSpec("svc", tuple(reversed(spec.rules)))
+    swapped = compile_policy(build_graph(reversed_spec, DEV), vet=True)
+    assert here._plan is there._plan
+    assert swapped._plan is not here._plan
 
 
 def test_runtime_plan_does_not_skip_vetting():
@@ -158,18 +134,18 @@ def test_runtime_plan_does_not_skip_vetting():
     assert compile_policy(graph(), vet=False)._plan is runtime._plan
 
 
-def test_a_non_enum_predicate_signs_apart_from_no_predicate():
-    """``HeaderMatch(icmp_type=3)`` drops nothing (a packet's ICMP type is
-    an enum member, never the int 3) while ``HeaderMatch()`` drops
-    everything, so the two must not share a signature or a plan."""
+def test_a_shared_plan_never_shares_parameters():
+    """``HeaderMatch()`` drops everything and ``HeaderMatch(icmp_type=3)``
+    drops nothing (a packet's ICMP type is an enum member, never the int
+    3).  Both graphs have the same capabilities and edges, so they share
+    one plan; each still filters with its own parameters."""
     def graph(match):
         g = ComponentGraph("k")
         g.chain(HeaderFilter("f", match))
         return compile_policy(g, vet=True)
 
     everything, nothing = graph(HeaderMatch()), graph(HeaderMatch(icmp_type=3))
-    assert everything.signature != nothing.signature
-    assert everything._plan is not nothing._plan
+    assert everything._plan is nothing._plan
     packet = random_packets(1, seed=0)[0]
     assert everything.process(packet, ctx()) is Verdict.DROP
     assert nothing.process(packet, ctx()) is Verdict.PASS
@@ -204,7 +180,8 @@ def test_4096_same_shape_subscribers_make_one_plan():
     assert len(compiler._PLANS) == 1
 
 
-def test_churn_swaps_between_two_filter_orders_make_two_plans():
+def test_churn_swaps_between_two_filter_orders_make_one_plan():
+    """Both filter orders have the same capabilities and edges."""
     gc.collect()
     compiler._PLANS.clear()
     facade = subscriber_world(64)
@@ -214,5 +191,5 @@ def test_churn_swaps_between_two_filter_orders_make_two_plans():
                            dst_graph=two_filters(f"svc:sub-{i}", ports))
     plans = {id(s.dst_graph.compiled()._plan)
              for s in facade.core.services.values()}
-    assert len(plans) == 2
-    assert len(compiler._PLANS) == 2
+    assert len(plans) == 1
+    assert len(compiler._PLANS) == 1

@@ -59,6 +59,10 @@ class TestAttackAndDefend:
 
 
 class TestExperimentsForwarding:
+    def test_unknown_id_exits_2(self, capsys):
+        assert main(["experiments", "E99", "--scale", "0.2"]) == 2
+        assert "unknown experiment id(s) E99" in capsys.readouterr().err
+
     def test_single_experiment(self, capsys):
         assert main(["experiments", "E5", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
@@ -114,7 +118,7 @@ class TestPolicyCommand:
     def test_show_dumps_ir_and_diagnostics(self, capsys):
         assert main(["policy", "show"]) == 0
         out = capsys.readouterr().out
-        assert "FILTER" in out and "signature" in out
+        assert "HeaderFilter" in out and "pass->1" in out
 
     def test_verify_reports_ok(self, capsys):
         assert main(["policy", "verify"]) == 0
@@ -132,7 +136,23 @@ class TestPolicyCommand:
             ]}))
         assert main(["policy", "show", "--spec", str(spec_file)]) == 0
         out = capsys.readouterr().out
-        assert "svc@AS0" in out and "BLACKLIST" in out
+        assert "svc@AS0" in out and "PrefixBlacklist" in out
+
+    @pytest.mark.parametrize("rules", [
+        # json accepts NaN; a NaN rate used to build an admit-all bucket
+        '[{"action": "rate-limit", "rate_bps": NaN}]',
+        '[{"action": "trigger", "threshold_pps": NaN}]',
+        '[{"action": "rate-limit", "rate_bps": Infinity}]',
+        '[{"action": "blacklist", "prefixes": ["10.0.0.0/33"]}]',
+    ])
+    def test_verify_rejects_bad_parameters(self, capsys, tmp_path, rules):
+        spec_file = tmp_path / "svc.json"
+        spec_file.write_text('{"name": "svc", "rules": %s}' % rules)
+        assert main(["policy", "verify", "--spec", str(spec_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "shift" not in captured.err
 
     def test_bad_spec_file_is_an_error(self, capsys, tmp_path):
         import json
@@ -259,6 +279,21 @@ class TestServeCommand:
         assert captured["status"] == "403 Forbidden"
         assert body == b"blocked by traffic control service\n"
         assert facade._m_drop.value == 1
+
+    def test_nan_admission_rate_is_rejected(self):
+        from repro.cli import _build_serve_app
+        from repro.errors import ReproError
+
+        # used to build an always-admit bucket
+        with pytest.raises(ReproError, match="invalid token bucket"):
+            _build_serve_app("10.0.0.0/24", [], float("nan"))
+
+    def test_bad_parameters_exit_2_before_serving(self, capsys):
+        assert main(["serve", "--max-requests", "1",
+                     "--block", "10.0.0.0/33"]) == 2
+        captured = capsys.readouterr()
+        assert "serving on" not in captured.out
+        assert captured.err == "error: prefix length out of range: 33\n"
 
 
 class TestScenarioCommand:

@@ -52,7 +52,12 @@ class TestBasics:
         assert tb.admitted == 0
         assert tb.peek(0.0) == 3.0
 
-    @pytest.mark.parametrize("rate,burst", [(-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("rate,burst", [
+        (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+        # NaN compares False with everything; inf is no rate at all
+        (float("nan"), 1.0), (1.0, float("nan")),
+        (float("inf"), 1.0), (1.0, float("inf")),
+    ])
     def test_invalid_parameters_rejected(self, rate, burst):
         with pytest.raises(ReproError):
             TokenBucket(rate=rate, burst=burst)
