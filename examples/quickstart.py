@@ -12,10 +12,11 @@ Walks the paper's core story end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro.attack import AttackScenario, ScenarioConfig
+from repro.attack import AttackScenario
 from repro.core import NumberAuthority, Tcsp, TrafficControlService
 from repro.core.apps import AntiSpoofApp
 from repro.net import Network, TopologyBuilder
+from repro.scenario import AttackSpec
 from repro.util.units import fmt_rate
 
 
@@ -25,10 +26,10 @@ def run_attack(defended: bool) -> None:
         n_core=2, transit_per_core=2, stub_per_transit=6, seed=7))
 
     # --- 2. the attack: agents spoof the victim toward innocent DNS servers
-    scenario = AttackScenario(network, ScenarioConfig(
-        attack_kind="reflector", n_agents=8, n_reflectors=6,
+    scenario = AttackScenario(network, AttackSpec(
+        kind="reflector", n_agents=8, n_reflectors=6,
         attack_rate_pps=400.0, amplification=8.0, reflector_mode="dns",
-        duration=0.5, seed=11))
+        duration=0.5), seed=11)
 
     if defended:
         # --- 3. register ownership of the victim's prefix with the TCSP
@@ -47,7 +48,7 @@ def run_attack(defended: bool) -> None:
 
     # --- 5. run and report
     metrics = scenario.run()
-    attack_bps = metrics.attack_bytes_at_victim * 8 / scenario.config.duration
+    attack_bps = metrics.attack_bytes_at_victim * 8 / scenario.attack.duration
     print(f"  attack traffic at victim : {metrics.attack_packets_at_victim} packets "
           f"({fmt_rate(attack_bps)})")
     print(f"  legitimate goodput       : {metrics.legit_goodput:.0%}")

@@ -17,7 +17,7 @@ from repro.attack.reflector import ReflectorAttack, reflector_responder
 from repro.attack.protocol_misuse import ConnectionPool, ProtocolMisuseAttack
 from repro.attack.worm import EpidemicModel, PatchedEpidemicModel, WormOutbreak
 from repro.attack.amplification import AmplificationReport, measure_amplification
-from repro.attack.scenarios import AttackScenario, ScenarioConfig
+from repro.attack.scenarios import AttackScenario
 from repro.attack.campaign import Campaign, CampaignPhase, TimelineSampler
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "AmplificationReport",
     "measure_amplification",
     "AttackScenario",
-    "ScenarioConfig",
     "Campaign",
     "CampaignPhase",
     "TimelineSampler",

@@ -16,7 +16,7 @@ and flow-level experiments share one ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from typing import TYPE_CHECKING
 
 from repro.errors import AttackConfigError
 from repro.net.fluid import Flow, FluidNetwork
@@ -27,37 +27,10 @@ from repro.attack.reflector import ReflectorAttack, ReflectorFluidModel
 from repro.attack.roles import AmplifyingNetwork
 from repro.util.rng import derive_rng
 
-__all__ = ["ScenarioConfig", "ScenarioMetrics", "AttackScenario"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.scenario.spec import AttackSpec
 
-ATTACK_KINDS = ("direct-spoofed", "direct-unspoofed", "reflector")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Parameters of one attack scenario."""
-
-    attack_kind: str = "reflector"
-    n_masters: int = 2
-    n_agents: int = 8
-    n_reflectors: int = 6
-    n_legit_clients: int = 4
-    attack_rate_pps: float = 200.0     # per agent
-    legit_rate_pps: float = 20.0       # per client
-    attack_packet_size: int = 512
-    request_size: int = 40
-    amplification: float = 3.0         # reflector reply/request byte ratio
-    reflector_mode: str = "dns"
-    duration: float = 1.0
-    attack_start: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.attack_kind not in ATTACK_KINDS:
-            raise AttackConfigError(
-                f"attack_kind must be one of {ATTACK_KINDS}, got {self.attack_kind!r}"
-            )
-        if self.n_agents < 1:
-            raise AttackConfigError("need at least one agent")
+__all__ = ["ScenarioMetrics", "AttackScenario"]
 
 
 @dataclass
@@ -87,12 +60,16 @@ class ScenarioMetrics:
 
 
 class AttackScenario:
-    """A fully-wired attack scenario on a packet-level network."""
+    """The :class:`~repro.scenario.spec.AttackSpec` ``attack`` wired onto a
+    packet-level network; every placement and traffic draw derives from
+    the absolute ``seed``."""
 
-    def __init__(self, network: Network, config: ScenarioConfig) -> None:
+    def __init__(self, network: Network, attack: "AttackSpec",
+                 seed: int) -> None:
         self.network = network
-        self.config = config
-        rng = derive_rng(config.seed, "scenario")
+        self.attack = attack
+        self.seed = seed
+        rng = derive_rng(seed, "scenario")
         topo = network.topology
         stubs = topo.stub_ases
         if len(stubs) < 3:
@@ -109,11 +86,11 @@ class AttackScenario:
 
         # --- attacker-side structure
         self.attacker = network.add_host(sample(1)[0])
-        self.masters = [network.add_host(a) for a in sample(config.n_masters)]
-        self.agents = [network.add_host(a) for a in sample(config.n_agents)]
+        self.masters = [network.add_host(a) for a in sample(attack.n_masters)]
+        self.agents = [network.add_host(a) for a in sample(attack.n_agents)]
         self.reflectors = (
-            [network.add_host(a) for a in sample(config.n_reflectors)]
-            if config.attack_kind == "reflector" else []
+            [network.add_host(a) for a in sample(attack.n_reflectors)]
+            if attack.kind == "reflector" else []
         )
         self.structure = AmplifyingNetwork(
             attacker=self.attacker, masters=self.masters,
@@ -123,7 +100,7 @@ class AttackScenario:
         self.structure.validate()
 
         # --- legitimate clients
-        self.legit_clients = [network.add_host(a) for a in sample(config.n_legit_clients)]
+        self.legit_clients = [network.add_host(a) for a in sample(attack.n_legit_clients)]
         self._legit_generators: list[TrafficGenerator] = []
         self._attack_generators: list[TrafficGenerator] = []
         self.control_packets = 0
@@ -132,23 +109,23 @@ class AttackScenario:
     def launch(self, legit: bool = True) -> None:
         """Schedule control traffic, attack traffic and (optionally)
         legitimate traffic."""
-        cfg = self.config
+        spec = self.attack
         self._send_control()
-        if cfg.attack_kind == "reflector":
+        if spec.kind == "reflector":
             attack = ReflectorAttack(
                 self.network, self.agents, self.reflectors, self.victim,
-                rate_pps=cfg.attack_rate_pps, request_size=cfg.request_size,
-                amplification=cfg.amplification, mode=cfg.reflector_mode,
-                duration=cfg.duration, start=cfg.attack_start, seed=cfg.seed,
+                rate_pps=spec.attack_rate_pps, request_size=spec.request_size,
+                amplification=spec.amplification, mode=spec.reflector_mode,
+                duration=spec.duration, start=spec.attack_start, seed=self.seed,
             )
             self._attack_generators = attack.launch()
         else:
             flood = DirectFlood(
                 self.network, self.agents, self.victim,
-                rate_pps=cfg.attack_rate_pps, packet_size=cfg.attack_packet_size,
-                duration=cfg.duration, start=cfg.attack_start,
-                spoof="random" if cfg.attack_kind == "direct-spoofed" else "none",
-                seed=cfg.seed,
+                rate_pps=spec.attack_rate_pps, packet_size=spec.attack_packet_size,
+                duration=spec.duration, start=spec.attack_start,
+                spoof="random" if spec.kind == "direct-spoofed" else "none",
+                seed=self.seed,
             )
             self._attack_generators = flood.launch()
         if legit:
@@ -161,7 +138,7 @@ class AttackScenario:
         client cooperation (secure overlays, i3 triggers) rewrite the
         victim-bound packets on their way out.
         """
-        cfg = self.config
+        spec = self.attack
         for i, client in enumerate(self.legit_clients):
             def factory(seq: int, now: float, client=client) -> Packet:
                 pkt = Packet.udp(client.address, self.victim.address,
@@ -169,9 +146,9 @@ class AttackScenario:
                                  true_origin=client.name)
                 return wrapper(client, pkt) if wrapper else pkt
 
-            gen = TrafficGenerator(client, factory, cfg.legit_rate_pps,
-                                   start=0.0, duration=cfg.attack_start + cfg.duration,
-                                   seed=derive_rng(cfg.seed, "legit", i))
+            gen = TrafficGenerator(client, factory, spec.legit_rate_pps,
+                                   start=0.0, duration=spec.attack_start + spec.duration,
+                                   seed=derive_rng(self.seed, "legit", i))
             gen.install()
             self._legit_generators.append(gen)
 
@@ -188,7 +165,7 @@ class AttackScenario:
         """Launch (if needed), run to completion, and collect metrics."""
         if not self._attack_generators and not self._legit_generators:
             self.launch()
-        self.network.run(until=self.config.attack_start + self.config.duration + settle)
+        self.network.run(until=self.attack.attack_start + self.attack.duration + settle)
         return self.metrics()
 
     # ----------------------------------------------------------------- metrics
@@ -228,31 +205,31 @@ class AttackScenario:
     # ------------------------------------------------------------- fluid views
     def as_flows(self) -> list[Flow]:
         """Fluid flows for the *direct* attack classes plus legit traffic."""
-        cfg = self.config
-        if cfg.attack_kind == "reflector":
+        spec = self.attack
+        if spec.kind == "reflector":
             raise AttackConfigError("use fluid_reflector() for reflector scenarios")
         flood = DirectFlood(
             self.network, self.agents, self.victim,
-            rate_pps=cfg.attack_rate_pps, packet_size=cfg.attack_packet_size,
-            spoof="random" if cfg.attack_kind == "direct-spoofed" else "none",
-            seed=cfg.seed,
+            rate_pps=spec.attack_rate_pps, packet_size=spec.attack_packet_size,
+            spoof="random" if spec.kind == "direct-spoofed" else "none",
+            seed=self.seed,
         )
         return [*flood.as_flows(), *self.legit_flows()]
 
     def legit_flows(self) -> list[Flow]:
-        rate_bps = self.config.legit_rate_pps * 256 * 8
+        rate_bps = self.attack.legit_rate_pps * 256 * 8
         return [Flow(c.asn, self.victim_asn, rate_bps, kind="legit", tag=c.name)
                 for c in self.legit_clients]
 
     def fluid_reflector(self, fluid: FluidNetwork) -> ReflectorFluidModel:
         """Two-pass fluid model matching this scenario's reflector setup."""
-        cfg = self.config
-        if cfg.attack_kind != "reflector":
+        spec = self.attack
+        if spec.kind != "reflector":
             raise AttackConfigError("scenario is not a reflector attack")
-        rate_bps = cfg.attack_rate_pps * cfg.request_size * 8
+        rate_bps = spec.attack_rate_pps * spec.request_size * 8
         return ReflectorFluidModel(
             fluid, self.victim_asn,
             agent_asns=[a.asn for a in self.agents],
             reflector_asns=[r.asn for r in self.reflectors],
-            rate_per_agent=rate_bps, amplification=cfg.amplification,
+            rate_per_agent=rate_bps, amplification=spec.amplification,
         )

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro topology --kind powerlaw --size 100
-    python -m repro attack --kind reflector --agents 8 --rate 300
+    python -m repro attack --kind reflector --agents 8
     python -m repro defend --attack reflector --defense tcs
     python -m repro scenario list
     python -m repro scenario run --spec reflector-tcs --engine both
@@ -18,7 +18,10 @@ declarative :class:`~repro.scenario.ScenarioSpec` presets or JSON spec
 files on the packet and/or fluid engine; ``obs`` dumps the telemetry
 schema (every metric the codebase can emit).  ``--metrics-out FILE``
 wraps the command in a fresh :mod:`repro.obs` registry scope and writes
-everything it recorded as JSONL when the command finishes.
+everything it recorded as JSONL when the command finishes.  A
+:class:`~repro.errors.ReproError` escaping a command (an unknown topology
+kind, attack class or defense name, a bad prefix) prints ``error: ...``
+and exits 2.
 """
 
 from __future__ import annotations
@@ -41,32 +44,27 @@ def _version() -> str:
 
         return __version__
 
-TOPOLOGY_KINDS = ("hierarchical", "powerlaw", "internet", "line", "star")
-DEFENSES = ("none", "ingress", "rbf", "pushback", "traceback-filter",
-            "sos", "i3", "lasthop", "tcs", "tcs-spec")
-
-
-def _build_topology(kind: str, size: int, seed: int):
-    from repro.net import TopologyBuilder
+def _topology_spec(kind: str, size: int):
+    """The :class:`~repro.scenario.spec.TopologySpec` of a ``kind``
+    topology with about ``size`` ASes."""
+    from repro.scenario.spec import TopologySpec
 
     if kind == "hierarchical":
         stubs = max(1, size // 6)
-        return TopologyBuilder.hierarchical(2, 2, max(1, stubs // 4) + 1,
-                                            seed=seed)
-    if kind == "powerlaw":
-        return TopologyBuilder.powerlaw(n=size, seed=seed)
-    if kind == "internet":
-        return TopologyBuilder.internet_like(n=size, seed=seed)
-    if kind == "line":
-        return TopologyBuilder.line(size)
+        return TopologySpec(kind=kind, n_core=2, transit_per_core=2,
+                            stub_per_transit=max(1, stubs // 4) + 1)
     if kind == "star":
-        return TopologyBuilder.star(max(1, size - 1))
-    raise ValueError(f"unknown topology kind {kind!r}")
+        return TopologySpec(kind=kind, n=max(1, size - 1))
+    if kind == "tree":
+        # the smallest binary tree with at least ``size`` ASes
+        return TopologySpec(kind=kind, branching=2,
+                            height=max(1, size.bit_length() - 1))
+    return TopologySpec(kind=kind, n=size)
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
     size = max(4, int(round(args.size * args.scale)))
-    topo = _build_topology(args.kind, size, args.seed)
+    topo = _topology_spec(args.kind, size).build(args.seed)
     print(f"topology: {args.kind}, {len(topo)} ASes, "
           f"{topo.graph.number_of_edges()} links")
     print(f"  core   : {len(topo.core_ases)}")
@@ -83,31 +81,41 @@ def cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cell(args: argparse.Namespace, attack: str, defense: str = "none"):
-    from repro.experiments.common import ExperimentConfig
-    from repro.experiments.e2_mitigation_matrix import run_cell
+def _cell(args: argparse.Namespace, attack: str, defense: str):
+    """The E2 matrix cell for ``attack`` vs ``defense`` with ``--agents``
+    agents, scaled by ``--scale``."""
+    from dataclasses import replace
 
-    cfg = ExperimentConfig(seed=args.seed,
-                           scale=args.scale * max(0.125, args.agents / 8),
-                           workers=args.workers)
-    return run_cell(attack, defense, cfg)
+    from repro.scenario import SpecError, defenses, e2_cell
+
+    if defense not in defenses.names():
+        raise SpecError(f"unknown defense {defense!r}; "
+                        f"known: {', '.join(defenses.names())}")
+    spec = e2_cell(attack, defense, seed=args.seed)
+    spec = replace(spec, attack=replace(spec.attack, n_agents=args.agents))
+    return spec.scaled(args.scale)
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    cell = _run_cell(args, args.kind)
-    print(f"attack: {args.kind} ({args.agents} agents)")
-    print(f"  attack packets delivered to victim: {cell.attack_pkts}")
-    print(f"  legitimate goodput                : {cell.legit_goodput:.0%}")
+    from repro.scenario import PacketEngine
+
+    spec = _cell(args, args.kind, "none")
+    m = PacketEngine().run(spec)
+    print(f"attack: {args.kind} ({spec.attack.n_agents} agents)")
+    print(f"  attack packets delivered to victim: {int(m.attack_delivered)}")
+    print(f"  legitimate goodput                : {m.legit_goodput:.0%}")
     return 0
 
 
 def cmd_defend(args: argparse.Namespace) -> int:
-    base = _run_cell(args, args.attack, "none")
-    cell = _run_cell(args, args.attack, args.defense)
-    denom = max(1, base.attack_pkts)
+    from repro.scenario import PacketEngine
+
+    specs = [_cell(args, args.attack, d) for d in ("none", args.defense)]
+    base, cell = (PacketEngine().run(spec) for spec in specs)
+    base_pkts, cell_pkts = int(base.attack_delivered), int(cell.attack_delivered)
     print(f"attack: {args.attack}   defense: {args.defense}")
-    print(f"  attack at victim  : {base.attack_pkts} -> {cell.attack_pkts} "
-          f"({cell.attack_pkts / denom:.0%} of undefended)")
+    print(f"  attack at victim  : {base_pkts} -> {cell_pkts} "
+          f"({cell_pkts / max(1, base_pkts):.0%} of undefended)")
     print(f"  legitimate goodput: {base.legit_goodput:.0%} -> "
           f"{cell.legit_goodput:.0%}")
     print(f"  collateral damage : {cell.collateral:.0%}")
@@ -237,14 +245,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a demo app behind the live traffic-control middleware."""
     from wsgiref.simple_server import WSGIRequestHandler, make_server
 
-    from repro.errors import ReproError
-
-    try:
-        facade, controller, app = _build_serve_app(
-            args.protect, args.block, args.admit_rate, args.admit_burst)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    facade, controller, app = _build_serve_app(
+        args.protect, args.block, args.admit_rate, args.admit_burst)
 
     class _QuietHandler(WSGIRequestHandler):
         def log_message(self, *a):  # pragma: no cover - silence stderr noise
@@ -443,32 +445,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_topo = sub.add_parser("topology", parents=[common()],
                             help="generate and describe an AS topology")
-    p_topo.add_argument("--kind", choices=TOPOLOGY_KINDS, default="hierarchical")
-    p_topo.add_argument("--size", type=int, default=60)
+    p_topo.add_argument("--kind", default="hierarchical",
+                        help="topology kind (an unknown kind lists them)")
+    p_topo.add_argument("--size", type=int, default=60,
+                        help="about this many ASes")
     p_topo.add_argument("--verbose", action="store_true")
     p_topo.set_defaults(fn=cmd_topology)
 
     p_attack = sub.add_parser("attack", parents=[common()],
                               help="run an undefended DDoS scenario")
-    p_attack.add_argument("--kind", choices=("direct-spoofed",
-                                             "direct-unspoofed", "reflector"),
-                          default="reflector")
-    p_attack.add_argument("--agents", type=int, default=8)
-    p_attack.add_argument("--reflectors", type=int, default=6)
-    p_attack.add_argument("--rate", type=float, default=300.0)
-    p_attack.add_argument("--duration", type=float, default=0.5)
+    p_attack.add_argument("--kind", default="reflector",
+                          help="attack class (an unknown class lists them)")
+    p_attack.add_argument("--agents", type=int, default=8,
+                          help="attack agents before --scale")
     p_attack.set_defaults(fn=cmd_attack)
 
     p_defend = sub.add_parser("defend", parents=[common()],
                               help="run an attack against a defense")
-    p_defend.add_argument("--attack", choices=("direct-spoofed",
-                                               "direct-unspoofed", "reflector"),
-                          default="reflector")
-    p_defend.add_argument("--defense", choices=DEFENSES, default="tcs")
-    p_defend.add_argument("--agents", type=int, default=8)
-    p_defend.add_argument("--reflectors", type=int, default=6)
-    p_defend.add_argument("--rate", type=float, default=300.0)
-    p_defend.add_argument("--duration", type=float, default=0.5)
+    p_defend.add_argument("--attack", default="reflector",
+                          help="attack class (as for 'attack --kind')")
+    p_defend.add_argument("--defense", default="tcs",
+                          help="defense name (an unknown name lists them)")
+    p_defend.add_argument("--agents", type=int, default=8,
+                          help="attack agents before --scale")
     p_defend.set_defaults(fn=cmd_defend)
 
     p_scen = sub.add_parser("scenario",
@@ -541,17 +540,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out is None:
-        return args.fn(args)
-    from pathlib import Path
+    from repro.errors import ReproError
 
-    from repro.obs import scoped
+    try:
+        metrics_out = getattr(args, "metrics_out", None)
+        if metrics_out is None:
+            return args.fn(args)
+        from pathlib import Path
 
-    with scoped() as registry:
-        status = args.fn(args)
-    Path(metrics_out).write_text(registry.to_jsonl())
-    return status
+        from repro.obs import scoped
+
+        with scoped() as registry:
+            status = args.fn(args)
+        Path(metrics_out).write_text(registry.to_jsonl())
+        return status
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.net.addressing import Prefix
-from repro.net.packet import IP_HEADER_BYTES, Packet, Protocol, TCPFlags
+from repro.net.packet import IP_HEADER_BYTES, ICMPType, Packet, Protocol, TCPFlags
 from repro.obs.metrics import declare
 from repro.util.bloom import DigestBacklog
 from repro.util.sketch import SpaceSaving
@@ -156,7 +156,22 @@ class HeaderMatch:
     dst_prefix: Optional[Prefix] = None
     min_size: Optional[int] = None
     max_size: Optional[int] = None
-    icmp_type: Optional[object] = None
+    icmp_type: Optional[ICMPType] = None
+
+    def __post_init__(self) -> None:
+        # packet fields hold enum members and are compared by identity, so
+        # a raw number (proto=17) would silently match nothing
+        for name, enum_type in (("proto", Protocol), ("icmp_type", ICMPType),
+                                ("flags_any", TCPFlags)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            try:
+                object.__setattr__(self, name, enum_type(value))
+            except ValueError:
+                raise ReproError(
+                    f"HeaderMatch {name}: {value!r} is not a "
+                    f"{enum_type.__name__}") from None
 
     def matches(self, packet: Packet) -> bool:
         if self.proto is not None and packet.proto is not self.proto:
@@ -379,9 +394,19 @@ class TriggerComponent(Component):
                  per_source_threshold: Optional[float] = None,
                  hh_min_share: float = 0.05) -> None:
         super().__init__(name)
-        if not 0.0 < threshold_pps < math.inf:  # NaN fails both comparisons
-            raise ReproError(
-                f"trigger threshold must be finite and > 0, got {threshold_pps}")
+        # NaN fails every comparison, so it is rejected with the rest
+        for knob, value, ok, rule in (
+                ("threshold", threshold_pps, 0.0 < threshold_pps < math.inf,
+                 "finite and > 0"),
+                ("window", window, 0.0 < window < math.inf, "finite and > 0"),
+                ("rearm", rearm, 0.0 <= rearm <= 1.0, "in [0, 1]"),
+                ("hh_min_share", hh_min_share, 0.0 < hh_min_share <= 1.0,
+                 "in (0, 1]"),
+                ("per_source_threshold", per_source_threshold,
+                 per_source_threshold is None
+                 or 0.0 < per_source_threshold < math.inf, "finite and > 0")):
+            if not ok:
+                raise ReproError(f"trigger {knob} must be {rule}, got {value}")
         if per_source_threshold is not None and track_sources <= 0:
             raise ReproError("per_source_threshold requires track_sources > 0")
         self.threshold_pps = threshold_pps
@@ -421,7 +446,7 @@ class TriggerComponent(Component):
             self.window.add(ctx.now)
             tracker = self.sources
             if tracker is not None:
-                epoch = ctx.now // self.window_span if self.window_span > 0 else 0.0
+                epoch = ctx.now // self.window_span
                 if epoch != self._epoch:
                     self._epoch = epoch
                     tracker.clear()
@@ -440,7 +465,7 @@ class TriggerComponent(Component):
             if (self.per_source_threshold is not None
                     and tracker is not None):
                 src = int(packet.src)
-                if src not in self._fired_sources and self.window_span > 0:
+                if src not in self._fired_sources:
                     src_rate = tracker.estimate(src) / self.window_span
                     if src_rate > self.per_source_threshold:
                         self._fired_sources.add(src)

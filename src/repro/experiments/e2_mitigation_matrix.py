@@ -15,8 +15,8 @@ misfires under spoofing, traceback names the reflectors, overlays cut off
 non-participating clients, ingress only helps where agents' ISPs deploy
 it, and the TCS stops the reflector attack with zero collateral.
 
-Each cell is one :class:`~repro.scenario.ScenarioSpec` run on the packet
-engine; the defense wiring lives in :mod:`repro.scenario.defenses`.
+Each cell is one :func:`~repro.scenario.presets.e2_cell` spec run on the
+packet engine; the defense wiring lives in :mod:`repro.scenario.defenses`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.common import ExperimentConfig, register
-from repro.scenario import (
-    AttackSpec,
-    DefenseSpec,
-    PacketEngine,
-    ScenarioSpec,
-    TopologySpec,
-)
+from repro.scenario import PacketEngine, ScenarioSpec, e2_cell
 from repro.util.tables import Table
 
 __all__ = ["run", "matrix_table", "run_cell", "cell_spec", "CellResult"]
@@ -52,24 +46,10 @@ class CellResult:
     notes: str = ""
 
 
-def cell_spec(attack_kind: str, mitigation: str, cfg: ExperimentConfig,
-              rate: float = 1500.0) -> ScenarioSpec:
+def cell_spec(attack_kind: str, mitigation: str,
+              cfg: ExperimentConfig) -> ScenarioSpec:
     """The declarative spec for one (attack, defense) matrix cell."""
-    defense = (DefenseSpec.of("rbf", fraction=0.3) if mitigation == "rbf"
-               else DefenseSpec.of(mitigation))
-    return ScenarioSpec(
-        name=f"e2-{attack_kind}-{mitigation}", seed=cfg.seed,
-        topology=TopologySpec(kind="hierarchical", n_core=2,
-                              transit_per_core=2, stub_per_transit=8),
-        attack=AttackSpec(
-            kind=attack_kind, n_agents=cfg.scaled(8),
-            n_reflectors=cfg.scaled(6), n_legit_clients=4,
-            attack_rate_pps=rate, request_size=100, amplification=10.0,
-            reflector_mode="dns", duration=0.6, attack_start=0.1,
-            seed_offset=1,
-        ),
-        defense=defense,
-    )
+    return e2_cell(attack_kind, mitigation, seed=cfg.seed).scaled(cfg.scale)
 
 
 def run_cell(attack_kind: str, mitigation: str,

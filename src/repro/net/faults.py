@@ -7,9 +7,9 @@ reproducible events*:
 
 * :class:`FaultPlan` — a pure-data schedule of faults (device crashes,
   link flaps, NMS partitions, TCSP outages, control-message-loss windows).
-  :meth:`FaultPlan.random` draws a plan from the seeded RNG, so a plan is
-  a deterministic function of ``(seed, knobs)`` — byte-identical whether
-  generated serially or inside a :func:`~repro.experiments.common
+  :meth:`repro.scenario.spec.FaultSpec.plan` draws one from the seeded
+  RNG, so a plan is a deterministic function of ``(seed, spec)`` — byte-
+  identical serially or inside a :func:`~repro.experiments.common
   .parallel_map` worker (pinned by a property test).
 * :class:`FaultInjector` — binds a plan to a live world (network, TCSP,
   NMSes) and schedules each fault's start/clear as simulator events.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import FaultConfigError, TopologyError
 from repro.obs.metrics import declare, reset_metrics
@@ -125,67 +125,6 @@ class FaultPlan:
             for f in self.faults
         )
         return hashlib.sha256(text.encode()).hexdigest()
-
-    # ------------------------------------------------------------- generation
-    @classmethod
-    def random(cls, seed: int, *, horizon: float,
-               device_asns: Sequence[int] = (),
-               links: Sequence[tuple[int, int]] = (),
-               nms_ids: Sequence[str] = (),
-               store_replicas: Sequence[int] = (),
-               n_crashes: int = 0, n_flaps: int = 0, n_partitions: int = 0,
-               n_loss_windows: int = 0, loss_rate: float = 0.5,
-               tcsp_outages: int = 0,
-               n_store_crashes: int = 0, n_shard_crashes: int = 0,
-               mean_downtime: float = 0.4) -> "FaultPlan":
-        """Draw a plan from the seeded RNG.
-
-        Fault starts land in ``[0.05, 0.55] * horizon`` and downtimes are
-        clipped exponentials, so every fault clears well before the horizon
-        — leaving a measurable recovery tail (E16's acceptance criterion).
-        New fault families draw *after* the pre-existing ones, so a plan
-        with all new knobs at zero is byte-identical to before they
-        existed.
-        """
-        if horizon <= 0:
-            raise FaultConfigError(f"horizon must be > 0, got {horizon}")
-        rng = derive_rng(seed, "fault-plan")
-        faults: list[Fault] = []
-
-        def start() -> float:
-            return float(rng.uniform(0.05 * horizon, 0.55 * horizon))
-
-        def downtime() -> float:
-            d = float(rng.exponential(mean_downtime))
-            return min(max(d, 0.05), 0.25 * horizon)
-
-        for pool, n, kind in (
-            (list(device_asns), n_crashes, FaultKind.DEVICE_CRASH),
-            (list(links), n_flaps, FaultKind.LINK_FLAP),
-            (list(nms_ids), n_partitions, FaultKind.NMS_PARTITION),
-        ):
-            if n > 0 and not pool:
-                raise FaultConfigError(f"no targets available for {kind.value}")
-            for _ in range(n):
-                victim = pool[int(rng.integers(0, len(pool)))]
-                target = tuple(victim) if isinstance(victim, tuple) else (victim,)
-                faults.append(Fault(kind, start(), downtime(), target))
-        for _ in range(tcsp_outages):
-            faults.append(Fault(FaultKind.TCSP_OUTAGE, start(), downtime()))
-        for _ in range(n_loss_windows):
-            faults.append(Fault(FaultKind.MESSAGE_LOSS, start(), downtime(),
-                                param=loss_rate))
-        for pool, n, kind in (
-            (list(store_replicas), n_store_crashes,
-             FaultKind.STORE_REPLICA_CRASH),
-            (list(nms_ids), n_shard_crashes, FaultKind.NMS_SHARD_CRASH),
-        ):
-            if n > 0 and not pool:
-                raise FaultConfigError(f"no targets available for {kind.value}")
-            for _ in range(n):
-                victim = pool[int(rng.integers(0, len(pool)))]
-                faults.append(Fault(kind, start(), downtime(), (victim,)))
-        return cls(faults)
 
 
 class FaultInjector:

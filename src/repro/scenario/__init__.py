@@ -16,7 +16,7 @@ from repro.scenario.engine import (
     run_scenario,
 )
 from repro.scenario.metrics import METRIC_NAMES, MetricSet, MetricSink
-from repro.scenario.presets import PRESETS, preset, preset_names
+from repro.scenario.presets import PRESETS, e2_cell, preset, preset_names
 from repro.scenario.spec import (
     AttackSpec,
     DefenseSpec,
@@ -43,6 +43,7 @@ __all__ = [
     "SpecError",
     "TopologySpec",
     "build",
+    "e2_cell",
     "preset",
     "preset_names",
     "run_scenario",

@@ -55,7 +55,8 @@ def build(spec: ScenarioSpec) -> BuiltScenario:
 
     topology = spec.topology.build(spec.seed)
     network = Network(topology)
-    scenario = AttackScenario(network, spec.attack.to_config(spec.seed))
+    scenario = AttackScenario(network, spec.attack,
+                              spec.seed + spec.attack.seed_offset)
     built = BuiltScenario(spec=spec, topology=topology, network=network,
                           scenario=scenario)
     built.defense = defenses.deploy(built, spec.defense)

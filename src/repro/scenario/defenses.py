@@ -180,7 +180,7 @@ def _deploy_traceback(built: "BuiltScenario",
         if found:
             TracebackFilter(found).deploy(net, [sc.victim_asn])
 
-    net.sim.schedule_at(sc.config.attack_start + 0.3, react)
+    net.sim.schedule_at(sc.attack.attack_start + 0.3, react)
     return handle
 
 
@@ -244,7 +244,7 @@ def _deploy_lasthop(built: "BuiltScenario",
         status["msg"] = ("configured" if ok
                          else "victim overloaded: config FAILED")
 
-    net.sim.schedule_at(sc.config.attack_start + 0.2, attempt)
+    net.sim.schedule_at(sc.attack.attack_start + 0.2, attempt)
 
     def set_notes() -> None:
         handle.notes = status["msg"]
@@ -288,7 +288,7 @@ def _tcs_rules(built: "BuiltScenario", spec: DefenseSpec) -> tuple:
         rule_specs = (tuple(RuleSpec(**r) for r in rules) if rules
                       else (OFFSERVICE_UDP,))
         return stubs, victim_user(topo, victim_asn), "tcs-spec", (), rule_specs
-    attack_kind = built.scenario.config.attack_kind
+    attack_kind = built.scenario.attack.kind
     if attack_kind == "direct-spoofed":
         return (stubs, victim_user(topo, victim_asn), "tcs-firewall", (),
                 (OFFSERVICE_UDP,))
@@ -308,7 +308,7 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
     the victim owns (Sec. 4.5).
     """
     net, sc = built.network, built.scenario
-    attack_kind = sc.config.attack_kind
+    attack_kind = sc.attack.kind
     handle = DefenseHandle(name="tcs")
 
     if attack_kind == "direct-unspoofed":
@@ -325,7 +325,7 @@ def _deploy_tcs(built: "BuiltScenario", spec: DefenseSpec) -> DefenseHandle:
             handle.identified.update(src_asns)
             tcs_blacklist(net, sc.victim_asn, src_asns)
 
-        net.sim.schedule_at(sc.config.attack_start + 0.2, react_tcs)
+        net.sim.schedule_at(sc.attack.attack_start + 0.2, react_tcs)
         handle.notes = "TCS blacklist near sources (genuine addresses)"
         return handle
     # spoofed sources defeat source-based rules, but the victim owns the

@@ -149,7 +149,7 @@ class MetricSink:
                              reflected_result: "FluidResult") -> MetricSet:
         handle = built.defense
         victim = built.victim_asn
-        amplification = built.scenario.config.amplification
+        amplification = built.scenario.attack.amplification
         delivered = reflected_result.delivered_rate("attack-reflected",
                                                     dst_asn=victim)
         # full amplified rate the reflectors *would* emit undefended —

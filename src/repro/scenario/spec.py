@@ -29,10 +29,10 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.attack.scenarios import ATTACK_KINDS, ScenarioConfig
-from repro.errors import ReproError
-from repro.net.faults import FaultPlan
+from repro.errors import FaultConfigError, ReproError
+from repro.net.faults import Fault, FaultKind, FaultPlan
 from repro.net.topology import Topology, TopologyBuilder
+from repro.util.rng import derive_rng
 
 __all__ = [
     "SpecError",
@@ -45,6 +45,7 @@ __all__ = [
 
 TOPOLOGY_KINDS = ("hierarchical", "powerlaw", "internet", "line", "star",
                   "tree", "caida")
+ATTACK_KINDS = ("direct-spoofed", "direct-unspoofed", "reflector")
 
 
 class SpecError(ReproError):
@@ -108,20 +109,21 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """The attack half of a scenario — mirrors
-    :class:`~repro.attack.scenarios.ScenarioConfig` field-for-field, minus
-    the absolute seed (replaced by ``seed_offset``)."""
+    """The attack half of a scenario: which attack class, how many of each
+    role, and the traffic it sends.  :class:`~repro.attack.scenarios
+    .AttackScenario` reads these fields directly; its absolute seed is the
+    scenario seed plus ``seed_offset``."""
 
     kind: str = "reflector"
     n_masters: int = 2
     n_agents: int = 8
     n_reflectors: int = 6
     n_legit_clients: int = 4
-    attack_rate_pps: float = 200.0
-    legit_rate_pps: float = 20.0
+    attack_rate_pps: float = 200.0     # per agent
+    legit_rate_pps: float = 20.0       # per client
     attack_packet_size: int = 512
     request_size: int = 40
-    amplification: float = 3.0
+    amplification: float = 3.0         # reflector reply/request byte ratio
     reflector_mode: str = "dns"
     duration: float = 1.0
     attack_start: float = 0.1
@@ -131,25 +133,8 @@ class AttackSpec:
         if self.kind not in ATTACK_KINDS:
             raise SpecError(
                 f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
-
-    def to_config(self, base_seed: int) -> ScenarioConfig:
-        """The :class:`ScenarioConfig` this spec denotes under a seed."""
-        return ScenarioConfig(
-            attack_kind=self.kind,
-            n_masters=self.n_masters,
-            n_agents=self.n_agents,
-            n_reflectors=self.n_reflectors,
-            n_legit_clients=self.n_legit_clients,
-            attack_rate_pps=self.attack_rate_pps,
-            legit_rate_pps=self.legit_rate_pps,
-            attack_packet_size=self.attack_packet_size,
-            request_size=self.request_size,
-            amplification=self.amplification,
-            reflector_mode=self.reflector_mode,
-            duration=self.duration,
-            attack_start=self.attack_start,
-            seed=base_seed + self.seed_offset,
-        )
+        if self.n_agents < 1:
+            raise SpecError(f"need at least one agent, got {self.n_agents}")
 
     def scaled(self, scale: float) -> "AttackSpec":
         """Scale the population knobs the way experiments scale theirs."""
@@ -188,9 +173,9 @@ class DefenseSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """A declarative fault schedule: the knobs of
-    :meth:`~repro.net.faults.FaultPlan.random`, drawn under the scenario's
-    seed.  ``horizon`` defaults to the engine's run horizon when 0."""
+    """A declarative fault schedule, drawn into a concrete
+    :class:`~repro.net.faults.FaultPlan` under the scenario's seed by
+    :meth:`plan`.  ``horizon`` defaults to the engine's run horizon when 0."""
 
     n_crashes: int = 0
     n_flaps: int = 0
@@ -209,19 +194,50 @@ class FaultSpec:
              links: Sequence[tuple[int, int]] = (),
              nms_ids: Sequence[str] = (),
              store_replicas: Sequence[int] = ()) -> FaultPlan:
-        """Draw the concrete :class:`FaultPlan` for a built world."""
-        return FaultPlan.random(
-            base_seed + self.seed_offset,
-            horizon=self.horizon or horizon,
-            device_asns=device_asns, links=links, nms_ids=nms_ids,
-            store_replicas=store_replicas,
-            n_crashes=self.n_crashes, n_flaps=self.n_flaps,
-            n_partitions=self.n_partitions,
-            n_loss_windows=self.n_loss_windows, loss_rate=self.loss_rate,
-            tcsp_outages=self.tcsp_outages,
-            n_store_crashes=self.n_store_crashes,
-            n_shard_crashes=self.n_shard_crashes,
-            mean_downtime=self.mean_downtime)
+        """Draw the concrete :class:`FaultPlan` for a built world.
+
+        The plan is a deterministic function of ``base_seed + seed_offset``,
+        the spec and the target pools.  Fault starts land in
+        ``[0.05, 0.55] * horizon`` and downtimes are clipped exponentials,
+        so every fault clears well before the horizon — leaving a
+        measurable recovery tail (E16's acceptance criterion).  The storage
+        and shard families draw last, so leaving them at zero leaves every
+        other fault's draws unchanged.
+        """
+        horizon = self.horizon or horizon
+        if horizon <= 0:
+            raise FaultConfigError(f"horizon must be > 0, got {horizon}")
+        rng = derive_rng(base_seed + self.seed_offset, "fault-plan")
+        faults: list[Fault] = []
+
+        def start() -> float:
+            return float(rng.uniform(0.05 * horizon, 0.55 * horizon))
+
+        def downtime() -> float:
+            d = float(rng.exponential(self.mean_downtime))
+            return min(max(d, 0.05), 0.25 * horizon)
+
+        def strike(pool: Sequence, n: int, kind: FaultKind) -> None:
+            pool = list(pool)
+            if n > 0 and not pool:
+                raise FaultConfigError(f"no targets available for {kind.value}")
+            for _ in range(n):
+                victim = pool[int(rng.integers(0, len(pool)))]
+                target = tuple(victim) if isinstance(victim, tuple) else (victim,)
+                faults.append(Fault(kind, start(), downtime(), target))
+
+        strike(device_asns, self.n_crashes, FaultKind.DEVICE_CRASH)
+        strike(links, self.n_flaps, FaultKind.LINK_FLAP)
+        strike(nms_ids, self.n_partitions, FaultKind.NMS_PARTITION)
+        for _ in range(self.tcsp_outages):
+            faults.append(Fault(FaultKind.TCSP_OUTAGE, start(), downtime()))
+        for _ in range(self.n_loss_windows):
+            faults.append(Fault(FaultKind.MESSAGE_LOSS, start(), downtime(),
+                                param=self.loss_rate))
+        strike(store_replicas, self.n_store_crashes,
+               FaultKind.STORE_REPLICA_CRASH)
+        strike(nms_ids, self.n_shard_crashes, FaultKind.NMS_SHARD_CRASH)
+        return FaultPlan(faults)
 
     @property
     def empty(self) -> bool:

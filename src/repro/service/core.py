@@ -18,8 +18,8 @@ Both consumers share it byte-for-byte:
   counters instead.
 
 Counters are injected as anything with a ``value`` attribute (registry
-``Counter`` instruments or plain :class:`StatCell` cells), so the core
-itself declares no metric families and can run registry-free.
+instruments or standalone :class:`~repro.obs.metrics.Counter` objects), so
+the core itself declares no metric families and can run registry-free.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from repro.core.components import ComponentContext, Verdict
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.net.addressing import IPv4Address
+from repro.obs.metrics import Counter
 from repro.policy.compiler import compile_policy
 from repro.net.packet import Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import DeviceContext, ServiceInstance
 
-__all__ = ["DecisionCore", "StatCell", "FLOW_CACHE_CAPACITY"]
+__all__ = ["DecisionCore", "FLOW_CACHE_CAPACITY"]
 
 #: Default per-core LRU flow-cache capacity (distinct 4-tuples).
 FLOW_CACHE_CAPACITY = 4096
@@ -46,19 +47,6 @@ FLOW_CACHE_CAPACITY = 4096
 #: The counter slots a core accounts into (see ``counters=`` below).
 COUNTER_NAMES = ("redirected", "dropped", "safety_disables",
                  "flow_cache_hits", "flow_cache_misses")
-
-
-class StatCell:
-    """Registry-free counter cell: the ``.value`` contract of
-    :class:`repro.obs.metrics.Counter` without any registry."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class DecisionCore:
@@ -69,7 +57,8 @@ class DecisionCore:
     :class:`~repro.core.device.ServiceInstance` map (shared by reference
     with the owning device or facade); ``counters`` maps the names in
     :data:`COUNTER_NAMES` to objects with a ``value`` attribute —
-    unnamed slots get private :class:`StatCell` cells.
+    unnamed slots get private registry-free
+    :class:`~repro.obs.metrics.Counter` objects.
     """
 
     __slots__ = ("context", "registry", "services", "strict", "stage_order",
@@ -108,11 +97,11 @@ class DecisionCore:
         #: decisions and verify a swap took effect atomically
         self.generation = 0
         c = counters or {}
-        self.m_redirected = c.get("redirected") or StatCell()
-        self.m_dropped = c.get("dropped") or StatCell()
-        self.m_safety_disables = c.get("safety_disables") or StatCell()
-        self.m_fc_hits = c.get("flow_cache_hits") or StatCell()
-        self.m_fc_misses = c.get("flow_cache_misses") or StatCell()
+        self.m_redirected = c.get("redirected") or Counter()
+        self.m_dropped = c.get("dropped") or Counter()
+        self.m_safety_disables = c.get("safety_disables") or Counter()
+        self.m_fc_hits = c.get("flow_cache_hits") or Counter()
+        self.m_fc_misses = c.get("flow_cache_misses") or Counter()
 
     # -------------------------------------------------------------- management
     def install(self, user: NetworkUser,

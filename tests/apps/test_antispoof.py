@@ -1,17 +1,18 @@
 """Tests for the Sec. 4.3 anti-spoofing application."""
 
 
-from repro.attack import AttackScenario, ScenarioConfig
+from repro.attack import AttackScenario
 from repro.core import DeploymentScope, NumberAuthority, Tcsp, TrafficControlService
 from repro.core.apps import AntiSpoofApp, TcsAntiSpoofMitigation
 from repro.net import Flow, FlowSet, FluidNetwork, Network, TopologyBuilder
+from repro.scenario import AttackSpec
 
 
 def world_with_attack(kind="reflector", seed=5):
     net = Network(TopologyBuilder.hierarchical(2, 2, 6, seed=3))
-    cfg = ScenarioConfig(attack_kind=kind, n_agents=5, n_reflectors=4,
-                         attack_rate_pps=300.0, duration=0.5, seed=seed)
-    sc = AttackScenario(net, cfg)
+    spec = AttackSpec(kind=kind, n_agents=5, n_reflectors=4,
+                      attack_rate_pps=300.0, duration=0.5)
+    sc = AttackScenario(net, spec, seed)
     authority = NumberAuthority()
     tcsp = Tcsp("TCSP", authority, net)
     nms = tcsp.contract_isp("isp-all", net.topology.as_numbers)

@@ -5,11 +5,11 @@ from repro.attack import (
     AttackScenario,
     ConnectionPool,
     ProtocolMisuseAttack,
-    ScenarioConfig,
 )
 from repro.core import DeploymentScope, NumberAuthority, Tcsp, TrafficControlService
 from repro.core.apps import DistributedFirewallApp, FirewallRule, SpieTracebackApp
 from repro.net import Network, Packet, TopologyBuilder
+from repro.scenario import AttackSpec
 
 
 def service_for_victim(net, victim_asn, user_id="victim-co"):
@@ -91,9 +91,9 @@ class TestDistributedFirewall:
 class TestSpieTracebackApp:
     def test_traces_spoofed_packet_to_agent_as(self):
         net = Network(TopologyBuilder.hierarchical(2, 2, 6, seed=3))
-        cfg = ScenarioConfig(attack_kind="direct-spoofed", n_agents=4,
-                             attack_rate_pps=100.0, duration=0.4, seed=7)
-        sc = AttackScenario(net, cfg)
+        spec = AttackSpec(kind="direct-spoofed", n_agents=4,
+                          attack_rate_pps=100.0, duration=0.4)
+        sc = AttackScenario(net, spec, 7)
         svc = service_for_victim(net, sc.victim_asn)
         app = SpieTracebackApp(svc)
         app.deploy()

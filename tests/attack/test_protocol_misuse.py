@@ -95,31 +95,35 @@ class TestProtocolMisuseAttack:
 
 class TestScenarioIntegration:
     def test_scenario_classes(self):
-        from repro.attack import AttackScenario, ScenarioConfig
+        from repro.attack import AttackScenario
+        from repro.scenario import AttackSpec
 
         for kind in ("direct-spoofed", "direct-unspoofed", "reflector"):
             net = Network(TopologyBuilder.hierarchical(2, 2, 5, seed=6))
-            cfg = ScenarioConfig(attack_kind=kind, n_agents=4, n_reflectors=3,
-                                 duration=0.3, attack_rate_pps=50.0, seed=7)
-            sc = AttackScenario(net, cfg)
+            spec = AttackSpec(kind=kind, n_agents=4, n_reflectors=3,
+                              duration=0.3, attack_rate_pps=50.0)
+            sc = AttackScenario(net, spec, 7)
             m = sc.run()
             assert m.attack_packets_at_victim > 0
             assert m.legit_sent > 0
             assert 0.0 <= m.legit_goodput <= 1.0
 
     def test_invalid_kind(self):
-        from repro.attack import ScenarioConfig
+        from repro.scenario import AttackSpec, SpecError
 
-        with pytest.raises(AttackConfigError):
-            ScenarioConfig(attack_kind="nuclear")
+        with pytest.raises(SpecError):
+            AttackSpec(kind="nuclear")
+        with pytest.raises(SpecError):
+            AttackSpec(n_agents=0)
 
     def test_fluid_views(self):
-        from repro.attack import AttackScenario, ScenarioConfig
+        from repro.attack import AttackScenario
         from repro.net import FluidNetwork
+        from repro.scenario import AttackSpec
 
         net = Network(TopologyBuilder.hierarchical(2, 2, 5, seed=6))
-        sc = AttackScenario(net, ScenarioConfig(attack_kind="direct-spoofed",
-                                                n_agents=3, seed=8))
+        sc = AttackScenario(net, AttackSpec(kind="direct-spoofed", n_agents=3),
+                            8)
         flows = sc.as_flows()
         assert any(f.kind == "attack" for f in flows)
         assert any(f.kind == "legit" for f in flows)

@@ -66,6 +66,27 @@ class TestHeaderMatch:
         assert m.matches(Packet.udp(A("1.1.1.1"), A("2.2.2.2"), sport=53))
         assert not m.matches(Packet.udp(A("1.1.1.1"), A("2.2.2.2")))
 
+    def test_numeric_enum_fields_are_coerced(self):
+        # packets carry enum members; a raw protocol number used to be
+        # compared by identity and match nothing
+        udp = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
+        assert HeaderMatch(proto=17).matches(udp)
+        assert HeaderMatch(proto=17).proto is Protocol.UDP
+        unreachable = Packet.icmp(A("1.1.1.1"), A("2.2.2.2"),
+                                  ICMPType.HOST_UNREACHABLE)
+        assert HeaderMatch(icmp_type=3).matches(unreachable)
+        rst = Packet.tcp_rst(A("1.1.1.1"), A("2.2.2.2"))
+        assert HeaderMatch(flags_any=TCPFlags.RST.value).matches(rst)
+
+    @pytest.mark.parametrize("field,value", [
+        ("proto", 99), ("icmp_type", 99), ("flags_any", 99),
+        ("proto", "udp")])
+    def test_unknown_enum_values_rejected(self, field, value):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match=field):
+            HeaderMatch(**{field: value})
+
 
 class TestFilters:
     def test_header_filter_counts(self):
@@ -232,6 +253,24 @@ class TestTrigger:
         with pytest.raises(ReproError, match="finite"):
             TriggerComponent("t", threshold_pps=threshold,
                              action=lambda c, r: None)
+
+    @pytest.mark.parametrize("knobs", [
+        {"window": float("nan")}, {"window": float("inf")},
+        {"window": 0.0}, {"window": -1.0},
+        {"rearm": float("nan")}, {"rearm": -1.0}, {"rearm": 1.5},
+        {"track_sources": 4, "per_source_threshold": float("nan")},
+        {"track_sources": 4, "per_source_threshold": float("inf")},
+        {"track_sources": 4, "per_source_threshold": 0.0},
+        {"hh_min_share": 0.0}, {"hh_min_share": 1.5},
+        {"hh_min_share": float("nan")},
+    ])
+    def test_invalid_knobs_rejected(self, knobs):
+        from repro.errors import ReproError
+
+        # window=nan used to be accepted and the trigger never fired
+        with pytest.raises(ReproError, match="trigger"):
+            TriggerComponent("t", threshold_pps=5.0,
+                             action=lambda c, r: None, **knobs)
 
     def test_never_drops(self):
         t = TriggerComponent("t", threshold_pps=1.0, action=lambda c, r: None)

@@ -1,7 +1,7 @@
 """End-to-end integration tests: full stacks wired together."""
 
 
-from repro.attack import AttackScenario, ScenarioConfig
+from repro.attack import AttackScenario
 from repro.core import (
     DeploymentScope,
     NumberAuthority,
@@ -15,14 +15,15 @@ from repro.core.apps import (
     SpieTracebackApp,
 )
 from repro.net import Network, Packet, TopologyBuilder
+from repro.scenario import AttackSpec
 
 
 def full_world(seed=13, attack_kind="reflector"):
     """Topology + attack + TCSP + registered victim, ready to deploy."""
     net = Network(TopologyBuilder.hierarchical(2, 2, 6, seed=seed))
-    sc = AttackScenario(net, ScenarioConfig(
-        attack_kind=attack_kind, n_agents=6, n_reflectors=5,
-        attack_rate_pps=300.0, duration=0.5, seed=seed))
+    sc = AttackScenario(net, AttackSpec(
+        kind=attack_kind, n_agents=6, n_reflectors=5,
+        attack_rate_pps=300.0, duration=0.5), seed)
     authority = NumberAuthority()
     tcsp = Tcsp("TCSP", authority, net)
     nms = tcsp.contract_isp("isp", net.topology.as_numbers)

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.attack import AttackScenario, DirectFlood, ScenarioConfig
+from repro.attack import AttackScenario, DirectFlood
 from repro.errors import MitigationError
 from repro.mitigation import Pushback, PushbackConfig
 from repro.net import LinkParams, Network, TopologyBuilder
+from repro.scenario import AttackSpec
 from repro.util.units import Mbps
 
 
 def heavy_flood(spoof="none", seed=1, agents=8, rate=2000.0):
     net = Network(TopologyBuilder.hierarchical(2, 2, 5, seed=seed))
-    cfg = ScenarioConfig(attack_kind=f"direct-{'random' if False else ('spoofed' if spoof == 'random' else 'unspoofed')}",
-                         n_agents=agents, attack_rate_pps=rate,
-                         duration=0.6, seed=seed)
-    sc = AttackScenario(net, cfg)
+    kind = "direct-spoofed" if spoof == "random" else "direct-unspoofed"
+    sc = AttackScenario(net, AttackSpec(kind=kind, n_agents=agents,
+                                        attack_rate_pps=rate, duration=0.6),
+                        seed)
     return net, sc
 
 
@@ -38,9 +39,9 @@ class TestDetectionAndLimiting:
 
     def test_no_trigger_without_congestion(self):
         net = Network(TopologyBuilder.hierarchical(2, 2, 5, seed=2))
-        cfg = ScenarioConfig(attack_kind="direct-unspoofed", n_agents=1,
-                             attack_rate_pps=10.0, duration=0.4, seed=2)
-        sc = AttackScenario(net, cfg)
+        sc = AttackScenario(net, AttackSpec(kind="direct-unspoofed", n_agents=1,
+                                            attack_rate_pps=10.0,
+                                            duration=0.4), 2)
         pb = Pushback()
         pb.deploy(net, net.topology.as_numbers)
         sc.run()

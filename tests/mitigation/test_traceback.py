@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.attack import AttackScenario, ScenarioConfig
+from repro.attack import AttackScenario
 from repro.errors import MitigationError
 from repro.mitigation import PPMTraceback, SpieTraceback, TracebackFilter
 from repro.mitigation.traceback import MarkingCollector
 from repro.net import Network, Packet, TopologyBuilder
+from repro.scenario import AttackSpec
 
 
 def run_scenario(kind, seed=5, **cfg_kw):
     net = Network(TopologyBuilder.hierarchical(2, 2, 6, seed=3))
-    cfg = ScenarioConfig(attack_kind=kind, n_agents=5, n_reflectors=4,
-                         attack_rate_pps=400.0, duration=0.6, seed=seed, **cfg_kw)
-    sc = AttackScenario(net, cfg)
+    spec = AttackSpec(kind=kind, n_agents=5, n_reflectors=4,
+                      attack_rate_pps=400.0, duration=0.6, **cfg_kw)
+    sc = AttackScenario(net, spec, seed)
     return net, sc
 
 

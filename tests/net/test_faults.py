@@ -2,6 +2,8 @@
 trips, and a simulator ``reset()`` that leaves no fault state behind.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import NumberAuthority, Tcsp
@@ -15,22 +17,38 @@ from repro.net import (
     Network,
     TopologyBuilder,
 )
+from repro.scenario import FaultSpec
 
-KNOBS = dict(horizon=4.0, device_asns=(10, 11, 12), nms_ids=("a", "b"),
-             links=((0, 1),), n_crashes=3, n_flaps=1, n_partitions=1,
-             n_loss_windows=1, loss_rate=0.4, tcsp_outages=1)
+SPEC = FaultSpec(n_crashes=3, n_flaps=1, n_partitions=1, n_loss_windows=1,
+                 loss_rate=0.4, tcsp_outages=1)
+POOLS = dict(horizon=4.0, device_asns=(10, 11, 12), nms_ids=("a", "b"),
+             links=((0, 1),))
+
+#: ``SPEC.plan(seed, **POOLS).signature()`` per seed.  The RNG stream and
+#: the draw order are part of the contract: E16's tables and every faulted
+#: preset depend on them.
+PINNED = {
+    0: "a95c3aa09dd6d2d50f358c6b836ecaa371b046e48028dcf2f7d91652ab7fba88",
+    1: "8324cb3c57766d4f63b8522c81f62bc6e19a02849aebef0ae80b9d0188f604b5",
+    2: "31cc7378f309f3b54e3d18293c402f692b3fe176faf7feda10457e7f2c8266f9",
+    3: "42fc0e40832504ad0afa14d51fcaece3175f06e68210af62e33f06b9dabc5606",
+    4: "82a4e6a4bdb88ffa7367cdf9798b92747708f50d53aa8683f3110d2e83198b1e",
+    5: "f84c350a1f65fa6f523ee280c55ecee23dace069e545c83f2d3c8797cab48dca",
+    6: "52748e5f02ed4a3e53347096ab01c88cf4a543f36b890fa80fc08d19e4765f79",
+    7: "27d8ff5c515f1ee83be6a912a4b6e6b7d41bdca41c6810927a9e758fec621bd7",
+}
 
 
 def plan_signature(seed: int) -> str:
     """Top-level so parallel_map can ship it to pool workers."""
-    return FaultPlan.random(seed, **KNOBS).signature()
+    return SPEC.plan(seed, **POOLS).signature()
 
 
 class TestFaultPlan:
     def test_same_seed_same_plan(self):
-        assert plan_signature(3) == plan_signature(3)
-        a = FaultPlan.random(3, **KNOBS)
-        b = FaultPlan.random(3, **KNOBS)
+        assert plan_signature(3) == plan_signature(3) == PINNED[3]
+        a = SPEC.plan(3, **POOLS)
+        b = SPEC.plan(3, **POOLS)
         assert [f.key() for f in a] == [f.key() for f in b]
 
     def test_different_seed_different_plan(self):
@@ -40,12 +58,12 @@ class TestFaultPlan:
         seeds = list(range(8))
         serial = [plan_signature(s) for s in seeds]
         fanned = parallel_map(plan_signature, seeds, workers=4)
-        assert serial == fanned
+        assert serial == fanned == [PINNED[s] for s in seeds]
 
     def test_faults_clear_before_horizon(self):
-        plan = FaultPlan.random(1, **KNOBS)
+        plan = SPEC.plan(1, **POOLS)
         assert len(plan) == 7
-        assert plan.last_clear < KNOBS["horizon"]
+        assert plan.last_clear < POOLS["horizon"]
 
     def test_validation(self):
         with pytest.raises(FaultConfigError):
@@ -55,32 +73,35 @@ class TestFaultPlan:
         with pytest.raises(FaultConfigError):
             FaultPlan([Fault(FaultKind.MESSAGE_LOSS, 0.1, 1.0, param=1.5)])
         with pytest.raises(FaultConfigError):
-            FaultPlan.random(1, horizon=2.0, n_crashes=1)  # no targets
+            FaultSpec(n_crashes=1).plan(1, horizon=2.0)  # no targets
+        with pytest.raises(FaultConfigError):
+            SPEC.plan(1, **{**POOLS, "horizon": 0.0})
 
     def test_plan_is_sorted_by_start(self):
-        plan = FaultPlan.random(9, **KNOBS)
+        plan = SPEC.plan(9, **POOLS)
         starts = [f.start for f in plan]
         assert starts == sorted(starts)
 
     def test_new_knobs_at_zero_leave_plans_byte_identical(self):
         # the storage/shard fault families draw their randomness AFTER the
         # pre-existing families, so plans without them are unchanged
-        baseline = FaultPlan.random(3, **KNOBS)
-        extended = FaultPlan.random(3, store_replicas=(0, 1, 2),
-                                    n_store_crashes=0, n_shard_crashes=0,
-                                    **KNOBS)
+        baseline = SPEC.plan(3, **POOLS)
+        extended = replace(SPEC, n_store_crashes=0, n_shard_crashes=0).plan(
+            3, store_replicas=(0, 1, 2), **POOLS)
         assert baseline.signature() == extended.signature()
 
     def test_store_and_shard_crash_generation(self):
-        plan = FaultPlan.random(3, store_replicas=(0, 1, 2),
-                                n_store_crashes=2, n_shard_crashes=1, **KNOBS)
+        plan = replace(SPEC, n_store_crashes=2, n_shard_crashes=1).plan(
+            3, store_replicas=(0, 1, 2), **POOLS)
+        assert plan.signature() == (
+            "df9c1ce839f4930480cb96a318cab0fbe7143bedee7094d3a5878271c0a5602b")
         store_faults = plan.by_kind(FaultKind.STORE_REPLICA_CRASH)
         shard_faults = plan.by_kind(FaultKind.NMS_SHARD_CRASH)
         assert len(store_faults) == 2 and len(shard_faults) == 1
         assert all(f.target[0] in (0, 1, 2) for f in store_faults)
-        assert shard_faults[0].target[0] in KNOBS["nms_ids"]
+        assert shard_faults[0].target[0] in POOLS["nms_ids"]
         with pytest.raises(FaultConfigError):
-            FaultPlan.random(3, horizon=2.0, n_store_crashes=1)  # no pool
+            FaultSpec(n_store_crashes=1).plan(3, horizon=2.0)  # no pool
 
 
 def build_world():

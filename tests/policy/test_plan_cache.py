@@ -136,9 +136,10 @@ def test_runtime_plan_does_not_skip_vetting():
 
 def test_a_shared_plan_never_shares_parameters():
     """``HeaderMatch()`` drops everything and ``HeaderMatch(icmp_type=3)``
-    drops nothing (a packet's ICMP type is an enum member, never the int
-    3).  Both graphs have the same capabilities and edges, so they share
-    one plan; each still filters with its own parameters."""
+    (host unreachable) passes the packet drawn here, which is not an ICMP
+    host-unreachable message.  Both graphs have the same capabilities and
+    edges, so they share one plan; each still filters with its own
+    parameters."""
     def graph(match):
         g = ComponentGraph("k")
         g.chain(HeaderFilter("f", match))

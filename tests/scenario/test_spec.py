@@ -46,10 +46,16 @@ class TestAttackSpec:
         with pytest.raises(SpecError):
             AttackSpec(kind="quantum")
 
-    def test_to_config_applies_seed_offset(self):
-        cfg = AttackSpec(kind="reflector", seed_offset=3).to_config(42)
-        assert cfg.seed == 45
-        assert cfg.attack_kind == "reflector"
+    def test_needs_an_agent(self):
+        with pytest.raises(SpecError, match="agent"):
+            AttackSpec(n_agents=0)
+
+    def test_build_applies_the_seed_offset(self):
+        attack = AttackSpec(kind="reflector", seed_offset=3)
+        built = ScenarioSpec(seed=42, attack=attack).build()
+        assert built.scenario.seed == 45
+        assert built.scenario.attack is attack
+        assert len(built.scenario.reflectors) == attack.n_reflectors
 
     def test_scaled_scales_populations(self):
         spec = AttackSpec(n_agents=8, n_reflectors=6).scaled(0.5)

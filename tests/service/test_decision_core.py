@@ -1,7 +1,7 @@
 """Tests for the engine-agnostic decision core (service/core.py).
 
 The core is exercised here standalone, with registry-free
-:class:`StatCell` counters — the device-side behaviour it was carved out
+:class:`~repro.obs.metrics.Counter` objects — the device-side behaviour it was carved out
 of stays pinned by tests/core/test_device.py and test_flow_cache.py,
 which now run through the delegation.
 """
@@ -27,7 +27,8 @@ from repro.core.components import (
 )
 from repro.errors import DeploymentError, SafetyViolation
 from repro.net import ASRole, IPv4Address, Packet, Prefix, Protocol
-from repro.service.core import DecisionCore, StatCell
+from repro.obs.metrics import Counter
+from repro.service.core import DecisionCore
 
 A = IPv4Address.parse
 
@@ -54,13 +55,13 @@ class TestConstruction:
         with pytest.raises(DeploymentError):
             DecisionCore(CTX, registry, stage_order="sideways")
 
-    def test_default_counters_are_stat_cells(self):
+    def test_default_counters_are_standalone_counters(self):
         core, _ = make_core()
-        assert isinstance(core.m_redirected, StatCell)
+        assert isinstance(core.m_redirected, Counter)
         assert core.m_redirected.value == 0
 
     def test_injected_counters_are_used(self):
-        cell = StatCell()
+        cell = Counter()
         core, acme = make_core(counters={"flow_cache_misses": cell})
         core.wants(Packet.udp(A("10.1.0.1"), A("10.2.0.1")))
         assert cell.value == 1

@@ -10,13 +10,37 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_defense_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["defend", "--defense", "magic"])
+    def test_unknown_defense_rejected(self, capsys):
+        # names are checked against the defense registry when the command
+        # runs; the error lists the known ones
+        assert main(["defend", "--defense", "magic"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown defense 'magic'" in err and "tcs-spec" in err
 
-    def test_unknown_topology_rejected(self):
+    def test_unknown_topology_rejected(self, capsys):
+        assert main(["topology", "--kind", "donut"]) == 2
+        err = capsys.readouterr().err
+        assert "'donut'" in err and "caida" in err
+
+    def test_unknown_attack_rejected(self, capsys):
+        assert main(["attack", "--kind", "nuclear"]) == 2
+        assert "reflector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rate", "--duration", "--reflectors"])
+    def test_removed_attack_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["topology", "--kind", "donut"])
+            build_parser().parse_args(["attack", flag, "1"])
+
+    def test_parser_does_not_import_the_scenario_layer(self):
+        import subprocess
+        import sys
+
+        code = ("import sys; from repro.cli import build_parser; "
+                "build_parser(); print(sorted(m for m in sys.modules "
+                "if m.startswith('repro.scenario')))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestTopologyCommand:
@@ -31,12 +55,23 @@ class TestTopologyCommand:
         out = capsys.readouterr().out
         assert "AS0" in out and "AS2" in out
 
-    @pytest.mark.parametrize("kind", ["hierarchical", "powerlaw", "internet"])
+    @pytest.mark.parametrize("kind", ["hierarchical", "powerlaw", "internet",
+                                      "tree", "caida"])
     def test_all_kinds_build(self, kind, capsys):
         assert main(["topology", "--kind", kind, "--size", "40"]) == 0
 
+    def test_tree_size_is_the_smallest_binary_tree_that_fits(self, capsys):
+        assert main(["topology", "--kind", "tree", "--size", "40"]) == 0
+        assert "63 ASes" in capsys.readouterr().out
+
 
 class TestAttackAndDefend:
+    def test_attack_reports_the_agents_that_ran(self, capsys):
+        # --agents sets the cell's agent count; --scale then scales it
+        assert main(["attack", "--kind", "direct-spoofed", "--agents", "4",
+                     "--scale", "0.5"]) == 0
+        assert "(2 agents)" in capsys.readouterr().out
+
     def test_attack_reports_metrics(self, capsys):
         assert main(["attack", "--kind", "reflector", "--agents", "4",
                      "--seed", "3"]) == 0
