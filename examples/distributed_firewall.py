@@ -13,7 +13,8 @@ Run:  python examples/distributed_firewall.py
 
 from repro.attack import ConnectionPool, ProtocolMisuseAttack
 from repro.core import DeploymentScope, NumberAuthority, Tcsp, TrafficControlService
-from repro.core.apps import DistributedFirewallApp, FirewallRule
+from repro.core.apps import BLOCK_ICMP_UNREACH, BLOCK_RST, DistributedFirewallApp
+from repro.core.compose import RuleSpec
 from repro.net import Network, TopologyBuilder
 
 
@@ -36,12 +37,9 @@ def build_world(defended: bool):
         authority.record_allocation(prefix, "b2b-portal")
         user, cert = tcsp.register_user("b2b-portal", [prefix])
         service = TrafficControlService(tcsp, user, cert)
+        # the logger runs first, so it also sees the packets the rules drop
         firewall = DistributedFirewallApp(
-            service,
-            rules=[FirewallRule.block_teardown_rst(),
-                   FirewallRule.block_icmp_unreachable()],
-            with_logging=True,
-        )
+            service, [RuleSpec(action="log"), BLOCK_RST, BLOCK_ICMP_UNREACH])
         firewall.deploy(DeploymentScope.everywhere())
 
     ProtocolMisuseAttack(network, attacker, pool, rate_pps=40.0,

@@ -17,7 +17,7 @@ def main() -> None:
     cfg = ExperimentConfig(seed=3, scale=0.6)
     print("DDoS reflector attack (Fig. 1) vs. every defense from Sec. 3:\n")
     baseline = run_cell("reflector", "none", cfg)
-    base = max(1, baseline.attack_pkts)
+    base = max(1, baseline.attack_delivered)
     header = f"{'defense':<18} {'attack@victim':>13} {'goodput':>8} {'collateral':>10}  sources identified"
     print(header)
     print("-" * len(header))
@@ -26,7 +26,7 @@ def main() -> None:
         ids = ""
         if cell.identified_true or cell.identified_false:
             ids = f"{cell.identified_true} real, {cell.identified_false} innocent(!)"
-        print(f"{mitigation:<18} {cell.attack_pkts / base:>12.0%} "
+        print(f"{mitigation:<18} {cell.attack_delivered / base:>12.0%} "
               f"{cell.legit_goodput:>8.0%} {cell.collateral:>10.0%}  {ids}")
     print()
     print("Reading the matrix (paper Sec. 3 / 4.3):")

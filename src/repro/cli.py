@@ -298,10 +298,7 @@ def _load_service_spec(path: Optional[str]):
                      label="limit"),
         ))
     raw = _json.loads(Path(path).read_text())
-    rules = tuple(
-        RuleSpec(**{**r, "prefixes": tuple(r.get("prefixes", ())),
-                    "dport_not_in": tuple(r.get("dport_not_in", ()))})
-        for r in raw.get("rules", ()))
+    rules = tuple(RuleSpec.from_dict(r) for r in raw.get("rules", ()))
     return ServiceSpec(name=raw.get("name", Path(path).stem), rules=rules)
 
 

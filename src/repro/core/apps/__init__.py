@@ -10,7 +10,7 @@
 """
 
 from repro.core.apps.antispoof import AntiSpoofApp, TcsAntiSpoofMitigation
-from repro.core.apps.firewall import DistributedFirewallApp, FirewallRule
+from repro.core.apps.firewall import BLOCK_ICMP_UNREACH, BLOCK_RST, DistributedFirewallApp
 from repro.core.apps.spie_traceback import SpieTracebackApp
 from repro.core.apps.triggers import AutoReactionApp
 from repro.core.apps.debugging import NetworkDebuggingApp, LinkEstimate
@@ -20,8 +20,9 @@ from repro.core.apps.defender import DefenseAction, ReactiveDefender
 __all__ = [
     "AntiSpoofApp",
     "TcsAntiSpoofMitigation",
+    "BLOCK_ICMP_UNREACH",
+    "BLOCK_RST",
     "DistributedFirewallApp",
-    "FirewallRule",
     "SpieTracebackApp",
     "AutoReactionApp",
     "NetworkDebuggingApp",

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.core.components import SourceAntiSpoof
+from repro.core.apps.firewall import DistributedFirewallApp
 from repro.core.compose import RuleFilter, RuleSpec, deploy_rules
-from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
-from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
 from repro.core.service import TrafficControlService
 from repro.mitigation.base import Mitigation
@@ -28,20 +26,22 @@ from repro.net.addressing import Prefix
 from repro.net.network import Network
 from repro.net.topology import ASRole, Topology
 
-__all__ = ["AntiSpoofApp", "TcsAntiSpoofMitigation"]
+__all__ = ["AntiSpoofApp", "TcsAntiSpoofMitigation", "anti_spoof_rule"]
 
 
-class AntiSpoofApp:
-    """Deploy (and manage) anti-spoofing for the service user's prefixes."""
+def anti_spoof_rule(prefixes: Iterable[Prefix]) -> RuleSpec:
+    """The owner's source-stage rule protecting ``prefixes``."""
+    return RuleSpec(action="anti-spoof", prefixes=tuple(str(p) for p in prefixes))
+
+
+class AntiSpoofApp(DistributedFirewallApp):
+    """Deploy (and manage) anti-spoofing for the service user's prefixes:
+    the anti-spoof rule, compiled per device in the source-owner stage."""
+
+    kind = "antispoof"
 
     def __init__(self, service: TrafficControlService) -> None:
-        self.service = service
-
-    def graph_factory(self, device_ctx: DeviceContext) -> ComponentGraph:
-        """One SourceAntiSpoof component protecting the user's prefixes."""
-        graph = ComponentGraph(f"antispoof:{self.service.user.user_id}")
-        graph.add(SourceAntiSpoof("anti-spoof", self.service.user.prefixes))
-        return graph
+        super().__init__(service, [anti_spoof_rule(service.user.prefixes)])
 
     def deploy(self, scope: Optional[DeploymentScope] = None) -> dict[str, list[int]]:
         """Push the rules worldwide — by default to all stub borders, where
@@ -50,19 +50,6 @@ class AntiSpoofApp:
         # spoofed *sources* are filtered in the source-owner stage: the
         # spoofed address belongs to the user, so the user's stage runs.
         return self.service.deploy(scope, src_graph_factory=self.graph_factory)
-
-    def components(self) -> Iterable[SourceAntiSpoof]:
-        """All deployed anti-spoof components (for drop accounting)."""
-        for nms in self.service.tcsp.nmses:
-            for device in nms.devices.values():
-                instance = device.services.get(self.service.user.user_id)
-                if instance and instance.src_graph:
-                    for comp in instance.src_graph.components():
-                        if isinstance(comp, SourceAntiSpoof):
-                            yield comp
-
-    def dropped(self) -> int:
-        return sum(c.dropped for c in self.components())
 
 
 class TcsAntiSpoofMitigation(Mitigation):
@@ -87,9 +74,8 @@ class TcsAntiSpoofMitigation(Mitigation):
         stubs = [asn for asn in asns if topology.role_of(asn) is ASRole.STUB]
         owner = NetworkUser(self.name, "protected prefixes",
                             self.protected_prefixes)
-        rule = RuleSpec(action="anti-spoof",
-                        prefixes=tuple(str(p) for p in self.protected_prefixes))
-        return stubs, owner, self.name, (rule,), ()
+        return (stubs, owner, self.name,
+                (anti_spoof_rule(self.protected_prefixes),), ())
 
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
         """Standalone deployment (without the TCSP plumbing) at the given

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.apps.antispoof import AntiSpoofApp
-from repro.core.apps.firewall import DistributedFirewallApp, FirewallRule
-from repro.core.components import HeaderMatch
+from repro.core.apps.firewall import BLOCK_ICMP_UNREACH, BLOCK_RST, DistributedFirewallApp
+from repro.core.compose import RuleSpec
 from repro.core.deployment import DeploymentScope
 from repro.core.service import TrafficControlService
 from repro.net.node import Host
@@ -109,11 +109,9 @@ class ReactiveDefender:
         self._deployed.add(signature)
         if signature == "udp-flood":
             # drop UDP everywhere except toward the victim's service ports
-            rules = [FirewallRule(
-                "drop-offservice-udp",
-                HeaderMatch(proto=Protocol.UDP,
-                            dport_not_in=tuple(sorted(self.service_ports))),
-            )]
+            rules = [RuleSpec(action="drop", proto="udp",
+                              dport_not_in=tuple(sorted(self.service_ports)),
+                              label="drop-offservice-udp")]
             app = DistributedFirewallApp(self.service, rules)
             result = app.deploy(DeploymentScope.stub_borders())
             response = "firewall: drop off-service UDP at stub borders"
@@ -122,10 +120,8 @@ class ReactiveDefender:
             result = app.deploy(DeploymentScope.stub_borders())
             response = "anti-spoofing for the victim prefix, worldwide"
         else:  # rst-storm
-            app = DistributedFirewallApp(self.service, [
-                FirewallRule.block_teardown_rst(),
-                FirewallRule.block_icmp_unreachable(),
-            ])
+            app = DistributedFirewallApp(self.service,
+                                         [BLOCK_RST, BLOCK_ICMP_UNREACH])
             result = app.deploy(DeploymentScope.everywhere())
             response = "firewall: block forged teardown packets"
         devices = sum(len(v) for v in result.values())

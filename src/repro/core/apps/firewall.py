@@ -8,76 +8,46 @@ the many network operators involved."
 
 The firewall runs in the *destination-owner* stage: the owner of the
 protected servers filters what may reach them, anywhere in the network —
-"distributed firewall-like filtering" (Sec. 1).
+"distributed firewall-like filtering" (Sec. 1).  Its rules are
+:class:`~repro.core.compose.RuleSpec` values, compiled per device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.components import (
-    HeaderFilter,
-    HeaderMatch,
-    LoggerComponent,
-    RateLimiterComponent,
-)
+from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
 from repro.core.service import TrafficControlService
-from repro.net.packet import ICMPType, Protocol, TCPFlags
 
-__all__ = ["FirewallRule", "DistributedFirewallApp"]
+__all__ = ["BLOCK_ICMP_UNREACH", "BLOCK_RST", "DistributedFirewallApp"]
 
-
-@dataclass(frozen=True)
-class FirewallRule:
-    """A named drop rule over a header match."""
-
-    name: str
-    match: HeaderMatch
-
-    @classmethod
-    def block_teardown_rst(cls) -> "FirewallRule":
-        """Drop forged TCP RSTs aimed at the owner's hosts."""
-        return cls("block-rst", HeaderMatch(proto=Protocol.TCP, flags_any=TCPFlags.RST))
-
-    @classmethod
-    def block_icmp_unreachable(cls) -> "FirewallRule":
-        """Drop ICMP host-unreachable teardown messages."""
-        return cls("block-icmp-unreach",
-                   HeaderMatch(proto=Protocol.ICMP, icmp_type=ICMPType.HOST_UNREACHABLE))
-
-    @classmethod
-    def block_port(cls, dport: int, proto: Protocol = Protocol.UDP) -> "FirewallRule":
-        return cls(f"block-{proto.name.lower()}-{dport}",
-                   HeaderMatch(proto=proto, dport=dport))
+#: drop forged TCP RSTs aimed at the owner's hosts
+BLOCK_RST = RuleSpec(action="drop", proto="tcp", tcp_flags="rst",
+                     label="block-rst")
+#: drop ICMP host-unreachable teardown messages
+BLOCK_ICMP_UNREACH = RuleSpec(action="drop", proto="icmp",
+                              icmp_type="host-unreachable",
+                              label="block-icmp-unreach")
 
 
 class DistributedFirewallApp:
-    """Deploy a rule set (plus optional rate limit and logging) worldwide."""
+    """Deploy a rule set worldwide."""
+
+    #: service spec (and graph) name prefix
+    kind = "firewall"
 
     def __init__(self, service: TrafficControlService,
-                 rules: Sequence[FirewallRule],
-                 rate_limit_bps: Optional[float] = None,
-                 with_logging: bool = False) -> None:
+                 rules: Sequence[RuleSpec]) -> None:
         self.service = service
-        self.rules = list(rules)
-        self.rate_limit_bps = rate_limit_bps
-        self.with_logging = with_logging
+        self.spec = ServiceSpec(f"{self.kind}:{service.user.user_id}", tuple(rules))
+        self.spec.validate()
         self._graphs: list[ComponentGraph] = []
 
     def graph_factory(self, device_ctx: DeviceContext) -> ComponentGraph:
-        graph = ComponentGraph(f"firewall:{self.service.user.user_id}")
-        components: list = []
-        if self.with_logging:
-            # observe everything, including packets later filtered
-            components.append(LoggerComponent("fw-log"))
-        components += [HeaderFilter(rule.name, rule.match) for rule in self.rules]
-        if self.rate_limit_bps is not None:
-            components.append(RateLimiterComponent("fw-rate-limit", self.rate_limit_bps))
-        graph.chain(*components)
+        graph = compile_spec(self.spec, device_ctx)
         self._graphs.append(graph)
         return graph
 
@@ -88,7 +58,4 @@ class DistributedFirewallApp:
 
     def dropped(self) -> int:
         """Packets dropped by this firewall across all devices."""
-        total = 0
-        for graph in self._graphs:
-            total += graph.packets_dropped
-        return total
+        return sum(graph.packets_dropped for graph in self._graphs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import DeploymentError
 from repro.core.components import (
@@ -74,6 +74,18 @@ class RuleSpec:
     threshold_pps: Optional[float] = None  # trigger
     label: str = ""
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "RuleSpec":
+        """A rule from its JSON object: list fields become tuples, and an
+        unknown or missing field is a :class:`DeploymentError`."""
+        try:
+            if any(isinstance(data.get(key), str) for key in _TUPLE_FIELDS):
+                raise TypeError(f"{' and '.join(_TUPLE_FIELDS)} take lists")
+            return cls(**{key: tuple(value) if key in _TUPLE_FIELDS else value
+                          for key, value in data.items()})
+        except (AttributeError, TypeError) as exc:
+            raise DeploymentError(f"bad rule {data!r}: {exc}") from None
+
     def validate(self) -> None:
         if self.action not in ACTIONS:
             raise DeploymentError(f"unknown rule action {self.action!r}")
@@ -83,6 +95,9 @@ class RuleSpec:
             raise DeploymentError(f"{self.action} rule needs prefixes")
         if self.action == "trigger" and not self.threshold_pps:
             raise DeploymentError("trigger rule needs threshold_pps")
+
+
+_TUPLE_FIELDS = ("dport_not_in", "prefixes")
 
 
 @dataclass(frozen=True)

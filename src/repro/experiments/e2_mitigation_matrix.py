@@ -21,29 +21,15 @@ packet engine; the defense wiring lives in :mod:`repro.scenario.defenses`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.experiments.common import ExperimentConfig, register
-from repro.scenario import PacketEngine, ScenarioSpec, e2_cell
+from repro.scenario import MetricSet, PacketEngine, ScenarioSpec, e2_cell
 from repro.util.tables import Table
 
-__all__ = ["run", "matrix_table", "run_cell", "cell_spec", "CellResult"]
+__all__ = ["run", "matrix_table", "run_cell", "cell_spec"]
 
 ATTACKS = ("direct-spoofed", "direct-unspoofed", "reflector")
 MITIGATIONS = ("none", "ingress", "rbf", "pushback", "traceback-filter",
                "sos", "i3", "lasthop", "tcs")
-
-
-@dataclass
-class CellResult:
-    attack_kind: str
-    mitigation: str
-    attack_pkts: int
-    legit_goodput: float
-    collateral: float
-    identified_true: int
-    identified_false: int
-    notes: str = ""
 
 
 def cell_spec(attack_kind: str, mitigation: str,
@@ -53,18 +39,9 @@ def cell_spec(attack_kind: str, mitigation: str,
 
 
 def run_cell(attack_kind: str, mitigation: str,
-             cfg: ExperimentConfig) -> CellResult:
+             cfg: ExperimentConfig) -> MetricSet:
     """Run one (attack, defense) cell of the matrix."""
-    m = PacketEngine().run(cell_spec(attack_kind, mitigation, cfg))
-    return CellResult(
-        attack_kind=attack_kind, mitigation=mitigation,
-        attack_pkts=int(m.attack_delivered),
-        legit_goodput=m.legit_goodput,
-        collateral=m.collateral,
-        identified_true=m.identified_true,
-        identified_false=m.identified_false,
-        notes=m.notes,
-    )
+    return PacketEngine().run(cell_spec(attack_kind, mitigation, cfg))
 
 
 def matrix_table(cfg: ExperimentConfig) -> Table:
@@ -75,13 +52,13 @@ def matrix_table(cfg: ExperimentConfig) -> Table:
     )
     for attack_kind in ATTACKS:
         baseline = run_cell(attack_kind, "none", cfg)
-        base_pkts = max(1, baseline.attack_pkts)
+        base_pkts = max(1, baseline.attack_delivered)
         for mitigation in MITIGATIONS:
             cell = (baseline if mitigation == "none"
                     else run_cell(attack_kind, mitigation, cfg))
             table.add_row(
                 attack_kind, mitigation,
-                round(cell.attack_pkts / base_pkts, 3),
+                round(cell.attack_delivered / base_pkts, 3),
                 round(cell.legit_goodput, 3),
                 round(cell.collateral, 3),
                 cell.identified_true, cell.identified_false, cell.notes,

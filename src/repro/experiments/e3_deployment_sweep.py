@@ -53,7 +53,7 @@ def _sweep_trial(point: _SweepPoint) -> dict[float, tuple[float, float, float]]:
         # (a) ingress at a random `fraction` of stub ASes
         ing = IngressFiltering()
         ing.deployed_asns = set(stubs[: int(round(fraction * len(stubs)))])
-        r_ing = fluid.evaluate(flows, filters=[ing.fluid_filter()],
+        r_ing = fluid.evaluate(flows, filters=[ing.fluid_filter(fluid)],
                                congestion=False)
         # (b) route-based at the top-degree `fraction` of all ASes
         rbf = RouteBasedFiltering()

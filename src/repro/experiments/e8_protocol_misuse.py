@@ -11,7 +11,7 @@ ICMP variants.
 from __future__ import annotations
 
 from repro.core import DeploymentScope
-from repro.core.apps import DistributedFirewallApp, FirewallRule
+from repro.core.apps import BLOCK_ICMP_UNREACH, BLOCK_RST, DistributedFirewallApp
 from repro.experiments.common import ExperimentConfig, register
 from repro.net import Network
 from repro.scenario import TopologySpec
@@ -30,9 +30,8 @@ def _world(cfg: ExperimentConfig, firewall: bool, mode: str, rate: float):
     fw = None
     if firewall:
         world = build_tcs_world(net, owner_asn=victim.asn, service=True)
-        fw = DistributedFirewallApp(
-            world.service, [FirewallRule.block_teardown_rst(),
-                            FirewallRule.block_icmp_unreachable()])
+        fw = DistributedFirewallApp(world.service,
+                                    [BLOCK_RST, BLOCK_ICMP_UNREACH])
         fw.deploy(DeploymentScope.everywhere())
     launch_teardown(net, attacker, pool, rate_pps=rate, duration=0.5,
                     mode=mode, seed=cfg.seed)

@@ -12,11 +12,15 @@
   with shortest-path routing from its claimed source; inconsistent packets
   are dropped.  This is the scheme for which ~20% AS coverage already
   blocks most spoofed traffic — reproduced in experiment E3.
+
+Each scheme is one admission function over ``(claimed source AS, this AS,
+ingress neighbour or None for the AS's own hosts, routing)`` that the
+router filter and the fluid filter both call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.mitigation.base import Mitigation
 from repro.net.fluid import Flow, FluidFilter, FluidNetwork
@@ -24,111 +28,104 @@ from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import Host, Router
 from repro.net.packet import Packet
+from repro.net.routing import Routing
 
-__all__ = ["IngressFiltering", "RouteBasedFiltering"]
+__all__ = ["IngressFiltering", "RouteBasedFiltering", "ingress_admits", "rbf_admits"]
+
+AnyRouting = Union[Routing, FluidNetwork]
 
 
-class IngressFiltering(Mitigation):
+def ingress_admits(claimed: Optional[int], asn: int, ingress: Optional[int],
+                   routing: AnyRouting) -> bool:
+    """RFC 2267 at ``asn``: the AS's own hosts must use its addresses;
+    transit passes untouched."""
+    return ingress is not None or claimed == asn
+
+
+def rbf_admits(claimed: Optional[int], asn: int, ingress: Optional[int],
+               routing: AnyRouting) -> bool:
+    """Park & Lee at ``asn``: the ingress check for the AS's own hosts;
+    from a neighbour, only where ``routing`` brings traffic from the
+    claimed source AS (none for a bogus source or ``asn``'s own)."""
+    if ingress is None:
+        return claimed == asn
+    return claimed is not None and ingress in routing.expected_ingress(asn, claimed)
+
+
+class _SourceFilter(Mitigation):
+    """One admission function's deployment; ``dropped`` counts packet drops."""
+
+    def __init__(self, admits: Callable[[Optional[int], int, Optional[int],
+                                         AnyRouting], bool]) -> None:
+        super().__init__()
+        self.admits = admits
+        self.dropped = 0
+
+    def fluid_filter(self, fluid_net: FluidNetwork) -> FluidFilter:
+        """The fluid form of :meth:`deploy`, routed as ``fluid_net`` routes."""
+        return _FluidFilter(self, fluid_net)
+
+
+class _FluidFilter:
+    """Passes a flow whole or not at all, as its packets would fare."""
+
+    def __init__(self, scheme: _SourceFilter, routing: FluidNetwork) -> None:
+        self.scheme, self.routing = scheme, routing
+
+    def pass_fraction(self, flow: Flow, asn: int, prev_asn: Optional[int],
+                      pos: int, path: Sequence[int]) -> float:
+        # prev_asn is None at the flow's source AS: its own hosts sent it
+        if (asn not in self.scheme.deployed_asns
+                or self.scheme.admits(flow.source_address_asn, asn, prev_asn,
+                                      self.routing)):
+            return 1.0
+        return 0.0
+
+
+class IngressFiltering(_SourceFilter):
     """RFC 2267 ingress filtering at the customer edge."""
 
     name = "ingress"
 
     def __init__(self) -> None:
-        super().__init__()
-        self.dropped = 0
+        super().__init__(ingress_admits)
 
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
+        as_of = network.topology.as_of
         for asn in asns:
-            router = network.routers[asn]
-            prefix = network.topology.prefix_of(asn)
-
             def filt(packet: Packet, router: Router, link: Optional[Link],
-                     now: float, prefix=prefix) -> bool:
-                # Only traffic entering from a directly attached host (the
-                # "customer" side in the one-router-per-AS model) is checked;
-                # transit traffic passes untouched — RFC 2267 semantics.
-                if link is not None and isinstance(link.src, Host):
-                    if not prefix.contains(packet.src):
-                        self.dropped += 1
-                        return False
-                return True
+                     now: float, asn: int = asn) -> bool:
+                # only packets from a directly attached host ("customer") count
+                if (link is None or not isinstance(link.src, Host)
+                        or ingress_admits(as_of(packet.src), asn, None,
+                                          network.routing)):
+                    return True
+                self.dropped += 1
+                return False
 
-            router.add_filter(self.name, filt)
+            network.routers[asn].add_filter(self.name, filt)
             self.deployed_asns.add(asn)
 
-    def fluid_filter(self) -> FluidFilter:
-        mitigation = self
 
-        class _Fluid:
-            def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
-                              path: Sequence[int]) -> float:
-                # at the source AS only: spoofed flows are caught at ingress
-                if pos == 0 and asn in mitigation.deployed_asns and flow.spoofed:
-                    return 0.0
-                return 1.0
-
-        return _Fluid()
-
-
-class RouteBasedFiltering(Mitigation):
+class RouteBasedFiltering(_SourceFilter):
     """Park & Lee route-based distributed packet filtering."""
 
     name = "rbf"
 
     def __init__(self) -> None:
-        super().__init__()
-        self.dropped = 0
+        super().__init__(rbf_admits)
 
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
+        as_of = network.topology.as_of
         for asn in asns:
-            router = network.routers[asn]
-            prefix = network.topology.prefix_of(asn)
-
             def filt(packet: Packet, router: Router, link: Optional[Link],
-                     now: float, prefix=prefix, asn=asn) -> bool:
-                src_asn = network.topology.as_of(packet.src)
-                if src_asn is None:
-                    self.dropped += 1
-                    return False  # bogon source
-                if link is not None and isinstance(link.src, Host):
-                    # locally injected: source must be local (ingress check)
-                    if not prefix.contains(packet.src):
-                        self.dropped += 1
-                        return False
+                     now: float, asn: int = asn) -> bool:
+                # network.routing is read per packet: fail_link replaces it
+                if rbf_admits(as_of(packet.src), asn, router._ingress_asn(link),
+                              network.routing):
                     return True
-                if src_asn == asn:
-                    # claims to be our own address but arrived from outside
-                    if link is not None:
-                        self.dropped += 1
-                        return False
-                    return True
-                ingress = router._ingress_asn(link)
-                if ingress is None:
-                    return True
-                # read at run time: fail_link/restore_link replace routing
-                if ingress not in network.routing.expected_ingress(asn, src_asn):
-                    self.dropped += 1
-                    return False
-                return True
+                self.dropped += 1
+                return False
 
-            router.add_filter(self.name, filt)
+            network.routers[asn].add_filter(self.name, filt)
             self.deployed_asns.add(asn)
-
-    def fluid_filter(self, fluid_net: FluidNetwork) -> FluidFilter:
-        """Fluid filter on ``fluid_net``, whose routing gives the expected
-        ingress."""
-        mitigation = self
-
-        class _Fluid:
-            def pass_fraction(self, flow: Flow, asn: int, prev_asn, pos: int,
-                              path: Sequence[int]) -> float:
-                if asn not in mitigation.deployed_asns or not flow.spoofed:
-                    return 1.0
-                claimed = flow.source_address_asn
-                if pos == 0:
-                    # locally injected with a foreign source: ingress check
-                    return 0.0 if claimed != asn else 1.0
-                expected = fluid_net.expected_ingress(asn, claimed)
-                return 1.0 if prev_asn in expected else 0.0
-
-        return _Fluid()

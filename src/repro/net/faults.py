@@ -26,6 +26,7 @@ runs — behaviour is bit-for-bit what it was before the module existed.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, TYPE_CHECKING
@@ -96,10 +97,10 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         for f in self.faults:
-            if f.start < 0:
-                raise FaultConfigError(f"fault starts in the past: {f}")
-            if f.duration <= 0:
-                raise FaultConfigError(f"fault needs positive duration: {f}")
+            if not (math.isfinite(f.start) and f.start >= 0):
+                raise FaultConfigError(f"fault needs a finite start >= 0: {f}")
+            if not (math.isfinite(f.duration) and f.duration > 0):
+                raise FaultConfigError(f"fault needs a finite positive duration: {f}")
             if f.kind is FaultKind.MESSAGE_LOSS and not 0.0 <= f.param <= 1.0:
                 raise FaultConfigError(f"loss probability outside [0,1]: {f}")
         self.faults.sort(key=Fault.key)

@@ -285,7 +285,7 @@ def _tcs_rules(built: "BuiltScenario", spec: DefenseSpec) -> tuple:
     stubs = topo.stub_ases
     if spec.name == "tcs-spec":
         rules = spec.get("rules", None)
-        rule_specs = (tuple(RuleSpec(**r) for r in rules) if rules
+        rule_specs = (tuple(RuleSpec.from_dict(r) for r in rules) if rules
                       else (OFFSERVICE_UDP,))
         return stubs, victim_user(topo, victim_asn), "tcs-spec", (), rule_specs
     attack_kind = built.scenario.attack.kind
@@ -369,7 +369,7 @@ def _fluid_ingress(built: "BuiltScenario", spec: DefenseSpec,
                    fluid: "FluidNetwork") -> list:
     ing = IngressFiltering()
     ing.deployed_asns = set(built.topology.stub_ases)
-    return [ing.fluid_filter()]
+    return [ing.fluid_filter(fluid)]
 
 
 @fluid_defense("rbf")

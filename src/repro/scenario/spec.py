@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -135,6 +136,13 @@ class AttackSpec:
                 f"attack kind must be one of {ATTACK_KINDS}, got {self.kind!r}")
         if self.n_agents < 1:
             raise SpecError(f"need at least one agent, got {self.n_agents}")
+        for name in ("n_masters", "n_reflectors", "n_legit_clients",
+                     "attack_rate_pps", "legit_rate_pps", "attack_packet_size",
+                     "request_size", "amplification", "duration",
+                     "attack_start"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise SpecError(f"{name} must be finite and >= 0, got {value!r}")
 
     def scaled(self, scale: float) -> "AttackSpec":
         """Scale the population knobs the way experiments scale theirs."""
@@ -188,6 +196,19 @@ class FaultSpec:
     mean_downtime: float = 0.4
     horizon: float = 0.0
     seed_offset: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("n_crashes", "n_flaps", "n_partitions", "tcsp_outages",
+                     "n_loss_windows", "n_store_crashes", "n_shard_crashes"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise FaultConfigError(f"{name} must be >= 0, got {value!r}")
+        if not (math.isfinite(self.mean_downtime) and self.mean_downtime > 0):
+            raise FaultConfigError(
+                f"mean_downtime must be finite and > 0, got {self.mean_downtime!r}")
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise FaultConfigError(
+                f"loss_rate must lie in [0, 1], got {self.loss_rate!r}")
 
     def plan(self, base_seed: int, *, horizon: float,
              device_asns: Sequence[int] = (),

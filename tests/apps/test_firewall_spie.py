@@ -7,7 +7,13 @@ from repro.attack import (
     ProtocolMisuseAttack,
 )
 from repro.core import DeploymentScope, NumberAuthority, Tcsp, TrafficControlService
-from repro.core.apps import DistributedFirewallApp, FirewallRule, SpieTracebackApp
+from repro.core.apps import (
+    BLOCK_ICMP_UNREACH,
+    BLOCK_RST,
+    DistributedFirewallApp,
+    SpieTracebackApp,
+)
+from repro.core.compose import RuleSpec
 from repro.net import Network, Packet, TopologyBuilder
 from repro.scenario import AttackSpec
 
@@ -38,8 +44,7 @@ class TestDistributedFirewall:
     def test_rst_teardown_attack_filtered(self):
         """Sec. 4.3: protocol-misuse teardown packets are filtered out."""
         net, victim, peers, attacker, pool, svc = self._setup()
-        fw = DistributedFirewallApp(svc, [FirewallRule.block_teardown_rst(),
-                                          FirewallRule.block_icmp_unreachable()])
+        fw = DistributedFirewallApp(svc, [BLOCK_RST, BLOCK_ICMP_UNREACH])
         fw.deploy()
         ProtocolMisuseAttack(net, attacker, pool, rate_pps=50.0,
                              duration=0.5, mode="rst", seed=1).launch()
@@ -56,7 +61,8 @@ class TestDistributedFirewall:
 
     def test_port_blocking_rule(self):
         net, victim, peers, attacker, pool, svc = self._setup()
-        fw = DistributedFirewallApp(svc, [FirewallRule.block_port(53)])
+        fw = DistributedFirewallApp(svc, [
+            RuleSpec(action="drop", proto="udp", dport=53, label="block-udp-53")])
         fw.deploy()
         attacker.send(Packet.udp(attacker.address, victim.address, dport=53,
                                  kind="attack"))
@@ -69,7 +75,7 @@ class TestDistributedFirewall:
     def test_firewall_only_affects_owner_traffic(self):
         """Scope confinement: the same RST between two *other* hosts flows."""
         net, victim, peers, attacker, pool, svc = self._setup()
-        fw = DistributedFirewallApp(svc, [FirewallRule.block_teardown_rst()])
+        fw = DistributedFirewallApp(svc, [BLOCK_RST])
         fw.deploy()
         bystander = net.add_host(net.topology.stub_ases[1])
         attacker.send(Packet.tcp_rst(attacker.address, bystander.address,
@@ -79,8 +85,8 @@ class TestDistributedFirewall:
 
     def test_rate_limit_and_logging_options(self):
         net, victim, peers, attacker, pool, svc = self._setup()
-        fw = DistributedFirewallApp(svc, [], rate_limit_bps=1e9,
-                                    with_logging=True)
+        fw = DistributedFirewallApp(svc, [
+            RuleSpec(action="log"), RuleSpec(action="rate-limit", rate_bps=1e9)])
         fw.deploy(DeploymentScope.explicit([victim.asn]))
         attacker.send(Packet.udp(attacker.address, victim.address))
         net.run()

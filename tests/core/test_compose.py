@@ -51,6 +51,24 @@ class TestValidation:
         with pytest.raises(DeploymentError):
             ServiceSpec(name="empty").validate()
 
+    def test_from_dict_freezes_list_fields(self):
+        rule = RuleSpec.from_dict({"action": "blacklist",
+                                   "prefixes": ["10.9.0.0/16"],
+                                   "dport_not_in": [53, 80]})
+        assert rule == RuleSpec(action="blacklist", prefixes=("10.9.0.0/16",),
+                                dport_not_in=(53, 80))
+        hash(rule)
+
+    @pytest.mark.parametrize("data", [
+        {"action": "drop", "bogus": 1},   # unknown field
+        {"proto": "udp"},                 # no action
+        ["drop"],                         # not an object
+        {"action": "blacklist", "prefixes": "10.9.0.0/16"},  # not a list
+    ])
+    def test_from_dict_rejects_malformed_rules(self, data):
+        with pytest.raises(DeploymentError):
+            RuleSpec.from_dict(data)
+
     def test_unknown_protocol_rejected_at_compile(self):
         spec = ServiceSpec("s", (RuleSpec(action="drop", proto="sctp"),))
         with pytest.raises(DeploymentError):

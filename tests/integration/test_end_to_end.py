@@ -11,9 +11,9 @@ from repro.core import (
 from repro.core.apps import (
     AntiSpoofApp,
     DistributedFirewallApp,
-    FirewallRule,
     SpieTracebackApp,
 )
+from repro.core.compose import RuleSpec
 from repro.net import Network, Packet, TopologyBuilder
 from repro.scenario import AttackSpec
 
@@ -83,8 +83,8 @@ class TestMultiTenant:
             user, cert = tcsp.register_user(name, [prefix])
             services[name] = TrafficControlService(tcsp, user, cert)
         # alice blocks UDP/53; bob blocks nothing
-        fw = DistributedFirewallApp(services["alice"],
-                                    [FirewallRule.block_port(53)])
+        fw = DistributedFirewallApp(services["alice"], [
+            RuleSpec(action="drop", proto="udp", dport=53, label="block-udp-53")])
         fw.deploy(DeploymentScope.everywhere())
         client.send(Packet.udp(client.address, alice_host.address, dport=53,
                                kind="to-alice"))
@@ -109,10 +109,10 @@ class TestMultiTenant:
             user, cert = tcsp.register_user(name, [prefix])
             svcs[name] = TrafficControlService(tcsp, user, cert)
         # alice logs outbound; bob logs inbound
-        alice_fw = DistributedFirewallApp(svcs["alice"], [], with_logging=True)
+        alice_fw = DistributedFirewallApp(svcs["alice"], [RuleSpec(action="log")])
         svcs["alice"].deploy(DeploymentScope.explicit([1]),
                              src_graph_factory=alice_fw.graph_factory)
-        bob_fw = DistributedFirewallApp(svcs["bob"], [], with_logging=True)
+        bob_fw = DistributedFirewallApp(svcs["bob"], [RuleSpec(action="log")])
         bob_fw.deploy(DeploymentScope.explicit([1]))
         alice_host.send(Packet.udp(alice_host.address, bob_host.address))
         net.run()

@@ -10,7 +10,7 @@ packet model; this file pins them together.
 import pytest
 
 from repro.attack import DirectFlood
-from repro.mitigation import IngressFiltering
+from repro.mitigation import IngressFiltering, RouteBasedFiltering
 from repro.net import (
     Flow,
     FlowSet,
@@ -76,7 +76,7 @@ class TestFilteringAgreement:
             for a in agent_asns
         ])
         fluid_survival = fluid.evaluate(
-            flows, filters=[ing.fluid_filter()], congestion=False
+            flows, filters=[ing.fluid_filter(fluid)], congestion=False
         ).survival_fraction("attack")
 
         # packet level: same layout, light rate (no congestion)
@@ -99,6 +99,41 @@ class TestFilteringAgreement:
         expected = 1.0 - deployed_fraction
         assert fluid_survival == pytest.approx(expected, abs=0.01)
         assert packet_survival == pytest.approx(expected, abs=0.01)
+
+
+    def test_partial_top_degree_rbf_deployment(self):
+        """Route-based filtering at the top-degree 10% of ASes drops the
+        same spoofed flows in both models."""
+        topo = TopologyBuilder.powerlaw(n=40, m=2, seed=5)
+        ases = topo.as_numbers
+        deployed = sorted(ases, key=lambda a: -topo.degree(a))[:4]
+        victim_asn = topo.stub_ases[0]
+        # every other stub floods the victim, each claiming a different AS
+        pairs = [(a, ases[(7 * i + 3) % len(ases)])
+                 for i, a in enumerate(topo.stub_ases[1:])]
+        pairs = [(a, c) for a, c in pairs if c != a]
+
+        fluid = FluidNetwork(topo)
+        rbf = RouteBasedFiltering()
+        rbf.deployed_asns = set(deployed)
+        result = fluid.evaluate(
+            FlowSet([Flow(a, victim_asn, 1e6, kind="attack",
+                          claimed_src_asn=c) for a, c in pairs]),
+            filters=[rbf.fluid_filter(fluid)], congestion=False)
+        fluid_passed = [bool(d > 0) for d in result.delivered]
+
+        net = Network(TopologyBuilder.powerlaw(n=40, m=2, seed=5))
+        victim = net.add_host(victim_asn)
+        RouteBasedFiltering().deploy(net, deployed)
+        for i, (a, c) in enumerate(pairs):
+            net.add_host(a).send(Packet.udp(
+                net.topology.prefix_of(c).first, victim.address,
+                kind=f"probe{i}", spoofed=True))
+        net.run()
+        packet_passed = [victim.received_by_kind.get(f"probe{i}", 0) == 1
+                         for i in range(len(pairs))]
+        assert packet_passed == fluid_passed
+        assert 0 < sum(fluid_passed) < len(pairs)  # the deployment is partial
 
 
 class TestPathAgreement:

@@ -147,7 +147,7 @@ class TestFluidFilters:
         net = Network(topo)
         ing = IngressFiltering()
         ing.deployed_asns = {0}
-        filt = ing.fluid_filter()
+        filt = ing.fluid_filter(fluid)
         flows = FlowSet([
             Flow(0, 3, 1e6, kind="attack", claimed_src_asn=2),
             Flow(0, 3, 1e6, kind="legit"),

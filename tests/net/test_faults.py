@@ -77,6 +77,28 @@ class TestFaultPlan:
         with pytest.raises(FaultConfigError):
             SPEC.plan(1, **{**POOLS, "horizon": 0.0})
 
+    @pytest.mark.parametrize("build", [
+        lambda: FaultSpec(n_crashes=-3),
+        lambda: FaultSpec(n_flaps=-1),
+        lambda: FaultSpec(n_partitions=-1),
+        lambda: FaultSpec(tcsp_outages=-1),
+        lambda: FaultSpec(n_loss_windows=-1),
+        lambda: FaultSpec(n_store_crashes=-1),
+        lambda: FaultSpec(n_shard_crashes=-1),
+        lambda: FaultSpec(mean_downtime=float("nan")),
+        lambda: FaultSpec(mean_downtime=float("inf")),
+        lambda: FaultSpec(mean_downtime=0.0),
+        lambda: FaultSpec(loss_rate=1.5),
+        lambda: FaultSpec(loss_rate=float("nan")),
+        lambda: FaultPlan([Fault(FaultKind.DEVICE_CRASH, float("nan"), 1.0, (1,))]),
+        lambda: FaultPlan([Fault(FaultKind.DEVICE_CRASH, float("inf"), 1.0, (1,))]),
+        lambda: FaultPlan([Fault(FaultKind.DEVICE_CRASH, 0.1, float("nan"), (1,))]),
+        lambda: FaultPlan([Fault(FaultKind.DEVICE_CRASH, 0.1, float("inf"), (1,))]),
+    ])
+    def test_rejects_bad_knobs(self, build):
+        with pytest.raises(FaultConfigError):
+            build()
+
     def test_plan_is_sorted_by_start(self):
         plan = SPEC.plan(9, **POOLS)
         starts = [f.start for f in plan]

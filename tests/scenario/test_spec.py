@@ -57,6 +57,18 @@ class TestAttackSpec:
         assert built.scenario.attack is attack
         assert len(built.scenario.reflectors) == attack.n_reflectors
 
+    @pytest.mark.parametrize("field, value", [
+        ("attack_rate_pps", "NaN"), ("attack_rate_pps", "-1"),
+        ("legit_rate_pps", "Infinity"), ("attack_packet_size", "-512"),
+        ("request_size", "NaN"), ("amplification", "-Infinity"),
+        ("duration", "-1"), ("attack_start", "NaN"), ("n_masters", "-1"),
+        ("n_reflectors", "-2"), ("n_legit_clients", "-1"),
+    ])
+    def test_rejects_non_finite_or_negative_traffic(self, field, value):
+        text = '{"attack": {"kind": "direct-spoofed", "%s": %s}}' % (field, value)
+        with pytest.raises(SpecError, match=field):
+            ScenarioSpec.from_json(text)
+
     def test_scaled_scales_populations(self):
         spec = AttackSpec(n_agents=8, n_reflectors=6).scaled(0.5)
         assert spec.n_agents == 4

@@ -198,6 +198,15 @@ class TestPolicyCommand:
         assert main(["policy", "verify", "--spec", str(spec_file)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_rule_field_is_an_error(self, capsys, tmp_path):
+        spec_file = tmp_path / "svc.json"
+        spec_file.write_text('{"name": "svc", "rules": '
+                             '[{"action": "drop", "bogus": 1}]}')
+        assert main(["policy", "show", "--spec", str(spec_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "bogus" in captured.err
+
     def test_bench_reports_ratio(self, capsys):
         assert main(["policy", "bench", "--batch", "64"]) == 0
         out = capsys.readouterr().out
@@ -233,6 +242,23 @@ class TestMetricsOut:
             for line in out_file.read_text().splitlines()
             if json.loads(line)["name"] == "scenario.attack_survival")
         assert f"attack_survival   : {round(survival, 4)}" in printed
+
+
+class TestScenarioCommand:
+    def test_unknown_tcs_spec_rule_field_is_an_error(self, capsys, tmp_path):
+        import json
+
+        spec_file = tmp_path / "scenario.json"
+        spec_file.write_text(json.dumps({
+            "attack": {"kind": "direct-spoofed", "n_agents": 2},
+            "defense": {"name": "tcs-spec", "params": {
+                "rules": [{"action": "drop", "bogus": 1}]}}}))
+        assert main(["scenario", "run", "--spec", str(spec_file),
+                     "--engine", "packet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("packet: cannot run: ")
+        assert "bogus" in captured.err
 
 
 class TestServeCommand:
