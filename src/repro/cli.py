@@ -304,7 +304,7 @@ def _load_service_spec(path: Optional[str]):
 
 def cmd_policy(args: argparse.Namespace) -> int:
     """``repro policy {show,verify,bench}`` over a service spec."""
-    from repro.core.compose import build_graph
+    from repro.core.compose import compile_spec
     from repro.core.device import DeviceContext
     from repro.errors import ReproError
     from repro.net import ASRole, Prefix
@@ -314,7 +314,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
         spec = _load_service_spec(args.spec)
         device_ctx = DeviceContext(asn=0, role=ASRole.STUB,
                                    local_prefix=Prefix.parse("10.0.0.0/8"))
-        graph = build_graph(spec, device_ctx)
+        graph = compile_spec(spec, device_ctx)
     except (ReproError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -329,7 +329,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
         return 1 if errors else 0
 
     try:
-        compiled = compile_policy(graph, vet=True)
+        compiled = compile_policy(graph)
     except ReproError as exc:
         print(f"error: {exc} (run 'policy verify' for the full list)",
               file=sys.stderr)

@@ -37,7 +37,7 @@ from repro.core.components import (
     Verdict,
 )
 from repro.core.graph import ComponentGraph
-from repro.core.safety import SafetyMonitor, vet_component, vet_graph
+from repro.core.safety import SafetyMonitor, vet_component
 from repro.core.device import AdaptiveDevice, DeviceContext, ServiceInstance
 from repro.core.nms import DesiredService, IspNms
 from repro.core.rpc import CircuitBreaker, ControlChannel, RetryPolicy, RpcStats
@@ -76,7 +76,6 @@ __all__ = [
     "DigestStoreComponent",
     "ComponentGraph",
     "vet_component",
-    "vet_graph",
     "SafetyMonitor",
     "AdaptiveDevice",
     "DeviceContext",

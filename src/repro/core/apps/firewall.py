@@ -9,7 +9,9 @@ the many network operators involved."
 The firewall runs in the *destination-owner* stage: the owner of the
 protected servers filters what may reach them, anywhere in the network —
 "distributed firewall-like filtering" (Sec. 1).  Its rules are
-:class:`~repro.core.compose.RuleSpec` values, compiled per device.
+:class:`~repro.core.compose.RuleSpec` values: one graph per device
+(:func:`~repro.core.compose.compile_spec`), which that device's decision
+core vets and compiles when it installs it.
 """
 
 from __future__ import annotations

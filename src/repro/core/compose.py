@@ -4,8 +4,10 @@ Paper Fig. 5: "The TCSP maps the request to service components and
 instructs network management systems of appropriate ISPs to deploy and
 configure the service components."  The mapping step is modelled after the
 Chameleon service-composition work the paper cites ([5] Bossardt et al.):
-a *service specification* is a declarative list of rules; the compiler
-turns it into a vetted component graph, specialised per device context.
+a *service specification* is a declarative list of rules;
+:func:`compile_spec` turns it into a component graph, specialised per
+device context, and the device's decision core compiles and vets that
+graph when it installs it.
 
 This is the layer a real TCSP would expose to customers instead of raw
 component graphs: users say *what* ("block RSTs", "rate-limit UDP to
@@ -42,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import Topology
     from repro.service.core import DecisionCore
 
-__all__ = ["RuleFilter", "RuleSpec", "ServiceSpec", "build_graph", "compile_spec",
+__all__ = ["RuleFilter", "RuleSpec", "ServiceSpec", "compile_spec",
            "deploy_rules", "rule_core"]
 
 #: rule actions the composer understands
@@ -139,13 +141,14 @@ def _match_of(rule: RuleSpec) -> HeaderMatch:
                        min_size=rule.min_size, max_size=rule.max_size)
 
 
-def build_graph(spec: ServiceSpec, device_ctx: DeviceContext,
-                trigger_action=None) -> ComponentGraph:
-    """Materialise a spec's component graph *without* compiling it.
+def compile_spec(spec: ServiceSpec, device_ctx: DeviceContext,
+                 trigger_action=None) -> ComponentGraph:
+    """Compile a service spec into a component graph for one device.
 
-    :func:`compile_spec` is the normal entry point; this half exists for
-    tooling (``repro policy verify``) that wants the raw graph so it can
-    report every compiler diagnostic instead of stopping at the first.
+    Rules become components in order; unknown protocols/flags and
+    parameter omissions are rejected before anything reaches a device.
+    ``trigger_action(ctx, rate)`` is bound to any trigger rules.  The
+    graph is vetted (Sec. 4.5) when a decision core installs it.
     """
     spec.validate()
     graph = ComponentGraph(f"{spec.name}@AS{device_ctx.asn}")
@@ -178,24 +181,6 @@ def build_graph(spec: ServiceSpec, device_ctx: DeviceContext,
     return graph
 
 
-def compile_spec(spec: ServiceSpec, device_ctx: DeviceContext,
-                 trigger_action=None) -> ComponentGraph:
-    """Compile a service spec into a vetted component graph for one device.
-
-    Rules become components in order; unknown protocols/flags and
-    parameter omissions are rejected before anything reaches a device.
-    ``trigger_action(ctx, rate)`` is bound to any trigger rules.
-    """
-    graph = build_graph(spec, device_ctx, trigger_action=trigger_action)
-    # lower through the policy compiler: structural + Sec. 4.5 vetting run
-    # as compiler passes (same exceptions/messages as vet_graph), and the
-    # compiled programs are cached on the graph for the execution layers
-    from repro.policy.compiler import compile_policy
-
-    compile_policy(graph, vet=True)
-    return graph
-
-
 def spec_factory(spec: ServiceSpec, trigger_action=None):
     """A :data:`~repro.core.nms.GraphFactory` compiling ``spec`` per device."""
 
@@ -221,7 +206,7 @@ def rule_core(topology: "Topology", asn: int, owner: NetworkUser, name: str,
     context = DeviceContext(asn=asn, role=topology.role_of(asn),
                             local_prefix=topology.prefix_of(asn))
     stage_rules = (tuple(src_rules), tuple(dst_rules))
-    graphs = [build_graph(ServiceSpec(name, rules), context)
+    graphs = [compile_spec(ServiceSpec(name, rules), context)
               if rules else None for rules in stage_rules]
     core = DecisionCore(context, registry, strict=False)
     core.install(owner, *graphs)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import DeploymentError
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.core.safety import SafetyMonitor
@@ -45,6 +44,7 @@ from repro.obs.metrics import declare, reset_metrics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
+    from repro.policy.compiler import CompiledPolicy
     from repro.service.core import DecisionCore
 
 __all__ = ["DeviceContext", "ServiceInstance", "AdaptiveDevice"]
@@ -82,19 +82,29 @@ class DeviceContext:
 class ServiceInstance:
     """One network user's installed service on one device.
 
-    ``src_graph`` runs in the source-owner stage, ``dst_graph`` in the
-    destination-owner stage (either may be absent); ``active`` supports the
-    instant activate/deactivate of Sec. 4.2 ("activated instantly",
-    "triggers can automatically activate predefined additional
-    configurations").
+    ``src_program`` runs in the source-owner stage, ``dst_program`` in the
+    destination-owner stage (either may be absent): each is the program
+    :meth:`~repro.service.core.DecisionCore.install` compiled from a stage
+    graph, which ``src_graph``/``dst_graph`` read back.  ``active``
+    supports the instant activate/deactivate of Sec. 4.2 ("activated
+    instantly", "triggers can automatically activate predefined
+    additional configurations").
     """
 
     user: NetworkUser
-    src_graph: Optional[ComponentGraph] = None
-    dst_graph: Optional[ComponentGraph] = None
+    src_program: Optional["CompiledPolicy"] = None
+    dst_program: Optional["CompiledPolicy"] = None
     active: bool = True
     disabled_for_violation: bool = False
     monitor: SafetyMonitor = field(default_factory=SafetyMonitor)
+
+    @property
+    def src_graph(self) -> Optional[ComponentGraph]:
+        return None if self.src_program is None else self.src_program.graph
+
+    @property
+    def dst_graph(self) -> Optional[ComponentGraph]:
+        return None if self.dst_program is None else self.dst_program.graph
 
     def rule_count(self) -> int:
         n = 0
@@ -114,8 +124,6 @@ class AdaptiveDevice:
         # imported first; at construction time both are fully loaded
         from repro.service.core import DecisionCore
 
-        if stage_order not in ("src-first", "dst-first"):
-            raise DeploymentError(f"unknown stage order {stage_order!r}")
         self.context = context
         self.registry = registry
         # registry-backed counters, labelled by this device's AS number;
@@ -252,8 +260,10 @@ class AdaptiveDevice:
         state its owners no longer control, so every installed service is
         wiped; the NMS watchdog's anti-entropy pass re-installs what should
         be present (:meth:`repro.core.nms.IspNms.reconcile_device`).
+        Services parked by a routing update are forgotten with them.
         """
         self.services.clear()
+        self.pending_routing_reconfig.clear()
         self.crashed = False
         self._m_restarts.value += 1
         self.invalidate_flow_cache()

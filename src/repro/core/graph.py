@@ -10,19 +10,21 @@ verdict if no edge is defined.  A DROP is **sticky**: once any component
 drops, downstream components on the drop path may still observe the packet
 (e.g. log it) but can never resurrect it — a structural piece of the
 Sec. 4.5 safety story.
+
+A graph is a description: :func:`repro.policy.compiler.compile_policy`
+checks it (structure and Sec. 4.5 vetting) and turns it into the program
+a decision core runs; :meth:`ComponentGraph.process` is the interpreted
+walk kept as that program's differential oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Iterator, Optional
 
 from repro.errors import ComponentGraphError
 from repro.core.components import Component, ComponentContext, Verdict
 from repro.net.packet import Packet
 from repro.obs.metrics import declare
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.policy.compiler import CompiledPolicy
 
 _PACKETS_IN = declare(
     "graph.packets_in", "counter", labels=("graph",),
@@ -35,7 +37,7 @@ __all__ = ["ComponentGraph"]
 
 
 class ComponentGraph:
-    """A validated DAG of packet-processing components."""
+    """A DAG of packet-processing components."""
 
     def __init__(self, name: str = "service") -> None:
         self.name = name
@@ -46,11 +48,6 @@ class ComponentGraph:
         # available as attribute views below
         self._m_packets_in = _PACKETS_IN.labelled(graph=name)
         self._m_packets_dropped = _PACKETS_DROPPED.labelled(graph=name)
-        # structural version: bumped on every mutation so cached compiled
-        # policies (repro.policy) know when to re-lower
-        self._version = 0
-        self._compiled: Optional["CompiledPolicy"] = None
-        self._compiled_version = -1
 
     # ------------------------------------------------ read-only counter views
     @property
@@ -69,7 +66,6 @@ class ComponentGraph:
         self._components[component.name] = component
         if entry or self._entry is None:
             self._entry = component.name
-        self._version += 1
         return self
 
     def connect(self, src: str, dst: str, on: Verdict = Verdict.PASS) -> "ComponentGraph":
@@ -78,7 +74,6 @@ class ComponentGraph:
             if name not in self._components:
                 raise ComponentGraphError(f"unknown component {name!r}")
         self._edges[(src, on)] = dst
-        self._version += 1
         return self
 
     def chain(self, *components: Component) -> "ComponentGraph":
@@ -110,42 +105,6 @@ class ComponentGraph:
     def __len__(self) -> int:
         return len(self._components)
 
-    @property
-    def version(self) -> int:
-        """Structural version; bumped on every :meth:`add`/:meth:`connect`."""
-        return self._version
-
-    def compiled(self) -> "CompiledPolicy":
-        """The cached compiled policy for this graph (re-lowered on mutation).
-
-        Compiles with ``vet=False``: runtime execution of an installed graph
-        must never newly fail vetting that the interpreter would have
-        tolerated — install/compose paths vet explicitly.
-        """
-        if self._compiled is None or self._compiled_version != self._version:
-            # deferred import: repro.policy lowers graphs, so importing it
-            # at module scope would be circular
-            from repro.policy.compiler import compile_policy
-
-            self._compiled = compile_policy(self, vet=False)
-            self._compiled_version = self._version
-        return self._compiled
-
-    # -------------------------------------------------------------- validation
-    def validate(self) -> None:
-        """Raise unless the graph is non-empty, acyclic, and fully wired.
-
-        The check is the policy compiler's structural pass; this raises
-        its first error.
-        """
-        # deferred import: repro.policy lowers graphs (circular at module scope)
-        from repro.policy.ir import lower_graph
-        from repro.policy.passes import Severity, structural_pass
-
-        for diag in structural_pass(lower_graph(self)):
-            if diag.severity is Severity.ERROR:
-                raise ComponentGraphError(diag.message)
-
     # --------------------------------------------------------------- execution
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         """Run the packet through the graph; returns the final verdict.
@@ -160,7 +119,7 @@ class ComponentGraph:
         steps = 0
         limit = len(self._components) + 1
         while node is not None:
-            if steps >= limit:  # defense in depth; validate() prevents cycles
+            if steps >= limit:  # defense in depth; compiling rejects cycles
                 raise ComponentGraphError(f"graph {self.name!r} did not terminate")
             steps += 1
             verdict = self._components[node](packet, ctx)

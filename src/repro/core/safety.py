@@ -3,11 +3,13 @@
 Three mechanisms, mirroring the paper's argument that misuse "must be
 prevented from the very beginning":
 
-1. **Static vetting** (:func:`vet_component`, :func:`vet_graph`) — "New
-   service modules for the adaptive device must be checked for security
-   compliance before deployment."  Rejects components that declare writes
-   to src/dst/TTL, packet-rate amplification (> 1 output per input), size
-   amplification (> 1.0 size ratio), or an excessive side-channel budget.
+1. **Static vetting** (:func:`vet_component`, run over every component
+   and the graph's aggregate budget by the policy compiler's vetting pass
+   when a decision core installs a graph) — "New service modules for the
+   adaptive device must be checked for security compliance before
+   deployment."  Rejects components that declare writes to src/dst/TTL,
+   packet-rate amplification (> 1 output per input), size amplification
+   (> 1.0 size ratio), or an excessive side-channel budget.
 
 2. **Runtime conservation monitoring** (:class:`SafetyMonitor`) — catches
    components whose *behaviour* contradicts their declaration: per-packet
@@ -26,14 +28,12 @@ from typing import NamedTuple
 
 from repro.errors import SafetyViolation, VettingError
 from repro.core.components import Component
-from repro.core.graph import ComponentGraph
 from repro.net.packet import Packet
 
 __all__ = [
     "FORBIDDEN_HEADER_FIELDS",
     "MAX_EXTRA_TRAFFIC_BPS",
     "vet_component",
-    "vet_graph",
     "PacketSnapshot",
     "SafetyMonitor",
 ]
@@ -73,18 +73,6 @@ def vet_component(component: Component) -> None:
             f"component {component.name!r} requests {caps.extra_traffic_bps:.0f} "
             f"bit/s of side-channel traffic (max {MAX_EXTRA_TRAFFIC_BPS:.0f})"
         )
-
-
-def vet_graph(graph: ComponentGraph) -> None:
-    """Vet every component and the graph structure before deployment.
-
-    This is the policy compiler with vetting on: its structural and
-    vetting passes are the one implementation of both checks.
-    """
-    # deferred import: repro.policy's vetting pass imports this module
-    from repro.policy.compiler import compile_policy
-
-    compile_policy(graph, vet=True)
 
 
 class PacketSnapshot(NamedTuple):

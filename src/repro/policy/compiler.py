@@ -9,8 +9,10 @@ byte-identical counters and verdicts to :meth:`ComponentGraph.process`
 
 Mutable component state (blacklist prefixes, token buckets, collector
 dicts) is read at execution time, so runtime reconfiguration never
-requires a recompile; only structural graph mutation does
-(:meth:`ComponentGraph.compiled` re-lowers on version bumps).
+requires a recompile.  A program is fixed at compile time: the decision
+core compiles each stage graph once, when it installs it, and a graph
+mutated afterwards keeps running its installed program until the next
+install.
 
 Compiling splits into a **plan** and a **binding**.  The plan holds what
 a successful compile derives from the graph's shape (the scalar edge
@@ -76,7 +78,7 @@ class CompiledPolicy:
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         """Scalar execution — verdicts and counters byte-identical to
-        :meth:`ComponentGraph.process` on a validated graph."""
+        :meth:`ComponentGraph.process` on the graph as compiled."""
         self._g_in.value += 1
         plan = self._plan
         comps, pn, dn = self._comps, plan.pass_next, plan.drop_next
@@ -105,15 +107,15 @@ def _caps_key(component: Component) -> tuple:
             caps.extra_traffic_bps)
 
 
-def _plan_key(policy: Policy, vet: bool) -> tuple:
+def _plan_key(policy: Policy) -> tuple:
     """The key graphs share a plan under: everything a successful compile
-    reads.  The passes read each op's capabilities and PASS/DROP edges,
-    the entry and ``vet``; op and graph names appear only in error
-    messages, and a graph with errors never reaches the cache.  Component
-    parameters are not read at all: the program reads them from the live
-    components as it runs."""
+    reads.  The passes read each op's capabilities and PASS/DROP edges
+    and the entry; op and graph names appear only in error messages, and
+    a graph with errors never reaches the cache.  Component parameters
+    are not read at all: the program reads them from the live components
+    as it runs."""
     return (tuple((_caps_key(op.component), op.pass_to, op.drop_to)
-                  for op in policy.ops), policy.entry, vet)
+                  for op in policy.ops), policy.entry)
 
 
 #: Live plans by key.  A plan lives only while some CompiledPolicy uses it.
@@ -132,35 +134,23 @@ def analyze(graph: "ComponentGraph") -> tuple[Policy, list[Diagnostic]]:
     return policy, diags
 
 
-def compile_policy(graph: "ComponentGraph", vet: bool = True) -> CompiledPolicy:
+def compile_policy(graph: "ComponentGraph") -> CompiledPolicy:
     """Compile ``graph``: the one structural and Sec. 4.5 check.
 
-    Structural errors raise :class:`ComponentGraphError` and (with
-    ``vet=True``) vetting errors raise :class:`VettingError`, each carrying
-    the first diagnostic's message; ``graph.validate()`` and
-    ``vet_graph(graph)`` run these same passes.  ``vet=False`` is the
-    runtime path (:meth:`ComponentGraph.compiled`): execution of an
-    already-installed graph must never start failing vetting the
-    interpreter would have tolerated.  A graph whose plan key matches a
-    live plan skips the passes: the key fixes their outcome.
+    Structural errors raise :class:`ComponentGraphError` and vetting
+    errors raise :class:`VettingError`, each carrying the first
+    diagnostic's message (:func:`analyze` reports them all).  A graph
+    whose plan key matches a live plan skips the passes: the key fixes
+    their outcome.
     """
     policy = lower_graph(graph)
-    key = _plan_key(policy, vet)
+    key = _plan_key(policy)
     plan = _PLANS.get(key)
     if plan is None:
-        errors = [d for d in structural_pass(policy)
-                  if d.severity is Severity.ERROR]
-        if errors:
-            raise ComponentGraphError(errors[0].message)
-        if vet:
-            errors = [d for d in vetting_pass(policy)
-                      if d.severity is Severity.ERROR]
+        for check, error in ((structural_pass, ComponentGraphError),
+                             (vetting_pass, VettingError)):
+            errors = [d for d in check(policy) if d.severity is Severity.ERROR]
             if errors:
-                raise VettingError(errors[0].message)
+                raise error(errors[0].message)
         plan = _PLANS[key] = _Plan(policy)
-    compiled = CompiledPolicy(graph, policy, plan)
-    # prime the graph's cache so execution layers (device/decision core)
-    # reuse this compilation instead of re-lowering
-    graph._compiled = compiled
-    graph._compiled_version = graph.version
-    return compiled
+    return CompiledPolicy(graph, policy, plan)

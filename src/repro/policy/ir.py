@@ -35,8 +35,7 @@ class Policy:
     """A lowered graph: ops in insertion order plus the raw edge list.
 
     ``edge_list`` preserves ``connect()`` insertion order so structural
-    diagnostics replay :meth:`ComponentGraph.validate` exactly (same cycle
-    witness, same messages).
+    diagnostics are deterministic (same cycle witness, same messages).
     """
 
     name: str

@@ -4,10 +4,9 @@ Every pass returns structured :class:`Diagnostic` records instead of
 raising, so ``repro policy verify`` can show *all* problems at once; the
 compiler turns the first ``error`` into the exception.
 
-These are the only implementations of the checks:
-:meth:`ComponentGraph.validate` raises the structural pass's first error
-and :func:`~repro.core.safety.vet_graph` is the compiler with vetting on,
-so a graph is rejected identically whichever entry point checks it.
+These are the only implementations of the checks, and
+:func:`~repro.policy.compiler.compile_policy` is their one raising
+driver: a graph is rejected with the first error's message.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.components import Verdict
 from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, vet_component
 from repro.errors import VettingError
 from repro.policy.ir import Policy
@@ -51,7 +49,7 @@ class Diagnostic:
 
 # ------------------------------------------------------------------ structure
 def structural_pass(policy: Policy) -> list[Diagnostic]:
-    """Cycles + reachability (what ``ComponentGraph.validate()`` raises)."""
+    """Cycles + reachability (``ComponentGraphError`` in ``compile_policy``)."""
     if not policy.ops or policy.entry is None:
         return [Diagnostic(Severity.ERROR, "structure.empty",
                            f"graph {policy.name!r} is empty")]
@@ -107,7 +105,8 @@ def structural_pass(policy: Policy) -> list[Diagnostic]:
 
 # -------------------------------------------------------------------- vetting
 def vetting_pass(policy: Policy) -> list[Diagnostic]:
-    """Sec. 4.5 static vetting as diagnostics (what ``vet_graph`` raises)."""
+    """Sec. 4.5 static vetting as diagnostics (``VettingError`` in
+    ``compile_policy``)."""
     diags: list[Diagnostic] = []
     for op in policy.ops:
         try:

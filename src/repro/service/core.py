@@ -6,7 +6,10 @@ source-owner/destination-owner two-stage pipeline, and the Sec. 4.5
 safety containment that disables a violating service on the spot.  A
 check has one implementation: :meth:`~DecisionCore.wants`, then
 :meth:`~DecisionCore.process`, which runs each stage's
-:class:`~repro.policy.compiler.CompiledPolicy`.
+:class:`~repro.policy.compiler.CompiledPolicy`.  :meth:`~DecisionCore.install`
+compiles every stage graph once, vetting it (Sec. 4.5), and the core runs
+the program it vetted: a graph mutated after install changes nothing until
+it is installed again.
 
 Both consumers share it byte-for-byte:
 
@@ -38,6 +41,7 @@ from repro.net.packet import Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import DeviceContext, ServiceInstance
+    from repro.policy.compiler import CompiledPolicy
 
 __all__ = ["DecisionCore", "FLOW_CACHE_CAPACITY"]
 
@@ -108,7 +112,7 @@ class DecisionCore:
                 src_graph: Optional[ComponentGraph] = None,
                 dst_graph: Optional[ComponentGraph] = None
                 ) -> "ServiceInstance":
-        """Install (after vetting) a user's stage graphs.
+        """Compile (with Sec. 4.5 vetting) and install a user's stage graphs.
 
         Every graph compiles before anything is mutated, so a rejected
         graph leaves the installed policy untouched.
@@ -117,20 +121,17 @@ class DecisionCore:
 
         if src_graph is None and dst_graph is None:
             raise DeploymentError(f"user {user.user_id!r}: nothing to install")
-        for graph in (src_graph, dst_graph):
-            if graph is not None:
-                # compiler-pass vetting: same exceptions/messages as
-                # vet_graph, and the compiled programs are cached for the
-                # execution paths below
-                compile_policy(graph, vet=True)
+        src_program, dst_program = (
+            None if graph is None else compile_policy(graph)
+            for graph in (src_graph, dst_graph))
         instance = self.services.get(user.user_id)
         if instance is None:
             instance = ServiceInstance(user=user)
             self.services[user.user_id] = instance
-        if src_graph is not None:
-            instance.src_graph = src_graph
-        if dst_graph is not None:
-            instance.dst_graph = dst_graph
+        if src_program is not None:
+            instance.src_program = src_program
+        if dst_program is not None:
+            instance.dst_program = dst_program
         instance.disabled_for_violation = False
         self.invalidate()
         return instance
@@ -241,10 +242,10 @@ class DecisionCore:
                    ingress_asn: Optional[int]) -> Optional[Packet]:
         """The two-stage loop with owners already resolved (shared by
         :meth:`process` and the live facade)."""
-        for owner, stage, instance, graph in self._stages(src_owner,
-                                                          dst_owner):
+        for owner, stage, instance, program in self._stages(src_owner,
+                                                            dst_owner):
             packet_after = self._run_stage(
-                packet, instance, graph,
+                packet, instance, program,
                 self._context(owner, stage, now, ingress_asn))
             if packet_after is None:
                 self.m_dropped.value += 1
@@ -254,8 +255,8 @@ class DecisionCore:
 
     def _stages(self, src_owner: Optional[NetworkUser],
                 dst_owner: Optional[NetworkUser]) -> Iterator[tuple]:
-        """Yield ``(owner, stage, instance, graph)`` for every stage graph
-        that runs, in stage order.
+        """Yield ``(owner, stage, instance, program)`` for every stage
+        program that runs, in stage order.
 
         Each stage is checked only when the caller reaches it, so a
         service disabled by a violation in the first stage does not run
@@ -271,10 +272,10 @@ class DecisionCore:
             if (instance is None or not instance.active
                     or instance.disabled_for_violation):
                 continue
-            graph = (instance.src_graph if stage == "source"
-                     else instance.dst_graph)
-            if graph is not None:
-                yield owner, stage, instance, graph
+            program = (instance.src_program if stage == "source"
+                       else instance.dst_program)
+            if program is not None:
+                yield owner, stage, instance, program
 
     def _context(self, owner: NetworkUser, stage: str, now: float,
                  ingress_asn: Optional[int]) -> ComponentContext:
@@ -286,15 +287,15 @@ class DecisionCore:
                                 ingress_asn, ingress_asn is None)
 
     def _run_stage(self, packet: Packet, instance: "ServiceInstance",
-                   graph: ComponentGraph,
+                   program: "CompiledPolicy",
                    ctx: ComponentContext) -> Optional[Packet]:
         before = instance.monitor.note_in(packet)
-        # compiled scalar program: byte-identical verdicts/counters to the
+        # the installed program: byte-identical verdicts/counters to the
         # interpreted graph.process walk (kept as the differential oracle)
-        verdict = graph.compiled().process(packet, ctx)
+        verdict = program.process(packet, ctx)
         result = packet if verdict is Verdict.PASS else None
         try:
-            instance.monitor.check(before, result, graph.name)
+            instance.monitor.check(before, result, program.graph.name)
         except SafetyViolation:
             # Sec. 4.5: contain the misbehaving service immediately.
             instance.disabled_for_violation = True

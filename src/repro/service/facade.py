@@ -136,8 +136,12 @@ class ServiceFacade:
     def subscribe(self, user: NetworkUser,
                   src_graph: Optional[ComponentGraph] = None,
                   dst_graph: Optional[ComponentGraph] = None):
-        """Register the user's prefixes (if new) and install their graphs."""
-        if user.user_id not in self.registry:
+        """Register the user's prefixes (if any is not yet theirs) and
+        install their graphs."""
+        owners = (self.registry.owner_of(prefix.first)
+                  for prefix in user.prefixes)
+        if any(owner is None or owner.user_id != user.user_id
+               for owner in owners):
             self.registry.register(user)
         return self.core.install(user, src_graph, dst_graph)
 

@@ -15,7 +15,9 @@ from repro.core.apps import (
 )
 from repro.core.compose import RuleSpec
 from repro.net import Network, Packet, TopologyBuilder
+from repro.policy import compiler
 from repro.scenario import AttackSpec
+from repro.scenario.tcs import build_tcs_world
 
 
 def service_for_victim(net, victim_asn, user_id="victim-co"):
@@ -51,6 +53,19 @@ class TestDistributedFirewall:
         net.run()
         assert pool.survival_fraction == 1.0
         assert fw.dropped() > 0
+
+    def test_each_installed_graph_is_lowered_once(self, monkeypatch):
+        """The decision core's install is the one compile of a graph."""
+        lowered, lower_graph = [], compiler.lower_graph
+
+        def counting_lower(graph):
+            lowered.append(graph.name)
+            return lower_graph(graph)
+
+        monkeypatch.setattr(compiler, "lower_graph", counting_lower)
+        world = build_tcs_world(Network(TopologyBuilder.line(3)), service=True)
+        DistributedFirewallApp(world.service, [BLOCK_RST]).deploy()
+        assert lowered == [f"firewall:acme@AS{asn}" for asn in (0, 1, 2)]
 
     def test_without_firewall_connections_die(self):
         net, victim, peers, attacker, pool, svc = self._setup()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
 from repro.core.device import DeviceContext
 from repro.net import ASRole, Prefix
+from repro.policy import compile_policy
 
 CTX = DeviceContext(asn=3, role=ASRole.STUB,
                     local_prefix=Prefix.parse("10.3.0.0/16"))
@@ -42,7 +43,7 @@ class TestComposeProperties:
     def test_compiles_to_one_component_per_rule(self, spec):
         graph = compile_spec(spec, CTX)
         assert len(graph) == len(spec.rules)
-        graph.validate()  # compiled graphs are always structurally valid
+        compile_policy(graph)  # spec graphs are always structurally valid
 
     @given(spec=specs())
     @settings(max_examples=40, deadline=None)
@@ -56,10 +57,8 @@ class TestComposeProperties:
     @settings(max_examples=40, deadline=None)
     def test_compiled_graphs_always_pass_vetting(self, spec):
         """No declarative rule can ever express a Sec. 4.5 violation."""
-        from repro.core import vet_graph
-
         graph = compile_spec(spec, CTX)
-        vet_graph(graph)  # must not raise
+        compile_policy(graph)  # must not raise
 
     @given(spec=specs())
     @settings(max_examples=30, deadline=None)

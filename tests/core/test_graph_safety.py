@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ComponentGraph, NetworkUser, SafetyMonitor, vet_component, vet_graph
+from repro.core import ComponentGraph, NetworkUser, SafetyMonitor, vet_component
 from repro.core.components import (
     Capabilities,
     Component,
@@ -18,6 +18,7 @@ from repro.core.components import (
 from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, PacketSnapshot
 from repro.errors import ComponentGraphError, SafetyViolation, VettingError
 from repro.net import IPv4Address, Packet, Prefix, Protocol
+from repro.policy import compile_policy
 
 A = IPv4Address.parse
 P = Prefix.parse
@@ -53,7 +54,7 @@ class TestGraphBuilding:
                 return Verdict.PASS
 
         g.chain(Tag("a"), Tag("b"), Tag("c"))
-        g.validate()
+        compile_policy(g)
         assert g.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
         assert seen == ["a", "b", "c"]
 
@@ -72,7 +73,7 @@ class TestGraphBuilding:
     def test_empty_graph_invalid(self):
         g = ComponentGraph()
         with pytest.raises(ComponentGraphError):
-            g.validate()
+            compile_policy(g)
         with pytest.raises(ComponentGraphError):
             g.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx())
 
@@ -81,14 +82,14 @@ class TestGraphBuilding:
         g.chain(PassThrough("a"), PassThrough("b"))
         g.connect("b", "a", Verdict.PASS)
         with pytest.raises(ComponentGraphError):
-            g.validate()
+            compile_policy(g)
 
     def test_unreachable_component_detected(self):
         g = ComponentGraph()
         g.add(PassThrough("a"))
         g.add(PassThrough("orphan"))
         with pytest.raises(ComponentGraphError):
-            g.validate()
+            compile_policy(g)
 
     def test_component_accessor(self):
         g = ComponentGraph()
@@ -109,7 +110,7 @@ class TestGraphSemantics:
         g.add(dropper)
         g.add(logger)
         g.connect("drop", "log", Verdict.DROP)
-        g.validate()
+        compile_policy(g)
         verdict = g.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx())
         assert verdict is Verdict.DROP
         assert len(logger.entries) == 1  # it saw the doomed packet
@@ -124,7 +125,7 @@ class TestGraphSemantics:
         g.add(drop_log)
         g.connect("f", "pass-log", Verdict.PASS)
         g.connect("f", "drop-log", Verdict.DROP)
-        g.validate()
+        compile_policy(g)
         g.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx())
         from repro.net import ICMPType
 
@@ -217,7 +218,7 @@ class TestVetting:
         g = ComponentGraph()
         g.chain(PassThrough("ok"), Inflater("evil"))
         with pytest.raises(VettingError):
-            vet_graph(g)
+            compile_policy(g)
 
     def test_vet_graph_aggregate_budget(self):
         g = ComponentGraph()
@@ -233,12 +234,12 @@ class TestVetting:
 
         g.chain(make(0), make(1), make(2))
         with pytest.raises(VettingError, match="aggregates"):
-            vet_graph(g)
+            compile_policy(g)
 
     def test_vet_graph_validates_structure(self):
         g = ComponentGraph()
         with pytest.raises(ComponentGraphError):
-            vet_graph(g)
+            compile_policy(g)
 
 
 class TestSafetyMonitor:

@@ -102,6 +102,20 @@ class TestDeviceRoutingUpdates:
         assert device.services["acme"].active
         assert device.reconfirm_topology("acme") == 0  # idempotent
 
+    def test_restart_forgets_parked_services(self):
+        """Sec. 4.5: a restarted device holds no pre-crash per-service
+        state, so a service the NMS re-installs inactive stays inactive."""
+        net, device, user = self._device_world("disable")
+        graph = device.services["acme"].dst_graph
+        net.fail_link(0, net.path(0, 3)[1])
+        assert device.pending_routing_reconfig == {"acme"}
+        device.crash()
+        device.restart()
+        assert device.pending_routing_reconfig == set()
+        device.install(user, dst_graph=graph).active = False
+        assert device.reconfirm_topology() == 0
+        assert not device.services["acme"].active
+
     def test_topology_independent_service_untouched(self):
         net = diamond_net()
         registry = OwnershipRegistry()

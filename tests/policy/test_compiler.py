@@ -16,14 +16,14 @@ from repro.core.components import (
     TriggerComponent,
     Verdict,
 )
-from repro.core.compose import RuleSpec, ServiceSpec, build_graph
+from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
 from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
 from repro.errors import ComponentGraphError, VettingError
 from repro.net import ASRole, IPv4Address, Packet, Prefix, Protocol
 from repro.net.packet import TCPFlags
-from repro.policy import compile_policy
+from repro.policy import analyze, compile_policy
 
 LOCAL = Prefix.parse("10.9.0.0/16")
 OWNER = NetworkUser("owner", prefixes=[Prefix.parse("10.1.0.0/16")])
@@ -105,7 +105,7 @@ def test_differential_interpreter_compiled_parity(builder):
     g_interp, g_scalar = builder(), builder()
     verdicts_interp = [g_interp.process(p, ctx(i * 1e-4))
                        for i, p in enumerate(packets)]
-    compiled_scalar = compile_policy(g_scalar, vet=True)
+    compiled_scalar = compile_policy(g_scalar)
     verdicts_scalar = [compiled_scalar.process(p, ctx(i * 1e-4))
                        for i, p in enumerate(packets)]
     assert verdicts_interp == verdicts_scalar
@@ -157,8 +157,8 @@ def test_generated_interpreter_compiled_parity(spec):
     """The interpreted walk and the compiled program agree on generated
     specs: verdicts, component state and graph counters.  Each side gets
     its own packets, since a scrubber shrinks the ones it sees."""
-    g_interp, g_compiled = build_graph(spec, DEV), build_graph(spec, DEV)
-    compiled = compile_policy(g_compiled, vet=True)
+    g_interp, g_compiled = compile_spec(spec, DEV), compile_spec(spec, DEV)
+    compiled = compile_policy(g_compiled)
     verdicts_interp = [g_interp.process(p, ctx(i * 1e-4)) for i, p
                        in enumerate(random_packets(128, seed=5))]
     verdicts_compiled = [compiled.process(p, ctx(i * 1e-4)) for i, p
@@ -169,16 +169,16 @@ def test_generated_interpreter_compiled_parity(spec):
 
 class TestErrorsAndCache:
     def test_structural_error_matches_validate(self):
+        """``compile_policy`` raises the structural pass's first error."""
         graph = ComponentGraph("empty")
-        with pytest.raises(ComponentGraphError) as compiled_err:
+        with pytest.raises(ComponentGraphError) as err:
             compile_policy(graph)
-        with pytest.raises(ComponentGraphError) as validate_err:
-            graph.validate()
-        assert str(compiled_err.value) == str(validate_err.value)
-        assert str(validate_err.value) == "graph 'empty' is empty"
+        _, diags = analyze(graph)
+        assert [d.message for d in diags] == [str(err.value)]
+        assert str(err.value) == "graph 'empty' is empty"
 
     def test_vetting_error_matches_vet_graph(self):
-        from repro.core.safety import vet_graph
+        """``compile_policy`` raises the vetting pass's first error."""
         from repro.core.components import Capabilities, Component
 
         class Grower(Component):
@@ -189,30 +189,10 @@ class TestErrorsAndCache:
 
         graph = ComponentGraph("amp")
         graph.chain(Grower("g"))
-        with pytest.raises(VettingError) as compiled_err:
-            compile_policy(graph, vet=True)
-        with pytest.raises(VettingError) as vet_err:
-            vet_graph(graph)
-        assert str(compiled_err.value) == str(vet_err.value)
-        assert str(vet_err.value) == (
+        with pytest.raises(VettingError) as err:
+            compile_policy(graph)
+        _, diags = analyze(graph)
+        assert [d.message for d in diags] == [str(err.value)]
+        assert str(err.value) == (
             "component 'g' may grow packets by factor 2.0: byte "
             "amplification is forbidden (Sec. 4.5)")
-        # vet=False (the runtime path) must not reject an installed graph
-        compile_policy(graph, vet=False)
-
-    def test_compiled_cache_invalidated_on_mutation(self):
-        graph = ComponentGraph("cache")
-        graph.chain(HeaderFilter("a", HeaderMatch(proto=Protocol.UDP)))
-        first = graph.compiled()
-        assert graph.compiled() is first
-        graph.add(LoggerComponent("log"))
-        graph.connect("a", "log", Verdict.PASS)
-        second = graph.compiled()
-        assert second is not first
-        assert len(second.policy) == 2
-
-    def test_compile_primes_graph_cache(self):
-        graph = ComponentGraph("primed")
-        graph.chain(HeaderFilter("a", HeaderMatch(proto=Protocol.UDP)))
-        compiled = compile_policy(graph, vet=True)
-        assert graph.compiled() is compiled

@@ -1,4 +1,4 @@
-"""Pass pipeline: structural and vetting parity with the graph checks."""
+"""Pass pipeline: each pass's first error is what ``compile_policy`` raises."""
 
 import pytest
 
@@ -11,10 +11,10 @@ from repro.core.components import (
     Verdict,
 )
 from repro.core.graph import ComponentGraph
-from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, vet_graph
+from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS
 from repro.errors import ComponentGraphError, VettingError
 from repro.net import Protocol
-from repro.policy import lower_graph
+from repro.policy import compile_policy, lower_graph
 from repro.policy.passes import structural_pass, vetting_pass
 
 
@@ -33,7 +33,7 @@ class TestStructuralPass:
         diags = structural_pass(lower_graph(graph))
         assert [d.code for d in diags] == ["structure.empty"]
         with pytest.raises(ComponentGraphError) as err:
-            graph.validate()
+            compile_policy(graph)
         assert diags[0].message == str(err.value)
         assert str(err.value) == "graph 'void' is empty"
 
@@ -44,7 +44,7 @@ class TestStructuralPass:
         diags = structural_pass(lower_graph(graph))
         assert [d.code for d in diags] == ["structure.cycle"]
         with pytest.raises(ComponentGraphError) as err:
-            graph.validate()
+            compile_policy(graph)
         assert diags[0].message == str(err.value)
         assert str(err.value) == "graph 'loop' has a cycle through 'a'"
 
@@ -56,7 +56,7 @@ class TestStructuralPass:
         assert [d.code for d in diags] == ["structure.unreachable"]
         assert diags[0].ops == ("stranded",)
         with pytest.raises(ComponentGraphError) as err:
-            graph.validate()
+            compile_policy(graph)
         assert diags[0].message == str(err.value)
         assert str(err.value) == (
             "graph 'island': unreachable components ['stranded']")
@@ -75,7 +75,7 @@ class TestVettingPass:
         diags = vetting_pass(lower_graph(graph))
         assert [d.code for d in diags] == ["vet.component"]
         with pytest.raises(VettingError) as err:
-            vet_graph(graph)
+            compile_policy(graph)
         assert diags[0].message == str(err.value)
         assert str(err.value) == (
             "component 'evil' declares writes to forbidden header fields "
@@ -96,7 +96,7 @@ class TestVettingPass:
         diags = vetting_pass(lower_graph(graph))
         assert [d.code for d in diags] == ["vet.aggregate"]
         with pytest.raises(VettingError) as err:
-            vet_graph(graph)
+            compile_policy(graph)
         assert diags[0].message == str(err.value)
         assert str(err.value) == (
             "graph 'chatty' aggregates 189000 bit/s of side-channel traffic "

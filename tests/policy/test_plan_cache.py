@@ -2,7 +2,7 @@
 
 A plan is what a successful compile derives from a graph's shape (the
 edge arrays), keyed on what the passes read: each op's capabilities and
-edges, the entry and ``vet``.  The :class:`CompiledPolicy` binds it to
+edges and the entry.  The :class:`CompiledPolicy` binds it to
 one graph's components.  These tests pin that a compile which reuses a
 cached plan is indistinguishable from one that builds its plan fresh,
 and count the plans the live service's subscriber and churn paths
@@ -15,16 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
-from repro.core.components import (
-    Capabilities,
-    Component,
-    HeaderFilter,
-    HeaderMatch,
-    Verdict,
-)
-from repro.core.compose import RuleSpec, ServiceSpec, build_graph
+from repro.core.components import HeaderFilter, HeaderMatch, Verdict
+from repro.core.compose import RuleSpec, ServiceSpec, compile_spec
 from repro.core.device import DeviceContext
-from repro.errors import ComponentGraphError, VettingError
+from repro.errors import ComponentGraphError
 from repro.net import ASRole, Prefix
 from repro.policy import compile_policy
 from repro.policy import compiler
@@ -60,13 +54,13 @@ def test_cached_compile_equals_fresh_compile(pair):
     spec_a, spec_b = pair
 
     compiler._PLANS.clear()
-    warm = compile_policy(build_graph(spec_a, DEV), vet=True)
-    g_cached = build_graph(spec_b, DEV)
-    cached = compile_policy(g_cached, vet=True)
+    warm = compile_policy(compile_spec(spec_a, DEV))
+    g_cached = compile_spec(spec_b, DEV)
+    cached = compile_policy(g_cached)
 
     compiler._PLANS.clear()
-    g_fresh = build_graph(spec_b, DEV)
-    fresh = compile_policy(g_fresh, vet=True)
+    g_fresh = compile_spec(spec_b, DEV)
+    fresh = compile_policy(g_fresh)
     assert fresh._plan is not cached._plan
 
     plan = cached._plan
@@ -83,8 +77,8 @@ def two_filters(name: str, ports=(7, 9)) -> ComponentGraph:
 
 def test_same_shape_shares_the_plan_not_the_state():
     g_a, g_b = two_filters("svc:a"), two_filters("svc:b")
-    a = compile_policy(g_a, vet=True)
-    b = compile_policy(g_b, vet=True)
+    a = compile_policy(g_a)
+    b = compile_policy(g_b)
     assert a._plan is b._plan
     assert not set(map(id, a._comps)) & set(map(id, b._comps))
 
@@ -106,32 +100,12 @@ def test_plan_key_follows_rule_order_not_the_device():
     ))
     other = DeviceContext(asn=77, role=ASRole.TRANSIT,
                           local_prefix=Prefix.parse("10.7.0.0/16"))
-    here = compile_policy(build_graph(spec, DEV), vet=True)
-    there = compile_policy(build_graph(spec, other), vet=True)
+    here = compile_policy(compile_spec(spec, DEV))
+    there = compile_policy(compile_spec(spec, other))
     reversed_spec = ServiceSpec("svc", tuple(reversed(spec.rules)))
-    swapped = compile_policy(build_graph(reversed_spec, DEV), vet=True)
+    swapped = compile_policy(compile_spec(reversed_spec, DEV))
     assert here._plan is there._plan
     assert swapped._plan is not here._plan
-
-
-def test_runtime_plan_does_not_skip_vetting():
-    """A graph that only compiles unvetted (``vet=False``, the runtime
-    path) must still fail the vetted install of the same shape."""
-    class Grower(Component):
-        capabilities = Capabilities(max_size_ratio=2.0)
-
-        def process(self, packet, ctx):
-            return Verdict.PASS
-
-    def graph():
-        g = ComponentGraph("amp")
-        g.chain(Grower("g"))
-        return g
-
-    runtime = compile_policy(graph(), vet=False)
-    with pytest.raises(VettingError, match="byte amplification"):
-        compile_policy(graph(), vet=True)
-    assert compile_policy(graph(), vet=False)._plan is runtime._plan
 
 
 def test_a_shared_plan_never_shares_parameters():
@@ -143,7 +117,7 @@ def test_a_shared_plan_never_shares_parameters():
     def graph(match):
         g = ComponentGraph("k")
         g.chain(HeaderFilter("f", match))
-        return compile_policy(g, vet=True)
+        return compile_policy(g)
 
     everything, nothing = graph(HeaderMatch()), graph(HeaderMatch(icmp_type=3))
     assert everything._plan is nothing._plan
@@ -158,7 +132,7 @@ def test_rejected_graph_never_reaches_the_cache():
     empty = ComponentGraph("empty")
     for _ in range(2):
         with pytest.raises(ComponentGraphError, match="graph 'empty' is empty"):
-            compile_policy(empty, vet=True)
+            compile_policy(empty)
     assert len(compiler._PLANS) == 0
 
 
@@ -175,7 +149,7 @@ def test_4096_same_shape_subscribers_make_one_plan():
     gc.collect()
     compiler._PLANS.clear()
     facade = subscriber_world(4096)
-    plans = {id(s.dst_graph.compiled()._plan)
+    plans = {id(s.dst_program._plan)
              for s in facade.core.services.values()}
     assert len(plans) == 1
     assert len(compiler._PLANS) == 1
@@ -190,7 +164,7 @@ def test_churn_swaps_between_two_filter_orders_make_one_plan():
         ports = (9, 7) if i % 2 == 0 else (7, 9)
         facade.swap_policy(f"sub-{i}",
                            dst_graph=two_filters(f"svc:sub-{i}", ports))
-    plans = {id(s.dst_graph.compiled()._plan)
+    plans = {id(s.dst_program._plan)
              for s in facade.core.services.values()}
     assert len(plans) == 1
     assert len(compiler._PLANS) == 1

@@ -3,8 +3,8 @@
 Pins the *exact* boundaries: a component may sit right at the
 per-component side-channel cap and a graph right at the 2x aggregate
 cap; ``max_size_ratio == 1.0`` (no growth) is allowed; any non-empty
-subset of the forbidden header fields is rejected.  Every rejection is
-checked both through :func:`vet_component`/:func:`vet_graph` and the
+subset of the forbidden header fields is rejected.  Every graph-level
+rejection is checked both through :func:`compile_policy` and the
 compiler's vetting pass, which must agree byte-for-byte.
 """
 
@@ -19,10 +19,9 @@ from repro.core.safety import (
     FORBIDDEN_HEADER_FIELDS,
     MAX_EXTRA_TRAFFIC_BPS,
     vet_component,
-    vet_graph,
 )
 from repro.errors import VettingError
-from repro.policy import Severity, lower_graph
+from repro.policy import Severity, compile_policy, lower_graph
 from repro.policy.passes import vetting_pass
 
 
@@ -70,13 +69,13 @@ class TestAggregateBoundary:
         return graph
 
     def test_exact_double_cap_is_allowed(self):
-        vet_graph(self.build([MAX_EXTRA_TRAFFIC_BPS, MAX_EXTRA_TRAFFIC_BPS]))
+        compile_policy(self.build([MAX_EXTRA_TRAFFIC_BPS, MAX_EXTRA_TRAFFIC_BPS]))
 
     def test_just_over_double_cap_is_rejected(self):
         graph = self.build([MAX_EXTRA_TRAFFIC_BPS, MAX_EXTRA_TRAFFIC_BPS,
                             1.0])
         with pytest.raises(VettingError):
-            vet_graph(graph)
+            compile_policy(graph)
 
     @given(st.lists(st.floats(min_value=0.0,
                               max_value=MAX_EXTRA_TRAFFIC_BPS,
@@ -90,10 +89,10 @@ class TestAggregateBoundary:
                     for c in graph.components())
         if total > 2 * MAX_EXTRA_TRAFFIC_BPS:
             with pytest.raises(VettingError) as err:
-                vet_graph(graph)
+                compile_policy(graph)
             assert pass_messages(graph) == [str(err.value)]
         else:
-            vet_graph(graph)
+            compile_policy(graph)
             assert pass_messages(graph) == []
 
 
@@ -105,7 +104,7 @@ class TestForbiddenFields:
         graph = ComponentGraph("hdr")
         graph.chain(make_component(modifies_headers=frozenset(fields)))
         with pytest.raises(VettingError) as err:
-            vet_graph(graph)
+            compile_policy(graph)
         assert pass_messages(graph) == [str(err.value)]
 
     @given(st.sets(st.sampled_from(["dscp", "ecn", "flags", "payload"])))

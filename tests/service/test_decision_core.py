@@ -157,6 +157,25 @@ class TestPipeline:
         assert core.process(pkt, 0.0, None) is pkt
         assert core.m_dropped.value == 0
 
+    def test_graph_mutated_after_install_runs_the_installed_program(self):
+        """The core runs the program it compiled (and vetted) at install:
+        a later edit to the graph changes nothing until it is installed
+        again."""
+        core, acme = make_core()
+        graph = ComponentGraph("g")
+        graph.chain(HeaderFilter("rst", HeaderMatch(proto=Protocol.TCP)))
+        core.install(acme, dst_graph=graph)
+        graph.add(HeaderFilter("udp", HeaderMatch(proto=Protocol.UDP)))
+        graph.connect("rst", "udp")
+
+        def udp():
+            return Packet.udp(A("10.8.0.1"), A("10.1.0.1"))
+
+        assert core.process(udp(), 0.0, None) is not None
+        assert core.rule_count() == 2  # read from the graph, as mutated
+        core.install(acme, dst_graph=graph)
+        assert core.process(udp(), 0.0, None) is None
+
     def test_stage_order_reversal(self):
         """dst-first runs the destination owner's graph before the source
         owner's — the E13 ablation knob, honoured core-side."""

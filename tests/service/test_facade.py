@@ -3,9 +3,14 @@
 import pytest
 
 from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
-from repro.core.components import PrefixBlacklist, RateLimiterComponent
+from repro.core.components import (
+    HeaderFilter,
+    HeaderMatch,
+    PrefixBlacklist,
+    RateLimiterComponent,
+)
 from repro.errors import AddressError, OwnershipError
-from repro.net import IPv4Address, Prefix, Simulator
+from repro.net import IPv4Address, Prefix, Protocol, Simulator
 from repro.service import ManualClock, ServiceFacade, TrafficController
 from repro.service.core import FLOW_CACHE_CAPACITY
 from repro.service.facade import DROP_ADMISSION, PASS_DIRECT, Verdict
@@ -113,6 +118,15 @@ class TestSharedVerdicts:
         facade.swap_policy("acme", dst_graph=blacklist_graph("192.0.2.0/24"))
         verdict = facade.check("203.0.113.9", "10.1.0.5")
         assert verdict.reason == "processed" and verdict.allowed
+
+    def test_graph_mutated_after_install_waits_for_swap_policy(self):
+        facade, _ = make_facade()
+        graph = facade.core.services["acme"].dst_graph
+        graph.add(PrefixBlacklist("more", [Prefix.parse("198.51.100.0/24")]))
+        graph.connect("b", "more")
+        assert facade.check("198.51.100.7", "10.1.0.5").reason == "processed"
+        facade.swap_policy("acme", dst_graph=graph)
+        assert facade.check("198.51.100.7", "10.1.0.5").reason == "filtered"
 
     def test_table_is_bounded_by_the_flow_cache_capacity(self):
         facade = ServiceFacade(clock=ManualClock())
@@ -228,6 +242,19 @@ class TestSubscribe:
         assert facade.registry.version == version
         assert facade.core.services["acme"].dst_graph is graph
         assert not facade.check("198.51.100.7", "10.1.0.5").allowed
+
+    def test_resubscribe_with_a_new_prefix_registers_it(self):
+        facade = ServiceFacade(clock=ManualClock())
+        first = NetworkUser("acme", prefixes=[Prefix.parse("10.1.0.0/16")])
+        g = ComponentGraph("udp")
+        g.chain(HeaderFilter("udp", HeaderMatch(proto=Protocol.UDP)))
+        facade.subscribe(first, dst_graph=g)
+        grown = NetworkUser("acme", prefixes=[Prefix.parse("10.1.0.0/16"),
+                                              Prefix.parse("10.2.0.0/16")])
+        facade.subscribe(grown, dst_graph=g)
+        assert facade.registry.owner_of("10.2.0.5").user_id == "acme"
+        verdict = facade.check("192.0.2.1", "10.2.0.5", proto=Protocol.UDP)
+        assert verdict.reason == "filtered" and verdict.dst_owner == "acme"
 
     def test_new_user_on_a_taken_prefix_is_rejected(self):
         facade, _ = make_facade()
