@@ -311,7 +311,7 @@ def test_sketch_batch_update(benchmark, sketch_traffic, batch_size):
 @pytest.fixture(scope="module")
 def policy_world():
     """A dropping/filtering graph (HeaderFilter -> PrefixBlacklist) and
-    1024 mixed packets for the interpreted walk."""
+    1024 mixed packets for the compiled walk."""
     from repro.core.components import ComponentContext, PrefixBlacklist
 
     def build() -> ComponentGraph:
@@ -339,15 +339,16 @@ def policy_world():
 
 
 @pytest.mark.parametrize("batch_size", [1, 1024])
-def test_policy_interpreted_walk(benchmark, policy_world, batch_size):
-    """The scalar interpreted graph walk over ``batch_size`` packets (the
-    pre-compiler execution path, kept as the differential oracle)."""
+def test_policy_compiled_walk(benchmark, policy_world, batch_size):
+    """The compiled program's verdict walk over ``batch_size`` packets
+    (the one walk a decision core runs)."""
+    from repro.policy import compile_policy
+
     build, packets, ctx = policy_world
-    graph = build()
+    process = compile_policy(build()).process
     subset = packets[:batch_size]
 
     def run_walk():
-        process = graph.process
         for packet in subset:
             process(packet, ctx)
 

@@ -303,7 +303,7 @@ def _load_service_spec(path: Optional[str]):
 
 
 def cmd_policy(args: argparse.Namespace) -> int:
-    """``repro policy {show,verify,bench}`` over a service spec."""
+    """``repro policy {show,verify}`` over a service spec."""
     from repro.core.compose import compile_spec
     from repro.core.device import DeviceContext
     from repro.errors import ReproError
@@ -335,63 +335,17 @@ def cmd_policy(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    if args.action == "show":
-        pol = compiled.policy
-        print(f"policy {pol.name!r}: {len(pol)} op(s), entry={pol.entry}")
-        for op in pol.ops:
-            edges = []
-            if op.pass_to is not None:
-                edges.append(f"pass->{op.pass_to}")
-            if op.drop_to is not None:
-                edges.append(f"drop->{op.drop_to}")
-            print(f"  [{op.index}] {op.name:<18} "
-                  f"{type(op.component).__name__:<20} "
-                  f"{' '.join(edges) or 'exit'}")
-        return 0
-
-    # bench: interpreted walk vs compiled program over one random burst
-    import time
-
-    import numpy as np
-
-    from repro.core.components import ComponentContext
-    from repro.core.ownership import NetworkUser
-    from repro.net import IPv4Address, Packet
-
-    n = args.batch
-    rng = np.random.default_rng(args.seed if args.seed is not None else 42)
-    packets = [
-        Packet.udp(IPv4Address(int(rng.integers(0, 2**32))),
-                   IPv4Address(int(rng.integers(0, 2**32))),
-                   dport=int(rng.integers(0, 1024)))
-        for _ in range(n)
-    ]
-    ctx = ComponentContext(
-        now=0.0, asn=0, is_transit=False,
-        local_prefix=device_ctx.local_prefix, stage="dest",
-        owner=NetworkUser("policy-bench", "bench",
-                          [device_ctx.local_prefix]),
-        ingress_asn=None, local_origin=True)
-
-    def pkts_per_s(fn) -> float:
-        fn()  # warm up (JIT caches, first-touch allocations)
-        reps = 1
-        while True:
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            elapsed = time.perf_counter() - t0
-            if elapsed > 0.1:
-                return (reps * n) / elapsed
-            reps *= 2
-
-    r_interp = pkts_per_s(lambda: [graph.process(p, ctx) for p in packets])
-    r_scalar = pkts_per_s(lambda: [compiled.process(p, ctx) for p in packets])
-    print(f"spec {spec.name!r}, {len(compiled.policy)} op(s), "
-          f"burst of {n} packets:")
-    print(f"  interpreted walk : {r_interp:>12,.0f} pkts/s")
-    print(f"  compiled scalar  : {r_scalar:>12,.0f} pkts/s  "
-          f"({r_scalar / r_interp:.2f}x)")
+    pol = compiled.policy
+    print(f"policy {pol.name!r}: {len(pol)} op(s), entry={pol.entry}")
+    for op in pol.ops:
+        edges = []
+        if op.pass_to is not None:
+            edges.append(f"pass->{op.pass_to}")
+        if op.drop_to is not None:
+            edges.append(f"drop->{op.drop_to}")
+        print(f"  [{op.index}] {op.name:<18} "
+              f"{type(op.component).__name__:<20} "
+              f"{' '.join(edges) or 'exit'}")
     return 0
 
 
@@ -510,19 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.set_defaults(fn=cmd_serve)
 
     p_policy = sub.add_parser(
-        "policy", help="inspect, verify, or benchmark compiled policies")
+        "policy", help="show or verify compiled policies")
     pol_sub = p_policy.add_subparsers(dest="action", required=True)
     for act, hlp in (
             ("show", "dump the lowered IR"),
-            ("verify", "run every compiler pass; nonzero exit on errors"),
-            ("bench", "compiled vs interpreted throughput")):
+            ("verify", "run every compiler pass; nonzero exit on errors")):
         pp = pol_sub.add_parser(act, parents=[common()], help=hlp)
         pp.add_argument("--spec", default=None, metavar="FILE",
                         help="service-spec JSON file "
                              "(default: a built-in demo spec)")
-        if act == "bench":
-            pp.add_argument("--batch", type=int, default=1024,
-                            help="packets per burst")
         pp.set_defaults(fn=cmd_policy)
 
     p_obs = sub.add_parser("obs",

@@ -13,8 +13,7 @@ Sec. 4.5 safety story.
 
 A graph is a description: :func:`repro.policy.compiler.compile_policy`
 checks it (structure and Sec. 4.5 vetting) and turns it into the program
-a decision core runs; :meth:`ComponentGraph.process` is the interpreted
-walk kept as that program's differential oracle.
+a decision core runs, which walks it and bumps the graph's counters.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.errors import ComponentGraphError
-from repro.core.components import Component, ComponentContext, Verdict
-from repro.net.packet import Packet
+from repro.core.components import Component, Verdict
 from repro.obs.metrics import declare
 
 _PACKETS_IN = declare(
@@ -37,7 +35,8 @@ __all__ = ["ComponentGraph"]
 
 
 class ComponentGraph:
-    """A DAG of packet-processing components."""
+    """A DAG of packet-processing components (a builder; the compiled
+    program runs it)."""
 
     def __init__(self, name: str = "service") -> None:
         self.name = name
@@ -104,32 +103,6 @@ class ComponentGraph:
 
     def __len__(self) -> int:
         return len(self._components)
-
-    # --------------------------------------------------------------- execution
-    def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        """Run the packet through the graph; returns the final verdict.
-
-        DROP is sticky: once set it cannot be reversed by later components.
-        """
-        if self._entry is None:
-            raise ComponentGraphError(f"graph {self.name!r} is empty")
-        self._m_packets_in.value += 1
-        doomed = False
-        node: Optional[str] = self._entry
-        steps = 0
-        limit = len(self._components) + 1
-        while node is not None:
-            if steps >= limit:  # defense in depth; compiling rejects cycles
-                raise ComponentGraphError(f"graph {self.name!r} did not terminate")
-            steps += 1
-            verdict = self._components[node](packet, ctx)
-            if verdict is Verdict.DROP:
-                doomed = True
-            node = self._edges.get((node, verdict))
-        if doomed:
-            self._m_packets_dropped.value += 1
-            return Verdict.DROP
-        return Verdict.PASS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComponentGraph({self.name!r}, components={len(self._components)})"

@@ -120,10 +120,12 @@ class OwnershipRegistry:
         self.version += 1
 
     def unregister(self, user_id: str) -> None:
-        user = self._users.pop(user_id, None)
-        if user is None:
+        """Remove every prefix registered under ``user_id``, including
+        those of earlier registrations the last one no longer lists."""
+        if self._users.pop(user_id, None) is None:
             raise OwnershipError(f"unknown user {user_id!r}")
-        for prefix in user.prefixes:
+        for prefix in [p for p, u in self._table.items()
+                       if u.user_id == user_id]:
             self._table.remove(prefix)
         self.version += 1
 

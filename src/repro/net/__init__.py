@@ -34,7 +34,6 @@ from repro.net.simulator import Event, Simulator
 from repro.net.fluid import Flow, FlowSet, FluidFilter, FluidNetwork, FluidResult
 from repro.net.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.net.trace import PacketRecord, TraceRecorder
-from repro.net.render import tier_summary, to_dot
 
 __all__ = [
     "IPv4Address",
@@ -78,6 +77,4 @@ __all__ = [
     "FaultInjector",
     "PacketRecord",
     "TraceRecorder",
-    "to_dot",
-    "tier_summary",
 ]

@@ -122,11 +122,6 @@ class Link:
     def name(self) -> str:
         return f"{self.src.name}->{self.dst.name}"
 
-    def queue_bytes(self, now: float) -> float:
-        """Current backlog in bytes."""
-        self._drain(now)
-        return self._backlog
-
     def drop_rate(self, now: float) -> float:
         """Dropped bytes/second over the stats window."""
         return self.drop_window.rate(now)

@@ -68,7 +68,6 @@ class Network:
         # adjacencies taken down by fail_link, as (a, b) in call order
         self._failed_links: list[tuple[int, int]] = []
         self._access = access
-        self.drop_log_enabled = False
         self.global_drops: Counter[str] = Counter()
         # transport work: bytes x inter-AS hops actually traversed, by kind
         self.byte_hops_by_kind: Counter[str] = Counter()

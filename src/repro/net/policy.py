@@ -160,8 +160,3 @@ class PolicyRouting:
                 return False
             phase = nxt
         return True
-
-    def stretch_vs_shortest(self, src: int, dst: int,
-                            shortest_len: int) -> float:
-        """Policy-path length relative to the shortest path (>= 1)."""
-        return (len(self.path(src, dst)) - 1) / max(1, shortest_len)

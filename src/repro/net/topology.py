@@ -60,10 +60,6 @@ class ASInfo:
     prefix: Prefix
     hosts: list[IPv4Address] = field(default_factory=list)
 
-    @property
-    def is_stub(self) -> bool:
-        return self.role is ASRole.STUB
-
 
 class Topology:
     """An AS graph plus address plan.
@@ -462,18 +458,3 @@ def synthesize_as_rel2(n: int, seed: int | None = None,
         seen.add(tuple(sorted((a, b))))
         lines.append(f"{min(a, b)}|{max(a, b)}|0")
     return "\n".join(lines) + "\n"
-
-
-def stub_sample(topology: Topology, count: int, rng: np.random.Generator,
-                exclude: Iterable[int] = ()) -> list[int]:
-    """Sample ``count`` distinct stub ASes, excluding the given ones.
-
-    Helper used by attack scenario builders to place agents/reflectors.
-    """
-    candidates = [a for a in topology.stub_ases if a not in set(exclude)]
-    if len(candidates) < count:
-        raise TopologyError(
-            f"need {count} stub ASes but only {len(candidates)} available"
-        )
-    picked = rng.choice(len(candidates), size=count, replace=False)
-    return [candidates[i] for i in sorted(picked)]

@@ -11,8 +11,7 @@ steps into a small compiler:
 * :mod:`repro.policy.passes` — structural validation and Sec. 4.5
   vetting passes emitting structured :class:`Diagnostic` records,
 * :mod:`repro.policy.compiler` — :func:`compile_policy` producing a
-  :class:`CompiledPolicy`: a scalar program byte-identical to the
-  interpreted graph walk (kept as the differential oracle).
+  :class:`CompiledPolicy`: the scalar program that walks the graph.
 """
 
 from repro.policy.compiler import CompiledPolicy, analyze, compile_policy

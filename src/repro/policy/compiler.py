@@ -3,9 +3,7 @@
 :func:`compile_policy` lowers a graph to IR, runs the pass pipeline
 (structure, then Sec. 4.5 vetting) and produces a :class:`CompiledPolicy`:
 a scalar program over the graph's live components and counters — the
-verdict walk with edge lookups precomputed into index arrays, giving
-byte-identical counters and verdicts to :meth:`ComponentGraph.process`
-(the interpreter stays available as the differential oracle).
+one verdict walk, with edge lookups precomputed into index arrays.
 
 Mutable component state (blacklist prefixes, token buckets, collector
 dicts) is read at execution time, so runtime reconfiguration never
@@ -77,8 +75,8 @@ class CompiledPolicy:
         self._g_dropped = graph._m_packets_dropped
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        """Scalar execution — verdicts and counters byte-identical to
-        :meth:`ComponentGraph.process` on the graph as compiled."""
+        """Walk the graph as compiled: follow each verdict's edge from the
+        entry; DROP is sticky.  Bumps the graph's counters."""
         self._g_in.value += 1
         plan = self._plan
         comps, pn, dn = self._comps, plan.pass_next, plan.drop_next
@@ -91,7 +89,7 @@ class CompiledPolicy:
                 i = dn[i]
             elif verdict is Verdict.PASS:
                 i = pn[i]
-            else:  # pragma: no cover - foreign verdicts exit like the walk
+            else:  # pragma: no cover - a foreign verdict has no edge
                 i = -1
         if doomed:
             self._g_dropped.value += 1

@@ -2,8 +2,8 @@
 
 Lowering keeps a *live* reference to each component: the IR describes the
 graph's structure, while mutable component state
-(blacklist prefixes, token buckets, collectors) stays shared between the
-interpreter and any compiled program, so both observe the same world.
+(blacklist prefixes, token buckets, collectors) stays on the components,
+so a compiled program reads it as it runs.
 """
 
 from __future__ import annotations

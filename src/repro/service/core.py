@@ -290,8 +290,6 @@ class DecisionCore:
                    program: "CompiledPolicy",
                    ctx: ComponentContext) -> Optional[Packet]:
         before = instance.monitor.note_in(packet)
-        # the installed program: byte-identical verdicts/counters to the
-        # interpreted graph.process walk (kept as the differential oracle)
         verdict = program.process(packet, ctx)
         result = packet if verdict is Verdict.PASS else None
         try:

@@ -225,13 +225,6 @@ class ServiceFacade:
                 key[1], key[2])
         return verdict
 
-    def check_packet(self, packet: Packet,
-                     now: Optional[float] = None) -> Verdict:
-        """:meth:`check` for an already-materialised :class:`Packet`."""
-        return self.check(packet.src.value, packet.dst.value,
-                          proto=packet.proto, sport=packet.sport,
-                          dport=packet.dport, size=packet.size, now=now)
-
 
 class TrafficController:
     """Framework-free embedding: one ``allow(client)`` call per request.

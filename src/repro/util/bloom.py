@@ -74,11 +74,6 @@ class BloomFilter:
         """Fraction of bits set — a proxy for the achieved false-positive rate."""
         return float(self._bits.mean())
 
-    @property
-    def estimated_fp_rate(self) -> float:
-        """Estimated false-positive probability at the current saturation."""
-        return float(self.saturation**self.n_hashes)
-
     def clear(self) -> None:
         """Drop all entries (used when a router pages out an old digest window)."""
         self._bits[:] = False

@@ -17,6 +17,7 @@ from repro.core.device import DeviceContext
 from repro.core import NetworkUser
 from repro.errors import DeploymentError
 from repro.net import ASRole, IPv4Address, Packet, Prefix
+from repro.policy import compile_policy
 
 A = IPv4Address.parse
 CTX = DeviceContext(asn=3, role=ASRole.STUB,
@@ -109,8 +110,9 @@ class TestCompilation:
         graph = compile_spec(spec, CTX)
         dns = Packet.udp(A("10.9.0.1"), A("10.1.0.1"), dport=53)
         web = Packet.udp(A("10.9.0.1"), A("10.1.0.1"), dport=80)
-        assert graph.process(dns, comp_ctx()) is Verdict.DROP
-        assert graph.process(web, comp_ctx()) is Verdict.PASS
+        program = compile_policy(graph)
+        assert program.process(dns, comp_ctx()) is Verdict.DROP
+        assert program.process(web, comp_ctx()) is Verdict.PASS
 
     def test_rule_labels_used(self):
         spec = ServiceSpec("fw", (RuleSpec(action="log", label="audit"),))
@@ -122,9 +124,10 @@ class TestCompilation:
         spec = ServiceSpec("t", (RuleSpec(action="trigger", threshold_pps=5.0),))
         graph = compile_spec(spec, CTX,
                              trigger_action=lambda ctx, rate: fired.append(rate))
+        program = compile_policy(graph)
         pkt = Packet.udp(A("10.9.0.1"), A("10.1.0.1"))
         for i in range(40):
-            graph.process(pkt, comp_ctx(now=i * 0.01))
+            program.process(pkt, comp_ctx(now=i * 0.01))
         assert fired
 
     def test_icmp_and_flag_vocabulary(self):
@@ -138,8 +141,9 @@ class TestCompilation:
         icmp = Packet.icmp(A("10.9.0.1"), A("10.1.0.1"),
                            ICMPType.HOST_UNREACHABLE)
         synack = Packet.tcp_synack(A("10.9.0.1"), A("10.1.0.1"))
-        assert graph.process(icmp, comp_ctx()) is Verdict.DROP
-        assert graph.process(synack, comp_ctx()) is Verdict.DROP
+        program = compile_policy(graph)
+        assert program.process(icmp, comp_ctx()) is Verdict.DROP
+        assert program.process(synack, comp_ctx()) is Verdict.DROP
 
 
 class TestEndToEndDeployment:

@@ -74,7 +74,7 @@ class TestComposeProperties:
                                stage="dest", owner=owner)
         pkt = Packet.udp(IPv4Address.parse("10.9.0.1"),
                          IPv4Address.parse("10.1.0.1"), size=500)
-        verdict = graph.process(pkt, ctx)
+        verdict = compile_policy(graph).process(pkt, ctx)
         assert verdict in (Verdict.PASS, Verdict.DROP)
         # conservation: the compiled pipeline never grows the packet
         assert pkt.size <= 500

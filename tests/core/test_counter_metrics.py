@@ -1,4 +1,5 @@
-"""Graph/component counters live on the obs registry (attribute views stay)."""
+"""Graph/component counters live on the obs registry (attribute views stay);
+the compiled program is what bumps the graph's."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
 from repro.net import IPv4Address, Packet, Prefix, Protocol
 from repro.obs import scoped
+from repro.policy import compile_policy
 
 
 def ctx() -> ComponentContext:
@@ -28,7 +30,7 @@ def test_counters_surface_in_registry_snapshot():
         graph.chain(HeaderFilter("f", HeaderMatch(proto=Protocol.UDP)))
         pkt = Packet.udp(IPv4Address.parse("1.2.3.4"),
                          IPv4Address.parse("10.1.0.1"))
-        assert graph.process(pkt, ctx()) is Verdict.DROP
+        assert compile_policy(graph).process(pkt, ctx()) is Verdict.DROP
         snap = registry.snapshot()
     assert snap["graph.packets_in{graph=snap}"] == 1
     assert snap["graph.packets_dropped{graph=snap}"] == 1
@@ -41,7 +43,7 @@ def test_legacy_attribute_views_are_read_only():
     comp = HeaderFilter("f", HeaderMatch(proto=Protocol.UDP))
     graph.chain(comp)
     assert graph.packets_in == 0 and comp.processed == 0
-    graph.process(Packet.udp(IPv4Address.parse("1.2.3.4"),
+    compile_policy(graph).process(Packet.udp(IPv4Address.parse("1.2.3.4"),
                              IPv4Address.parse("10.1.0.1")), ctx())
     assert graph.packets_in == 1
     assert graph.packets_dropped == 1

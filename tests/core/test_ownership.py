@@ -135,6 +135,18 @@ class TestOwnershipRegistry:
         with pytest.raises(OwnershipError):
             reg.unregister("acme")
 
+    def test_unregister_after_narrowing_reregister(self):
+        """Unregistering removes every prefix ever registered under the id,
+        not only those of the last ``NetworkUser`` object."""
+        reg = OwnershipRegistry()
+        reg.register(NetworkUser("acme", prefixes=[P("10.1.0.0/16"),
+                                                   P("10.2.0.0/16")]))
+        reg.register(NetworkUser("acme", prefixes=[P("10.1.0.0/16")]))
+        reg.unregister("acme")
+        assert "acme" not in reg
+        assert reg.owner_of("10.1.0.5") is None
+        assert reg.owner_of("10.2.0.5") is None
+
     def test_user_accessor(self):
         reg = OwnershipRegistry()
         acme = NetworkUser("acme", prefixes=[P("10.1.0.0/16")])

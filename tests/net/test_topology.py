@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.net import ASRole, Topology, TopologyBuilder
-from repro.net.topology import stub_sample
-from repro.util import derive_rng
 
 
 class TestHierarchical:
@@ -135,21 +133,6 @@ class TestTopologyQueries:
     def test_as_of_unknown_address(self):
         t = TopologyBuilder.star(2)
         assert t.as_of("203.0.113.1") is None
-
-
-class TestStubSample:
-    def test_samples_distinct_stubs(self):
-        t = TopologyBuilder.hierarchical(seed=1)
-        rng = derive_rng(0, "sample")
-        picked = stub_sample(t, 5, rng, exclude=[t.stub_ases[0]])
-        assert len(set(picked)) == 5
-        assert t.stub_ases[0] not in picked
-        assert all(t.role_of(a) is ASRole.STUB for a in picked)
-
-    def test_insufficient_stubs(self):
-        t = TopologyBuilder.star(2)
-        with pytest.raises(TopologyError):
-            stub_sample(t, 5, derive_rng(0))
 
 
 @given(n=st.integers(min_value=5, max_value=60), seed=st.integers(min_value=0, max_value=100))

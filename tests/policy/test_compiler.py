@@ -1,4 +1,4 @@
-"""Compiled policies: differential parity, caching, errors."""
+"""Compiled policies: parity with a reference walk, caching, errors."""
 
 import numpy as np
 import pytest
@@ -92,25 +92,46 @@ def component_state(graph: ComponentGraph) -> dict:
                                  dict(comp.bytes_by_proto))
         if isinstance(comp, TriggerComponent):
             state[comp.name] += (comp.fired, comp.armed)
-    state["__graph__"] = (graph.packets_in, graph.packets_dropped)
     return state
 
 
+def reference_walk(graph: ComponentGraph, packet: Packet,
+                   c: ComponentContext) -> Verdict:
+    """The graph's semantics, written plainly: from the entry, call each
+    component and follow its verdict's edge; DROP is sticky.  Touches no
+    graph counter."""
+    edges = graph.edges()
+    doomed = False
+    node = graph.entry
+    while node is not None:
+        verdict = graph.component(node)(packet, c)
+        doomed = doomed or verdict is Verdict.DROP
+        node = edges.get((node, verdict))
+    return Verdict.DROP if doomed else Verdict.PASS
+
+
+def assert_counts(graph: ComponentGraph, verdicts: list) -> None:
+    """The compiled program bumped the graph's counters once per packet."""
+    assert graph.packets_in == len(verdicts)
+    assert graph.packets_dropped == verdicts.count(Verdict.DROP)
+
+
 @pytest.mark.parametrize("builder", [build_mixed_chain, build_drop_dag])
-def test_differential_interpreter_compiled_parity(builder):
-    """Interpreted walk and compiled program produce identical verdicts,
-    counters, and observer state."""
+def test_differential_reference_compiled_parity(builder):
+    """The reference walk and the compiled program produce identical
+    verdicts and observer state."""
     packets = random_packets(256, seed=7)
 
-    g_interp, g_scalar = builder(), builder()
-    verdicts_interp = [g_interp.process(p, ctx(i * 1e-4))
-                       for i, p in enumerate(packets)]
+    g_ref, g_scalar = builder(), builder()
+    verdicts_ref = [reference_walk(g_ref, p, ctx(i * 1e-4))
+                    for i, p in enumerate(packets)]
     compiled_scalar = compile_policy(g_scalar)
     verdicts_scalar = [compiled_scalar.process(p, ctx(i * 1e-4))
                        for i, p in enumerate(packets)]
-    assert verdicts_interp == verdicts_scalar
+    assert verdicts_ref == verdicts_scalar
     assert Verdict.DROP in verdicts_scalar and Verdict.PASS in verdicts_scalar
-    assert component_state(g_interp) == component_state(g_scalar)
+    assert component_state(g_ref) == component_state(g_scalar)
+    assert_counts(g_scalar, verdicts_scalar)
 
 
 DEV = DeviceContext(asn=3, role=ASRole.STUB,
@@ -153,18 +174,20 @@ ACTION_LISTS = st.lists(st.sampled_from(sorted(RULES)), min_size=1,
 
 @given(ACTION_LISTS.flatmap(spec_for))
 @settings(max_examples=80, deadline=None)
-def test_generated_interpreter_compiled_parity(spec):
-    """The interpreted walk and the compiled program agree on generated
-    specs: verdicts, component state and graph counters.  Each side gets
-    its own packets, since a scrubber shrinks the ones it sees."""
-    g_interp, g_compiled = compile_spec(spec, DEV), compile_spec(spec, DEV)
+def test_generated_reference_compiled_parity(spec):
+    """The reference walk and the compiled program agree on generated
+    specs: verdicts and component state; the program also keeps the
+    graph counters.  Each side gets its own packets, since a scrubber
+    shrinks the ones it sees."""
+    g_ref, g_compiled = compile_spec(spec, DEV), compile_spec(spec, DEV)
     compiled = compile_policy(g_compiled)
-    verdicts_interp = [g_interp.process(p, ctx(i * 1e-4)) for i, p
-                       in enumerate(random_packets(128, seed=5))]
+    verdicts_ref = [reference_walk(g_ref, p, ctx(i * 1e-4)) for i, p
+                    in enumerate(random_packets(128, seed=5))]
     verdicts_compiled = [compiled.process(p, ctx(i * 1e-4)) for i, p
                          in enumerate(random_packets(128, seed=5))]
-    assert verdicts_interp == verdicts_compiled
-    assert component_state(g_interp) == component_state(g_compiled)
+    assert verdicts_ref == verdicts_compiled
+    assert component_state(g_ref) == component_state(g_compiled)
+    assert_counts(g_compiled, verdicts_compiled)
 
 
 class TestErrorsAndCache:

@@ -62,13 +62,6 @@ class TestCheck:
         as_obj = facade.check(A("203.0.113.9"), A("10.1.0.5"))
         assert as_str.reason == as_int.reason == as_obj.reason == "filtered"
 
-    def test_check_packet_matches_check(self):
-        from repro.net import Packet
-
-        facade, _ = make_facade()
-        pkt = Packet.udp(A("203.0.113.9"), A("10.1.0.5"))
-        assert facade.check_packet(pkt).reason == "filtered"
-
     def test_counters_track_verdicts(self):
         facade, _ = make_facade()
         facade.check("172.16.0.1", "172.16.9.9")   # direct

@@ -21,7 +21,7 @@ MEDIANS = {
     "test_sketch_batch_update[1024]": 0.0001,
     "test_service_check_pipeline": 0.0026,
     "test_service_check_fastpath": 0.0002,
-    "test_policy_interpreted_walk[1024]": 0.0013,
+    "test_policy_compiled_walk[1024]": 0.0013,
     "test_fluid_evaluation": 0.002,
 }
 
@@ -55,9 +55,9 @@ def test_family_gauges_keep_their_names_and_labels():
     # not batch-parametrized, so outside the sketch family
     assert ("bench.median_s", (
         ("benchmark", "test_sketch_scalar_update"),)) in samples
-    # no family claims the interpreted policy walk
+    # no family claims the compiled policy walk
     assert ("bench.median_s", (
-        ("benchmark", "test_policy_interpreted_walk[1024]"),)) in samples
+        ("benchmark", "test_policy_compiled_walk[1024]"),)) in samples
 
 
 @pytest.mark.parametrize("family", sorted(EXPECTED))

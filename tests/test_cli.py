@@ -207,10 +207,11 @@ class TestPolicyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "bogus" in captured.err
 
-    def test_bench_reports_ratio(self, capsys):
-        assert main(["policy", "bench", "--batch", "64"]) == 0
-        out = capsys.readouterr().out
-        assert "interpreted walk" in out and "compiled scalar" in out
+    def test_bench_action_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["policy", "bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestMetricsOut:
