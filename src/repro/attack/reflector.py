@@ -129,7 +129,7 @@ class ReflectorFluidModel:
     claimed source = victim AS) through the filters; pass 2 turns the
     surviving request rate into *reflected* flows (reflector AS -> victim
     AS, genuinely sourced) scaled by the amplification factor, and routes
-    those through the filters too.
+    those through the filters too.  The request flows are built once.
     """
 
     def __init__(self, fluid: FluidNetwork, victim_asn: int,
@@ -143,17 +143,15 @@ class ReflectorFluidModel:
         self.reflector_asns = list(reflector_asns)
         self.rate_per_agent = rate_per_agent
         self.amplification = amplification
+        share = rate_per_agent / len(self.reflector_asns)
+        self._requests = tuple(
+            Flow(agent, refl, share, kind="attack-request",
+                 claimed_src_asn=victim_asn, tag=f"agent{agent}->refl{refl}")
+            for agent in self.agent_asns for refl in self.reflector_asns)
 
     def request_flows(self) -> list[Flow]:
         """Agent -> reflector spoofed request flows, sprayed evenly."""
-        flows = []
-        share = self.rate_per_agent / len(self.reflector_asns)
-        for agent in self.agent_asns:
-            for refl in self.reflector_asns:
-                flows.append(Flow(agent, refl, share, kind="attack-request",
-                                  claimed_src_asn=self.victim_asn,
-                                  tag=f"agent{agent}->refl{refl}"))
-        return flows
+        return list(self._requests)
 
     def evaluate(self, filters: Sequence[FluidFilter] = (),
                  extra_flows: Sequence[Flow] = (),
@@ -163,7 +161,7 @@ class ReflectorFluidModel:
         ``extra_flows`` (e.g. legitimate client traffic) ride along in the
         second pass so congestion and collateral effects are shared.
         """
-        req = self.fluid.evaluate(self.request_flows(), filters=filters,
+        req = self.fluid.evaluate(self._requests, filters=filters,
                                   congestion=congestion)
         # surviving request rate per reflector AS
         arrived: dict[int, float] = {}

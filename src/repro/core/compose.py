@@ -16,9 +16,12 @@ component graphs: users say *what* ("block RSTs", "rate-limit UDP to
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+
+import numpy as np
 
 from repro.errors import DeploymentError
 from repro.core.components import (
@@ -39,7 +42,7 @@ from repro.net.addressing import Prefix
 from repro.net.packet import ICMPType, Protocol, TCPFlags
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.fluid import Flow
+    from repro.net.fluid import Hops
     from repro.net.network import Network
     from repro.net.topology import Topology
     from repro.service.core import DecisionCore
@@ -235,26 +238,54 @@ def deploy_rules(network: "Network", asns: Iterable[int], owner: NetworkUser,
 class RuleFilter:
     """The fluid form of :func:`deploy_rules`: each flow's representative
     header runs through the AS's :func:`rule_core` (built when a flow
-    first reaches the AS), so a flow passes whole or not at all."""
+    first reaches the AS), so a flow passes whole or not at all.
+
+    A verdict is kept per (AS, claimed-source AS, destination AS, legit
+    or not, previous AS), the inputs the header and the core see, and
+    shared with every :meth:`restricted` copy.  That is sound only for
+    stateless rules, so rate-limit and trigger rules are rejected.
+    """
 
     def __init__(self, topology: "Topology", asns: Iterable[int],
                  owner: NetworkUser, name: str, *,
                  src_rules: Iterable[RuleSpec] = (),
                  dst_rules: Iterable[RuleSpec] = ()) -> None:
+        src_rules, dst_rules = tuple(src_rules), tuple(dst_rules)
+        if any(r.action in ("rate-limit", "trigger")
+               for r in (*src_rules, *dst_rules)):
+            raise DeploymentError(
+                "rate-limit and trigger rules keep state one fluid header "
+                "cannot model; run them on the packet engine")
         self.topology, self.asns = topology, frozenset(asns)
         self._build = partial(rule_core, topology, owner=owner, name=name,
-                              src_rules=tuple(src_rules),
-                              dst_rules=tuple(dst_rules))
+                              src_rules=src_rules, dst_rules=dst_rules)
         self._cores: dict[int, "DecisionCore"] = {}
+        self._verdicts: dict[tuple, bool] = {}
 
-    def pass_fraction(self, flow: "Flow", asn: int, prev_asn: Optional[int],
-                      pos: int, path: Sequence[int]) -> float:
-        if asn not in self.asns:
-            return 1.0
-        core = self._cores.get(asn)
-        if core is None:
-            core = self._cores[asn] = self._build(asn)
-        h = flow.header(self.topology)
-        # prev_asn is None at the flow's source AS: local origin
-        keep = not core.wants(h) or core.process(h, 0.0, prev_asn) is not None
-        return 1.0 if keep else 0.0
+    def restricted(self, asns: Iterable[int]) -> "RuleFilter":
+        """The same rules at ``asns`` only, a subset of this filter's
+        ASes, sharing this filter's cores and verdicts."""
+        other = copy.copy(self)
+        other.asns = frozenset(asns)
+        if not other.asns <= self.asns:
+            raise DeploymentError("restricted() takes a subset of the ASes")
+        return other
+
+    def pass_fractions(self, hops: "Hops", sel: np.ndarray) -> np.ndarray:
+        out = np.ones(sel.size)
+        verdicts = self._verdicts
+        for i, flow, asn, prev in hops.visits(sel, self.asns):
+            key = (asn, flow.source_address_asn, flow.dst_asn,
+                   flow.kind == "legit", prev)
+            keep = verdicts.get(key)
+            if keep is None:
+                core = self._cores.get(asn)
+                if core is None:
+                    core = self._cores[asn] = self._build(asn)
+                h = flow.header(self.topology)
+                # prev is None at the flow's source AS: local origin
+                keep = verdicts[key] = (not core.wants(h) or core.process(
+                    h, 0.0, prev) is not None)
+            if not keep:
+                out[i] = 0.0
+        return out

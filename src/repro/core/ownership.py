@@ -108,13 +108,21 @@ class OwnershipRegistry:
         self.version = 0
 
     def register(self, user: NetworkUser) -> None:
-        """Add (or extend) a user's registered prefixes."""
+        """Add (or extend) a user's registered prefixes.
+
+        All or nothing: a prefix held by another user raises before any is
+        inserted.  Every prefix held under the id, earlier ones included,
+        then resolves to ``user``.
+        """
         for prefix in user.prefixes:
             current = self._table.lookup_exact(prefix)
             if current is not None and current.user_id != user.user_id:
                 raise OwnershipError(
                     f"{prefix} already registered to {current.user_id!r}"
                 )
+        held = ([p for p, u in self._table.items() if u.user_id == user.user_id]
+                if user.user_id in self._users else [])
+        for prefix in (*held, *user.prefixes):
             self._table.insert(prefix, user)
         self._users[user.user_id] = user
         self.version += 1

@@ -110,17 +110,19 @@ def containment_table(cfg: ExperimentConfig) -> Table:
     total_attack = len(roles.agent_asns) * 2e6
     deploy_order = list(topo.stub_ases)
     derive_rng(cfg.seed, "e12b-deploy").shuffle(deploy_order)
+    base_req, _ = model.evaluate(congestion=False)
+    base_core = sum(load for (a, b), load in base_req.link_load.items()
+                    if _tier_of_link(topo, a, b) == "core")
+    # the nested deployments share one set of cores and verdicts
+    full = TcsAntiSpoofMitigation(
+        [topo.prefix_of(victim_asn)]).fluid_filter(topo, deploy_order)
     for fraction in (0.25, 0.5, 1.0):
-        mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
-        filt = mit.fluid_filter(
-            topo, deploy_order[: int(round(fraction * len(deploy_order)))])
+        filt = full.restricted(
+            deploy_order[: int(round(fraction * len(deploy_order)))])
         req, res = model.evaluate(filters=[filt], congestion=False)
         filtered = float(req.filtered.sum())
         killed_at_source = filtered / total_attack * 100
         core_load = sum(load for (a, b), load in {**req.link_load}.items()
-                        if _tier_of_link(topo, a, b) == "core")
-        base_req, _ = model.evaluate(congestion=False)
-        base_core = sum(load for (a, b), load in base_req.link_load.items()
                         if _tier_of_link(topo, a, b) == "core")
         escaped = core_load / base_core * 100 if base_core > 0 else 0.0
         table.add_row(fraction, round(killed_at_source, 1), round(escaped, 1))

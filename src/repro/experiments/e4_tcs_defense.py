@@ -70,10 +70,11 @@ def defense_sweep_table(cfg: ExperimentConfig) -> Table:
                               if k.startswith("attack"))
                           + sum(v for k, v in res0.byte_hops.items()
                                 if k.startswith("attack")))
+        # the nested deployments share one set of cores and verdicts
+        full = TcsAntiSpoofMitigation(
+            [topo.prefix_of(victim_asn)]).fluid_filter(topo, stubs)
         for fraction in FRACTIONS:
-            mit = TcsAntiSpoofMitigation([topo.prefix_of(victim_asn)])
-            filt = mit.fluid_filter(
-                topo, stubs[: int(round(fraction * len(stubs)))])
+            filt = full.restricted(stubs[: int(round(fraction * len(stubs)))])
             req, res = model.evaluate(filters=[filt], extra_flows=legit,
                                       congestion=False)
             attack = res.delivered_rate("attack-reflected", dst_asn=victim_asn)

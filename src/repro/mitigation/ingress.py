@@ -20,10 +20,12 @@ router filter and the fluid filter both call.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
+
+import numpy as np
 
 from repro.mitigation.base import Mitigation
-from repro.net.fluid import Flow, FluidFilter, FluidNetwork
+from repro.net.fluid import FluidFilter, FluidNetwork, Hops
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.node import Host, Router
@@ -72,14 +74,14 @@ class _FluidFilter:
     def __init__(self, scheme: _SourceFilter, routing: FluidNetwork) -> None:
         self.scheme, self.routing = scheme, routing
 
-    def pass_fraction(self, flow: Flow, asn: int, prev_asn: Optional[int],
-                      pos: int, path: Sequence[int]) -> float:
-        # prev_asn is None at the flow's source AS: its own hosts sent it
-        if (asn not in self.scheme.deployed_asns
-                or self.scheme.admits(flow.source_address_asn, asn, prev_asn,
-                                      self.routing)):
-            return 1.0
-        return 0.0
+    def pass_fractions(self, hops: Hops, sel: np.ndarray) -> np.ndarray:
+        out = np.ones(sel.size)
+        # prev is None at the flow's source AS: its own hosts sent it
+        for i, flow, asn, prev in hops.visits(sel, self.scheme.deployed_asns):
+            if not self.scheme.admits(flow.source_address_asn, asn, prev,
+                                      self.routing):
+                out[i] = 0.0
+        return out
 
 
 class IngressFiltering(_SourceFilter):

@@ -8,16 +8,18 @@ source" claim.  The fluid model treats each traffic source as a constant-
 rate flow, routes it on the shortest AS path, applies per-AS filter pass
 fractions, and resolves link congestion by iterative proportional scaling.
 
-Numerically heavy parts (survival products, link load accumulation,
-congestion iterations) run on NumPy arrays over a hop-expanded flow table,
-following the vectorise-the-inner-loop guidance of the HPC coding guides.
+:meth:`FluidNetwork.evaluate` is an array program over flow-major hop
+arrays (:class:`Hops`): each filter answers once per path position for
+all hops flows reach alive, and the survival products, link loads and
+congestion iterations run on NumPy arrays.  A network memoises the paths
+it routes, so a sweep of many evaluations routes each flow once.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from repro.net.topology import ASRole, Topology, TopologyBuilder
 from repro.util.units import Mbps
 
 __all__ = ["Flow", "FlowSet", "FluidFilter", "FluidNetwork", "FluidResult",
-           "flood_flows"]
+           "Hops", "flood_flows"]
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,40 @@ class FlowSet:
         return len(self.flows)
 
 
-class FluidFilter(Protocol):
-    """Per-AS pass fraction for a flow traversing the fluid network.
+@dataclass(frozen=True)
+class Hops:
+    """Flow-major hop arrays of one evaluation: hop ``h`` is flow
+    ``flows[flow[h]]`` at AS ``asn[h]``, ``pos[h]`` hops from its source,
+    entered from AS ``prev[h]`` (-1 at the source AS)."""
 
-    ``pos`` is the index of ``asn`` on ``path`` (0 = source AS); ``prev_asn``
-    is the upstream neighbour the flow arrived from (None at the source).
-    Return the fraction in [0, 1] of the flow the AS lets through.
+    flows: Sequence[Flow]
+    flow: np.ndarray
+    asn: np.ndarray
+    prev: np.ndarray
+    pos: np.ndarray
+
+    def visits(self, sel: np.ndarray, asns: Iterable[int]
+               ) -> Iterator[tuple[int, Flow, int, Optional[int]]]:
+        """``(i, flow, asn, prev)`` for each hop ``sel[i]`` at one of
+        ``asns``; ``prev`` is None at the flow's source AS."""
+        at = np.flatnonzero(np.isin(self.asn[sel],
+                                    np.fromiter(asns, dtype=np.int64)))
+        picked = sel[at]
+        for i, f, asn, prev in zip(at.tolist(), self.flow[picked].tolist(),
+                                   self.asn[picked].tolist(),
+                                   self.prev[picked].tolist()):
+            yield i, self.flows[f], asn, None if prev < 0 else prev
+
+
+class FluidFilter(Protocol):
+    """Per-AS pass fractions for flows traversing the fluid network.
+
+    ``sel`` picks hops of ``hops`` that flows reach alive, all at one path
+    position; return, per picked hop, the fraction in [0, 1] of the flow
+    that hop's AS lets through.
     """
 
-    def pass_fraction(self, flow: Flow, asn: int, prev_asn: Optional[int],
-                      pos: int, path: Sequence[int]) -> float:
+    def pass_fractions(self, hops: Hops, sel: np.ndarray) -> np.ndarray:
         ...  # pragma: no cover
 
 
@@ -165,6 +191,7 @@ class FluidNetwork:
     Routing is a lazy :class:`~repro.net.routing.Routing`, the one the
     packet network uses: one BFS per *destination or claimed-source* AS
     actually referenced — so sweeps over thousands of ASes stay fast.
+    Each path evaluated is routed once and kept for the network's life.
     """
 
     def __init__(self, topology: Topology,
@@ -176,9 +203,10 @@ class FluidNetwork:
         #: optional routing override (e.g. PolicyRouting(topo).path for
         #: valley-free paths); None = shortest-path routing
         self.path_fn = path_fn
+        self._paths: dict[tuple[int, int], list[int]] = {}
 
     @classmethod
-    def from_as_rel2(cls, source, prefix_length: int = 24,
+    def from_as_rel2(cls, source, prefix_length: Optional[int] = None,
                      capacity_fn: Optional[Callable[[int, int], float]] = None,
                      path_fn: Optional[Callable[[int, int], list[int]]] = None
                      ) -> "FluidNetwork":
@@ -205,6 +233,20 @@ class FluidNetwork:
             return list(self.path_fn(src_asn, dst_asn))
         return self.routing.path(src_asn, dst_asn)
 
+    def _route(self, src_asn: int, dst_asn: int) -> list[int]:
+        """:meth:`path`, memoised (an empty list remembers "no route");
+        callers must not mutate the list."""
+        path = self._paths.get((src_asn, dst_asn))
+        if path is None:
+            try:
+                path = self.path(src_asn, dst_asn)
+            except RoutingError:
+                path = []
+            self._paths[src_asn, dst_asn] = path
+        if not path:
+            raise RoutingError(f"AS {src_asn}: no route to AS {dst_asn}")
+        return path
+
     def distance(self, a: int, b: int) -> int:
         """Hop distance between two ASes."""
         return self.routing.distance(a, b)
@@ -222,7 +264,7 @@ class FluidNetwork:
         # is the penultimate hop of the policy path from the claimed
         # source (no route -> no legitimate interface at all)
         try:
-            path = self.path(claimed_src_asn, at_asn)
+            path = self._route(claimed_src_asn, at_asn)
         except RoutingError:
             return frozenset()
         return frozenset({path[-2]}) if len(path) >= 2 else frozenset()
@@ -234,65 +276,81 @@ class FluidNetwork:
                  congestion_iters: int = 6) -> FluidResult:
         """Route all flows, apply filters, optionally resolve congestion.
 
-        Filters are evaluated per (flow, hop) in Python — flow counts are
-        modest — while congestion resolution runs vectorised over the
-        hop-expanded link incidence arrays.
+        The filter pass walks path positions over flow-major hop arrays:
+        at each position every filter answers once for the hops that
+        flows still reach alive.  Sums keep the flow-major order of a
+        per-flow walk, so results are bit-for-bit those of one.
+        Congestion resolution runs over the hop-expanded link incidence.
         """
         flow_list = list(flows)
         n = len(flow_list)
         rates = np.array([f.rate for f in flow_list], dtype=np.float64)
-        paths: list[list[int]] = [self.path(f.src_asn, f.dst_asn) for f in flow_list]
+        paths = [self._route(f.src_asn, f.dst_asn) for f in flow_list]
+        lengths = np.array([len(p) for p in paths], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        asn = np.fromiter(chain.from_iterable(paths), dtype=np.int64,
+                          count=int(lengths.sum()))
+        flow_of = np.repeat(np.arange(n), lengths)
+        pos = np.arange(asn.size) - np.repeat(starts, lengths)
+        hops = Hops(flow_list, flow_of, asn, np.where(pos > 0, np.roll(asn, 1), -1), pos)
 
-        # --- filter pass: survival fraction per flow + byte-hop accounting
-        survival = np.ones(n, dtype=np.float64)
-        byte_hops: dict[str, float] = {f.kind: 0.0 for f in flow_list}
-        filtered_hops_weighted: defaultdict[str, float] = defaultdict(float)  # rate*hops
-        filtered_total: defaultdict[str, float] = defaultdict(float)
-        # hop-expanded incidence: flow index + link key per traversed link
-        inc_flow: list[int] = []
-        inc_link: list[tuple[int, int]] = []
-        inc_scale: list[float] = []  # surviving fraction entering that link
+        # --- filter pass: surviving fraction leaving each hop (0 once dead)
+        # and the fraction each filter drops there
+        frac = np.ones(n, dtype=np.float64)
+        at_hop = np.zeros(asn.size, dtype=np.float64)
+        dropped = np.zeros((asn.size, len(filters)), dtype=np.float64)
+        alive = np.arange(n)
+        for k in range(int(lengths.max()) if n else 0):
+            alive = alive[lengths[alive] > k]
+            if not alive.size:
+                break
+            sel = starts[alive] + k
+            f = frac[alive]
+            for j, filt in enumerate(filters):
+                p = np.asarray(filt.pass_fractions(hops, sel), dtype=np.float64)
+                p = np.where(p < 1.0, np.clip(p, 0.0, 1.0), 1.0)
+                dropped[sel, j] = f * (1.0 - p)
+                f = f * p
+            f[f <= 0.0] = 0.0
+            frac[alive] = at_hop[sel] = f
+            alive = alive[f > 0.0]
 
-        for i, (flow, path) in enumerate(zip(flow_list, paths)):
-            frac = 1.0
-            for pos, asn in enumerate(path):
-                prev_asn = path[pos - 1] if pos > 0 else None
-                for filt in filters:
-                    p = filt.pass_fraction(flow, asn, prev_asn, pos, path)
-                    if p < 1.0:
-                        p = min(max(p, 0.0), 1.0)
-                        dropped = frac * (1.0 - p)
-                        if dropped > 0:
-                            filtered_hops_weighted[flow.kind] += flow.rate * dropped * pos
-                            filtered_total[flow.kind] += flow.rate * dropped
-                        frac *= p
-                if frac <= 0.0:
-                    frac = 0.0
-                    break
-                if pos < len(path) - 1:
-                    inc_flow.append(i)
-                    inc_link.append((asn, path[pos + 1]))
-                    inc_scale.append(frac)
-                    byte_hops[flow.kind] += flow.rate * frac
-            survival[i] = frac
+        kinds = list(dict.fromkeys(f.kind for f in flow_list))
+        kind_of = np.array([kinds.index(f.kind) for f in flow_list], dtype=np.int64)
+        # hop-expanded incidence: every link a flow leaves a hop on alive
+        inc = np.flatnonzero((at_hop > 0.0) & (pos < lengths[flow_of] - 1))
+        inc_flow_arr = flow_of[inc]
+        carried = rates[inc_flow_arr] * at_hop[inc]
+        byte_hops = dict.fromkeys(kinds, 0.0)
+        for code, total in _kind_sums(carried, kind_of[inc_flow_arr]).items():
+            byte_hops[kinds[code]] = total
+        # drops in (hop, filter) order, as a per-flow walk meets them
+        hop_ix = np.nonzero(dropped > 0)[0]
+        lost = rates[flow_of[hop_ix]] * dropped[dropped > 0]
+        lost_kind = kind_of[flow_of[hop_ix]]
+        weighted = _kind_sums(lost * pos[hop_ix], lost_kind)
+        drop_distance = {kinds[code]: weighted[code] / total for code, total
+                         in _kind_sums(lost, lost_kind).items() if total > 0}
 
-        after_filter = rates * survival
+        after_filter = rates * frac
 
         # --- congestion pass: proportional scaling on overloaded links
         scale = np.ones(n, dtype=np.float64)
         link_load: dict[tuple[int, int], float] = {}
-        if inc_flow:
-            inc_flow_arr = np.array(inc_flow, dtype=np.int64)
-            inc_scale_arr = np.array(inc_scale, dtype=np.float64)
-            unique_links = sorted(set(inc_link))
-            link_index = {lk: j for j, lk in enumerate(unique_links)}
-            inc_link_arr = np.array([link_index[lk] for lk in inc_link], dtype=np.int64)
-            caps = np.array([self.capacity_fn(a, b) for a, b in unique_links], dtype=np.float64)
+        if inc.size:
+            # links as (rank of a, rank of b) codes: sorted codes are sorted links
+            nodes, rank = np.unique(asn, return_inverse=True)
+            codes, inc_link_arr = np.unique(
+                rank[inc] * nodes.size + rank[inc + 1], return_inverse=True)
+            links = list(zip(nodes[codes // nodes.size].tolist(),
+                             nodes[codes % nodes.size].tolist()))
+            caps = np.array([self.capacity_fn(a, b) for a, b in links]
+                            if congestion else [], dtype=np.float64)
             iters = congestion_iters if congestion else 1
-            loads = np.zeros(len(unique_links), dtype=np.float64)
+            loads = np.zeros(len(links), dtype=np.float64)
             for it in range(iters):
-                contrib = rates[inc_flow_arr] * inc_scale_arr * scale[inc_flow_arr]
-                loads = np.zeros(len(unique_links), dtype=np.float64)
+                contrib = carried * scale[inc_flow_arr]
+                loads = np.zeros(len(links), dtype=np.float64)
                 np.add.at(loads, inc_link_arr, contrib)
                 if not congestion:
                     break
@@ -304,22 +362,22 @@ class FluidNetwork:
                 flow_factor = np.ones(n, dtype=np.float64)
                 np.minimum.at(flow_factor, inc_flow_arr, link_factor[inc_link_arr])
                 scale *= flow_factor
-            link_load = {lk: float(loads[j]) for lk, j in link_index.items()}
+            link_load = dict(zip(links, loads.tolist()))
 
         delivered = after_filter * scale
-        congestion_lost = after_filter - delivered
-        filtered_rate = rates - after_filter
-
-        drop_distance = {
-            kind: (filtered_hops_weighted[kind] / filtered_total[kind])
-            for kind in filtered_total if filtered_total[kind] > 0
-        }
         return FluidResult(
             delivered=delivered,
-            filtered=filtered_rate,
-            congestion_lost=congestion_lost,
+            filtered=rates - after_filter,
+            congestion_lost=after_filter - delivered,
             link_load=link_load,
-            byte_hops=dict(byte_hops),
+            byte_hops=byte_hops,
             drop_distance=drop_distance,
             flows=flow_list,
         )
+
+
+def _kind_sums(values: np.ndarray, codes: np.ndarray) -> dict[int, float]:
+    """Per code, in order of first appearance, the left-to-right float sum
+    of its ``values`` that a running ``+=`` gives."""
+    return {code: float(np.cumsum(values[codes == code])[-1])
+            for code in dict.fromkeys(codes.tolist())}

@@ -26,13 +26,14 @@ class Routing:
 
     The adjacency lists are copied at construction, so a ``Routing`` keeps
     answering for the graph it was built on after that graph changes
-    (:meth:`Network._reconverge` builds a new one).  The tree rooted at
-    ``r`` is a BFS from ``r`` visiting neighbours in ascending ASN order:
-    a node's parent in it is its next hop toward ``r``, and since links are
-    symmetric its distances are also hop counts *from* ``r``.
+    (:meth:`Network._reconverge` builds a new one) and can memoise its
+    answers.  The tree rooted at ``r`` is a BFS from ``r`` visiting
+    neighbours in ascending ASN order: a node's parent in it is its next
+    hop toward ``r``, and since links are symmetric its distances are also
+    hop counts *from* ``r``.
     """
 
-    __slots__ = ("_adj", "_trees")
+    __slots__ = ("_adj", "_trees", "_ingress")
 
     def __init__(self, graph: nx.Graph) -> None:
         self._adj: dict[int, list[int]] = {
@@ -40,6 +41,8 @@ class Routing:
         }
         #: root -> (parent toward root, hop distance), built on first use
         self._trees: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+        #: (at, src) -> expected_ingress(at, src)
+        self._ingress: dict[tuple[int, int], frozenset[int]] = {}
 
     def __contains__(self, asn: object) -> bool:
         return asn in self._adj
@@ -104,11 +107,14 @@ class Routing:
         """
         if src not in self._adj:
             return frozenset()
-        dist = self._tree(src)[1]
-        here = dist.get(at)
-        if here is None:
-            return frozenset()
-        return frozenset(n for n in self._adj[at] if dist.get(n, -2) + 1 == here)
+        ingress = self._ingress.get((at, src))
+        if ingress is None:
+            dist = self._tree(src)[1]
+            here = dist.get(at)
+            ingress = self._ingress[at, src] = frozenset(
+                () if here is None else
+                (n for n in self._adj[at] if dist.get(n, -2) + 1 == here))
+        return ingress
 
 
 def build_routing(topology: Topology) -> Routing:

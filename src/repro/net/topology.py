@@ -309,18 +309,26 @@ class TopologyBuilder:
 
     @staticmethod
     def from_as_rel2(source: Union[str, os.PathLike, Iterable[str]],
-                     prefix_length: int = 24,
+                     prefix_length: Optional[int] = None,
                      pool: str = "10.0.0.0/8") -> Topology:
         """Build a topology from CAIDA ``as-rel2`` relationship data.
 
         ``source`` is a path (:class:`os.PathLike`), the file *content* as
         one string, or an iterable of lines — see :func:`parse_as_rel2`.
-        ASes keep their original AS numbers.  At CAIDA scale a /24 per AS
-        exhausts the 10.0.0.0/8 pool beyond 65k ASes; pass a longer
-        ``prefix_length`` for larger snapshots.
+        ASes keep their original AS numbers.  Without a ``prefix_length``
+        each AS gets a /24, or past that the shortest prefix that still
+        gives every AS one in ``pool`` (/25 past 65,536 ASes in 10/8).
         """
-        return Topology(parse_as_rel2(source), prefix_length=prefix_length,
-                        pool=pool)
+        graph = parse_as_rel2(source)
+        need = Prefix.parse(pool).length + (len(graph) - 1).bit_length()
+        if prefix_length is None:
+            prefix_length = max(24, need)
+        if not need <= prefix_length <= 32:
+            fix = (f"pass prefix_length >= {need}" if need <= 32
+                   else "pass a larger pool")
+            raise TopologyError(f"{len(graph)} ASes do not fit in pool {pool} "
+                                f"at /{prefix_length}; {fix}")
+        return Topology(graph, prefix_length=prefix_length, pool=pool)
 
     @staticmethod
     def caida_like(n: int = 1000, seed: int | None = None,

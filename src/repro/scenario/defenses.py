@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Optional, TYPE_CHECKING
 from repro.core.apps import TcsAntiSpoofMitigation
 from repro.core.compose import RuleFilter, RuleSpec, deploy_rules
 from repro.core.ownership import NetworkUser
+from repro.errors import DeploymentError
 from repro.mitigation import (
     I3Defense,
     IngressFiltering,
@@ -387,8 +388,8 @@ def _fluid_rbf(built: "BuiltScenario", spec: DefenseSpec,
 def _fluid_tcs(built: "BuiltScenario", spec: DefenseSpec,
                fluid: "FluidNetwork") -> list:
     asns, owner, name, src, dst = _tcs_rules(built, spec)
-    if any(r.action in ("rate-limit", "trigger") for r in (*src, *dst)):
-        raise SpecError("rate-limit and trigger rules keep state one fluid "
-                        "header cannot model; run them on the packet engine")
-    return [RuleFilter(built.topology, asns, owner, name, src_rules=src,
-                       dst_rules=dst)]
+    try:
+        return [RuleFilter(built.topology, asns, owner, name, src_rules=src,
+                           dst_rules=dst)]
+    except DeploymentError as exc:
+        raise SpecError(str(exc)) from None

@@ -1,5 +1,6 @@
 """Tests for the reflector attack engine (packet-level and fluid)."""
 
+import numpy as np
 import pytest
 
 from repro.attack import ReflectorAttack, reflector_responder
@@ -146,8 +147,10 @@ class TestReflectorFluidModel:
         fluid, model = self._model(amplification=2.0)
 
         class DropSpoofedAtSource:
-            def pass_fraction(self, flow, asn, prev_asn, pos, path):
-                return 0.0 if (pos == 0 and flow.spoofed) else 1.0
+            def pass_fractions(self, hops, sel):
+                return np.array([0.0 if (hops.pos[h] == 0
+                                         and hops.flows[hops.flow[h]].spoofed)
+                                 else 1.0 for h in sel])
 
         assert model.victim_attack_rate(filters=[DropSpoofedAtSource()]) == 0.0
 

@@ -10,4 +10,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI's differential steps (``--hypothesis-profile=ci``) draw more examples;
+# a test's own ``@settings(max_examples=...)`` still wins.
+settings.register_profile("ci", parent=settings.get_profile("repro"),
+                          max_examples=1000)
 settings.load_profile("repro")

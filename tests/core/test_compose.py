@@ -197,3 +197,27 @@ class TestEndToEndDeployment:
         assert victim.received_packets == 0
         assert bystander.received_packets == 1
         assert net.routers[stubs[1]].drops["filter:acme-dns"] == 1
+
+
+class TestRuleFilter:
+    @pytest.mark.parametrize("rule", [
+        RuleSpec(action="rate-limit", rate_bps=1e6),
+        RuleSpec(action="trigger", threshold_pps=10.0),
+    ])
+    def test_stateful_rules_rejected_at_construction(self, rule):
+        from repro.core.compose import RuleFilter
+        from repro.net import TopologyBuilder
+
+        with pytest.raises(DeploymentError, match="packet engine"):
+            RuleFilter(TopologyBuilder.line(3), [0], OWNER, "x",
+                       dst_rules=(rule,))
+
+    def test_restricted_needs_a_subset(self):
+        from repro.core.compose import RuleFilter
+        from repro.net import TopologyBuilder
+
+        filt = RuleFilter(TopologyBuilder.line(3), [0, 1], OWNER, "x",
+                          dst_rules=(RuleSpec(action="drop", proto="udp"),))
+        assert filt.restricted([1]).asns == frozenset({1})
+        with pytest.raises(DeploymentError):
+            filt.restricted([1, 2])

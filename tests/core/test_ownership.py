@@ -147,6 +147,29 @@ class TestOwnershipRegistry:
         assert reg.owner_of("10.1.0.5") is None
         assert reg.owner_of("10.2.0.5") is None
 
+    def test_failed_register_inserts_nothing(self):
+        """A conflict on any prefix leaves the table and version as they
+        were, so no flow cache keyed on the version goes stale."""
+        reg = OwnershipRegistry()
+        reg.register(NetworkUser("a", prefixes=[P("10.1.0.0/16")]))
+        version = reg.version
+        with pytest.raises(OwnershipError):
+            reg.register(NetworkUser("b", prefixes=[P("10.3.0.0/16"),
+                                                    P("10.1.0.0/16")]))
+        assert reg.owner_of("10.3.0.5") is None
+        assert "b" not in reg
+        assert reg.version == version
+
+    def test_reregister_repoints_every_held_prefix(self):
+        """Re-registering extends the id's prefixes, and each resolves to
+        the latest ``NetworkUser``."""
+        reg = OwnershipRegistry()
+        reg.register(NetworkUser("acme", prefixes=[P("10.1.0.0/16"),
+                                                   P("10.2.0.0/16")]))
+        reg.register(NetworkUser("acme", prefixes=[P("10.1.0.0/16")]))
+        assert reg.owner_of("10.2.0.5") is reg.user("acme")
+        assert reg.owner_of("10.1.0.5") is reg.user("acme")
+
     def test_user_accessor(self):
         reg = OwnershipRegistry()
         acme = NetworkUser("acme", prefixes=[P("10.1.0.0/16")])

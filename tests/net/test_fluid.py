@@ -1,11 +1,17 @@
 """Tests for the fluid (flow-level) network model."""
 
-from typing import Optional, Sequence
+from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.apps import TcsAntiSpoofMitigation
 from repro.errors import RoutingError, TopologyError
+from repro.mitigation import IngressFiltering, RouteBasedFiltering
 from repro.net import Flow, FlowSet, FluidNetwork, TopologyBuilder
+from repro.net.fluid import Hops
+from repro.util.rng import derive_rng
 
 
 class BlockAtAS:
@@ -16,11 +22,105 @@ class BlockAtAS:
         self.keep = keep
         self.kind = kind
 
-    def pass_fraction(self, flow: Flow, asn: int, prev_asn: Optional[int],
-                      pos: int, path: Sequence[int]) -> float:
-        if asn == self.asn and (self.kind is None or flow.kind == self.kind):
-            return self.keep
-        return 1.0
+    def pass_fractions(self, hops: Hops, sel: np.ndarray) -> np.ndarray:
+        out = np.ones(sel.size)
+        for i, flow, asn, prev in hops.visits(sel, [self.asn]):
+            if self.kind is None or flow.kind == self.kind:
+                out[i] = self.keep
+        return out
+
+
+class FractionAt:
+    """Test filter: pass fraction ``table[asn]`` at every hop."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def pass_fractions(self, hops: Hops, sel: np.ndarray) -> np.ndarray:
+        return np.array([self.table.get(a, 1.0) for a in hops.asn[sel].tolist()])
+
+
+def reference_evaluate(fn: FluidNetwork, flows, filters=(), congestion=True,
+                       congestion_iters=6):
+    """The per-flow walk :meth:`FluidNetwork.evaluate` must match bit for
+    bit: flow by flow, hop by hop, each filter asked about one hop."""
+    flow_list = list(flows)
+    n = len(flow_list)
+    rates = np.array([f.rate for f in flow_list], dtype=np.float64)
+    paths = [fn.path(f.src_asn, f.dst_asn) for f in flow_list]
+    rows = [(i, asn, path[pos - 1] if pos else -1, pos)
+            for i, path in enumerate(paths) for pos, asn in enumerate(path)]
+    hops = Hops(flow_list, *(np.array([r[c] for r in rows], dtype=np.int64)
+                             for c in range(4)))
+
+    survival = np.ones(n, dtype=np.float64)
+    byte_hops = {f.kind: 0.0 for f in flow_list}
+    filtered_hops_weighted: defaultdict[str, float] = defaultdict(float)
+    filtered_total: defaultdict[str, float] = defaultdict(float)
+    inc_flow, inc_link, inc_scale = [], [], []
+    h = 0
+    for i, (flow, path) in enumerate(zip(flow_list, paths)):
+        frac = 1.0
+        for pos, asn in enumerate(path):
+            for filt in filters:
+                p = filt.pass_fractions(hops, np.array([h + pos]))[0]
+                if p < 1.0:
+                    p = min(max(p, 0.0), 1.0)
+                    dropped = frac * (1.0 - p)
+                    if dropped > 0:
+                        filtered_hops_weighted[flow.kind] += flow.rate * dropped * pos
+                        filtered_total[flow.kind] += flow.rate * dropped
+                    frac *= p
+            if frac <= 0.0:
+                frac = 0.0
+                break
+            if pos < len(path) - 1:
+                inc_flow.append(i)
+                inc_link.append((asn, path[pos + 1]))
+                inc_scale.append(frac)
+                byte_hops[flow.kind] += flow.rate * frac
+        survival[i] = frac
+        h += len(path)
+    after_filter = rates * survival
+
+    scale = np.ones(n, dtype=np.float64)
+    link_load = {}
+    if inc_flow:
+        inc_flow_arr = np.array(inc_flow, dtype=np.int64)
+        inc_scale_arr = np.array(inc_scale, dtype=np.float64)
+        unique_links = sorted(set(inc_link))
+        link_index = {lk: j for j, lk in enumerate(unique_links)}
+        inc_link_arr = np.array([link_index[lk] for lk in inc_link], dtype=np.int64)
+        caps = np.array([fn.capacity_fn(a, b) for a, b in unique_links])
+        for _ in range(congestion_iters if congestion else 1):
+            contrib = rates[inc_flow_arr] * inc_scale_arr * scale[inc_flow_arr]
+            loads = np.zeros(len(unique_links), dtype=np.float64)
+            np.add.at(loads, inc_link_arr, contrib)
+            if not congestion:
+                break
+            over = loads > caps
+            if not over.any():
+                break
+            link_factor = np.where(over, caps / np.maximum(loads, 1e-30), 1.0)
+            flow_factor = np.ones(n, dtype=np.float64)
+            np.minimum.at(flow_factor, inc_flow_arr, link_factor[inc_link_arr])
+            scale *= flow_factor
+        link_load = {lk: float(loads[j]) for lk, j in link_index.items()}
+    delivered = after_filter * scale
+    drop_distance = {kind: filtered_hops_weighted[kind] / filtered_total[kind]
+                     for kind in filtered_total if filtered_total[kind] > 0}
+    return dict(delivered=delivered, filtered=rates - after_filter,
+                congestion_lost=after_filter - delivered, link_load=link_load,
+                byte_hops=byte_hops, drop_distance=drop_distance)
+
+
+def assert_same_result(result, ref):
+    """Exact equality, dict key order included (callers sum in it)."""
+    for name in ("delivered", "filtered", "congestion_lost"):
+        assert np.array_equal(getattr(result, name), ref[name]), name
+    for name in ("link_load", "byte_hops", "drop_distance"):
+        got = getattr(result, name)
+        assert list(got.items()) == list(ref[name].items()), name
 
 
 class TestPaths:
@@ -49,6 +149,24 @@ class TestPaths:
         assert fn.expected_ingress(2, 0) == frozenset({1})
         assert fn.expected_ingress(2, 3) == frozenset({3})
         assert fn.expected_ingress(2, 99) == frozenset()
+
+
+    def test_routes_are_memoised_missing_ones_too(self):
+        asked = []
+
+        def path_fn(src, dst):
+            asked.append((src, dst))
+            if dst == 3:
+                raise RoutingError(f"AS {src}: no route to AS {dst}")
+            return list(range(src, dst + 1))
+
+        fn = FluidNetwork(TopologyBuilder.line(4), path_fn=path_fn)
+        for _ in range(2):
+            assert fn.evaluate([Flow(0, 2, 1e6)]).delivered_rate() == 1e6
+            assert fn.expected_ingress(3, 0) == frozenset()
+            with pytest.raises(RoutingError, match="AS 1: no route to AS 3"):
+                fn.evaluate([Flow(1, 3, 1e6)])
+        assert asked == [(0, 2), (0, 3), (1, 3)]
 
 
 class TestEvaluate:
@@ -149,3 +267,85 @@ class TestFlowSemantics:
         assert fs.total_rate("a") == 5.0
         assert set(fs.by_kind()) == {"a", "b"}
         assert len(fs) == 3
+
+
+KEEPS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, -0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def fluid_cases(draw):
+    """A small topology, flows (spoofed and legit) and filter specs."""
+    topo = TopologyBuilder.powerlaw(n=draw(st.integers(4, 16)), m=2,
+                                    seed=draw(st.integers(0, 10_000)))
+    node = st.sampled_from(topo.as_numbers)
+    flows = draw(st.lists(st.builds(
+        Flow, node, node,
+        st.sampled_from([0.0, 1e6]) | st.floats(1.0, 1e7),
+        kind=st.sampled_from(["legit", "attack", "attack-request"]),
+        claimed_src_asn=st.just(-1) | node), max_size=14))
+    asn_set = st.frozensets(node)
+    filters = draw(st.lists(st.one_of(
+        st.tuples(st.just("block"), node, KEEPS,
+                  st.sampled_from([None, "legit", "attack"])),
+        st.tuples(st.just("fractions"), st.dictionaries(node, KEEPS)),
+        st.tuples(st.sampled_from(["ingress", "rbf"]), asn_set),
+        st.tuples(st.just("tcs"), node, asn_set)), max_size=3))
+    capacity = draw(st.sampled_from([1e5, 1e6, 1e7]))
+    return topo, flows, filters, capacity, draw(st.booleans())
+
+
+def build_filter(spec, topo, fn):
+    kind, *args = spec
+    if kind == "block":
+        return BlockAtAS(*args)
+    if kind == "fractions":
+        return FractionAt(*args)
+    if kind == "tcs":
+        victim, asns = args
+        return TcsAntiSpoofMitigation([topo.prefix_of(victim)]).fluid_filter(
+            topo, asns)
+    scheme = IngressFiltering() if kind == "ingress" else RouteBasedFiltering()
+    scheme.deployed_asns = set(args[0])
+    return scheme.fluid_filter(fn)
+
+
+class TestArrayProgramParity:
+    """The array program against :func:`reference_evaluate`, exactly."""
+
+    @given(fluid_cases())
+    @settings(deadline=None)
+    def test_generated_cases_match_reference(self, case):
+        topo, flows, specs, capacity, congestion = case
+        fn = FluidNetwork(topo, capacity_fn=lambda a, b: capacity)
+        result = fn.evaluate(flows, [build_filter(s, topo, fn) for s in specs],
+                             congestion=congestion)
+        ref = reference_evaluate(fn, flows,
+                                 [build_filter(s, topo, fn) for s in specs],
+                                 congestion=congestion)
+        assert_same_result(result, ref)
+
+    def test_restricted_filters_match_fresh_ones(self):
+        """E4's shape: nested deployment fractions of shuffled stubs."""
+        from repro.scenario.attacks import reflector_fanout, reflector_roles
+
+        topo = TopologyBuilder.powerlaw(n=60, m=2, seed=3)
+        fn = FluidNetwork(topo)
+        roles = reflector_roles(topo, derive_rng(3, "roles"), 10, 5,
+                                style="pick-victim")
+        model = reflector_fanout(fn, roles, rate_per_agent=1e6,
+                                 amplification=5.0)
+        legit = [Flow(a, roles.victim_asn, 2e5, kind="legit")
+                 for a in roles.spare_asns[:5]]
+        stubs = list(topo.stub_ases)
+        derive_rng(3, "deploy").shuffle(stubs)
+        mit = TcsAntiSpoofMitigation([topo.prefix_of(roles.victim_asn)])
+        full = mit.fluid_filter(topo, stubs)
+        for fraction in (0.0, 0.2, 0.5, 1.0):
+            deployed = stubs[: int(round(fraction * len(stubs)))]
+            shared = model.evaluate(filters=[full.restricted(deployed)],
+                                    extra_flows=legit, congestion=False)
+            fresh = model.evaluate(filters=[mit.fluid_filter(topo, deployed)],
+                                   extra_flows=legit, congestion=False)
+            for got, want in zip(shared, fresh):
+                assert_same_result(got, vars(want))
+        assert full._cores and full._verdicts

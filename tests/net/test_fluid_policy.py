@@ -89,8 +89,8 @@ class TestFluidConservation:
         ])
 
         class Thin:
-            def pass_fraction(self, flow, asn, prev_asn, pos, path):
-                return keep
+            def pass_fractions(self, hops, sel):
+                return np.full(sel.size, keep)
 
         result = fluid.evaluate(flows, filters=[Thin()])
         for i, flow in enumerate(result.flows):

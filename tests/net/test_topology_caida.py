@@ -123,6 +123,29 @@ class TestFixture:
                         derive_rng(3, "x"))
 
 
+class TestPrefixLength:
+    """Without a prefix length: /24, or the shortest longer one that fits."""
+
+    def test_default_is_slash_24_when_it_fits(self):
+        topo = TopologyBuilder.from_as_rel2(synthesize_as_rel2(300, seed=1))
+        assert {topo.prefix_of(a).length for a in topo.as_numbers} == {24}
+
+    def test_longer_prefix_when_pool_is_small(self):
+        text = synthesize_as_rel2(300, seed=1)
+        topo = TopologyBuilder.from_as_rel2(text, pool="10.0.0.0/16")
+        assert {topo.prefix_of(a).length for a in topo.as_numbers} == {25}
+        fluid = FluidNetwork.from_as_rel2(text)
+        assert fluid.topology.prefix_of(fluid.topology.as_numbers[0]).length == 24
+
+    def test_error_names_count_and_fix(self):
+        text = synthesize_as_rel2(300, seed=1)
+        with pytest.raises(TopologyError, match=r"300 ASes .*prefix_length >= 25"):
+            TopologyBuilder.from_as_rel2(text, prefix_length=24,
+                                         pool="10.0.0.0/16")
+        with pytest.raises(TopologyError, match="300 ASes .*larger pool"):
+            TopologyBuilder.from_as_rel2(text, pool="10.0.0.0/25")
+
+
 class TestSpecIntegration:
     def test_caida_kind_builds(self):
         spec = TopologySpec(kind="caida", n=120)
