@@ -96,8 +96,8 @@ class DecisionCore:
         self.flow_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.flow_cache_capacity = flow_cache_capacity
         self._flow_cache_version = registry.version
-        #: policy generation: bumped on every invalidation (install/
-        #: uninstall/activation/hot-swap), so observers can tag cached
+        #: policy generation: bumped on every install (hot swaps included),
+        #: uninstall and activation flip, so observers can tag cached
         #: decisions and verify a swap took effect atomically
         self.generation = 0
         c = counters or {}
@@ -115,7 +115,9 @@ class DecisionCore:
         """Compile (with Sec. 4.5 vetting) and install a user's stage graphs.
 
         Every graph compiles before anything is mutated, so a rejected
-        graph leaves the installed policy untouched.
+        graph leaves the installed policy untouched.  A new service flushes
+        the flow cache; a hot swap onto an existing one keeps it, since
+        entries hold no program (:meth:`_stages` reads them per check).
         """
         from repro.core.device import ServiceInstance
 
@@ -126,14 +128,15 @@ class DecisionCore:
             for graph in (src_graph, dst_graph))
         instance = self.services.get(user.user_id)
         if instance is None:
-            instance = ServiceInstance(user=user)
-            self.services[user.user_id] = instance
+            instance = self.services[user.user_id] = ServiceInstance(user=user)
+            self.invalidate()
+        else:
+            self.generation += 1
         if src_program is not None:
             instance.src_program = src_program
         if dst_program is not None:
             instance.dst_program = dst_program
         instance.disabled_for_violation = False
-        self.invalidate()
         return instance
 
     def uninstall(self, user_id: str) -> bool:
@@ -144,13 +147,15 @@ class DecisionCore:
 
     def set_active(self, user_id: str, active: bool) -> None:
         try:
-            self.services[user_id].active = active
+            instance = self.services[user_id]
         except KeyError as exc:
             raise DeploymentError(f"no service for user {user_id!r} here") from exc
-        # cached redirect decisions embed the active flag — drop them, or a
-        # deactivated service's flows would keep being redirected (and a
-        # re-activated one's would keep bypassing the pipeline)
-        self.invalidate()
+        # cached redirect decisions embed the active flag — drop them on a
+        # flip, or a deactivated service's flows would keep being redirected
+        # (and a re-activated one's would keep bypassing the pipeline)
+        if instance.active != active:
+            instance.active = active
+            self.invalidate()
 
     def rule_count(self) -> int:
         """Total installed components — the Sec. 5.3 scaling quantity."""
@@ -158,8 +163,8 @@ class DecisionCore:
 
     # -------------------------------------------------------------- fast path
     def invalidate(self) -> None:
-        """Drop every cached per-flow decision (service set changed) and
-        advance the policy generation tag."""
+        """Drop every cached per-flow decision and advance the policy
+        generation: for a change to which flows are redirected."""
         self.flow_cache.clear()
         self.generation += 1
 
@@ -172,13 +177,13 @@ class DecisionCore:
             self._flow_cache_version = self.registry.version
         return cache
 
-    def flow_entry(self, src: int, dst: int, proto: Protocol,
-                   dport: int) -> tuple:
+    def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
         """Resolve ``(src_owner, dst_owner, redirect?)`` for one flow
-        4-tuple (addresses as ints), caching the answer.
+        4-tuple (addresses keyed as given, int or dotted quad, and parsed
+        only on a miss), caching the answer.
 
-        Entries survive until the LRU evicts them, a service is installed
-        or uninstalled here, or the ownership registry changes.
+        Entries survive until the LRU evicts them, :meth:`invalidate` runs,
+        or the ownership registry changes.
         """
         cache = self.synced_cache()
         key = (src, dst, proto, dport)
@@ -190,16 +195,17 @@ class DecisionCore:
         return self.flow_miss(key)
 
     def flow_miss(self, key: tuple) -> tuple:
-        """Slow path: resolve owners via the registry and cache the result."""
-        self.m_fc_misses.value += 1
+        """Slow path: resolve owners via the registry (a bad address raises
+        before anything is counted or cached) and cache the result."""
         registry = self.registry
         src_owner = registry.owner_of(key[0])
         dst_owner = registry.owner_of(key[1])
+        self.m_fc_misses.value += 1
         services = self.services
         src_inst = None if src_owner is None else services.get(src_owner.user_id)
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
-        # only *active* services claim the flow; set_active/install/
-        # uninstall invalidate the cache so entries never go stale
+        # only *active* services claim the flow; whatever changes that
+        # invalidates the cache so entries never go stale
         wants = ((src_inst is not None and src_inst.active)
                  or (dst_inst is not None and dst_inst.active))
         entry = (src_owner, dst_owner, wants)

@@ -20,7 +20,9 @@ Metric families (``service.*``) are emitted through the ambient
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from ipaddress import IPv6Address
 from typing import Optional
 
 from repro.core.device import DeviceContext
@@ -46,7 +48,7 @@ _DROPPED = declare("service.dropped", "counter",
 _SAFETY_DISABLES = declare("service.safety_disables", "counter",
                            help="live services disabled for safety violations")
 _CACHE_HITS = declare("service.cache_hits", "counter",
-                      help="checks served from the per-flow verdict cache")
+                      help="checks served from the per-flow owner cache")
 _CACHE_MISSES = declare("service.cache_misses", "counter",
                         help="checks resolved via the ownership LPM slow path")
 _ADMISSION_REJECTED = declare("service.admission_rejected", "counter",
@@ -56,8 +58,8 @@ _POLICY_SWAPS = declare("service.policy.swaps", "counter",
                         help="atomic hot-swaps of a live service's "
                              "stage graphs")
 _POLICY_GENERATION = declare("service.policy.generation", "gauge",
-                             help="decision-core policy generation "
-                                  "(bumped on every invalidation)")
+                             help="decision-core policy generation (bumped "
+                                  "by install, uninstall, activation flips)")
 _POLICY_COMPILE_FAILURES = declare("service.policy.compile_failures", "counter",
                                    help="hot-swap attempts rejected by the "
                                         "policy compiler (old policy kept)")
@@ -143,18 +145,23 @@ class ServiceFacade:
         if any(owner is None or owner.user_id != user.user_id
                for owner in owners):
             self.registry.register(user)
-        return self.core.install(user, src_graph, dst_graph)
+        return self.install(user, src_graph, dst_graph)
 
     def install(self, user: NetworkUser,
                 src_graph: Optional[ComponentGraph] = None,
                 dst_graph: Optional[ComponentGraph] = None):
-        return self.core.install(user, src_graph, dst_graph)
+        instance = self.core.install(user, src_graph, dst_graph)
+        self._m_policy_generation.value = self.core.generation
+        return instance
 
     def uninstall(self, user_id: str) -> bool:
-        return self.core.uninstall(user_id)
+        removed = self.core.uninstall(user_id)
+        self._m_policy_generation.value = self.core.generation
+        return removed
 
     def set_active(self, user_id: str, active: bool) -> None:
         self.core.set_active(user_id, active)
+        self._m_policy_generation.value = self.core.generation
 
     def swap_policy(self, user_id: str,
                     src_graph: Optional[ComponentGraph] = None,
@@ -164,8 +171,9 @@ class ServiceFacade:
         :meth:`DecisionCore.install` compiles (with Sec. 4.5 vetting) every
         non-None graph *before* anything is mutated, so a rejected swap
         leaves the old policy fully active — the compiler is the
-        transaction guard.  On success the flow cache is invalidated and
-        the policy generation advances; the new generation is returned so
+        transaction guard.  On success the policy generation advances and
+        the next check runs the new programs; the flow cache is kept (its
+        entries hold no program).  The new generation is returned so
         callers can verify the swap took effect.
         """
         if src_graph is None and dst_graph is None:
@@ -191,12 +199,11 @@ class ServiceFacade:
         """The live redirect decision + pipeline for one flow.
 
         ``src``/``dst`` accept ints, :class:`IPv4Address`, or dotted
-        strings (ints skip all coercion — the load-harness fast path).
+        strings, which key the flow cache as given: a cached unowned flow
+        parses nothing.  A non-IPv4 address raises ``AddressError``.
         """
-        src_i = src if type(src) is int else _as_int(src)
-        dst_i = dst if type(dst) is int else _as_int(dst)
         core = self.core
-        entry = core.flow_entry(src_i, dst_i, proto, dport)
+        entry = core.flow_entry(src, dst, proto, dport)
         if not entry[2]:
             self._m_pass.value += 1
             return PASS_DIRECT
@@ -204,8 +211,8 @@ class ServiceFacade:
         self._m_redirected.value += 1
         if now is None:
             now = self.clock.now()
-        packet = Packet(IPv4Address(src_i), IPv4Address(dst_i), proto=proto,
-                        size=size, sport=sport, dport=dport)
+        packet = Packet(IPv4Address(_as_int(src)), IPv4Address(_as_int(dst)),
+                        proto=proto, size=size, sport=sport, dport=dport)
         allowed = core.run_stages(packet, src_owner, dst_owner, now,
                                   None) is not None
         if allowed:
@@ -249,23 +256,27 @@ class TrafficController:
               now: Optional[float] = None) -> Verdict:
         """Admission bucket first, then the ownership/pipeline check.
 
-        A ``client`` that is not a dotted-quad IPv4 address passes
-        directly (:data:`PASS_DIRECT`).
+        An IPv4-mapped ``client`` (``::ffff:a.b.c.d``) is checked as its
+        IPv4 address; any other non-IPv4 client passes directly
+        (:data:`PASS_DIRECT`).
         """
         if now is None:
             now = self.facade.clock.now()
         if self.admission is not None and not self.admission.admit(now, cost=cost):
             self._m_admission_rejected.value += 1
             return DROP_ADMISSION
+        if type(client) is str and ":" in client:
+            # a dual-stack listener reports IPv4 peers in the mapped form
+            with suppress(ValueError):  # not IPv6: check() rejects it below
+                client = IPv6Address(client).ipv4_mapped or client
+        dst_addr = self.service_address if dst is None else dst
         try:
-            client_i = _as_int(client)
+            return self.facade.check(client, dst_addr, proto=self.proto,
+                                     dport=self.dport, now=now)
         except AddressError:
             # an IPv6, unix-socket or empty peer: no registered IPv4
             # prefix can own it, so it takes the direct path
             return PASS_DIRECT
-        dst_addr = self.service_address if dst is None else dst
-        return self.facade.check(client_i, dst_addr, proto=self.proto,
-                                 dport=self.dport, now=now)
 
     def swap_policy(self, user_id: str,
                     src_graph: Optional[ComponentGraph] = None,

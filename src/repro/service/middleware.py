@@ -6,7 +6,8 @@ ASGI and WSGI are calling conventions, not libraries — so the same
 Starlette/Django-async (ASGI) or Flask/Django (WSGI) unchanged.
 
 Per request: the client address is read from the transport (``scope
-["client"]`` / ``REMOTE_ADDR``), passed to ``controller.allow``, and a
+["client"]`` / ``REMOTE_ADDR``), passed to ``controller.allow`` (which
+checks an IPv4-mapped ``::ffff:a.b.c.d`` peer as its IPv4 address), and a
 refused request is answered locally — 403 for a pipeline drop (the
 owner's installed filters rejected the flow), 429 for an admission-
 bucket rejection — without ever reaching the wrapped application.

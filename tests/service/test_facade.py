@@ -173,6 +173,56 @@ class TestLiveReconfiguration:
         assert facade.check("203.0.113.9", "10.1.0.5").reason == "filtered"
 
 
+class TestFlowCacheFlushes:
+    """The flow cache is flushed exactly when a cached redirect decision
+    could go stale."""
+
+    def test_set_active_with_the_same_flag_keeps_the_cache(self):
+        facade, _ = make_facade()
+        facade.check("203.0.113.9", "10.1.0.5")
+        generation = facade.core.generation
+        facade.set_active("acme", True)
+        assert len(facade.core.flow_cache) == 1
+        assert facade.core.generation == generation
+
+    def test_a_flip_uninstall_and_registry_change_empty_it(self):
+        facade, user = make_facade()
+        other = NetworkUser("globex", prefixes=[Prefix.parse("10.2.0.0/16")])
+        flushes = [
+            lambda: facade.set_active("acme", False),
+            lambda: facade.set_active("acme", True),
+            lambda: facade.uninstall("acme"),
+            lambda: facade.registry.register(other),
+        ]
+        for flush in flushes:
+            facade.check("203.0.113.9", "10.1.0.5")
+            assert len(facade.core.flow_cache) == 1
+            flush()
+            assert len(facade.core.synced_cache()) == 0
+
+    def test_dotted_quad_and_int_keys_agree(self):
+        facade, _ = make_facade()
+        pairs = [("203.0.113.9", "10.1.0.5"), ("198.51.100.7", "10.1.0.5"),
+                 ("172.16.0.1", "172.16.9.9"), ("10.1.0.9", "203.0.113.1")]
+        for src, dst in pairs * 2:  # the second round hits the cache
+            assert facade.check(src, dst) is facade.check(
+                int(A(src)), int(A(dst)))
+        assert facade.core.m_fc_misses.value == 2 * len(pairs)
+
+    @pytest.mark.parametrize("bad", ["10.1.0", "10.1.0.256", "::1",
+                                     "::ffff:10.1.0.5", "2001:db8::7", ""])
+    def test_malformed_or_ipv6_string_raises_without_a_trace(self, bad):
+        facade, _ = make_facade()
+        facade.check("198.51.100.7", "10.1.0.5")
+        cached = len(facade.core.flow_cache)
+        misses = facade.core.m_fc_misses.value
+        for src, dst in ((bad, "10.1.0.5"), ("198.51.100.7", bad)):
+            with pytest.raises(AddressError):
+                facade.check(src, dst)
+        assert len(facade.core.flow_cache) == cached
+        assert facade.core.m_fc_misses.value == misses
+
+
 class TestClockSeam:
     def test_injected_clock_drives_time_dependent_components(self):
         """A rate limiter inside the pipeline sees facade-clock time: the

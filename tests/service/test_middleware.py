@@ -17,8 +17,13 @@ from repro.service.middleware import blocked_status
 from repro.util import TokenBucket
 
 
-#: peers no registered IPv4 prefix can own: IPv6, a unix socket, empty
-NON_IPV4_PEERS = ("::1", "2001:db8::7", "unix:/tmp/s", "")
+#: peers no registered IPv4 prefix can own: IPv6, a unix socket, empty,
+#: and an IPv4-mapped form whose IPv4 part is malformed
+NON_IPV4_PEERS = ("::1", "2001:db8::7", "unix:/tmp/s", "", "::ffff:999.1.1.1")
+
+#: how a dual-stack (``::``) listener reports the blacklisted 203.0.113.9
+MAPPED_BLACKLISTED_PEERS = ("::ffff:203.0.113.9", "::FFFF:203.0.113.9",
+                            "0:0:0:0:0:ffff:203.0.113.9", "::ffff:cb00:7109")
 
 
 def make_controller(admission=None):
@@ -35,6 +40,13 @@ class TestNonIpv4Clients:
         controller = make_controller()
         for peer in NON_IPV4_PEERS:
             assert controller.allow(peer) is PASS_DIRECT
+
+    def test_ipv4_mapped_peer_is_checked_as_its_ipv4_address(self):
+        controller = make_controller()
+        assert controller.allow("203.0.113.9").reason == "filtered"
+        for peer in MAPPED_BLACKLISTED_PEERS:
+            assert controller.allow(peer).reason == "filtered"
+        assert controller.allow("::ffff:198.51.100.7").reason == "processed"
 
     def test_admission_bucket_still_applies(self):
         controller = make_controller(admission=TokenBucket(rate=0.0, burst=1.0))
@@ -103,6 +115,13 @@ class TestWsgi:
             status, _headers, body = call_wsgi(app, peer)
             assert status == "200 OK"
             assert body == b"hello\n"
+
+    def test_ipv4_mapped_blacklisted_peer_gets_403(self):
+        app = WsgiTrafficMiddleware(demo_wsgi_app, make_controller())
+        for peer in MAPPED_BLACKLISTED_PEERS:
+            status, headers, _body = call_wsgi(app, peer)
+            assert status == "403 Forbidden"
+            assert headers["X-TCS-Verdict"] == "filtered"
 
     def test_missing_remote_addr_fails_safe(self):
         app = WsgiTrafficMiddleware(demo_wsgi_app, make_controller())
@@ -174,6 +193,13 @@ class TestAsgi:
             sent = call_asgi(app, peer)
             assert sent[0]["status"] == 200
             assert sent[1]["body"] == b"hello\n"
+
+    def test_ipv4_mapped_blacklisted_peer_gets_403(self):
+        app = AsgiTrafficMiddleware(demo_asgi_app, make_controller())
+        for peer in MAPPED_BLACKLISTED_PEERS:
+            sent = call_asgi(app, peer)
+            assert sent[0]["status"] == 403
+            assert dict(sent[0]["headers"])[b"x-tcs-verdict"] == b"filtered"
 
     def test_missing_client_fails_safe(self):
         app = AsgiTrafficMiddleware(demo_asgi_app, make_controller())

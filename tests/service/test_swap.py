@@ -5,6 +5,7 @@ import pytest
 from repro.core.components import HeaderFilter, HeaderMatch, PrefixBlacklist
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser
+from repro.net.addressing import IPv4Address
 from repro.errors import ComponentGraphError, DeploymentError
 from repro.net import Prefix, Protocol
 from repro.service.facade import ServiceFacade, TrafficController
@@ -80,3 +81,52 @@ class TestSwapPolicy:
         generation = controller.swap_policy("u1", src_graph=replacement)
         assert generation == facade.core.generation
         assert controller.allow("10.1.2.3", now=0.0).allowed
+
+
+class TestGenerationGauge:
+    """``service.policy.generation`` follows the core after every
+    management call, not only after a swap."""
+
+    def test_gauge_tracks_every_management_call(self):
+        facade = make_facade()
+        gauge = facade._m_policy_generation
+        assert gauge.value == facade.core.generation == 1
+        other = NetworkUser("u2", "cust", [Prefix.parse("11.0.0.0/8")])
+        graph = ComponentGraph("u2")
+        graph.chain(HeaderFilter("f", HeaderMatch(proto=Protocol.TCP)))
+        steps = [
+            lambda: facade.subscribe(other, dst_graph=graph),
+            lambda: facade.set_active("u1", False),
+            lambda: facade.set_active("u1", True),
+            lambda: facade.install(other, src_graph=graph),
+            lambda: facade.swap_policy("u2", dst_graph=graph),
+            lambda: facade.uninstall("u2"),
+        ]
+        for step in steps:
+            before = facade.core.generation
+            step()
+            assert facade.core.generation == before + 1
+            assert gauge.value == facade.core.generation
+
+
+class TestSwapKeepsTheFlowCache:
+    """A swap changes no owner and no redirect decision, so cached flows
+    stay cached and the next check runs the new program."""
+
+    def test_swap_keeps_entries_and_runs_the_new_program(self):
+        facade = make_facade()
+        flows = [("10.1.2.3", "4.4.4.4"), ("11.0.0.1", "4.4.4.4"),
+                 (int(IPv4Address.parse("10.9.9.9")), "8.8.8.8")]
+        for src, dst in flows:
+            facade.check(src, dst, proto=Protocol.UDP)
+        cached = len(facade.core.flow_cache)
+        assert cached == len(flows)
+        misses = facade.core.m_fc_misses.value
+        replacement = ComponentGraph("v2")
+        replacement.chain(HeaderFilter("f", HeaderMatch(proto=Protocol.TCP)))
+        facade.swap_policy("u1", src_graph=replacement)
+        assert len(facade.core.flow_cache) == cached
+        assert facade.check("10.1.2.3", "4.4.4.4", proto=Protocol.UDP).allowed
+        assert not facade.check("10.1.2.3", "4.4.4.4",
+                                proto=Protocol.TCP).allowed
+        assert facade.core.m_fc_misses.value == misses + 1  # only the TCP flow
