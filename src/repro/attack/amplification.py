@@ -31,13 +31,6 @@ class AmplificationReport:
     byte_amplification: float     # victim attack bytes / agent request bytes
     traceback_depth: int          # indirection levels to the attacker
 
-    def as_row(self) -> tuple:
-        return (
-            self.control_packets, self.attack_packets_at_victim,
-            round(self.rate_amplification, 2), round(self.byte_amplification, 2),
-            self.traceback_depth,
-        )
-
 
 def measure_amplification(structure: AmplifyingNetwork, victim: Host,
                           control_packets: int,

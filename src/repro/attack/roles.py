@@ -54,10 +54,6 @@ class AmplifyingNetwork:
             master = self.masters[i % len(self.masters)]
             self.control_edges.append((master, agent))
 
-    def agents_of(self, master: Host) -> list[Host]:
-        """Agents commanded by ``master``."""
-        return [dst for src, dst in self.control_edges if src is master]
-
     @property
     def control_depth(self) -> int:
         """Levels of indirection between attacker and the traffic the victim

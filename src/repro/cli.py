@@ -308,7 +308,7 @@ def cmd_policy(args: argparse.Namespace) -> int:
     from repro.core.device import DeviceContext
     from repro.errors import ReproError
     from repro.net import ASRole, Prefix
-    from repro.policy import Severity, analyze, compile_policy
+    from repro.policy import compile_policy, problems
 
     try:
         spec = _load_service_spec(args.spec)
@@ -320,13 +320,12 @@ def cmd_policy(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "verify":
-        policy, diags = analyze(graph)
-        for diag in diags:
-            print(diag)
-        errors = [d for d in diags if d.severity is Severity.ERROR]
-        if not errors:
-            print(f"ok: {len(policy)} op(s), no errors")
-        return 1 if errors else 0
+        found = problems(graph)
+        for problem in found:
+            print(f"error: {problem}")
+        if not found:
+            print(f"ok: {len(graph)} op(s), no errors")
+        return 1 if found else 0
 
     try:
         compiled = compile_policy(graph)
@@ -335,16 +334,13 @@ def cmd_policy(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    pol = compiled.policy
-    print(f"policy {pol.name!r}: {len(pol)} op(s), entry={pol.entry}")
-    for op in pol.ops:
-        edges = []
-        if op.pass_to is not None:
-            edges.append(f"pass->{op.pass_to}")
-        if op.drop_to is not None:
-            edges.append(f"drop->{op.drop_to}")
-        print(f"  [{op.index}] {op.name:<18} "
-              f"{type(op.component).__name__:<20} "
+    plan, comps = compiled._plan, compiled.components
+    print(f"policy {graph.name!r}: {len(comps)} op(s), entry={plan.entry}")
+    for i, comp in enumerate(comps):
+        edges = [f"{label}->{nxt}" for label, nxt in
+                 (("pass", plan.pass_next[i]), ("drop", plan.drop_next[i]))
+                 if nxt >= 0]
+        print(f"  [{i}] {comp.name:<18} {type(comp).__name__:<20} "
               f"{' '.join(edges) or 'exit'}")
     return 0
 
@@ -467,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         "policy", help="show or verify compiled policies")
     pol_sub = p_policy.add_subparsers(dest="action", required=True)
     for act, hlp in (
-            ("show", "dump the lowered IR"),
-            ("verify", "run every compiler pass; nonzero exit on errors")):
+            ("show", "dump the compiled program: ops and edges"),
+            ("verify", "list every compile error; nonzero exit on errors")):
         pp = pol_sub.add_parser(act, parents=[common()], help=hlp)
         pp.add_argument("--spec", default=None, metavar="FILE",
                         help="service-spec JSON file "

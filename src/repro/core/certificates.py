@@ -90,13 +90,6 @@ class CertificateAuthority:
                 f"certificate outside validity window at t={now:.3f}"
             )
 
-    def is_valid(self, cert: OwnershipCertificate, now: float) -> bool:
-        try:
-            self.verify(cert, now)
-            return True
-        except CertificateError:
-            return False
-
     def revoke(self, cert: OwnershipCertificate) -> None:
         """Blacklist a certificate (e.g. after an ownership transfer)."""
         self._revoked.add(cert.signature)

@@ -165,29 +165,6 @@ class AdaptiveDevice:
         self.routing_updates = 0
         self.pending_routing_reconfig: set[str] = set()
 
-    # ----------------------------------------------------- decision-core views
-    @property
-    def strict(self) -> bool:
-        """strict=True re-raises safety violations (library/API use);
-        strict=False contains them (live network: restore the packet,
-        disable the service, keep forwarding)."""
-        return self._core.strict
-
-    @property
-    def stage_order(self) -> str:
-        """"src-first" per the paper ("first sending ... and then
-        receiving", Sec. 4.1); "dst-first" exists only for the E13
-        ablation."""
-        return self._core.stage_order
-
-    @property
-    def flow_cache_capacity(self) -> int:
-        return self._core.flow_cache_capacity
-
-    @property
-    def _flow_cache(self):
-        return self._core.flow_cache
-
     # ------------------------------------------------- read-only stat views
     @property
     def redirected(self) -> int:

@@ -39,10 +39,6 @@ class NetworkUser:
     def owns_address(self, addr: IPv4Address | int | str) -> bool:
         return any(p.contains(addr) for p in self.prefixes)
 
-    def owns_packet(self, packet: Packet) -> bool:
-        """Sec. 4.1 ownership: source OR destination inside owned space."""
-        return self.owns_address(packet.src) or self.owns_address(packet.dst)
-
     def __hash__(self) -> int:
         return hash(self.user_id)
 
@@ -67,10 +63,6 @@ class NumberAuthority:
             )
         self._holders.insert(prefix, holder_id)
 
-    def holder_of(self, prefix: Prefix) -> Optional[str]:
-        """Exact-allocation holder of the prefix, if any."""
-        return self._holders.lookup_exact(prefix)
-
     def verify_ownership(self, holder_id: str, prefixes: Iterable[Prefix]) -> bool:
         """True iff every prefix is held by ``holder_id`` (directly or via a
         covering allocation).
@@ -86,9 +78,6 @@ class NumberAuthority:
             any(holder == holder_id for _, holder in self._holders.covering(prefix))
             for prefix in prefixes
         )
-
-    def allocations_of(self, holder_id: str) -> list[Prefix]:
-        return sorted(p for p, h in self._holders.items() if h == holder_id)
 
 
 class OwnershipRegistry:
@@ -144,12 +133,6 @@ class OwnershipRegistry:
     def owners_of_packet(self, packet: Packet) -> tuple[Optional[NetworkUser], Optional[NetworkUser]]:
         """(source owner, destination owner) — the two processing stages."""
         return self.owner_of(packet.src), self.owner_of(packet.dst)
-
-    def is_owned(self, packet: Packet) -> bool:
-        """Does *any* registered user own this packet?  (Redirect decision:
-        'Most traffic will use the direct path through the router.')"""
-        src_owner, dst_owner = self.owners_of_packet(packet)
-        return src_owner is not None or dst_owner is not None
 
     def user(self, user_id: str) -> NetworkUser:
         try:

@@ -4,8 +4,9 @@ Three mechanisms, mirroring the paper's argument that misuse "must be
 prevented from the very beginning":
 
 1. **Static vetting** (:func:`vet_component`, run over every component
-   and the graph's aggregate budget by the policy compiler's vetting pass
-   when a decision core installs a graph) — "New service modules for the
+   and the graph's aggregate budget by
+   :func:`~repro.policy.compiler.compile_policy` when a decision core
+   installs a graph) — "New service modules for the
    adaptive device must be checked for security compliance before
    deployment."  Rejects components that declare writes to src/dst/TTL,
    packet-rate amplification (> 1 output per input), size amplification

@@ -283,6 +283,9 @@ class InMemoryBackend:
 
 
 _MISSING = object()
+#: The value of a deleted record: deletes are versioned writes, so
+#: anti-entropy carries them like any other record.
+_TOMBSTONE = object()
 
 
 class _Replica:
@@ -461,6 +464,8 @@ class ReplicatedBackend:
         version, value = record
         if latest is not None and version < latest:
             self._m_stale_reads.value += 1
+        if value is _TOMBSTONE:
+            return False, None
         return True, value
 
     def get(self, table: str, key: Any, default: Any = None) -> Any:
@@ -472,19 +477,20 @@ class ReplicatedBackend:
         return found
 
     def delete(self, table: str, key: Any) -> bool:
-        found, _ = self._read(table, key)
-        if not found:
-            return False
-        # a delete is a write of a tombstone: drop the record everywhere
-        # reachable and forget the accounting entry
-        self._m_writes.value += 1
-        self._latest.pop((table, key), None)
+        # decided on the acknowledged keys, not a read: a stale replica
+        # that lacks the record must not turn the delete into a no-op
         order = self._order.get(table)
-        if order is not None and key in order:
-            order.remove(key)
+        if order is None or key not in order:
+            return False
+        order.remove(key)
+        # a delete is a newer version, a tombstone, on every live replica;
+        # anti-entropy carries it over any copy a down replica still holds
+        self._m_writes.value += 1
+        self._version += 1
+        self._latest[(table, key)] = self._version
         for replica in self.replicas:
             if replica.up:
-                replica.records.pop((table, key), None)
+                replica.records[(table, key)] = (self._version, _TOMBSTONE)
         return True
 
     def keys(self, table: str) -> list:

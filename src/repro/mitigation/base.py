@@ -34,15 +34,6 @@ class Mitigation(abc.ABC):
     def deploy(self, network: Network, asns: Iterable[int]) -> None:
         """Install the scheme on the given ASes of a packet-level network."""
 
-    def undeploy(self, network: Network) -> None:
-        """Remove this scheme's router filters."""
-        for asn in self.deployed_asns:
-            network.routers[asn].remove_filter(self.name)
-        self.deployed_asns.clear()
-
-    def is_deployed_at(self, asn: int) -> bool:
-        return asn in self.deployed_asns
-
 
 def deployment_sample(topology: Topology, fraction: float,
                       seed: int | np.random.Generator | None = None,

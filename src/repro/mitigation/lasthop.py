@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-from repro.errors import ControlPlaneUnavailable, MitigationError
+from repro.errors import MitigationError
 from repro.mitigation.base import Mitigation
 from repro.net.link import Link
 from repro.net.network import Network
@@ -77,15 +77,6 @@ class LastHopFilter(Mitigation):
             return False
         self._install()
         return True
-
-    def configure_or_raise(self) -> None:
-        """Like :meth:`try_configure` but raising on overload."""
-        if not self.try_configure():
-            raise ControlPlaneUnavailable(
-                f"victim {self.victim.name} overloaded "
-                f"({self.inbound_pps(self.network.sim.now):.0f} pps > "
-                f"{self.capacity_pps:.0f} pps): cannot set filter rules"
-            )
 
     def _install(self) -> None:
         assert self.network is not None

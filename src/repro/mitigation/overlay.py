@@ -161,7 +161,3 @@ class SecureOverlay(Mitigation):
         )
         direct = len(self.network.path(client.asn, self.victim.asn)) - 1
         return overlay_hops / direct if direct else float(overlay_hops)
-
-    def trust_relationships(self) -> int:
-        """Management cost proxy: authorised users x overlay entry points."""
-        return len(self.authorized) * max(1, len(self.soaps))

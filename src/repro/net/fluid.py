@@ -79,9 +79,6 @@ class FlowSet:
     def extend(self, flows: Iterable[Flow]) -> None:
         self.flows.extend(flows)
 
-    def total_rate(self, kind: Optional[str] = None) -> float:
-        return sum(f.rate for f in self.flows if kind is None or f.kind == kind)
-
     def by_kind(self) -> dict[str, list[Flow]]:
         out: dict[str, list[Flow]] = {}
         for f in self.flows:

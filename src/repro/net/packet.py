@@ -117,11 +117,6 @@ class Packet:
         if self.size < IP_HEADER_BYTES:
             self.size = IP_HEADER_BYTES
 
-    @property
-    def payload_bytes(self) -> int:
-        """Bytes of payload, i.e. size beyond the IP header."""
-        return max(0, self.size - IP_HEADER_BYTES)
-
     def copy(self, **changes) -> "Packet":
         """A copy with a fresh uid (and any field overrides)."""
         changes.setdefault("uid", next(_packet_ids))

@@ -143,17 +143,6 @@ class Topology:
     def core_ases(self) -> list[int]:
         return self.by_role(ASRole.CORE)
 
-    def is_transit_for(self, asn: int) -> bool:
-        """True when the AS carries third-party traffic (core or transit tier).
-
-        The paper's adaptive device needs this contextual information to
-        apply anti-spoofing only at peripheral ISPs (Sec. 4.2: "we can e.g.
-        only prevent source spoofing effectively, if the adaptive device is
-        aware of whether it processes transit traffic ... or only traffic
-        from customers of a peripheral ISP").
-        """
-        return self.ases[asn].role is not ASRole.STUB
-
     def __len__(self) -> int:
         return len(self.ases)
 

@@ -94,9 +94,6 @@ class Gauge:
     def inc(self, amount: Union[int, float] = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self.value -= amount
-
     def reset(self) -> None:
         self.value = 0
 

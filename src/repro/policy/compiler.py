@@ -1,9 +1,10 @@
 """Compile component graphs into executable policies.
 
-:func:`compile_policy` lowers a graph to IR, runs the pass pipeline
-(structure, then Sec. 4.5 vetting) and produces a :class:`CompiledPolicy`:
-a scalar program over the graph's live components and counters — the
-one verdict walk, with edge lookups precomputed into index arrays.
+:func:`compile_policy` reads a graph once, runs the structural check and
+the Sec. 4.5 vetting check on what it read, and produces a
+:class:`CompiledPolicy`: a scalar program over the graph's live
+components and counters — the one verdict walk, with edge lookups
+precomputed into index arrays.
 
 Mutable component state (blacklist prefixes, token buckets, collector
 dicts) is read at execution time, so runtime reconfiguration never
@@ -23,25 +24,134 @@ counters, so per-component state is never shared.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.components import Component, ComponentContext, Verdict
+from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, vet_component
 from repro.errors import ComponentGraphError, VettingError
 from repro.net.packet import Packet
-from repro.policy.ir import Policy, lower_graph
-from repro.policy.passes import (
-    Diagnostic,
-    Severity,
-    structural_pass,
-    vetting_pass,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.graph import ComponentGraph
 
-__all__ = ["CompiledPolicy", "analyze", "compile_policy"]
+__all__ = ["CompiledPolicy", "compile_policy", "problems"]
+
+#: A finding, as the exception :func:`compile_policy` raises for it.
+Problem = Union[ComponentGraphError, VettingError]
 
 
+class _Shape:
+    """One read of a graph: its live components, the PASS/DROP edge
+    arrays (-1 = exit) and entry, and the edges as ``(src, dst)`` index
+    pairs in ``connect()`` order, which fixes the cycle witness."""
+
+    __slots__ = ("name", "comps", "pass_next", "drop_next", "entry", "edges")
+
+    def __init__(self, graph: "ComponentGraph") -> None:
+        self.name = graph.name
+        comps = self.comps = list(graph.components())
+        index_of = {c.name: i for i, c in enumerate(comps)}
+        self.pass_next = [-1] * len(comps)
+        self.drop_next = [-1] * len(comps)
+        self.edges: list[tuple[int, int]] = []
+        for (src, verdict), dst in graph.edges().items():
+            s, d = index_of[src], index_of[dst]
+            self.edges.append((s, d))
+            (self.pass_next if verdict is Verdict.PASS else self.drop_next)[s] = d
+        self.entry = -1 if graph.entry is None else index_of[graph.entry]
+
+    def key(self) -> tuple:
+        """The key graphs share a plan under: everything a successful
+        compile reads.  The checks read each op's capabilities and
+        PASS/DROP edges and the entry; op and graph names appear only in
+        error messages, and a graph with errors never reaches the cache.
+        Component parameters are not read at all: the program reads them
+        from the live components as it runs."""
+        return (tuple(zip(map(_caps_key, self.comps), self.pass_next,
+                          self.drop_next)), self.entry)
+
+
+def _caps_key(component: Component) -> tuple:
+    caps = component.capabilities
+    return (caps.may_drop, caps.may_shrink, tuple(sorted(caps.modifies_headers)),
+            caps.max_outputs_per_input, caps.max_size_ratio,
+            caps.extra_traffic_bps)
+
+
+# ------------------------------------------------------------------ checks
+def _structure_problem(shape: _Shape) -> Optional[ComponentGraphError]:
+    """Emptiness, then cycles over the union of PASS/DROP edges, then
+    components unreachable from the entry (almost certainly configuration
+    bugs, so an error)."""
+    if not shape.comps:
+        return ComponentGraphError(f"graph {shape.name!r} is empty")
+    # nodes and their successors visited in insertion order, so the cycle
+    # witness is deterministic
+    adjacency: list[list[int]] = [[] for _ in shape.comps]
+    for src, dst in shape.edges:
+        adjacency[src].append(dst)
+    state = [0] * len(shape.comps)  # 0 new, 1 on the DFS path, 2 done
+
+    def witness(node: int) -> Optional[int]:
+        state[node] = 1
+        for nxt in adjacency[node]:
+            if state[nxt] == 1:
+                return nxt
+            found = witness(nxt) if state[nxt] == 0 else None
+            if found is not None:
+                return found
+        state[node] = 2
+        return None
+
+    for node in range(len(shape.comps)):
+        found = witness(node) if state[node] == 0 else None
+        if found is not None:
+            return ComponentGraphError(
+                f"graph {shape.name!r} has a cycle through "
+                f"{shape.comps[found].name!r}")
+    reachable = {shape.entry}
+    frontier = [shape.entry]
+    while frontier:
+        node = frontier.pop()
+        for nxt in (shape.pass_next[node], shape.drop_next[node]):
+            if nxt >= 0 and nxt not in reachable:
+                reachable.add(nxt)
+                frontier.append(nxt)
+    unreachable = sorted(c.name for i, c in enumerate(shape.comps)
+                         if i not in reachable)
+    if unreachable:
+        return ComponentGraphError(
+            f"graph {shape.name!r}: unreachable components {unreachable}")
+    return None
+
+
+def _problems(shape: _Shape) -> list[Problem]:
+    """The structural error, or else every Sec. 4.5 vetting error."""
+    structural = _structure_problem(shape)
+    if structural is not None:
+        return [structural]
+    found: list[Problem] = []
+    for component in shape.comps:
+        try:
+            vet_component(component)
+        except VettingError as exc:
+            found.append(exc)
+    total_extra = sum(c.capabilities.extra_traffic_bps for c in shape.comps)
+    if total_extra > 2 * MAX_EXTRA_TRAFFIC_BPS:
+        found.append(VettingError(
+            f"graph {shape.name!r} aggregates {total_extra:.0f} bit/s of "
+            f"side-channel traffic (max {2 * MAX_EXTRA_TRAFFIC_BPS:.0f})"))
+    return found
+
+
+def problems(graph: "ComponentGraph") -> list[Problem]:
+    """Every finding, as the exception :func:`compile_policy` would raise
+    for it; never raises — for tooling (``repro policy verify``) that
+    wants them all."""
+    return _problems(_Shape(graph))
+
+
+# -------------------------------------------------------------------- program
 class _Plan:
     """What a successful compile derives from a graph's shape: the scalar
     edge arrays.  Holds no component, so every graph of one shape shares
@@ -49,28 +159,23 @@ class _Plan:
 
     __slots__ = ("pass_next", "drop_next", "entry", "__weakref__")
 
-    def __init__(self, policy: Policy) -> None:
-        ops = policy.ops
-        self.pass_next = [-1 if op.pass_to is None else op.pass_to
-                          for op in ops]
-        self.drop_next = [-1 if op.drop_to is None else op.drop_to
-                          for op in ops]
-        assert policy.entry is not None  # only valid graphs get a plan
-        self.entry = policy.entry
+    def __init__(self, shape: _Shape) -> None:
+        self.pass_next = shape.pass_next
+        self.drop_next = shape.drop_next
+        self.entry = shape.entry
 
 
 class CompiledPolicy:
     """The compiler's output: a shared :class:`_Plan` bound to one graph's
-    live components and counters."""
+    live components (``components``, in insertion order) and counters."""
 
-    __slots__ = ("graph", "policy", "_plan", "_comps", "_g_in", "_g_dropped")
+    __slots__ = ("graph", "components", "_plan", "_g_in", "_g_dropped")
 
-    def __init__(self, graph: "ComponentGraph", policy: Policy,
+    def __init__(self, graph: "ComponentGraph", components: list[Component],
                  plan: _Plan) -> None:
         self.graph = graph
-        self.policy = policy
+        self.components = components
         self._plan = plan
-        self._comps = [op.component for op in policy.ops]
         self._g_in = graph._m_packets_in
         self._g_dropped = graph._m_packets_dropped
 
@@ -79,7 +184,7 @@ class CompiledPolicy:
         entry; DROP is sticky.  Bumps the graph's counters."""
         self._g_in.value += 1
         plan = self._plan
-        comps, pn, dn = self._comps, plan.pass_next, plan.drop_next
+        comps, pn, dn = self.components, plan.pass_next, plan.drop_next
         doomed = False
         i = plan.entry
         while i >= 0:
@@ -97,58 +202,25 @@ class CompiledPolicy:
         return Verdict.PASS
 
 
-# ------------------------------------------------------------------- plan key
-def _caps_key(component: Component) -> tuple:
-    caps = component.capabilities
-    return (caps.may_drop, caps.may_shrink, tuple(sorted(caps.modifies_headers)),
-            caps.max_outputs_per_input, caps.max_size_ratio,
-            caps.extra_traffic_bps)
-
-
-def _plan_key(policy: Policy) -> tuple:
-    """The key graphs share a plan under: everything a successful compile
-    reads.  The passes read each op's capabilities and PASS/DROP edges
-    and the entry; op and graph names appear only in error messages, and
-    a graph with errors never reaches the cache.  Component parameters
-    are not read at all: the program reads them from the live components
-    as it runs."""
-    return (tuple((_caps_key(op.component), op.pass_to, op.drop_to)
-                  for op in policy.ops), policy.entry)
-
-
 #: Live plans by key.  A plan lives only while some CompiledPolicy uses it.
 _PLANS: "weakref.WeakValueDictionary[tuple, _Plan]" = (
     weakref.WeakValueDictionary())
 
 
-# ------------------------------------------------------------------- drivers
-def analyze(graph: "ComponentGraph") -> tuple[Policy, list[Diagnostic]]:
-    """Lower + run validation/vetting passes; never raises — for tooling
-    (``repro policy verify``) that wants *all* findings."""
-    policy = lower_graph(graph)
-    diags = structural_pass(policy)
-    if not any(d.severity is Severity.ERROR for d in diags):
-        diags.extend(vetting_pass(policy))
-    return policy, diags
-
-
 def compile_policy(graph: "ComponentGraph") -> CompiledPolicy:
     """Compile ``graph``: the one structural and Sec. 4.5 check.
 
-    Structural errors raise :class:`ComponentGraphError` and vetting
-    errors raise :class:`VettingError`, each carrying the first
-    diagnostic's message (:func:`analyze` reports them all).  A graph
-    whose plan key matches a live plan skips the passes: the key fixes
-    their outcome.
+    Raises the first of :func:`problems` — a :class:`ComponentGraphError`
+    for a structural error, else a :class:`VettingError`.  A graph whose
+    plan key matches a live plan skips the checks: the key fixes their
+    outcome.
     """
-    policy = lower_graph(graph)
-    key = _plan_key(policy)
+    shape = _Shape(graph)
+    key = shape.key()
     plan = _PLANS.get(key)
     if plan is None:
-        for check, error in ((structural_pass, ComponentGraphError),
-                             (vetting_pass, VettingError)):
-            errors = [d for d in check(policy) if d.severity is Severity.ERROR]
-            if errors:
-                raise error(errors[0].message)
-        plan = _PLANS[key] = _Plan(policy)
-    return CompiledPolicy(graph, policy, plan)
+        found = _problems(shape)
+        if found:
+            raise found[0]
+        plan = _PLANS[key] = _Plan(shape)
+    return CompiledPolicy(graph, shape.comps, plan)

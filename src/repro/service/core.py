@@ -34,7 +34,7 @@ from repro.errors import DeploymentError, SafetyViolation
 from repro.core.components import ComponentContext, Verdict
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser, OwnershipRegistry
-from repro.net.addressing import IPv4Address
+from repro.net.addressing import IPv4Address, _as_int
 from repro.obs.metrics import Counter
 from repro.policy.compiler import compile_policy
 from repro.net.packet import Packet, Protocol
@@ -57,9 +57,9 @@ class DecisionCore:
     """Redirect decision + two-stage pipeline, independent of any engine.
 
     ``context`` is a :class:`~repro.core.device.DeviceContext` (where the
-    decision point sits); ``services`` is the mutable user-id ->
-    :class:`~repro.core.device.ServiceInstance` map (shared by reference
-    with the owning device or facade); ``counters`` maps the names in
+    decision point sits); ``services`` is the user-id ->
+    :class:`~repro.core.device.ServiceInstance` map (the owning device
+    shares it by reference); ``counters`` maps the names in
     :data:`COUNTER_NAMES` to objects with a ``value`` attribute —
     unnamed slots get private registry-free
     :class:`~repro.obs.metrics.Counter` objects.
@@ -72,7 +72,7 @@ class DecisionCore:
                  "m_fc_hits", "m_fc_misses")
 
     def __init__(self, context: "DeviceContext", registry: OwnershipRegistry,
-                 *, services: Optional[dict] = None, strict: bool = True,
+                 *, strict: bool = True,
                  stage_order: str = "src-first",
                  flow_cache_capacity: int = FLOW_CACHE_CAPACITY,
                  counters: Optional[dict] = None) -> None:
@@ -80,8 +80,7 @@ class DecisionCore:
             raise DeploymentError(f"unknown stage order {stage_order!r}")
         self.context = context
         self.registry = registry
-        self.services: dict[str, "ServiceInstance"] = (
-            {} if services is None else services)
+        self.services: dict[str, "ServiceInstance"] = {}
         #: strict=True re-raises safety violations (library/API use);
         #: strict=False contains them (live path: restore the packet,
         #: disable the service, keep forwarding).
@@ -91,8 +90,9 @@ class DecisionCore:
         #: exists only for the E13 ablation.
         self.stage_order = stage_order
         #: per-flow fast path: 4-tuple -> (src_owner, dst_owner,
-        #: redirect?), so repeat packets of a flow skip both ownership
-        #: LPM walks and the service-membership check.
+        #: redirect?, src int, dst int), so repeat packets of a flow skip
+        #: both ownership LPM walks, the service-membership check and
+        #: address parsing.
         self.flow_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.flow_cache_capacity = flow_cache_capacity
         self._flow_cache_version = registry.version
@@ -178,9 +178,9 @@ class DecisionCore:
         return cache
 
     def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
-        """Resolve ``(src_owner, dst_owner, redirect?)`` for one flow
-        4-tuple (addresses keyed as given, int or dotted quad, and parsed
-        only on a miss), caching the answer.
+        """Resolve ``(src_owner, dst_owner, redirect?, src, dst)`` for one
+        flow 4-tuple (addresses keyed as given, int or dotted quad, and
+        parsed to the two ints only on a miss), caching the answer.
 
         Entries survive until the LRU evicts them, :meth:`invalidate` runs,
         or the ownership registry changes.
@@ -195,11 +195,17 @@ class DecisionCore:
         return self.flow_miss(key)
 
     def flow_miss(self, key: tuple) -> tuple:
-        """Slow path: resolve owners via the registry (a bad address raises
-        before anything is counted or cached) and cache the result."""
+        """Slow path: parse each address once and resolve its owner via
+        the registry (a bad address raises before anything is counted or
+        cached), then cache the result."""
+        src, dst = key[0], key[1]
+        if type(src) is not int:
+            src = _as_int(src)
+        if type(dst) is not int:
+            dst = _as_int(dst)
         registry = self.registry
-        src_owner = registry.owner_of(key[0])
-        dst_owner = registry.owner_of(key[1])
+        src_owner = registry.owner_of(src)
+        dst_owner = registry.owner_of(dst)
         self.m_fc_misses.value += 1
         services = self.services
         src_inst = None if src_owner is None else services.get(src_owner.user_id)
@@ -208,7 +214,7 @@ class DecisionCore:
         # invalidates the cache so entries never go stale
         wants = ((src_inst is not None and src_inst.active)
                  or (dst_inst is not None and dst_inst.active))
-        entry = (src_owner, dst_owner, wants)
+        entry = (src_owner, dst_owner, wants, src, dst)
         cache = self.flow_cache
         cache[key] = entry
         if len(cache) > self.flow_cache_capacity:
@@ -239,9 +245,9 @@ class DecisionCore:
                 ingress_asn: Optional[int]) -> Optional[Packet]:
         """Run the two processing stages; None means the packet was dropped."""
         self.m_redirected.value += 1
-        src_owner, dst_owner, _ = self.flow_entry(
+        entry = self.flow_entry(
             packet.src.value, packet.dst.value, packet.proto, packet.dport)
-        return self.run_stages(packet, src_owner, dst_owner, now, ingress_asn)
+        return self.run_stages(packet, entry[0], entry[1], now, ingress_asn)
 
     def run_stages(self, packet: Packet, src_owner: Optional[NetworkUser],
                    dst_owner: Optional[NetworkUser], now: float,

@@ -93,6 +93,10 @@ class Verdict:
 PASS_DIRECT = Verdict(allowed=True, redirected=False, reason="direct")
 DROP_ADMISSION = Verdict(allowed=False, redirected=False, reason="admission")
 
+#: A facade fronts one site: stub role, no local prefix bias (components
+#: that scope to the local prefix see the catch-all).
+_SITE = DeviceContext(asn=0, role=ASRole.STUB, local_prefix=Prefix(0, 0))
+
 
 class ServiceFacade:
     """``check(src, dst, now) -> Verdict`` over a :class:`DecisionCore`.
@@ -103,18 +107,9 @@ class ServiceFacade:
     """
 
     def __init__(self, registry: Optional[OwnershipRegistry] = None, *,
-                 clock: Optional[Clock] = None,
-                 context: Optional[DeviceContext] = None,
-                 strict: bool = False, stage_order: str = "src-first",
-                 flow_cache_capacity: int = FLOW_CACHE_CAPACITY) -> None:
+                 clock: Optional[Clock] = None) -> None:
         self.registry = registry if registry is not None else OwnershipRegistry()
         self.clock: Clock = clock if clock is not None else WallClock()
-        if context is None:
-            # a standalone facade fronts one site: stub role, no local
-            # prefix bias (components that scope to the local prefix see
-            # the catch-all)
-            context = DeviceContext(asn=0, role=ASRole.STUB,
-                                    local_prefix=Prefix(0, 0))
         self._m_pass = _CHECKS.labelled(verdict="pass")
         self._m_drop = _CHECKS.labelled(verdict="drop")
         self._m_redirected = _REDIRECTED.labelled()
@@ -125,8 +120,7 @@ class ServiceFacade:
         #: like PASS_DIRECT for the direct path; cleared when it fills
         self._verdicts: dict[tuple, Verdict] = {}
         self.core = DecisionCore(
-            context, self.registry, strict=strict, stage_order=stage_order,
-            flow_cache_capacity=flow_cache_capacity,
+            _SITE, self.registry, strict=False,
             counters={
                 "dropped": _DROPPED.labelled(),
                 "safety_disables": _SAFETY_DISABLES.labelled(),
@@ -199,8 +193,9 @@ class ServiceFacade:
         """The live redirect decision + pipeline for one flow.
 
         ``src``/``dst`` accept ints, :class:`IPv4Address`, or dotted
-        strings, which key the flow cache as given: a cached unowned flow
-        parses nothing.  A non-IPv4 address raises ``AddressError``.
+        strings, which key the flow cache as given: a cached flow parses
+        nothing, since its entry holds both addresses as ints.  A non-IPv4
+        address raises ``AddressError``.
         """
         core = self.core
         entry = core.flow_entry(src, dst, proto, dport)
@@ -211,7 +206,7 @@ class ServiceFacade:
         self._m_redirected.value += 1
         if now is None:
             now = self.clock.now()
-        packet = Packet(IPv4Address(_as_int(src)), IPv4Address(_as_int(dst)),
+        packet = Packet(IPv4Address(entry[3]), IPv4Address(entry[4]),
                         proto=proto, size=size, sport=sport, dport=dport)
         allowed = core.run_stages(packet, src_owner, dst_owner, now,
                                   None) is not None

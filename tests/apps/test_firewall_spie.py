@@ -15,9 +15,9 @@ from repro.core.apps import (
 )
 from repro.core.compose import RuleSpec
 from repro.net import Network, Packet, TopologyBuilder
-from repro.policy import compiler
 from repro.scenario import AttackSpec
 from repro.scenario.tcs import build_tcs_world
+from repro.service import core as service_core
 
 
 def service_for_victim(net, victim_asn, user_id="victim-co"):
@@ -56,16 +56,16 @@ class TestDistributedFirewall:
 
     def test_each_installed_graph_is_lowered_once(self, monkeypatch):
         """The decision core's install is the one compile of a graph."""
-        lowered, lower_graph = [], compiler.lower_graph
+        compiled, compile_policy = [], service_core.compile_policy
 
-        def counting_lower(graph):
-            lowered.append(graph.name)
-            return lower_graph(graph)
+        def counting_compile(graph):
+            compiled.append(graph.name)
+            return compile_policy(graph)
 
-        monkeypatch.setattr(compiler, "lower_graph", counting_lower)
+        monkeypatch.setattr(service_core, "compile_policy", counting_compile)
         world = build_tcs_world(Network(TopologyBuilder.line(3)), service=True)
         DistributedFirewallApp(world.service, [BLOCK_RST]).deploy()
-        assert lowered == [f"firewall:acme@AS{asn}" for asn in (0, 1, 2)]
+        assert compiled == [f"firewall:acme@AS{asn}" for asn in (0, 1, 2)]
 
     def test_without_firewall_connections_die(self):
         net, victim, peers, attacker, pool, svc = self._setup()

@@ -45,14 +45,6 @@ class TestMeasureAmplification:
                                        request_bytes_sent=0)
         assert report.byte_amplification == 0.0
 
-    def test_as_row_shape(self):
-        net, structure, victim = setup_world()
-        victim.received_by_kind["attack"] = 4
-        victim.received_bytes_by_kind["attack"] = 400
-        report = measure_amplification(structure, victim, 2, 100)
-        row = report.as_row()
-        assert row == (2, 4, 2.0, 4.0, 3)
-
     def test_depth_without_reflectors(self):
         net, structure, victim = setup_world()
         structure.reflectors = []

@@ -18,8 +18,10 @@ class TestAmplifyingNetwork:
         net, hosts = make_hosts(8)
         s = AmplifyingNetwork(attacker=hosts[0], masters=hosts[1:3], agents=hosts[3:])
         s.assign_agents()
-        assert len(s.agents_of(hosts[1])) == 3
-        assert len(s.agents_of(hosts[2])) == 2
+        assert [dst for src, dst in s.control_edges if src is hosts[1]] == [
+            hosts[3], hosts[5], hosts[7]]
+        assert [dst for src, dst in s.control_edges if src is hosts[2]] == [
+            hosts[4], hosts[6]]
         # attacker edges present
         assert (hosts[0], hosts[1]) in s.control_edges
 

@@ -20,7 +20,6 @@ class TestIssueVerify:
     def test_valid_certificate_verifies(self):
         ca, cert = issue()
         ca.verify(cert, now=50.0)
-        assert ca.is_valid(cert, now=50.0)
 
     def test_expired_certificate_rejected(self):
         ca, cert = issue(validity=10.0)

@@ -197,7 +197,7 @@ class TestLRUBounds:
         for i in range(50):
             device.wants(Packet.udp(IPv4Address(0xAC100000 + i),
                                     IPv4Address(users[0].prefixes[0].base + 3)))
-        assert len(device._flow_cache) <= 8
+        assert len(device._core.flow_cache) <= 8
 
     def test_lru_evicts_oldest(self):
         device, users, _ = make_device()

@@ -181,6 +181,38 @@ class TestReplicationFaults:
         assert rep.anti_entropy() >= 1
         assert rep.divergent_records() == 0
 
+    def test_delete_while_a_replica_is_down_stays_deleted(self):
+        """A down replica keeps its copy of a deleted record; the delete's
+        tombstone outranks it, so anti-entropy does not bring it back.
+        Minimised from tests/core/test_store_differential.py."""
+        rep = ReplicatedBackend(3, seed=1)
+        rep.put("t", "k", "v")
+        rep.crash_replica(rep.owner_of("t", "k"))
+        assert rep.delete("t", "k")
+        for index in range(3):
+            rep.restart_replica(index)
+        rep.anti_entropy()
+        assert not rep.contains("t", "k")
+        assert rep.get("t", "k") is None
+        assert rep.divergent_records() == 0
+
+    def test_delete_through_a_stale_owner_still_deletes(self):
+        """The write lands on the one live replica; the owner comes back
+        without it.  A delete must not read that as "absent".  Minimised
+        from tests/core/test_store_differential.py."""
+        rep = ReplicatedBackend(3, seed=1)
+        owner = rep.owner_of("t", "k")
+        rep.crash_replica(owner)
+        rep.crash_replica((owner + 1) % 3)
+        rep.put("t", "k", "v")
+        rep.restart_replica(owner)
+        assert rep.delete("t", "k")
+        for index in range(3):
+            rep.restart_replica(index)
+        rep.anti_entropy()
+        assert rep.keys("t") == [] and not rep.contains("t", "k")
+        assert rep.permanently_lost() == 0
+
     def test_owner_down_is_a_counted_failover_write(self):
         rep = ReplicatedBackend(3, seed=1)
         owner = rep.owner_of("t", "k")

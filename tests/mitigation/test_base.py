@@ -42,12 +42,10 @@ class TestDeploymentSample:
 
 
 class TestMitigationLifecycle:
-    def test_deploy_undeploy(self):
+    def test_deploy_installs_router_filters(self):
         net = Network(TopologyBuilder.line(3))
         ing = IngressFiltering()
         ing.deploy(net, [0, 2])
-        assert ing.is_deployed_at(0)
+        assert ing.deployed_asns == {0, 2}
         assert net.routers[0].has_filter("ingress")
-        ing.undeploy(net)
-        assert not ing.deployed_asns
-        assert not net.routers[0].has_filter("ingress")
+        assert not net.routers[1].has_filter("ingress")

@@ -37,10 +37,6 @@ class TestConstructors:
         p = Packet(src=A, dst=B, size=1)
         assert p.size == 20
 
-    def test_payload_bytes(self):
-        assert Packet(src=A, dst=B, size=520).payload_bytes == 500
-        assert Packet(src=A, dst=B, size=20).payload_bytes == 0
-
 
 class TestIdentity:
     def test_uids_unique(self):

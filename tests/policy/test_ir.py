@@ -1,4 +1,5 @@
-"""Lowering component graphs into the typed policy IR."""
+"""A compiled program's view of its graph: ops in insertion order, the
+PASS/DROP edge arrays and the live components."""
 
 from repro.core.components import (
     HeaderFilter,
@@ -8,7 +9,7 @@ from repro.core.components import (
 )
 from repro.core.graph import ComponentGraph
 from repro.net import Protocol
-from repro.policy import lower_graph
+from repro.policy import compile_policy
 
 
 class TestLowerGraph:
@@ -22,20 +23,17 @@ class TestLowerGraph:
         return graph
 
     def test_ops_and_edges(self):
-        policy = lower_graph(self.build())
-        assert policy.name == "g"
-        assert len(policy) == 3
-        assert policy.entry == 0
-        f, log, droplog = policy.ops
-        assert (f.name, log.name, droplog.name) == ("f", "log", "droplog")
-        assert f.pass_to == log.index
-        assert f.drop_to == droplog.index
-        assert log.pass_to is None and log.drop_to is None
-        # edge_list preserves connect() insertion order
-        assert policy.edge_list == [(0, Verdict.PASS, 1), (0, Verdict.DROP, 2)]
+        compiled = compile_policy(self.build())
+        assert compiled.graph.name == "g"
+        assert [c.name for c in compiled.components] == ["f", "log", "droplog"]
+        plan = compiled._plan
+        assert plan.entry == 0
+        # f passes to log and drops to droplog; both loggers exit
+        assert plan.pass_next == [1, -1, -1]
+        assert plan.drop_next == [2, -1, -1]
 
     def test_live_component_references(self):
         graph = self.build()
-        policy = lower_graph(graph)
-        assert ([id(op.component) for op in policy.ops]
+        compiled = compile_policy(graph)
+        assert ([id(c) for c in compiled.components]
                 == [id(c) for c in graph.components()])

@@ -1,4 +1,5 @@
-"""Pass pipeline: each pass's first error is what ``compile_policy`` raises."""
+"""``problems()`` lists every finding as the exception ``compile_policy``
+raises for the first of them."""
 
 import pytest
 
@@ -14,8 +15,7 @@ from repro.core.graph import ComponentGraph
 from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS
 from repro.errors import ComponentGraphError, VettingError
 from repro.net import Protocol
-from repro.policy import compile_policy, lower_graph
-from repro.policy.passes import structural_pass, vetting_pass
+from repro.policy import compile_policy, problems
 
 
 def filters(*names: str) -> list[HeaderFilter]:
@@ -26,38 +26,37 @@ class TestStructuralPass:
     def test_clean_graph_has_no_diagnostics(self):
         graph = ComponentGraph("ok")
         graph.chain(*filters("a", "b"))
-        assert structural_pass(lower_graph(graph)) == []
+        assert problems(graph) == []
 
     def test_empty_matches_validate(self):
         graph = ComponentGraph("void")
-        diags = structural_pass(lower_graph(graph))
-        assert [d.code for d in diags] == ["structure.empty"]
+        found = problems(graph)
+        assert [type(d) for d in found] == [ComponentGraphError]
         with pytest.raises(ComponentGraphError) as err:
             compile_policy(graph)
-        assert diags[0].message == str(err.value)
+        assert str(found[0]) == str(err.value)
         assert str(err.value) == "graph 'void' is empty"
 
     def test_cycle_matches_validate(self):
         graph = ComponentGraph("loop")
         graph.chain(*filters("a", "b"))
         graph.connect("b", "a", Verdict.PASS)
-        diags = structural_pass(lower_graph(graph))
-        assert [d.code for d in diags] == ["structure.cycle"]
+        found = problems(graph)
+        assert [type(d) for d in found] == [ComponentGraphError]
         with pytest.raises(ComponentGraphError) as err:
             compile_policy(graph)
-        assert diags[0].message == str(err.value)
+        assert str(found[0]) == str(err.value)
         assert str(err.value) == "graph 'loop' has a cycle through 'a'"
 
     def test_unreachable_matches_validate(self):
         graph = ComponentGraph("island")
         graph.chain(*filters("a", "b"))
         graph.add(LoggerComponent("stranded"))
-        diags = structural_pass(lower_graph(graph))
-        assert [d.code for d in diags] == ["structure.unreachable"]
-        assert diags[0].ops == ("stranded",)
+        found = problems(graph)
+        assert [type(d) for d in found] == [ComponentGraphError]
         with pytest.raises(ComponentGraphError) as err:
             compile_policy(graph)
-        assert diags[0].message == str(err.value)
+        assert str(found[0]) == str(err.value)
         assert str(err.value) == (
             "graph 'island': unreachable components ['stranded']")
 
@@ -72,11 +71,11 @@ class TestVettingPass:
 
         graph = ComponentGraph("bad")
         graph.chain(TtlRewriter("evil"))
-        diags = vetting_pass(lower_graph(graph))
-        assert [d.code for d in diags] == ["vet.component"]
+        found = problems(graph)
+        assert [type(d) for d in found] == [VettingError]
         with pytest.raises(VettingError) as err:
             compile_policy(graph)
-        assert diags[0].message == str(err.value)
+        assert str(found[0]) == str(err.value)
         assert str(err.value) == (
             "component 'evil' declares writes to forbidden header fields "
             "['ttl'] (Sec. 4.5)")
@@ -93,16 +92,38 @@ class TestVettingPass:
 
         graph = ComponentGraph("chatty")
         graph.chain(Chatty("t1"), Chatty("t2"), Chatty("t3"))
-        diags = vetting_pass(lower_graph(graph))
-        assert [d.code for d in diags] == ["vet.aggregate"]
+        found = problems(graph)
+        assert [type(d) for d in found] == [VettingError]
         with pytest.raises(VettingError) as err:
             compile_policy(graph)
-        assert diags[0].message == str(err.value)
+        assert str(found[0]) == str(err.value)
         assert str(err.value) == (
             "graph 'chatty' aggregates 189000 bit/s of side-channel traffic "
             "(max 128000)")
 
+    def test_every_violation_is_listed_in_order(self):
+        """Each bad component, then the blown aggregate budget; the
+        first finding is what ``compile_policy`` raises."""
+        class Chatty(Component):
+            capabilities = Capabilities(
+                modifies_headers=frozenset({"ttl"}),
+                extra_traffic_bps=MAX_EXTRA_TRAFFIC_BPS - 1_000.0)
+
+            def process(self, packet, ctx):
+                return Verdict.PASS
+
+        graph = ComponentGraph("worse")
+        graph.chain(Chatty("t1"), Chatty("t2"), Chatty("t3"))
+        found = problems(graph)
+        assert [type(p) for p in found] == [VettingError] * 4
+        assert ["'t1'" in str(found[0]), "'t2'" in str(found[1]),
+                "'t3'" in str(found[2])] == [True] * 3
+        assert str(found[3]).startswith("graph 'worse' aggregates ")
+        with pytest.raises(VettingError) as err:
+            compile_policy(graph)
+        assert str(err.value) == str(found[0])
+
     def test_clean_graph_passes(self):
         graph = ComponentGraph("fine")
         graph.chain(*filters("a"), LoggerComponent("log"))
-        assert vetting_pass(lower_graph(graph)) == []
+        assert problems(graph) == []

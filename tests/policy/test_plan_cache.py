@@ -80,7 +80,7 @@ def test_same_shape_shares_the_plan_not_the_state():
     a = compile_policy(g_a)
     b = compile_policy(g_b)
     assert a._plan is b._plan
-    assert not set(map(id, a._comps)) & set(map(id, b._comps))
+    assert not set(map(id, a.components)) & set(map(id, b.components))
 
     packets = random_packets(64, seed=3)
     for i, p in enumerate(packets):

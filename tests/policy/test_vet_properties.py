@@ -4,8 +4,8 @@ Pins the *exact* boundaries: a component may sit right at the
 per-component side-channel cap and a graph right at the 2x aggregate
 cap; ``max_size_ratio == 1.0`` (no growth) is allowed; any non-empty
 subset of the forbidden header fields is rejected.  Every graph-level
-rejection is checked both through :func:`compile_policy` and the
-compiler's vetting pass, which must agree byte-for-byte.
+rejection is checked both through :func:`compile_policy` and
+:func:`problems`, which must agree byte-for-byte.
 """
 
 import math
@@ -21,8 +21,7 @@ from repro.core.safety import (
     vet_component,
 )
 from repro.errors import VettingError
-from repro.policy import Severity, compile_policy, lower_graph
-from repro.policy.passes import vetting_pass
+from repro.policy import compile_policy, problems
 
 
 def make_component(name: str = "c", **caps) -> Component:
@@ -36,8 +35,9 @@ def make_component(name: str = "c", **caps) -> Component:
 
 
 def pass_messages(graph: ComponentGraph) -> list[str]:
-    return [d.message for d in vetting_pass(lower_graph(graph))
-            if d.severity is Severity.ERROR]
+    found = problems(graph)
+    assert all(type(p) is VettingError for p in found)
+    return [str(p) for p in found]
 
 
 class TestExtraTrafficBoundary:
@@ -84,7 +84,7 @@ class TestAggregateBoundary:
     @settings(max_examples=50)
     def test_rejected_iff_sum_over_double_cap(self, budgets):
         graph = self.build(budgets)
-        # the aggregate check sums the same way the pass does
+        # the aggregate check sums the same way the compiler does
         total = sum(c.capabilities.extra_traffic_bps
                     for c in graph.components())
         if total > 2 * MAX_EXTRA_TRAFFIC_BPS:

@@ -10,7 +10,7 @@ from repro.core.components import (
     RateLimiterComponent,
 )
 from repro.errors import AddressError, OwnershipError
-from repro.net import IPv4Address, Prefix, Protocol, Simulator
+from repro.net import IPv4Address, Prefix, Protocol, Simulator, addressing
 from repro.service import ManualClock, ServiceFacade, TrafficController
 from repro.service.core import FLOW_CACHE_CAPACITY
 from repro.service.facade import DROP_ADMISSION, PASS_DIRECT, Verdict
@@ -221,6 +221,28 @@ class TestFlowCacheFlushes:
                 facade.check(src, dst)
         assert len(facade.core.flow_cache) == cached
         assert facade.core.m_fc_misses.value == misses
+
+
+class TestAddressParsing:
+    def test_owned_hit_parses_nothing_and_a_miss_each_address_once(
+            self, monkeypatch):
+        """The miss that caches a flow parses its two dotted quads; the
+        entry holds them as ints, so an owned hit builds its packet from
+        those and parses nothing."""
+        facade, _ = make_facade()
+        parsed, parse = [], addressing._parse_quad
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(addressing, "_parse_quad", counting_parse)
+        verdict = facade.check("198.51.100.7", "10.1.0.5")
+        assert verdict.redirected and verdict.dst_owner == "acme"
+        assert parsed == ["198.51.100.7", "10.1.0.5"]
+        parsed.clear()
+        assert facade.check("198.51.100.7", "10.1.0.5") is verdict
+        assert parsed == []
 
 
 class TestClockSeam:

@@ -159,6 +159,27 @@ class TestPolicyCommand:
         assert main(["policy", "verify"]) == 0
         assert "no errors" in capsys.readouterr().out
 
+    def test_verify_prints_one_line_per_problem(self, capsys, monkeypatch):
+        from repro.core import compose
+        from repro.core.components import Capabilities, Component, Verdict
+        from repro.core.graph import ComponentGraph
+
+        class Grower(Component):
+            capabilities = Capabilities(max_size_ratio=2.0)
+
+            def process(self, packet, ctx):
+                return Verdict.PASS
+
+        def growers(spec, ctx):
+            return ComponentGraph("amp").chain(Grower("g1"), Grower("g2"))
+
+        monkeypatch.setattr(compose, "compile_spec", growers)
+        assert main(["policy", "verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: component '{name}' may grow packets by factor 2.0: "
+            "byte amplification is forbidden (Sec. 4.5)"
+            for name in ("g1", "g2")]
+
     def test_spec_file_round_trip(self, capsys, tmp_path):
         import json
 
