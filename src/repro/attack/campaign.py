@@ -25,6 +25,9 @@ __all__ = ["CampaignPhase", "Campaign", "TimelineSampler"]
 
 PHASE_KINDS = ("direct-spoofed", "direct-unspoofed", "reflector", "rst-misuse")
 
+#: seconds between two victim samples of a :class:`TimelineSampler`
+SAMPLE_INTERVAL = 0.1
+
 
 @dataclass(frozen=True)
 class CampaignPhase:
@@ -51,9 +54,8 @@ class CampaignPhase:
 class TimelineSampler:
     """Per-interval victim metrics: attack/legit arrivals over time."""
 
-    def __init__(self, victim: Host, interval: float = 0.1) -> None:
+    def __init__(self, victim: Host) -> None:
         self.victim = victim
-        self.interval = interval
         self.times: list[float] = []
         self.attack_pps: list[float] = []
         self.legit_pps: list[float] = []
@@ -61,15 +63,15 @@ class TimelineSampler:
         self._last_legit = 0
 
     def install(self, network: Network, until: float) -> None:
-        network.sim.schedule_every(self.interval, self._sample, until=until)
+        network.sim.schedule_every(SAMPLE_INTERVAL, self._sample, until=until)
 
     def _sample(self) -> None:
         attack = sum(n for k, n in self.victim.received_by_kind.items()
                      if k.startswith("attack"))
         legit = self.victim.received_by_kind.get("legit", 0)
         self.times.append(self.victim.network.sim.now)
-        self.attack_pps.append((attack - self._last_attack) / self.interval)
-        self.legit_pps.append((legit - self._last_legit) / self.interval)
+        self.attack_pps.append((attack - self._last_attack) / SAMPLE_INTERVAL)
+        self.legit_pps.append((legit - self._last_legit) / SAMPLE_INTERVAL)
         self._last_attack = attack
         self._last_legit = legit
 
@@ -78,9 +80,6 @@ class TimelineSampler:
         samples = [r for t, r in zip(self.times, self.attack_pps)
                    if start <= t < end]
         return sum(samples) / len(samples) if samples else 0.0
-
-    def peak_attack_rate(self) -> float:
-        return max(self.attack_pps, default=0.0)
 
 
 class Campaign:

@@ -1,8 +1,8 @@
 """Packet generators and direct flooding attacks.
 
 :class:`TrafficGenerator` is the single packet-source abstraction used for
-attack agents, legitimate clients and control traffic alike: a CBR or
-Poisson process bound to one host, emitting packets from a factory callback.
+attack agents, legitimate clients and control traffic alike: a constant-rate
+process bound to one host, emitting packets from a factory callback.
 
 :class:`DirectFlood` is the classic (non-reflector) DDoS: agents flood the
 victim, optionally writing *random spoofed source addresses* ("attack
@@ -43,35 +43,24 @@ class TrafficGenerator:
         Packets per second.
     start, duration:
         Active interval in simulation time.
-    poisson:
-        Exponential inter-arrivals instead of constant bit rate.
     """
 
     def __init__(self, host: Host, factory: PacketFactory, rate_pps: float,
-                 start: float = 0.0, duration: float = 1.0,
-                 poisson: bool = False, seed: int | np.random.Generator | None = None) -> None:
+                 start: float = 0.0, duration: float = 1.0) -> None:
         if rate_pps <= 0 or duration <= 0:
             raise AttackConfigError(f"bad generator: rate={rate_pps}, duration={duration}")
         self.host = host
         self.factory = factory
         self.rate_pps = float(rate_pps)
+        self._gap = 1.0 / self.rate_pps
         self.start = float(start)
         self.stop = float(start) + float(duration)
-        self.poisson = poisson
-        self._rng = derive_rng(seed, "traffic", host.name)
         self.sent = 0
 
     def install(self) -> None:
         """Schedule the first emission on the host's network simulator."""
         sim = self.host.network.sim
-        first = self.start + (self._next_gap() if self.poisson else 0.0)
-        if first <= self.stop:
-            sim.schedule_at(max(first, sim.now), self._emit)
-
-    def _next_gap(self) -> float:
-        if self.poisson:
-            return float(self._rng.exponential(1.0 / self.rate_pps))
-        return 1.0 / self.rate_pps
+        sim.schedule_at(max(self.start, sim.now), self._emit)
 
     def _emit(self) -> None:
         sim = self.host.network.sim
@@ -82,7 +71,7 @@ class TrafficGenerator:
         if packet is not None:
             self.host.send(packet)
             self.sent += 1
-        nxt = now + self._next_gap()
+        nxt = now + self._gap
         if nxt <= self.stop:
             sim.push_at(nxt, self._emit, ())
 
@@ -149,19 +138,18 @@ class DirectFlood:
                 )
 
             gen = TrafficGenerator(agent, factory, self.rate_pps,
-                                   start=self.start, duration=self.duration,
-                                   seed=derive_rng(self.seed, "flood-gen", i))
+                                   start=self.start, duration=self.duration)
             gen.install()
             generators.append(gen)
         return generators
 
-    def as_flows(self, rng: np.random.Generator | None = None) -> list[Flow]:
+    def as_flows(self) -> list[Flow]:
         """Fluid-model equivalent: one flow per agent toward the victim.
 
         With random spoofing the claimed source AS is sampled once per agent
         (a fluid aggregate of the per-packet randomisation).
         """
-        rng = derive_rng(self.seed if rng is None else rng, "flood-fluid")
+        rng = derive_rng(self.seed, "flood-fluid")
         rate_bps = self.rate_pps * self.packet_size * 8
         victim_asn = self.victim.asn
         flows = []

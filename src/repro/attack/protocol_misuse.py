@@ -29,8 +29,6 @@ class Connection:
     """One established TCP connection as seen by the victim endpoint."""
 
     peer: int        # remote address value
-    local_port: int
-    peer_port: int
     alive: bool = True
     killed_at: Optional[float] = None
     killed_by: Optional[str] = None
@@ -49,8 +47,8 @@ class ConnectionPool:
         self.connections: list[Connection] = []
         host.add_responder(self.on_packet)
 
-    def establish(self, peer: Host, local_port: int = 80, peer_port: int = 40000) -> Connection:
-        conn = Connection(peer=int(peer.address), local_port=local_port, peer_port=peer_port)
+    def establish(self, peer: Host) -> Connection:
+        conn = Connection(peer=int(peer.address))
         self.connections.append(conn)
         return conn
 
@@ -133,7 +131,6 @@ class ProtocolMisuseAttack:
             return pkt
 
         gen = TrafficGenerator(self.attacker_host, factory, self.rate_pps,
-                               start=self.start, duration=self.duration,
-                               seed=derive_rng(self.seed, "misuse-gen"))
+                               start=self.start, duration=self.duration)
         gen.install()
         return gen

@@ -25,13 +25,11 @@ from repro.net.network import Network
 from repro.net.node import Host
 from repro.net.packet import ICMPType, Packet, Protocol
 from repro.attack.flood import TrafficGenerator
-from repro.util.rng import derive_rng
 
 __all__ = ["reflector_responder", "ReflectorAttack", "ReflectorFluidModel"]
 
 
-def reflector_responder(amplification: float = 1.0, reply_kind: str = "attack-reflected",
-                        mode: str = "synack") -> Callable:
+def reflector_responder(amplification: float = 1.0, mode: str = "synack") -> Callable:
     """Build a responder modelling an innocent reflecting server.
 
     ``mode``:
@@ -62,7 +60,7 @@ def reflector_responder(amplification: float = 1.0, reply_kind: str = "attack-re
             reply = Packet.udp(host.address, packet.src, sport=packet.dport, size=reply_size)
         else:
             return None
-        reply.kind = reply_kind
+        reply.kind = "attack-reflected"
         reply.true_origin = host.name
         reply.size = max(reply.size, reply_size) if mode == "dns" else reply.size
         return [reply]
@@ -115,8 +113,7 @@ class ReflectorAttack:
                 return pkt
 
             gen = TrafficGenerator(agent, factory, self.rate_pps,
-                                   start=self.start, duration=self.duration,
-                                   seed=derive_rng(self.seed, "refl", i))
+                                   start=self.start, duration=self.duration)
             gen.install()
             generators.append(gen)
         return generators
@@ -149,10 +146,6 @@ class ReflectorFluidModel:
                  claimed_src_asn=victim_asn, tag=f"agent{agent}->refl{refl}")
             for agent in self.agent_asns for refl in self.reflector_asns)
 
-    def request_flows(self) -> list[Flow]:
-        """Agent -> reflector spoofed request flows, sprayed evenly."""
-        return list(self._requests)
-
     def evaluate(self, filters: Sequence[FluidFilter] = (),
                  extra_flows: Sequence[Flow] = (),
                  congestion: bool = True) -> tuple[FluidResult, FluidResult]:
@@ -175,9 +168,3 @@ class ReflectorFluidModel:
         second = self.fluid.evaluate([*reflected, *extra_flows], filters=filters,
                                      congestion=congestion)
         return req, second
-
-    def victim_attack_rate(self, filters: Sequence[FluidFilter] = (),
-                           extra_flows: Sequence[Flow] = ()) -> float:
-        """Convenience: reflected bits/s arriving at the victim AS."""
-        _, second = self.evaluate(filters, extra_flows)
-        return second.delivered_rate("attack-reflected", dst_asn=self.victim_asn)

@@ -139,7 +139,7 @@ class AttackScenario:
         victim-bound packets on their way out.
         """
         spec = self.attack
-        for i, client in enumerate(self.legit_clients):
+        for client in self.legit_clients:
             def factory(seq: int, now: float, client=client) -> Packet:
                 pkt = Packet.udp(client.address, self.victim.address,
                                  dport=80, size=256, kind="legit",
@@ -147,8 +147,7 @@ class AttackScenario:
                 return wrapper(client, pkt) if wrapper else pkt
 
             gen = TrafficGenerator(client, factory, spec.legit_rate_pps,
-                                   start=0.0, duration=spec.attack_start + spec.duration,
-                                   seed=derive_rng(self.seed, "legit", i))
+                                   start=0.0, duration=spec.attack_start + spec.duration)
             gen.install()
             self._legit_generators.append(gen)
 

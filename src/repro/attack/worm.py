@@ -69,16 +69,6 @@ class EpidemicModel:
         times = np.arange(0.0, t_max + dt / 2, dt)
         return times, np.asarray(self.infected_at(times))
 
-    def time_to_fraction(self, fraction: float) -> float:
-        """Time until ``fraction`` of the vulnerable population is infected."""
-        if not (0.0 < fraction < 1.0):
-            raise AttackConfigError("fraction must be in (0, 1)")
-        n = float(self.n_vulnerable)
-        i0 = float(self.initial_infected)
-        target = fraction * n
-        # invert the logistic: t = ln((n/i0 - 1) / (n/target - 1)) / (beta n)
-        return float(np.log((n / i0 - 1.0) / (n / target - 1.0)) / (self.beta * n))
-
 
 @dataclass(frozen=True)
 class PatchedEpidemicModel:
@@ -133,12 +123,6 @@ class PatchedEpidemicModel:
             r[k] = r[k - 1] + patches
         return times, s, i, r
 
-    def peak_infected(self, t_max: float, dt: float = 1.0) -> tuple[float, float]:
-        """(time of peak, infected count at peak)."""
-        times, _, infected, _ = self.curve(t_max, dt)
-        idx = int(np.argmax(infected))
-        return float(times[idx]), float(infected[idx])
-
 
 class WormOutbreak:
     """A stochastic outbreak realisation over a topology's stub ASes.
@@ -179,10 +163,3 @@ class WormOutbreak:
         k = self.infected_count_at(t)
         infected = self._infection_rank < k
         return [int(a) for a in self._host_asn[infected]]
-
-    def agents_per_as_at(self, t: float) -> dict[int, int]:
-        """Histogram AS -> number of infected hosts at time ``t``."""
-        out: dict[int, int] = {}
-        for asn in self.agent_asns_at(t):
-            out[asn] = out.get(asn, 0) + 1
-        return out

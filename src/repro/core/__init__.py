@@ -40,7 +40,7 @@ from repro.core.graph import ComponentGraph
 from repro.core.safety import SafetyMonitor, vet_component
 from repro.core.device import AdaptiveDevice, DeviceContext, ServiceInstance
 from repro.core.nms import DesiredService, IspNms
-from repro.core.rpc import CircuitBreaker, ControlChannel, RetryPolicy, RpcStats
+from repro.core.rpc import CircuitBreaker, ControlChannel, RpcStats
 from repro.core.storage import (
     InMemoryBackend,
     ReplicatedBackend,
@@ -83,7 +83,6 @@ __all__ = [
     "IspNms",
     "DesiredService",
     "ControlChannel",
-    "RetryPolicy",
     "CircuitBreaker",
     "RpcStats",
     "Tcsp",

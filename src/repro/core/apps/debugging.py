@@ -28,19 +28,21 @@ from repro.net.packet import Packet
 
 __all__ = ["NetworkDebuggingApp", "LinkEstimate", "ProbeObserver"]
 
+#: observations one :class:`ProbeObserver` keeps
+MAX_RECORDS = 100_000
+
 
 class ProbeObserver(Component):
     """Records (packet uid, time) for the owner's packets at one device."""
 
     capabilities = Capabilities(extra_traffic_bps=2_000.0)
 
-    def __init__(self, name: str = "probe-observer", max_records: int = 100_000) -> None:
+    def __init__(self, name: str = "probe-observer") -> None:
         super().__init__(name)
-        self.max_records = max_records
         self.observations: dict[int, float] = {}
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        if len(self.observations) < self.max_records:
+        if len(self.observations) < MAX_RECORDS:
             self.observations[packet.uid] = ctx.now
         return Verdict.PASS
 

@@ -26,10 +26,14 @@ from repro.core.deployment import DeploymentScope
 from repro.core.service import TrafficControlService
 from repro.net.node import Host
 from repro.net.packet import Packet, Protocol, TCPFlags
-from repro.util.sketch import SpaceSaving
 from repro.util.stats import WindowedCounter
 
 __all__ = ["DefenseAction", "ReactiveDefender"]
+
+#: seconds of traffic behind each signature's rate
+WINDOW = 0.2
+#: the victim's service ports: UDP to them is never a flood
+SERVICE_PORTS = (80,)
 
 
 @dataclass(frozen=True)
@@ -46,33 +50,21 @@ class ReactiveDefender:
     """Watches one victim host and deploys TCS responses on detection."""
 
     def __init__(self, service: TrafficControlService, victim: Host,
-                 threshold_pps: float = 100.0, window: float = 0.2,
-                 service_ports: tuple[int, ...] = (80,),
-                 thresholds: Optional[dict[str, float]] = None,
-                 track_sources: int = 0) -> None:
+                 threshold_pps: float = 100.0) -> None:
         self.service = service
         self.victim = victim
-        self.service_ports = set(service_ports)
         #: per-signature detection thresholds; teardown storms are low-rate
-        #: but lethal, so their default threshold is much lower
+        #: but lethal, so their threshold is much lower
         self.thresholds = {
             "udp-flood": threshold_pps,
             "reflection": threshold_pps,
             "rst-storm": min(threshold_pps, 10.0),
         }
-        if thresholds:
-            self.thresholds.update(thresholds)
         self._signals = {
-            "udp-flood": WindowedCounter(window),
-            "reflection": WindowedCounter(window),
-            "rst-storm": WindowedCounter(window),
+            "udp-flood": WindowedCounter(WINDOW),
+            "reflection": WindowedCounter(WINDOW),
+            "rst-storm": WindowedCounter(WINDOW),
         }
-        #: per-signature heavy-hitter candidates (``track_sources`` > 0):
-        #: O(1) state per signature regardless of attacker fan-in, so the
-        #: defender can name suspects without growing a dict per source
-        self.source_tracks: dict[str, SpaceSaving] = (
-            {sig: SpaceSaving(track_sources) for sig in self._signals}
-            if track_sources > 0 else {})
         self.actions: list[DefenseAction] = []
         self._deployed: set[str] = set()
         victim.add_responder(self._observe)
@@ -80,9 +72,9 @@ class ReactiveDefender:
     # -------------------------------------------------------------- detection
     def _classify(self, packet: Packet) -> Optional[str]:
         if packet.proto is Protocol.UDP:
-            if packet.sport == 53 and packet.dport not in self.service_ports:
+            if packet.sport == 53 and packet.dport not in SERVICE_PORTS:
                 return "reflection"   # unsolicited DNS-style answer
-            if packet.dport not in self.service_ports:
+            if packet.dport not in SERVICE_PORTS:
                 return "udp-flood"
         if packet.proto is Protocol.TCP:
             if packet.flags.is_synack:
@@ -97,8 +89,6 @@ class ReactiveDefender:
             return None
         counter = self._signals[signature]
         counter.add(now)
-        if self.source_tracks:
-            self.source_tracks[signature].update(int(packet.src))
         if (signature not in self._deployed
                 and counter.rate(now) > self.thresholds[signature]):
             self._respond(signature, now)
@@ -110,7 +100,7 @@ class ReactiveDefender:
         if signature == "udp-flood":
             # drop UDP everywhere except toward the victim's service ports
             rules = [RuleSpec(action="drop", proto="udp",
-                              dport_not_in=tuple(sorted(self.service_ports)),
+                              dport_not_in=SERVICE_PORTS,
                               label="drop-offservice-udp")]
             app = DistributedFirewallApp(self.service, rules)
             result = app.deploy(DeploymentScope.stub_borders())
@@ -131,18 +121,3 @@ class ReactiveDefender:
     # ---------------------------------------------------------------- queries
     def detected(self, signature: str) -> bool:
         return signature in self._deployed
-
-    def reaction_time(self, signature: str, attack_start: float) -> Optional[float]:
-        for action in self.actions:
-            if action.signature == signature:
-                return action.time - attack_start
-        return None
-
-    def top_sources(self, signature: str, n: int = 5) -> list[tuple[int, int]]:
-        """Heaviest observed sources for ``signature`` (address, count).
-
-        Counts are SpaceSaving upper bounds; the guaranteed-monitored
-        property means any source above ``total/track_sources`` appears.
-        """
-        tracker = self.source_tracks.get(signature)
-        return tracker.top(n) if tracker is not None else []

@@ -37,19 +37,12 @@ class TcsTraceResult:
 class SpieTracebackApp:
     """Deploy digest stores and answer origin queries for owned traffic."""
 
-    def __init__(self, service: TrafficControlService,
-                 capacity: int = 50_000, window: float = 1.0,
-                 max_windows: int = 16) -> None:
+    def __init__(self, service: TrafficControlService) -> None:
         self.service = service
-        self.capacity = capacity
-        self.window = window
-        self.max_windows = max_windows
         self.stores: dict[int, DigestStoreComponent] = {}
 
     def graph_factory(self, device_ctx: DeviceContext) -> ComponentGraph:
-        store = DigestStoreComponent("spie-digests", capacity=self.capacity,
-                                     window=self.window,
-                                     max_windows=self.max_windows)
+        store = DigestStoreComponent("spie-digests")
         self.stores[device_ctx.asn] = store
         graph = ComponentGraph(f"spie:{self.service.user.user_id}")
         graph.add(store)

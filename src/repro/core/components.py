@@ -50,6 +50,15 @@ __all__ = [
     "DigestStoreComponent",
 ]
 
+#: token-bucket depth of :class:`RateLimiterComponent`, in bytes
+BURST_BYTES = 15_000.0
+#: log lines one :class:`LoggerComponent` keeps
+MAX_LOG_ENTRIES = 10_000
+#: seconds of arrivals behind :class:`StatisticsCollector`'s rates
+STATS_WINDOW = 1.0
+#: a fired :class:`TriggerComponent` re-arms below this share of its threshold
+REARM = 0.5
+
 
 class Verdict(enum.Enum):
     """Outcome of one component's processing of one packet."""
@@ -239,9 +248,9 @@ class RateLimiterComponent(Component):
 
     capabilities = Capabilities(may_drop=True)
 
-    def __init__(self, name: str, rate_bps: float, burst_bytes: float = 15_000.0) -> None:
+    def __init__(self, name: str, rate_bps: float) -> None:
         super().__init__(name)
-        self.bucket = TokenBucket(rate=rate_bps / 8.0, burst=burst_bytes)
+        self.bucket = TokenBucket(rate=rate_bps / 8.0, burst=BURST_BYTES)
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         return Verdict.PASS if self.bucket.admit(ctx.now, cost=packet.size) else Verdict.DROP
@@ -327,13 +336,12 @@ class LoggerComponent(Component):
 
     capabilities = Capabilities(extra_traffic_bps=8_000.0)
 
-    def __init__(self, name: str = "logger", max_entries: int = 10_000) -> None:
+    def __init__(self, name: str = "logger") -> None:
         super().__init__(name)
-        self.max_entries = max_entries
         self.entries: list[tuple[float, int, str, int, int]] = []
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        if len(self.entries) < self.max_entries:
+        if len(self.entries) < MAX_LOG_ENTRIES:
             self.entries.append(
                 (ctx.now, ctx.asn, packet.proto.name, int(packet.src), int(packet.dst))
             )
@@ -349,12 +357,12 @@ class StatisticsCollector(Component):
 
     capabilities = Capabilities(extra_traffic_bps=1_000.0)
 
-    def __init__(self, name: str = "stats", window: float = 1.0) -> None:
+    def __init__(self, name: str = "stats") -> None:
         super().__init__(name)
         self.packets_by_proto: dict[str, int] = {}
         self.bytes_by_proto: dict[str, int] = {}
-        self.rate = WindowedCounter(window)
-        self.byte_rate = WindowedCounter(window)
+        self.rate = WindowedCounter(STATS_WINDOW)
+        self.byte_rate = WindowedCounter(STATS_WINDOW)
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         proto = packet.proto.name
@@ -373,7 +381,7 @@ class TriggerComponent(Component):
 
     ``predicate`` selects which packets count; when the windowed rate
     crosses ``threshold_pps`` the ``action`` callback runs once; the
-    trigger re-arms after the rate falls below ``threshold_pps * rearm``.
+    trigger re-arms after the rate falls below ``threshold_pps * REARM``.
 
     ``track_sources`` (> 0) adds a heavy-hitter stream: a SpaceSaving
     tracker over source addresses, reset each tumbling window, so a
@@ -389,7 +397,7 @@ class TriggerComponent(Component):
     def __init__(self, name: str, threshold_pps: float,
                  action: Callable[[ComponentContext, float], None],
                  predicate: Optional[Callable[[Packet], bool]] = None,
-                 window: float = 0.5, rearm: float = 0.5,
+                 window: float = 0.5,
                  track_sources: int = 0,
                  per_source_threshold: Optional[float] = None,
                  hh_min_share: float = 0.05) -> None:
@@ -399,7 +407,6 @@ class TriggerComponent(Component):
                 ("threshold", threshold_pps, 0.0 < threshold_pps < math.inf,
                  "finite and > 0"),
                 ("window", window, 0.0 < window < math.inf, "finite and > 0"),
-                ("rearm", rearm, 0.0 <= rearm <= 1.0, "in [0, 1]"),
                 ("hh_min_share", hh_min_share, 0.0 < hh_min_share <= 1.0,
                  "in (0, 1]"),
                 ("per_source_threshold", per_source_threshold,
@@ -414,7 +421,6 @@ class TriggerComponent(Component):
         self.predicate = predicate
         self.window = WindowedCounter(window)
         self.window_span = float(window)
-        self.rearm = rearm
         self.armed = True
         self.fired = 0
         self.fired_at: list[float] = []
@@ -460,7 +466,7 @@ class TriggerComponent(Component):
                         k for k, _c in tracker.heavy_hitters(self.hh_min_share))
                     self._fired_sources.update(hitters)
                 self._fire(ctx, rate, hitters)
-            elif not self.armed and rate < self.threshold_pps * self.rearm:
+            elif not self.armed and rate < self.threshold_pps * REARM:
                 self.armed = True
             if (self.per_source_threshold is not None
                     and tracker is not None):

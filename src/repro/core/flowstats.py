@@ -36,7 +36,7 @@ and deterministic: equal update streams give equal state across serial,
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Optional, Protocol, Union, runtime_checkable
+from typing import Iterator, Protocol, Union, runtime_checkable
 
 import numpy as np
 

@@ -22,6 +22,7 @@ Resilience layer (DESIGN.md: failure model & recovery):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
@@ -41,8 +42,10 @@ __all__ = ["IspNms", "GraphFactory", "DesiredService"]
 
 #: builds a stage graph specialised to one device's context
 GraphFactory = Callable[[DeviceContext], ComponentGraph]
+#: the (source, dest) graph factories deployed on one AS
+StageFactories = tuple[Optional[GraphFactory], Optional[GraphFactory]]
 
-#: default watchdog heartbeat period (seconds, simulated)
+#: watchdog heartbeat period (seconds, simulated)
 WATCHDOG_INTERVAL = 0.25
 
 
@@ -53,9 +56,9 @@ class DesiredService:
 
     cert: OwnershipCertificate
     user: NetworkUser
-    target_asns: set[int] = field(default_factory=set)
-    src_graph_factory: Optional[GraphFactory] = None
-    dst_graph_factory: Optional[GraphFactory] = None
+    #: target AS -> the factories deployed there; a deploy that leaves a
+    #: stage out keeps that AS's earlier factory
+    factories: dict[int, StageFactories] = field(default_factory=dict)
     active: bool = True
 
 
@@ -150,38 +153,55 @@ class IspNms:
             # whose first prefix was registered earlier can still bring new
             # prefixes that need ownership entries of their own
             self.registry.register(user)
-        configured = []
+        configured: list[int] = []
+        crashed: list[int] = []
+        # at most one store read per deploy
+        desired = functools.cache(lambda: self.desired.get(user.user_id))
         for asn in sorted(set(target_asns) & self.asns):
             device = self.devices.get(asn)
-            if device is None or device.crashed:
-                continue  # no device here (yet), or it is down
-            src_graph = src_graph_factory(device.context) if src_graph_factory else None
-            dst_graph = dst_graph_factory(device.context) if dst_graph_factory else None
+            if device is None:
+                continue  # no device here (yet)
+            if device.crashed:
+                # down now: the watchdog installs it once it restarts
+                crashed.append(asn)
+                continue
+            src_factory, dst_factory = src_graph_factory, dst_graph_factory
+            want = desired() if user.user_id not in device.services else None
+            if want is not None:
+                # a device that lost the service to a restart gets back
+                # every stage earlier deploys put there
+                src_before, dst_before = want.factories.get(asn, (None, None))
+                src_factory = src_factory or src_before
+                dst_factory = dst_factory or dst_before
+            src_graph = src_factory(device.context) if src_factory else None
+            dst_graph = dst_factory(device.context) if dst_factory else None
             if src_graph is None and dst_graph is None:
                 continue
             device.install(user, src_graph=src_graph, dst_graph=dst_graph)
+            if want is not None and not want.active:
+                # a new instance joins the user's deactivation
+                device.set_active(user.user_id, False)
             configured.append(asn)
         self.deployments += 1
-        if configured:
-            self._remember(cert, user, configured,
+        if configured or crashed:
+            self._remember(desired(), cert, user, configured + crashed,
                            src_graph_factory, dst_graph_factory)
         return configured
 
-    def _remember(self, cert: OwnershipCertificate, user: NetworkUser,
-                  configured: Iterable[int],
+    def _remember(self, want: Optional[DesiredService],
+                  cert: OwnershipCertificate, user: NetworkUser,
+                  asns: list[int],
                   src_graph_factory: Optional[GraphFactory],
                   dst_graph_factory: Optional[GraphFactory]) -> None:
         """Record/extend the desired state a deployment establishes."""
-        want = self.desired.get(user.user_id)
         if want is None:
             want = DesiredService(cert=cert, user=user)
             self.desired[user.user_id] = want
         want.cert = cert
-        want.target_asns |= set(configured)
-        if src_graph_factory is not None:
-            want.src_graph_factory = src_graph_factory
-        if dst_graph_factory is not None:
-            want.dst_graph_factory = dst_graph_factory
+        for asn in asns:
+            src, dst = want.factories.get(asn, (None, None))
+            want.factories[asn] = (src_graph_factory or src,
+                                   dst_graph_factory or dst)
 
     def deploy_direct(self, cert: OwnershipCertificate, user: NetworkUser,
                       target_asns: Iterable[int],
@@ -251,12 +271,13 @@ class IspNms:
         return sum(d.rule_count() for d in self.devices.values())
 
     # --------------------------------------------------- watchdog / recovery
-    def start_watchdog(self, interval: float = WATCHDOG_INTERVAL) -> None:
+    def start_watchdog(self) -> None:
         """Begin the heartbeat that detects dead/restarted devices.
 
-        Each tick polls every device: a crashed device is noted; a device
-        whose restart counter advanced since the last tick restarted wiped
-        (Sec. 4.5) and is reconciled against the desired state.  The timer
+        Every ``WATCHDOG_INTERVAL`` seconds a tick polls every device: a
+        crashed device is noted; a device whose restart counter advanced
+        since the last tick restarted wiped (Sec. 4.5) and is reconciled
+        against the desired state.  The timer
         handle is cleared by a simulator reset hook, so back-to-back
         trials on one simulator stay independent.
         """
@@ -265,7 +286,8 @@ class IspNms:
         sim = self.network.sim
         self._seen_restarts = {asn: dev.restarts
                                for asn, dev in self.devices.items()}
-        self._watchdog_event = sim.schedule_every(interval, self._heartbeat)
+        self._watchdog_event = sim.schedule_every(WATCHDOG_INTERVAL,
+                                                  self._heartbeat)
         sim.add_reset_hook(self.stop_watchdog)
 
     def stop_watchdog(self) -> None:
@@ -333,12 +355,11 @@ class IspNms:
         reinstalled = 0
         for user_id in sorted(self.desired):
             want = self.desired[user_id]
-            if asn not in want.target_asns or user_id in device.services:
+            if asn not in want.factories or user_id in device.services:
                 continue
-            src_graph = (want.src_graph_factory(device.context)
-                         if want.src_graph_factory else None)
-            dst_graph = (want.dst_graph_factory(device.context)
-                         if want.dst_graph_factory else None)
+            src_factory, dst_factory = want.factories[asn]
+            src_graph = src_factory(device.context) if src_factory else None
+            dst_graph = dst_factory(device.context) if dst_factory else None
             if src_graph is None and dst_graph is None:
                 continue
             instance = device.install(want.user, src_graph=src_graph,

@@ -36,9 +36,6 @@ class NetworkUser:
     display_name: str = ""
     prefixes: list[Prefix] = field(default_factory=list)
 
-    def owns_address(self, addr: IPv4Address | int | str) -> bool:
-        return any(p.contains(addr) for p in self.prefixes)
-
     def __hash__(self) -> int:
         return hash(self.user_id)
 

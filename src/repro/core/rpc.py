@@ -7,16 +7,16 @@ availability claim ("users fall back to the direct NMS path") only holds if
 unreachability is *detected* rather than assumed.  This module provides the
 small messaging layer every control-plane hop now goes through:
 
-* :class:`RetryPolicy` — per-call attempt budget with bounded exponential
-  backoff and deterministic jitter (derived from the seeded RNG, so runs
-  are bit-for-bit reproducible);
-* :class:`CircuitBreaker` — after ``threshold`` consecutive transport
-  failures the channel *opens* and rejects calls instantly until
-  ``reset_after`` simulated seconds pass, then *half-opens* to probe;
+* :func:`backoff` — a per-call budget of ``ATTEMPTS`` attempts with bounded
+  exponential backoff and deterministic jitter (derived from the seeded
+  RNG, so runs are bit-for-bit reproducible);
+* :class:`CircuitBreaker` — after ``BREAKER_THRESHOLD`` consecutive
+  transport failures the channel *opens* and rejects calls instantly until
+  ``BREAKER_RESET_AFTER`` simulated seconds pass, then *half-opens* to probe;
 * :class:`ControlChannel` — one logical channel to one endpoint.  A call
   attempt is delivered unless (a) the endpoint reports itself down
   (``down_fn``) or (b) the attached :class:`~repro.net.faults.FaultInjector`
-  drops the message.  Undelivered attempts are retried under the policy;
+  drops the message.  Undelivered attempts are retried;
   exhaustion raises :class:`~repro.errors.RetryExhausted`, which subclasses
   :class:`~repro.errors.ControlPlaneUnavailable` so the existing direct
   peer-NMS failover engages automatically.
@@ -28,14 +28,26 @@ delivered, the refusal is authoritative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ControlPlaneUnavailable, RetryExhausted
 from repro.obs.metrics import declare, reset_metrics
 from repro.util.rng import derive_rng
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "ControlChannel", "RpcStats"]
+__all__ = ["CircuitBreaker", "ControlChannel", "RpcStats", "backoff"]
+
+#: attempts per call, the first one included
+ATTEMPTS = 4
+#: backoff before retry n+1 is BASE_DELAY * MULTIPLIER**n, capped at MAX_DELAY
+BASE_DELAY = 0.05
+MULTIPLIER = 2.0
+MAX_DELAY = 1.0
+#: jitter adds up to this fraction of the delay
+JITTER = 0.1
+#: consecutive exhausted calls that open a breaker
+BREAKER_THRESHOLD = 5
+#: seconds an open breaker waits before its half-open probe
+BREAKER_RESET_AFTER = 2.0
 
 _RPC_FIELDS = ("calls", "delivered", "retries", "drops", "exhausted",
                "rejected", "backoff_time")
@@ -50,41 +62,24 @@ _BACKOFF_HIST = declare(
     buckets=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Attempt budget and backoff shape for one call.
-
-    ``backoff(attempt)`` for attempt 0,1,2,... is
-    ``min(max_delay, base_delay * multiplier**attempt)`` plus a jitter drawn
-    uniformly from ``[0, jitter * that_delay)`` — the standard bounded
-    exponential backoff, fully deterministic given the channel's RNG stream.
-    """
-
-    attempts: int = 4
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 1.0
-    jitter: float = 0.1
-    timeout: float = 0.25  #: per-attempt timeout (accounted, not slept)
-
-    def backoff(self, attempt: int, rng) -> float:
-        delay = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
-        if self.jitter > 0.0:
-            delay += float(rng.random()) * self.jitter * delay
-        return delay
+def backoff(attempt: int, rng) -> float:
+    """Delay before retry ``attempt + 1``: ``min(MAX_DELAY, BASE_DELAY *
+    MULTIPLIER**attempt)`` plus a jitter drawn uniformly from ``[0, JITTER
+    * that_delay)`` — the standard bounded exponential backoff, fully
+    deterministic given the channel's RNG stream."""
+    delay = min(MAX_DELAY, BASE_DELAY * MULTIPLIER ** attempt)
+    return delay + float(rng.random()) * JITTER * delay
 
 
 class CircuitBreaker:
     """Consecutive-failure circuit breaker over a monotonic clock.
 
     States: ``closed`` (calls flow), ``open`` (calls rejected instantly),
-    ``half-open`` (one probe call allowed after ``reset_after`` elapsed).
+    ``half-open`` (one probe call allowed after ``BREAKER_RESET_AFTER``
+    elapsed).
     """
 
-    def __init__(self, threshold: int = 5, reset_after: float = 2.0,
-                 clock: Callable[[], float] = lambda: 0.0) -> None:
-        self.threshold = threshold
-        self.reset_after = reset_after
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
         self.failures = 0
         self.opened_at: Optional[float] = None
@@ -94,7 +89,7 @@ class CircuitBreaker:
     def state(self) -> str:
         if self.opened_at is None:
             return "closed"
-        if self.clock() - self.opened_at >= self.reset_after:
+        if self.clock() - self.opened_at >= BREAKER_RESET_AFTER:
             return "half-open"
         return "open"
 
@@ -108,7 +103,7 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         self.failures += 1
-        if self.failures >= self.threshold and self.opened_at is None:
+        if self.failures >= BREAKER_THRESHOLD and self.opened_at is None:
             self.opened_at = self.clock()
             self.times_opened += 1
         elif self.opened_at is not None and self.state == "half-open":
@@ -173,22 +168,16 @@ class ControlChannel:
 
     def __init__(self, name: str, *,
                  clock: Callable[[], float] = lambda: 0.0,
-                 policy: Optional[RetryPolicy] = None,
                  down_fn: Optional[Callable[[], bool]] = None,
-                 injector: Optional[Any] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 seed: int = 0) -> None:
+                 injector: Optional[Any] = None) -> None:
         self.name = name
         self.clock = clock
-        self.policy = policy or RetryPolicy()
         self.down_fn = down_fn or (lambda: False)
         self.injector = injector
-        self.breaker = breaker or CircuitBreaker(clock=clock)
-        self.breaker.clock = clock
+        self.breaker = CircuitBreaker(clock)
         self.stats = RpcStats(channel=name)
         self._backoff_hist = _BACKOFF_HIST.labelled(channel=name)
-        self._rng = derive_rng(seed, "rpc", name)
-        self._seed = seed
+        self._rng = derive_rng(0, "rpc", name)
 
     # ------------------------------------------------------------------ calls
     def call(self, op: str, fn: Callable[..., Any], *args: Any,
@@ -197,9 +186,9 @@ class ControlChannel:
 
         Each attempt is delivered iff the endpoint is up and the fault
         injector does not drop the message; delivered attempts execute
-        exactly once.  Raises :class:`RetryExhausted` after the policy's
-        attempt budget, or :class:`ControlPlaneUnavailable` instantly while
-        the circuit breaker is open.
+        exactly once.  Raises :class:`RetryExhausted` after ``ATTEMPTS``
+        undelivered attempts, or :class:`ControlPlaneUnavailable` instantly
+        while the circuit breaker is open.
         """
         self.stats.calls += 1
         if not self.breaker.allow():
@@ -208,11 +197,10 @@ class ControlChannel:
                 f"channel {self.name!r}: circuit open after "
                 f"{self.breaker.failures} consecutive failures"
             )
-        policy = self.policy
-        for attempt in range(policy.attempts):
+        for attempt in range(ATTEMPTS):
             if attempt > 0:
                 self.stats.retries += 1
-                delay = policy.backoff(attempt - 1, self._rng)
+                delay = backoff(attempt - 1, self._rng)
                 self.stats.backoff_time += delay
                 self._backoff_hist.observe(delay)
             if self._delivered(op):
@@ -225,7 +213,7 @@ class ControlChannel:
         self.breaker.record_failure()
         raise RetryExhausted(
             f"channel {self.name!r}: {op!r} undelivered after "
-            f"{policy.attempts} attempts"
+            f"{ATTEMPTS} attempts"
         )
 
     def _delivered(self, op: str) -> bool:
@@ -241,7 +229,7 @@ class ControlChannel:
         self.breaker.reset()
         self.stats.reset()
         self._backoff_hist.reset()
-        self._rng = derive_rng(self._seed, "rpc", self.name)
+        self._rng = derive_rng(0, "rpc", self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ControlChannel({self.name!r}, breaker={self.breaker.state}, "

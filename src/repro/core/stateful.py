@@ -26,6 +26,11 @@ from repro.net.packet import ICMPType, Packet, Protocol, TCPFlags
 
 __all__ = ["StatefulTeardownFilter", "TimingAnomalyFilter"]
 
+#: seconds a flow stays live after its last forward packet
+FLOW_TIMEOUT = 30.0
+#: flow-table size at which expired flows are swept out
+MAX_FLOWS = 100_000
+
 
 @dataclass
 class _FlowState:
@@ -38,7 +43,7 @@ class StatefulTeardownFilter(Component):
 
     A flow is identified by (src, dst, sport, dport); a teardown packet is
     legitimate only if the *reverse* direction has carried data within
-    ``flow_timeout`` seconds — i.e. the claimed sender really is talking to
+    ``FLOW_TIMEOUT`` seconds — i.e. the claimed sender really is talking to
     the victim.  Forged teardowns from spoofed peers have a matching flow
     key but no observed forward traffic, so they die here while genuine
     resets pass.
@@ -46,11 +51,8 @@ class StatefulTeardownFilter(Component):
 
     capabilities = Capabilities(may_drop=True)
 
-    def __init__(self, name: str = "stateful-teardown",
-                 flow_timeout: float = 30.0, max_flows: int = 100_000) -> None:
+    def __init__(self, name: str = "stateful-teardown") -> None:
         super().__init__(name)
-        self.flow_timeout = flow_timeout
-        self.max_flows = max_flows
         self._flows: dict[tuple[int, int, int, int], _FlowState] = {}
         self.forged_dropped = 0
         self.legit_teardowns = 0
@@ -67,7 +69,7 @@ class StatefulTeardownFilter(Component):
         )
 
     def _note_flow(self, packet: Packet, now: float) -> None:
-        if len(self._flows) >= self.max_flows:
+        if len(self._flows) >= MAX_FLOWS:
             self._expire(now)
         key = self._key(packet)
         state = self._flows.get(key)
@@ -78,7 +80,7 @@ class StatefulTeardownFilter(Component):
             state.packets += 1
 
     def _expire(self, now: float) -> None:
-        cutoff = now - self.flow_timeout
+        cutoff = now - FLOW_TIMEOUT
         dead = [k for k, s in self._flows.items() if s.last_seen < cutoff]
         for k in dead:
             del self._flows[k]
@@ -86,7 +88,7 @@ class StatefulTeardownFilter(Component):
     def _has_live_flow(self, packet: Packet, now: float) -> bool:
         key = self._key(packet)
         state = self._flows.get(key)
-        return state is not None and now - state.last_seen <= self.flow_timeout
+        return state is not None and now - state.last_seen <= FLOW_TIMEOUT
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         if self._is_teardown(packet):

@@ -18,14 +18,14 @@ swappable dependency:
 * :class:`ReplicatedBackend` — a simulated eventually-consistent replica
   set.  Every record is *sharded* to a deterministic owner replica (prefix
   ranges / stable key hash), written synchronously to the owner and
-  asynchronously — after an injectable replication lag, with injectable
-  write loss — to the followers.  Replicas crash and restart via
+  asynchronously — after an injectable replication lag — to the
+  followers.  Replicas crash and restart via
   :class:`~repro.net.faults.FaultInjector` events; anti-entropy
   (:meth:`ReplicatedBackend.anti_entropy`) repairs divergence by copying
-  the highest version of each record across live replicas.  All
-  randomness derives from ``derive_rng(seed, "storage", ...)``, so runs
-  are byte-identical serially, under ``parallel_map`` or on a process
-  pool.
+  the highest version of each record across live replicas, then collects
+  the tombstones every replica agrees on.  All randomness derives from
+  ``derive_rng(seed, "storage", ...)``, so runs are byte-identical
+  serially, under ``parallel_map`` or on a process pool.
 
 Observability: the replicated backend reports under ``control.store.*``
 (replication-lag histogram, stale-read / lost-write / repair counters).
@@ -311,17 +311,19 @@ class ReplicatedBackend:
       owner is down, to the next live replica — a counted *failover
       write*), then replicate to every follower after a seeded
       exponential lag drawn around ``replication_lag``; while a
-      follower is down, or with probability ``loss_rate``, the delivery
-      is *lost* (counted) and the follower stays stale until
-      anti-entropy repairs it.  With no simulator attached, replication
-      is synchronous — the degenerate-but-deterministic mode the parity
-      tests pin against :class:`InMemoryBackend`.
+      follower is down the delivery is *lost* (counted) and the follower
+      stays stale until anti-entropy repairs it.  With no simulator
+      attached, replication is synchronous — the degenerate-but-
+      deterministic mode the parity tests pin against
+      :class:`InMemoryBackend`.
     * **Reads** prefer the owner; with the owner down they fall through
       the replica ring in deterministic order, counting a *stale read*
       whenever the version served is older than the newest acknowledged
       write, and an *unavailable read* when no replica is live.
     * **Anti-entropy** copies the highest version of every record to
-      every live replica; :meth:`permanently_lost` counts records whose
+      every live replica, then drops each tombstone that every replica
+      holds at its record's newest version while no delivery for the
+      record is in flight; :meth:`permanently_lost` counts records whose
       newest acknowledged version survives on *no* replica — the E16
       acceptance number that must be zero after heal.
 
@@ -333,17 +335,13 @@ class ReplicatedBackend:
     durable = True
 
     def __init__(self, n_replicas: int = 3, *, seed: int = 0,
-                 replication_lag: float = 0.02, loss_rate: float = 0.0,
-                 sim: Any = None) -> None:
+                 replication_lag: float = 0.02, sim: Any = None) -> None:
         if n_replicas < 1:
             raise StorageError(f"need at least one replica, got {n_replicas}")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise StorageError(f"loss rate outside [0,1]: {loss_rate}")
         if replication_lag < 0.0:
             raise StorageError(f"negative replication lag: {replication_lag}")
         self.n_replicas = n_replicas
         self.replication_lag = replication_lag
-        self.loss_rate = loss_rate
         self.sim = sim
         self.seed = seed
         self._rng = derive_rng(seed, "storage", "replication")
@@ -352,6 +350,8 @@ class ReplicatedBackend:
         #: newest acknowledged version per record (accounting only — the
         #: repair path never consults it, only replica-held versions)
         self._latest: dict[tuple[str, Any], int] = {}
+        #: follower deliveries not yet arrived, per record
+        self._in_flight: dict[tuple[str, Any], int] = {}
         self._order: dict[str, list] = {}
         self._seq: dict[str, int] = {}
         self._m_writes = _WRITES.labelled()
@@ -426,6 +426,8 @@ class ReplicatedBackend:
 
     def _replicate(self, index: int, table: str, key: Any, version: int,
                    value: Any) -> None:
+        record_key = (table, key)
+        self._in_flight[record_key] = self._in_flight.get(record_key, 0) + 1
         if self.sim is None:
             self._deliver(index, table, key, version, value)
             return
@@ -437,15 +439,19 @@ class ReplicatedBackend:
 
     def _deliver(self, index: int, table: str, key: Any, version: int,
                  value: Any) -> None:
+        record_key = (table, key)
+        left = self._in_flight[record_key] - 1
+        if left:
+            self._in_flight[record_key] = left
+        else:
+            del self._in_flight[record_key]
         replica = self.replicas[index]
-        lost = not replica.up or (
-            self.loss_rate > 0.0 and float(self._rng.random()) < self.loss_rate)
-        if lost:
+        if not replica.up:
             self._m_lost_writes.value += 1
             return
-        current = replica.records.get((table, key))
+        current = replica.records.get(record_key)
         if current is None or current[0] < version:
-            replica.records[(table, key)] = (version, value)
+            replica.records[record_key] = (version, value)
         self._m_repl_writes.value += 1
 
     # ------------------------------------------------------------------ reads
@@ -545,7 +551,12 @@ class ReplicatedBackend:
     # ---------------------------------------------------------- anti-entropy
     def anti_entropy(self) -> int:
         """Copy the newest replica-held version of every record to every
-        live replica; returns how many copies were installed."""
+        live replica; returns how many copies were installed.
+
+        With every replica up, a tombstone at its record's newest
+        acknowledged version is then on every replica; unless a delivery
+        for the record is still in flight (an older value could land after
+        it), it is dropped from every replica and from the accounting."""
         best: dict[tuple[str, Any], tuple[int, Any]] = {}
         for replica in self.replicas:
             if not replica.up:
@@ -564,6 +575,13 @@ class ReplicatedBackend:
                     replica.records[record_key] = (version, value)
                     repaired += 1
         self._m_repairs.value += repaired
+        if all(replica.up for replica in self.replicas):
+            for record_key, (version, value) in best.items():
+                if (value is _TOMBSTONE and self._latest.get(record_key) == version
+                        and record_key not in self._in_flight):
+                    for replica in self.replicas:
+                        del replica.records[record_key]
+                    del self._latest[record_key]
         return repaired
 
     def start_anti_entropy(self, interval: float) -> None:

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["IspContract", "Tcsp", "TcspReplicaSet"]
 
-#: leader-lease defaults for :class:`TcspReplicaSet` (simulated seconds)
+#: leader-lease timing of :class:`TcspReplicaSet` (simulated seconds)
 LEASE_DURATION = 0.5
 LEASE_CHECK_INTERVAL = 0.25
 
@@ -315,9 +315,7 @@ class TcspReplicaSet:
     def __init__(self, name: str, authority: NumberAuthority,
                  network: "Network", *,
                  store: Optional[StorageBackend] = None,
-                 n_standbys: int = 1,
-                 lease_duration: float = LEASE_DURATION,
-                 check_interval: float = LEASE_CHECK_INTERVAL) -> None:
+                 n_standbys: int = 1) -> None:
         if n_standbys < 0:
             raise DeploymentError(f"negative standby count: {n_standbys}")
         self.name = name
@@ -330,9 +328,7 @@ class TcspReplicaSet:
             for i in range(n_standbys + 1)
         ]
         self.leader_index = 0
-        self.lease_duration = lease_duration
-        self.check_interval = check_interval
-        self.lease_expires = network.sim.now + lease_duration
+        self.lease_expires = network.sim.now + LEASE_DURATION
         self.failovers = 0
         self._tick_event = None
 
@@ -350,8 +346,8 @@ class TcspReplicaSet:
         if self._tick_event is not None:
             return
         sim = self.network.sim
-        self.lease_expires = sim.now + self.lease_duration
-        self._tick_event = sim.schedule_every(self.check_interval,
+        self.lease_expires = sim.now + LEASE_DURATION
+        self._tick_event = sim.schedule_every(LEASE_CHECK_INTERVAL,
                                               self._maybe_failover)
         sim.add_reset_hook(self.stop)
 
@@ -364,7 +360,7 @@ class TcspReplicaSet:
     def _maybe_failover(self) -> None:
         now = self.network.sim.now
         if self.leader.reachable:
-            self.lease_expires = now + self.lease_duration
+            self.lease_expires = now + LEASE_DURATION
             return
         if now < self.lease_expires:
             return  # the lease must lapse before anyone takes over
@@ -372,7 +368,7 @@ class TcspReplicaSet:
             if index != self.leader_index and replica.reachable:
                 self.leader_index = index
                 self.failovers += 1
-                self.lease_expires = now + self.lease_duration
+                self.lease_expires = now + LEASE_DURATION
                 return
 
     # ------------------------------------------------- facade (Tcsp surface)

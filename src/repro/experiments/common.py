@@ -55,9 +55,6 @@ class ExperimentConfig:
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
 
-    def with_workers(self, workers: int) -> "ExperimentConfig":
-        return replace(self, workers=max(1, workers))
-
 
 _REGISTRY: dict[str, Callable[[ExperimentConfig], list[Table]]] = {}
 

@@ -50,7 +50,6 @@ from repro.net import ASRole, Network, Packet, Protocol
 from repro.net.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.scenario import FaultSpec, TopologySpec
 from repro.scenario.tcs import build_tcs_world
-from repro.util.rng import derive_rng
 from repro.util.tables import Table
 
 __all__ = ["run", "sweep_table", "timeline_table", "control_path_table",
@@ -111,13 +110,12 @@ def _world(seed: int, n_agents: int, n_legit: int, fail_policy: str):
     DirectFlood(net, attackers, victim, rate_pps=ATTACK_RATE_PPS,
                 duration=FLOOD_DURATION, start=FLOOD_START, spoof="none",
                 seed=seed).launch()
-    for i, client in enumerate(legit_hosts):
+    for client in legit_hosts:
         def factory(seq, now, client=client):
             return Packet.tcp_syn(client.address, victim.address, dport=80,
                                   kind="legit")
         TrafficGenerator(client, factory, LEGIT_RATE_PPS, start=FLOOD_START,
-                         duration=FLOOD_DURATION,
-                         seed=derive_rng(seed, "e16-legit", i)).install()
+                         duration=FLOOD_DURATION).install()
     return (net, tcsp, nmses, svc, victim, attacker_asns, legit_asns)
 
 
@@ -274,7 +272,7 @@ def control_path_table(cfg: ExperimentConfig) -> Table:
 
     # 1: healthy — via TCSP
     net, tcsp, nmses, svc, victim, *_ = fresh()
-    n_devices = sum(len(n.desired["acme"].target_asns)
+    n_devices = sum(len(n.desired["acme"].factories)
                     for n in nmses if "acme" in n.desired)
     table.add_row("healthy", True, n_devices, "via TCSP",
                   tcsp.channel.stats.retries, tcsp.channel.stats.exhausted,

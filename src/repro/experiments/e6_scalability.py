@@ -151,8 +151,10 @@ def flow_cache_table(cfg: ExperimentConfig) -> Table:
     table.add_note("cold = cache invalidated before every decision (the "
                    "uncached slow path); warm = steady state on a 64-flow "
                    "working set, the router-style common case")
-    table.add_note("the cache is invalidated by install/uninstall and by "
-                   "any ownership-registry change, so correctness never "
+    table.add_note("the cache is flushed when a service is added or "
+                   "removed, switched on or off, and on any ownership-"
+                   "registry change; a policy hot swap keeps it (entries "
+                   "hold owners, not programs), so correctness never "
                    "depends on traffic patterns")
     return table
 
@@ -188,10 +190,16 @@ def caida_scale_table(cfg: ExperimentConfig) -> Table:
         table.add_row(n, topo.graph.number_of_edges(), len(topo.stub_ases),
                       n_flows, round(build_ms, 1), round(eval_ms, 1),
                       round(frac, 3))
-    table.add_note("graphs come from synthesize_as_rel2 (CAIDA serial-2 "
-                   "format) through the same parser a real snapshot would "
-                   "use; delivered < 1 when the victim's access links "
-                   "congest (Sec. 5.3 scale setting)")
+    table.add_note("graphs come from `synthesize_as_rel2` (CAIDA serial-2 "
+                   "format: `provider|customer|-1`, `peer|peer|0`) through "
+                   "the same `parse_as_rel2` path a real CAIDA snapshot "
+                   "would use — 18000 ASes matches the paper's \"roughly "
+                   "18'000 autonomous systems\" (Sec. 5.3); delivered < 1 "
+                   "when the victim's access links congest.  The test "
+                   "fixture `tests/net/data/as-rel2-small.txt` is a 250-AS "
+                   "graph from the same generator (synthetic, not CAIDA "
+                   "data, with provenance in its header comments), so no "
+                   "download is ever needed")
     return table
 
 
@@ -233,9 +241,12 @@ def batch_forwarding_table(cfg: ExperimentConfig) -> Table:
             scalar_us = per_packet
         table.add_row(b, sent, round(wall_ms, 1), round(per_packet, 2),
                       round(scalar_us / per_packet, 1))
-    table.add_note("batch 1 is the scalar pipeline (event per packet); "
-                   "larger batches amortise routing lookups and queue "
-                   "accounting over NumPy columns")
+    table.add_note("batch 1 is the scalar pipeline (one event per "
+                   "packet); larger batches amortise routing lookups and "
+                   "queue accounting over NumPy columns.  The "
+                   "micro-benchmark counterpart "
+                   "(`test_batch_forwarding_path[...]` in `BENCH_micro.json`) "
+                   "is guarded by CI's perf-smoke ratio check")
     return table
 
 

@@ -160,6 +160,3 @@ class Pushback(Mitigation):
             if asn is not None:
                 out.add(asn)
         return out
-
-    def limits_installed(self) -> int:
-        return sum(len(b) for b in self.limits.values())

@@ -38,6 +38,9 @@ from repro.util.rng import derive_rng
 __all__ = ["PPMTraceback", "MarkingCollector", "SpieTraceback",
            "SpieQueryResult", "TracebackFilter", "reverse_path"]
 
+#: digests one SPIE window holds at its Bloom filter's 0.1% target
+SPIE_CAPACITY_PER_WINDOW = 50_000
+
 
 class MarkingCollector:
     """Victim-side harvester of PPM markings.
@@ -46,13 +49,12 @@ class MarkingCollector:
     the (start, end, distance) edge fragments carried by attack packets.
     """
 
-    def __init__(self, kinds_prefix: str = "attack") -> None:
-        self.kinds_prefix = kinds_prefix
+    def __init__(self) -> None:
         self.markings: Counter[tuple[int, int, int]] = Counter()
         self.packets_seen = 0
 
     def on_packet(self, packet: Packet, host: Host, now: float) -> None:
-        if not packet.kind.startswith(self.kinds_prefix):
+        if not packet.kind.startswith("attack"):
             return None
         self.packets_seen += 1
         if packet.marking is not None:
@@ -169,14 +171,11 @@ class SpieTraceback(Mitigation):
 
     name = "spie"
 
-    def __init__(self, capacity_per_window: int = 50_000, window: float = 1.0,
-                 fp_rate: float = 0.001, max_windows: int = 16) -> None:
+    def __init__(self, window: float = 1.0, max_windows: int = 16) -> None:
         super().__init__()
-        if window <= 0 or capacity_per_window <= 0:
+        if window <= 0:
             raise MitigationError("invalid SPIE parameters")
-        self.capacity = capacity_per_window
         self.window = window
-        self.fp_rate = fp_rate
         self.max_windows = max_windows
         self.stores: dict[int, DigestBacklog] = {}
         self.network: Optional[Network] = None
@@ -186,8 +185,8 @@ class SpieTraceback(Mitigation):
         for asn in asns:
             router = network.routers[asn]
             self.stores.setdefault(asn, DigestBacklog(
-                self.capacity, self.window, self.max_windows,
-                salt=asn % 255, fp_rate=self.fp_rate))
+                SPIE_CAPACITY_PER_WINDOW, self.window, self.max_windows,
+                salt=asn % 255))
 
             def filt(packet: Packet, router: Router, link: Optional[Link],
                      now: float, asn=asn) -> bool:

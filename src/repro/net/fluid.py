@@ -162,8 +162,7 @@ class FluidResult:
 
 
 def flood_flows(topology: Topology, victim: int, n_sources: int,
-                rate_each: float, rng: np.random.Generator,
-                kind: str = "attack") -> FlowSet:
+                rate_each: float, rng: np.random.Generator) -> FlowSet:
     """A flooding-attack flow set: ``n_sources`` distinct stub ASes (victim
     excluded) each pushing ``rate_each`` bits/s at ``victim``.
 
@@ -177,7 +176,7 @@ def flood_flows(topology: Topology, victim: int, n_sources: int,
         )
     picked = rng.choice(len(candidates), size=n_sources, replace=False)
     return FlowSet(
-        Flow(src_asn=candidates[i], dst_asn=victim, rate=rate_each, kind=kind)
+        Flow(src_asn=candidates[i], dst_asn=victim, rate=rate_each, kind="attack")
         for i in sorted(picked)
     )
 
@@ -192,29 +191,25 @@ class FluidNetwork:
     """
 
     def __init__(self, topology: Topology,
-                 capacity_fn: Optional[Callable[[int, int], float]] = None,
                  path_fn: Optional[Callable[[int, int], list[int]]] = None) -> None:
         self.topology = topology
         self.routing = Routing(topology.graph)
-        self.capacity_fn = capacity_fn or self._default_capacity
         #: optional routing override (e.g. PolicyRouting(topo).path for
         #: valley-free paths); None = shortest-path routing
         self.path_fn = path_fn
         self._paths: dict[tuple[int, int], list[int]] = {}
 
     @classmethod
-    def from_as_rel2(cls, source, prefix_length: Optional[int] = None,
-                     capacity_fn: Optional[Callable[[int, int], float]] = None,
-                     path_fn: Optional[Callable[[int, int], list[int]]] = None
+    def from_as_rel2(cls, source, prefix_length: Optional[int] = None
                      ) -> "FluidNetwork":
         """Fluid network over a CAIDA ``as-rel2`` snapshot (or synthetic
         text in that shape) — the scalability path for E6: tens of
         thousands of ASes are tractable here where packet simulation is
         not."""
-        topo = TopologyBuilder.from_as_rel2(source, prefix_length=prefix_length)
-        return cls(topo, capacity_fn=capacity_fn, path_fn=path_fn)
+        return cls(TopologyBuilder.from_as_rel2(source, prefix_length=prefix_length))
 
-    def _default_capacity(self, a: int, b: int) -> float:
+    def capacity(self, a: int, b: int) -> float:
+        """Capacity of link a->b in bits/s, by tier pairing."""
         roles = {self.topology.role_of(a), self.topology.role_of(b)}
         if roles == {ASRole.CORE}:
             return Mbps(10_000)
@@ -341,7 +336,7 @@ class FluidNetwork:
                 rank[inc] * nodes.size + rank[inc + 1], return_inverse=True)
             links = list(zip(nodes[codes // nodes.size].tolist(),
                              nodes[codes % nodes.size].tolist()))
-            caps = np.array([self.capacity_fn(a, b) for a, b in links]
+            caps = np.array([self.capacity(a, b) for a, b in links]
                             if congestion else [], dtype=np.float64)
             iters = congestion_iters if congestion else 1
             loads = np.zeros(len(links), dtype=np.float64)

@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Link"]
 
+#: seconds of drop history behind :meth:`Link.drop_rate`
+STATS_WINDOW = 1.0
+
 _TX_PACKETS = declare("net.link.tx_packets", "counter", labels=("link",),
                       help="packets accepted for transmission")
 _TX_BYTES = declare("net.link.tx_bytes", "counter", labels=("link",),
@@ -67,8 +70,7 @@ class Link:
     )
 
     def __init__(self, src: "Node", dst: "Node", bandwidth: float,
-                 delay: float, buffer_bytes: int = 64_000,
-                 stats_window: float = 1.0) -> None:
+                 delay: float, buffer_bytes: int = 64_000) -> None:
         if bandwidth <= 0 or delay < 0 or buffer_bytes <= 0:
             raise SimulationError(
                 f"bad link parameters: bw={bandwidth}, delay={delay}, buf={buffer_bytes}"
@@ -90,7 +92,7 @@ class Link:
         # bound once: every accepted packet is delivered through it
         self._deliver = dst.receive
         # sliding drop window for congestion detection (pushback)
-        self.drop_window = WindowedCounter(stats_window)
+        self.drop_window = WindowedCounter(STATS_WINDOW)
         # recent drops as (time, packet) — pushback classifies these
         self.drop_log: list[tuple[float, Packet]] = []
 

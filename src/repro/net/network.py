@@ -18,7 +18,7 @@ from repro.net.node import Host, Router
 from repro.net.packet import Packet
 from repro.net.routing import Routing, build_routing
 from repro.net.simulator import Simulator
-from repro.net.topology import Topology
+from repro.net.topology import ASRole, Topology
 from repro.util.units import Mbps, ms
 
 __all__ = ["LinkParams", "Network"]
@@ -54,9 +54,6 @@ class Network:
     """
 
     def __init__(self, topology: Topology,
-                 backbone: LinkParams = DEFAULT_BACKBONE,
-                 transit: LinkParams = DEFAULT_TRANSIT,
-                 edge: LinkParams = DEFAULT_EDGE,
                  access: LinkParams = DEFAULT_ACCESS,
                  link_params_fn: Optional[Callable[[int, int], LinkParams]] = None) -> None:
         self.topology = topology
@@ -68,29 +65,31 @@ class Network:
         # adjacencies taken down by fail_link, as (a, b) in call order
         self._failed_links: list[tuple[int, int]] = []
         self._access = access
+        # one chooser for construction and restore_link alike
+        self._link_params: Callable[[int, int], LinkParams] = (
+            link_params_fn or self._tier_params)
         self.global_drops: Counter[str] = Counter()
         # transport work: bytes x inter-AS hops actually traversed, by kind
         self.byte_hops_by_kind: Counter[str] = Counter()
 
         for asn in topology.as_numbers:
             self.routers[asn] = Router(self, asn)
-        from repro.net.topology import ASRole  # local import to avoid cycle
-
-        def tier_params(a: int, b: int) -> LinkParams:
-            ra, rb = topology.role_of(a), topology.role_of(b)
-            roles = {ra, rb}
-            if roles == {ASRole.CORE}:
-                return backbone
-            if ASRole.STUB in roles:
-                return edge
-            return transit
-
-        chooser = link_params_fn or tier_params
         for a, b in topology.graph.edges:
-            params_ab = chooser(a, b)
-            params_ba = chooser(b, a)
-            self._add_link(a, b, params_ab)
-            self._add_link(b, a, params_ba)
+            self._add_adjacency(a, b)
+
+    def _tier_params(self, a: int, b: int) -> LinkParams:
+        """Link class by tier pairing: core-core is backbone, anything
+        touching a stub is edge, the rest is transit."""
+        roles = {self.topology.role_of(a), self.topology.role_of(b)}
+        if roles == {ASRole.CORE}:
+            return DEFAULT_BACKBONE
+        if ASRole.STUB in roles:
+            return DEFAULT_EDGE
+        return DEFAULT_TRANSIT
+
+    def _add_adjacency(self, a: int, b: int) -> None:
+        self._add_link(a, b, self._link_params(a, b))
+        self._add_link(b, a, self._link_params(b, a))
 
     def _add_link(self, a: int, b: int, params: LinkParams) -> None:
         link = Link(self.routers[a], self.routers[b], params.bandwidth,
@@ -167,9 +166,9 @@ class Network:
             self.links.pop((x, y), None)
         self._reconverge()
 
-    def restore_link(self, a: int, b: int,
-                     params: Optional[LinkParams] = None) -> None:
-        """Bring a previously failed adjacency back and reconverge."""
+    def restore_link(self, a: int, b: int) -> None:
+        """Bring a previously failed adjacency back, with the link class it
+        was built with, and reconverge."""
         failed = self._failed_links
         if (a, b) not in failed and (b, a) not in failed:
             raise TopologyError(f"AS{a} <-> AS{b} was not failed")
@@ -177,9 +176,7 @@ class Network:
             if pair in failed:
                 failed.remove(pair)
         self.topology.graph.add_edge(a, b)
-        p = params or DEFAULT_TRANSIT
-        self._add_link(a, b, p)
-        self._add_link(b, a, p)
+        self._add_adjacency(a, b)
         self._reconverge()
 
     def _reconverge(self) -> None:

@@ -211,16 +211,14 @@ class Simulator:
         return self.schedule(delay, fn, batch, *args)
 
     def schedule_every(self, interval: float, fn: Callable[..., Any], *args: Any,
-                       until: Optional[float] = None,
-                       start: Optional[float] = None) -> Recurrence:
-        """Schedule a periodic callback (first firing at ``start`` or now+interval).
+                       until: Optional[float] = None) -> Recurrence:
+        """Schedule a periodic callback, first firing at now+interval.
 
         The callback may return False to stop the recurrence; so does
         cancelling the returned :class:`Recurrence`.
         """
         if interval <= 0:
             raise SimulationError(f"periodic interval must be > 0, got {interval}")
-        first = self._now + interval if start is None else start
         handle = Recurrence()
 
         def tick() -> None:
@@ -232,7 +230,7 @@ class Simulator:
             if until is None or self._now + interval <= until:
                 handle.event = self.schedule(interval, tick)
 
-        handle.event = self.schedule_at(first, tick)
+        handle.event = self.schedule_at(self._now + interval, tick)
         return handle
 
     def _cancel(self, event: Event) -> None:

@@ -98,10 +98,6 @@ class Topology:
         self._host_table[int(addr)] = asn
         return addr
 
-    def add_hosts(self, asn: int, count: int) -> list[IPv4Address]:
-        """Attach ``count`` hosts to ``asn``."""
-        return [self.add_host(asn) for _ in range(count)]
-
     # ---------------------------------------------------------------- queries
     def as_of(self, addr: IPv4Address | int | str) -> Optional[int]:
         """The AS owning ``addr`` (longest-prefix match), or None."""
@@ -233,8 +229,7 @@ class TopologyBuilder:
         return Topology(g, prefix_length=prefix_length)
 
     @staticmethod
-    def internet_like(n: int = 200, prefix_length: int = 24,
-                      seed: int | None = None) -> Topology:
+    def internet_like(n: int = 200, seed: int | None = None) -> Topology:
         """networkx ``random_internet_as_graph`` with native tier labels.
 
         The generator labels nodes T (tier-1), M (mid-level), CP (content
@@ -250,20 +245,20 @@ class TopologyBuilder:
             giant = max(nx.connected_components(g), key=len)
             g = g.subgraph(giant).copy()
             g = nx.convert_node_labels_to_integers(g)
-        return Topology(g, prefix_length=prefix_length)
+        return Topology(g)
 
     @staticmethod
-    def line(n: int = 3, prefix_length: int = 24) -> Topology:
+    def line(n: int = 3) -> Topology:
         """A path of ``n`` ASes; the two endpoints are stubs."""
         if n < 1:
             raise TopologyError("line needs n >= 1")
         g = nx.path_graph(n)
         for v in g.nodes:
             g.nodes[v]["role"] = ASRole.STUB if v in (0, n - 1) or n <= 2 else ASRole.TRANSIT
-        return Topology(g, prefix_length=prefix_length)
+        return Topology(g)
 
     @staticmethod
-    def star(leaves: int = 4, prefix_length: int = 24) -> Topology:
+    def star(leaves: int = 4) -> Topology:
         """A hub AS (transit) with ``leaves`` stub ASes around it."""
         if leaves < 1:
             raise TopologyError("star needs >= 1 leaf")
@@ -271,10 +266,10 @@ class TopologyBuilder:
         g.nodes[0]["role"] = ASRole.TRANSIT
         for v in range(1, leaves + 1):
             g.nodes[v]["role"] = ASRole.STUB
-        return Topology(g, prefix_length=prefix_length)
+        return Topology(g)
 
     @staticmethod
-    def tree(branching: int = 2, height: int = 3, prefix_length: int = 24) -> Topology:
+    def tree(branching: int = 2, height: int = 3) -> Topology:
         """Balanced tree: root is core, leaves are stubs, middle is transit."""
         g = nx.balanced_tree(branching, height)
         for v in g.nodes:
@@ -285,7 +280,7 @@ class TopologyBuilder:
                 g.nodes[v]["role"] = ASRole.STUB
             else:
                 g.nodes[v]["role"] = ASRole.TRANSIT
-        return Topology(g, prefix_length=prefix_length)
+        return Topology(g)
 
     @staticmethod
     def from_graph(graph: nx.Graph, roles: Optional[dict[int, ASRole]] = None,
@@ -321,8 +316,7 @@ class TopologyBuilder:
 
     @staticmethod
     def caida_like(n: int = 1000, seed: int | None = None,
-                   prefix_length: int = 24,
-                   p2p_fraction: float = 0.12) -> Topology:
+                   prefix_length: int = 24) -> Topology:
         """A deterministic synthetic AS graph in CAIDA ``as-rel2`` shape.
 
         Convenience wrapper: :func:`synthesize_as_rel2` then
@@ -330,7 +324,7 @@ class TopologyBuilder:
         parser the real-snapshot path uses.
         """
         return TopologyBuilder.from_as_rel2(
-            synthesize_as_rel2(n, seed=seed, p2p_fraction=p2p_fraction),
+            synthesize_as_rel2(n, seed=seed),
             prefix_length=prefix_length)
 
 
@@ -403,9 +397,11 @@ def parse_as_rel2(source: Union[str, os.PathLike, Iterable[str]]) -> nx.Graph:
     return g
 
 
-def synthesize_as_rel2(n: int, seed: int | None = None,
-                       tier1: int | None = None,
-                       p2p_fraction: float = 0.12) -> str:
+#: lateral peering links per non-tier-1 AS in :func:`synthesize_as_rel2`
+P2P_FRACTION = 0.12
+
+
+def synthesize_as_rel2(n: int, seed: int | None = None) -> str:
     """Generate a deterministic synthetic AS graph as ``as-rel2`` text.
 
     Shape follows the CAIDA serial-2 snapshots the paper's scale argument
@@ -419,8 +415,7 @@ def synthesize_as_rel2(n: int, seed: int | None = None,
     if n < 2:
         raise TopologyError(f"synthesize_as_rel2 needs n >= 2 (n={n})")
     rng = derive_rng(seed, "as-rel2-synth")
-    n_tier1 = tier1 if tier1 is not None else max(2, min(8, n // 50))
-    n_tier1 = min(n_tier1, n)
+    n_tier1 = min(max(2, min(8, n // 50)), n)
     lines = [
         "# synthetic as-rel2 (CAIDA serial-2 shaped), not a real snapshot",
         f"# generator: repro.net.topology.synthesize_as_rel2(n={n}, seed={seed})",
@@ -445,7 +440,7 @@ def synthesize_as_rel2(n: int, seed: int | None = None,
         targets.append(asn)
     lines.extend(f"{p}|{c}|-1" for p, c in p2c)
     # lateral p2p links between non-tier-1 ASes for path diversity
-    n_p2p = int(p2p_fraction * max(0, n - n_tier1))
+    n_p2p = int(P2P_FRACTION * max(0, n - n_tier1))
     seen = {tuple(sorted(e)) for e in p2c}
     for _ in range(n_p2p):
         a = int(rng.integers(n_tier1 + 1, n + 1))

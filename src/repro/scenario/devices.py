@@ -20,10 +20,12 @@ from repro.net import ASRole, Prefix, Protocol
 
 __all__ = ["build_device"]
 
+#: header-filter rules in each subscriber's graph
+RULES_PER_SUBSCRIBER = 2
 
-def build_device(n_subscribers: int, rules_per_subscriber: int = 2,
-                 with_services: bool = True) -> tuple[AdaptiveDevice, list[NetworkUser]]:
-    """A device serving ``n_subscribers`` users, each with a small graph.
+
+def build_device(n_subscribers: int) -> tuple[AdaptiveDevice, list[NetworkUser]]:
+    """A device serving ``n_subscribers`` users, each with a two-rule graph.
 
     Subscribers own disjoint /16 prefixes under 10.0.0.0/8.
     """
@@ -38,12 +40,11 @@ def build_device(n_subscribers: int, rules_per_subscriber: int = 2,
         DeviceContext(asn=1, role=ASRole.STUB,
                       local_prefix=Prefix.parse("192.168.0.0/16")),
         registry)
-    if with_services:
-        for user in users:
-            graph = ComponentGraph(f"svc:{user.user_id}")
-            graph.chain(*[
-                HeaderFilter(f"r{j}", HeaderMatch(proto=Protocol.TCP, dport=7))
-                for j in range(rules_per_subscriber)
-            ])
-            device.install(user, dst_graph=graph)
+    for user in users:
+        graph = ComponentGraph(f"svc:{user.user_id}")
+        graph.chain(*[
+            HeaderFilter(f"r{j}", HeaderMatch(proto=Protocol.TCP, dport=7))
+            for j in range(RULES_PER_SUBSCRIBER)
+        ])
+        device.install(user, dst_graph=graph)
     return device, users

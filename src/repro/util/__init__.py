@@ -22,7 +22,7 @@ from repro.util.sketch import (
     CountSketch,
     SpaceSaving,
 )
-from repro.util.stats import OnlineStats, WindowedCounter
+from repro.util.stats import WindowedCounter
 from repro.util.tables import Table
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "CountSketch",
     "CountingBloom",
     "SpaceSaving",
-    "OnlineStats",
     "WindowedCounter",
     "Table",
 ]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -163,7 +162,7 @@ class CountMinSketch(_HashedSketch):
     for ``width >= e / eps`` and ``depth >= ln(1 / delta)``, where ``N``
     is the total inserted weight.
 
-    >>> cms = CountMinSketch.from_error(epsilon=0.01, delta=0.01, seed=7)
+    >>> cms = CountMinSketch(width=272, depth=5, seed=7)  # eps = delta = 0.01
     >>> cms.update(42, 3)
     >>> cms.update_batch(np.array([42, 7]), np.array([2, 5]))
     >>> int(cms.estimate(42))
@@ -171,16 +170,6 @@ class CountMinSketch(_HashedSketch):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def from_error(cls, epsilon: float, delta: float,
-                   seed: int = 0) -> "CountMinSketch":
-        """Size the sketch for an ``eps * N`` error at confidence ``1-delta``."""
-        if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
-            raise ReproError(
-                f"invalid sketch parameters: epsilon={epsilon}, delta={delta}")
-        return cls(width=int(math.ceil(math.e / epsilon)),
-                   depth=int(math.ceil(math.log(1.0 / delta))), seed=seed)
 
     def update(self, key: int, w: int = 1) -> None:
         """Fold ``w`` of weight into ``key`` (per-packet scalar path)."""
@@ -245,16 +234,6 @@ class CountSketch(_HashedSketch):
     def __init__(self, width: int, depth: int, seed: int = 0) -> None:
         super().__init__(width, depth, seed)
         self._sign_mult = _derive_multipliers(seed, b"csketch+", depth)
-
-    @classmethod
-    def from_error(cls, epsilon: float, delta: float,
-                   seed: int = 0) -> "CountSketch":
-        """Size for ``eps * ||f||_2`` error at confidence ``1 - delta``."""
-        if not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
-            raise ReproError(
-                f"invalid sketch parameters: epsilon={epsilon}, delta={delta}")
-        return cls(width=int(math.ceil(3.0 / epsilon ** 2)),
-                   depth=int(math.ceil(math.log(3.0 / delta))), seed=seed)
 
     def _row_sign(self, row: int, key_u64: int) -> int:
         return 1 if ((int(self._sign_mult[row]) * key_u64) & _MASK64) >> 63 \
@@ -512,11 +491,6 @@ class SpaceSaving:
     def estimate(self, key: int) -> int:
         """Upper-bound count for ``key`` (0 if not monitored)."""
         return self.counts.get(int(key) & _MASK64, 0)
-
-    def guaranteed(self, key: int) -> int:
-        """Lower-bound count: ``count - error``."""
-        key = int(key) & _MASK64
-        return self.counts.get(key, 0) - self.errors.get(key, 0)
 
     def top(self, n: Optional[int] = None) -> list[tuple[int, int]]:
         """``(key, count)`` pairs, heaviest first (key-ascending ties)."""

@@ -2,72 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
-__all__ = ["OnlineStats", "WindowedCounter"]
-
-
-class OnlineStats:
-    """Streaming mean/variance/min/max (Welford's algorithm).
-
-    Constant memory, numerically stable — suitable for per-packet metrics in
-    long simulation runs.
-
-    >>> s = OnlineStats()
-    >>> for x in (1.0, 2.0, 3.0): s.add(x)
-    >>> s.mean
-    2.0
-    """
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the summary."""
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Combine two summaries (parallel-merge form of Welford)."""
-        if other.n == 0:
-            return self
-        if self.n == 0:
-            self.n, self._mean, self._m2 = other.n, other._mean, other._m2
-            self.min, self.max = other.min, other.max
-            return self
-        delta = other._mean - self._mean
-        total = self.n + other.n
-        self._m2 += other._m2 + delta * delta * self.n * other.n / total
-        self._mean += delta * other.n / total
-        self.n = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
+__all__ = ["WindowedCounter"]
 
 
 class WindowedCounter:

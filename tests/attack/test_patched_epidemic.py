@@ -28,8 +28,8 @@ class TestPatchedEpidemicModel:
     def test_patching_caps_the_botnet(self):
         lazy = PatchedEpidemicModel(patch_rate=1.0 / 86400.0)
         fast = PatchedEpidemicModel(patch_rate=1.0 / 600.0)
-        _, lazy_peak = lazy.peak_infected(t_max=2000.0)
-        _, fast_peak = fast.peak_infected(t_max=2000.0)
+        lazy_peak = lazy.curve(t_max=2000.0)[2].max()
+        fast_peak = fast.curve(t_max=2000.0)[2].max()
         assert fast_peak < lazy_peak
 
     def test_recovered_monotone(self):
@@ -40,9 +40,8 @@ class TestPatchedEpidemicModel:
     def test_infection_eventually_declines_with_patching(self):
         m = PatchedEpidemicModel(n_vulnerable=10_000, scan_rate=4000.0,
                                  patch_rate=1.0 / 300.0)
-        t_peak, peak = m.peak_infected(t_max=5000.0, dt=1.0)
         _, _, i, _ = m.curve(t_max=5000.0, dt=1.0)
-        assert i[-1] < peak  # lazy patching still wins eventually
+        assert i[-1] < i.max()  # lazy patching still wins eventually
 
     def test_invalid_parameters(self):
         with pytest.raises(AttackConfigError):

@@ -48,7 +48,7 @@ class TestConnectionPool:
 
     def test_one_rst_kills_one_connection(self):
         net, victim, peers, attacker, pool = setup()
-        pool.establish(peers[0], peer_port=40001)  # second conn to same peer
+        pool.establish(peers[0])  # second conn to same peer
         victim.receive(Packet.tcp_rst(peers[0].address, victim.address), None)
         assert pool.alive_count == 3  # only one of the four died
 

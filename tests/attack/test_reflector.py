@@ -131,7 +131,8 @@ class TestReflectorFluidModel:
 
     def test_request_flows_spray_evenly(self):
         fluid, model = self._model()
-        flows = model.request_flows()
+        req, _ = model.evaluate()
+        flows = req.flows
         assert len(flows) == 9
         assert all(f.rate == pytest.approx(1e6 / 3) for f in flows)
         assert all(f.claimed_src_asn == model.victim_asn for f in flows)
@@ -141,7 +142,8 @@ class TestReflectorFluidModel:
         fluid, model = self._model(amplification=2.0)
         req, second = model.evaluate()
         assert req.delivered_rate() == pytest.approx(3e6)
-        assert model.victim_attack_rate() == pytest.approx(6e6)
+        assert second.delivered_rate("attack-reflected",
+                                     dst_asn=model.victim_asn) == pytest.approx(6e6)
 
     def test_filtering_requests_reduces_reflection(self):
         fluid, model = self._model(amplification=2.0)
@@ -152,7 +154,9 @@ class TestReflectorFluidModel:
                                          and hops.flows[hops.flow[h]].spoofed)
                                  else 1.0 for h in sel])
 
-        assert model.victim_attack_rate(filters=[DropSpoofedAtSource()]) == 0.0
+        _, second = model.evaluate(filters=[DropSpoofedAtSource()])
+        assert second.delivered_rate("attack-reflected",
+                                     dst_asn=model.victim_asn) == 0.0
 
     def test_extra_flows_ride_second_pass(self):
         fluid, model = self._model()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import NetworkUser
+from repro.core import NetworkUser, components
 from repro.core.components import (
     ComponentContext,
     DigestStoreComponent,
@@ -105,11 +105,12 @@ class TestFilters:
         assert b(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
 
     def test_rate_limiter(self):
-        r = RateLimiterComponent("r", rate_bps=8_000.0, burst_bytes=1_000.0)
-        pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=1000)
+        burst = int(components.BURST_BYTES)
+        r = RateLimiterComponent("r", rate_bps=8.0 * burst)
+        pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=burst)
         assert r(pkt, ctx(now=0.0)) is Verdict.PASS
         assert r(pkt.copy(), ctx(now=0.0)) is Verdict.DROP   # bucket drained
-        assert r(pkt.copy(), ctx(now=1.0)) is Verdict.PASS   # 1000 B refilled
+        assert r(pkt.copy(), ctx(now=1.0)) is Verdict.PASS   # a burst refilled
 
     def test_payload_hash_filter(self):
         f = PayloadHashFilter("f", banned_digests=[b"worm-sig"])
@@ -169,15 +170,16 @@ class TestSourceAntiSpoof:
 
 
 class TestObservation:
-    def test_logger_bounded(self):
-        lg = LoggerComponent(max_entries=2)
+    def test_logger_bounded(self, monkeypatch):
+        monkeypatch.setattr(components, "MAX_LOG_ENTRIES", 2)
+        lg = LoggerComponent()
         for i in range(5):
             lg(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx(now=float(i)))
         assert len(lg.entries) == 2
         assert lg.processed == 5
 
     def test_statistics_collector(self):
-        st = StatisticsCollector(window=10.0)
+        st = StatisticsCollector()
         st(Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=100), ctx(now=0.0))
         st(Packet.tcp_syn(A("1.1.1.1"), A("2.2.2.2")), ctx(now=1.0))
         assert st.packets_by_proto == {"UDP": 1, "TCP": 1}
@@ -218,7 +220,7 @@ class TestTrigger:
         fired = []
         t = TriggerComponent("t", threshold_pps=10.0,
                              action=lambda c, r: fired.append(c.now),
-                             window=0.5, rearm=0.5)
+                             window=0.5)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         for i in range(20):
             t(pkt, ctx(now=i * 0.02))       # burst 1 -> fires
@@ -257,7 +259,8 @@ class TestTrigger:
     @pytest.mark.parametrize("knobs", [
         {"window": float("nan")}, {"window": float("inf")},
         {"window": 0.0}, {"window": -1.0},
-        {"rearm": float("nan")}, {"rearm": -1.0}, {"rearm": 1.5},
+        {"window": float("-inf")}, {"hh_min_share": float("inf")},
+        {"track_sources": 4, "per_source_threshold": -1.0},
         {"track_sources": 4, "per_source_threshold": float("nan")},
         {"track_sources": 4, "per_source_threshold": float("inf")},
         {"track_sources": 4, "per_source_threshold": 0.0},

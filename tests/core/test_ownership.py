@@ -10,13 +10,6 @@ P = Prefix.parse
 A = IPv4Address.parse
 
 
-class TestNetworkUser:
-    def test_owns_address(self):
-        u = NetworkUser("acme", prefixes=[P("10.1.0.0/16")])
-        assert u.owns_address("10.1.2.3")
-        assert not u.owns_address("10.2.0.0")
-
-
 class TestNumberAuthority:
     def test_record_and_verify(self):
         na = NumberAuthority()

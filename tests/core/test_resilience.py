@@ -10,6 +10,7 @@ from repro.core import (
     NumberAuthority,
     Tcsp,
     TrafficControlService,
+    rpc,
 )
 from repro.core.components import HeaderFilter, HeaderMatch
 from repro.net import (
@@ -89,11 +90,11 @@ class TestWatchdogAntiEntropy:
         svc.deploy(DeploymentScope.stub_borders(),
                    dst_graph_factory=drop_udp_factory)
         nms = nmses[0]
-        nms.start_watchdog(interval=0.1)
+        nms.start_watchdog()  # ticks every 0.25 s
         rules_before = nms.rule_count()
         device = nms.devices[victim_asn]
         net.sim.schedule_at(0.3, device.crash)
-        net.sim.schedule_at(0.5, device.restart)
+        net.sim.schedule_at(0.6, device.restart)
         net.run(until=1.0)
         assert nms.devices_seen_down >= 1
         assert nms.reconciliations == 1
@@ -107,10 +108,10 @@ class TestWatchdogAntiEntropy:
                    dst_graph_factory=drop_udp_factory)
         svc.set_active(False)
         nms = nmses[0]
-        nms.start_watchdog(interval=0.1)
+        nms.start_watchdog()
         device = nms.devices[victim_asn]
         net.sim.schedule_at(0.3, device.crash)
-        net.sim.schedule_at(0.5, device.restart)
+        net.sim.schedule_at(0.6, device.restart)
         net.run(until=1.0)
         # the re-installed service honours the user's last set_active
         assert device.services["acme"].active is False
@@ -120,7 +121,7 @@ class TestWatchdogAntiEntropy:
         svc.deploy(DeploymentScope.stub_borders(),
                    dst_graph_factory=drop_udp_factory)
         nms = nmses[0]
-        nms.start_watchdog(interval=0.5)
+        nms.start_watchdog()  # ticks at 0.5 and 0.75
         device = nms.devices[victim_asn]
         # down and back up entirely inside one heartbeat interval
         net.sim.schedule_at(0.6, device.crash)
@@ -133,7 +134,7 @@ class TestWatchdogAntiEntropy:
         svc.deploy(DeploymentScope.stub_borders(),
                    dst_graph_factory=drop_udp_factory)
         nms = nmses[0]
-        nms.start_watchdog(interval=0.1)
+        nms.start_watchdog()
         device = nms.devices[victim_asn]
         victim = net.add_host(victim_asn)
         attacker = net.add_host(net.topology.stub_ases[1])
@@ -155,7 +156,7 @@ class TestControlPlaneFailover:
         assert svc.fallback_used == 1
         assert set(result["isp-0"]) == set(net.topology.stub_ases)
         assert tcsp.channel.stats.exhausted == 1
-        assert tcsp.channel.stats.retries == tcsp.channel.policy.attempts - 1
+        assert tcsp.channel.stats.retries == rpc.ATTEMPTS - 1
 
     def test_peer_forwarding_converges_under_message_loss(self):
         """The E7 peer-forwarding path still reaches full coverage when a

@@ -9,7 +9,8 @@ fallbacks catch unchanged.
 
 import pytest
 
-from repro.core.rpc import CircuitBreaker, ControlChannel, RetryPolicy
+from repro.core import rpc
+from repro.core.rpc import ControlChannel, backoff
 from repro.errors import ControlPlaneUnavailable, RetryExhausted
 
 
@@ -65,8 +66,8 @@ class TestRetries:
         chan = ControlChannel("t", down_fn=lambda: True)
         with pytest.raises(RetryExhausted):
             chan.call("op", lambda: "never")
-        assert chan.stats.drops == chan.policy.attempts
-        assert chan.stats.retries == chan.policy.attempts - 1
+        assert chan.stats.drops == rpc.ATTEMPTS
+        assert chan.stats.retries == rpc.ATTEMPTS - 1
         assert chan.stats.exhausted == 1
         assert chan.stats.backoff_time > 0.0
 
@@ -103,47 +104,45 @@ class TestRetries:
 
 class TestBackoff:
     def test_deterministic_across_channels(self):
-        a = ControlChannel("same", down_fn=lambda: True, seed=5)
-        b = ControlChannel("same", down_fn=lambda: True, seed=5)
+        a = ControlChannel("same", down_fn=lambda: True)
+        b = ControlChannel("same", down_fn=lambda: True)
         for chan in (a, b):
             with pytest.raises(RetryExhausted):
                 chan.call("op", lambda: None)
         assert a.stats.backoff_time == b.stats.backoff_time
 
     def test_bounded_exponential_shape(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.3,
-                             jitter=0.0)
-
         class NoJitterRng:
             def random(self):
                 return 0.0
 
         rng = NoJitterRng()
-        assert policy.backoff(0, rng) == pytest.approx(0.1)
-        assert policy.backoff(1, rng) == pytest.approx(0.2)
-        assert policy.backoff(2, rng) == pytest.approx(0.3)  # capped
-        assert policy.backoff(9, rng) == pytest.approx(0.3)
+        # 50 ms x 2^n, capped at 1 s
+        assert backoff(0, rng) == pytest.approx(0.05)
+        assert backoff(1, rng) == pytest.approx(0.1)
+        assert backoff(4, rng) == pytest.approx(0.8)
+        assert backoff(5, rng) == pytest.approx(1.0)  # capped
+        assert backoff(9, rng) == pytest.approx(1.0)
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=1.0, max_delay=1.0,
-                             jitter=0.5)
-
         class MaxJitterRng:
             def random(self):
                 return 0.999999
 
-        assert policy.backoff(0, MaxJitterRng()) < 0.1 * 1.5 + 1e-9
+        assert backoff(0, MaxJitterRng()) < 0.05 * 1.1 + 1e-9
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, reset_after=1.0, clock=clock)
-        chan = ControlChannel("t", down_fn=lambda: True, breaker=breaker,
-                              clock=clock)
-        for _ in range(3):
+        chan = ControlChannel("t", down_fn=lambda: True, clock=clock)
+        breaker = chan.breaker
+        for _ in range(rpc.BREAKER_THRESHOLD - 1):
             with pytest.raises(RetryExhausted):
                 chan.call("op", lambda: None)
+        assert breaker.state == "closed"
+        with pytest.raises(RetryExhausted):
+            chan.call("op", lambda: None)
         assert breaker.state == "open"
         # while open: rejected instantly, no attempts burned
         drops_before = chan.stats.drops
@@ -154,14 +153,14 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_closes_on_success(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, reset_after=1.0, clock=clock)
         down = [True]
-        chan = ControlChannel("t", down_fn=lambda: bool(down),
-                              breaker=breaker, clock=clock)
-        with pytest.raises(RetryExhausted):
-            chan.call("op", lambda: None)
+        chan = ControlChannel("t", down_fn=lambda: bool(down), clock=clock)
+        breaker = chan.breaker
+        for _ in range(rpc.BREAKER_THRESHOLD):
+            with pytest.raises(RetryExhausted):
+                chan.call("op", lambda: None)
         assert breaker.state == "open"
-        clock.t = 2.0
+        clock.t = rpc.BREAKER_RESET_AFTER
         assert breaker.state == "half-open"
         down.clear()  # endpoint healed; the probe succeeds
         assert chan.call("op", lambda: "ok") == "ok"
@@ -169,12 +168,12 @@ class TestCircuitBreaker:
 
     def test_failed_probe_reopens(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, reset_after=1.0, clock=clock)
-        chan = ControlChannel("t", down_fn=lambda: True, breaker=breaker,
-                              clock=clock)
-        with pytest.raises(RetryExhausted):
-            chan.call("op", lambda: None)
-        clock.t = 1.5
+        chan = ControlChannel("t", down_fn=lambda: True, clock=clock)
+        breaker = chan.breaker
+        for _ in range(rpc.BREAKER_THRESHOLD):
+            with pytest.raises(RetryExhausted):
+                chan.call("op", lambda: None)
+        clock.t = 1.5 * rpc.BREAKER_RESET_AFTER
         with pytest.raises(RetryExhausted):  # half-open probe fails
             chan.call("op", lambda: None)
         assert breaker.state == "open"

@@ -1,7 +1,7 @@
 """Tests for stateful teardown filtering and timing-anomaly detection."""
 
 
-from repro.core import NetworkUser, StatefulTeardownFilter, TimingAnomalyFilter
+from repro.core import NetworkUser, StatefulTeardownFilter, TimingAnomalyFilter, stateful
 from repro.core.components import ComponentContext, Verdict
 from repro.net import ICMPType, IPv4Address, Packet, Prefix
 
@@ -37,13 +37,13 @@ class TestStatefulTeardownFilter:
         assert f.legit_teardowns == 1
 
     def test_flow_expires(self):
-        f = StatefulTeardownFilter(flow_timeout=5.0)
+        f = StatefulTeardownFilter()
         from repro.net import Protocol
 
         data = Packet(src=PEER, dst=VICTIM, proto=Protocol.TCP, sport=1, dport=80)
         f(data, ctx(0.0))
         rst = Packet.tcp_rst(PEER, VICTIM, sport=1, dport=80)
-        assert f(rst, ctx(10.0)) is Verdict.DROP  # flow long gone
+        assert f(rst, ctx(2 * stateful.FLOW_TIMEOUT)) is Verdict.DROP  # flow long gone
 
     def test_icmp_unreachable_treated_like_rst(self):
         f = StatefulTeardownFilter()
@@ -63,14 +63,16 @@ class TestStatefulTeardownFilter:
         rst_other_port = Packet.tcp_rst(PEER, VICTIM, sport=2, dport=80)
         assert f(rst_other_port, ctx(0.1)) is Verdict.DROP
 
-    def test_flow_table_bounded(self):
-        f = StatefulTeardownFilter(max_flows=10, flow_timeout=0.1)
+    def test_flow_table_bounded(self, monkeypatch):
+        monkeypatch.setattr(stateful, "MAX_FLOWS", 10)
+        f = StatefulTeardownFilter()
         from repro.net import Protocol
 
+        gap = stateful.FLOW_TIMEOUT * 10  # each flow is stale by the next
         for i in range(50):
             pkt = Packet(src=IPv4Address(i + 1), dst=VICTIM,
                          proto=Protocol.TCP, sport=i, dport=80)
-            f(pkt, ctx(i * 1.0))
+            f(pkt, ctx(i * gap))
         assert len(f._flows) <= 11
 
 

@@ -18,7 +18,6 @@ from repro.core import (
     TcspReplicaSet,
     TrafficControlService,
 )
-from repro.core.ownership import NetworkUser
 from repro.core.storage import shard_key
 from repro.errors import StorageError
 from repro.experiments.common import parallel_map
@@ -126,8 +125,6 @@ class TestSharding:
     def test_bad_configuration_rejected(self):
         with pytest.raises(StorageError):
             ReplicatedBackend(0)
-        with pytest.raises(StorageError):
-            ReplicatedBackend(3, loss_rate=1.5)
         with pytest.raises(StorageError):
             ReplicatedBackend(3, replication_lag=-1.0)
         with pytest.raises(StorageError):
@@ -264,17 +261,67 @@ class TestReplicationFaults:
         assert rep.divergent_records() == 0
 
 
+class TestTombstoneCollection:
+    def test_put_delete_cycles_leave_nothing_after_heal(self):
+        rep = ReplicatedBackend(3, seed=1)
+        for i in range(1000):
+            rep.put("t", f"k{i}", i)
+            assert rep.delete("t", f"k{i}")
+        rep.anti_entropy()
+        assert rep._latest == {}
+        assert all(r.records == {} for r in rep.replicas)
+        assert rep.keys("t") == [] and rep.permanently_lost() == 0
+
+    def test_in_flight_delivery_keeps_the_tombstone(self):
+        sim = Simulator()
+        rep = ReplicatedBackend(3, seed=2, replication_lag=0.05, sim=sim)
+        rep.put("t", "k", "old")      # owner now, followers after a lag
+        rep.delete("t", "k")          # a newer tombstone on every replica
+        rep.anti_entropy()            # old deliveries are still in flight
+        assert ("t", "k") in rep._latest
+        assert not rep.contains("t", "k")
+        sim.run()                     # the old value lands behind the tombstone
+        owner = rep.owner_of("t", "k")
+        rep.crash_replica(owner)      # reads now come from a follower
+        assert not rep.contains("t", "k")
+        rep.anti_entropy()            # a replica is down: nothing collected
+        assert ("t", "k") in rep._latest
+        rep.restart_replica(owner)
+        rep.anti_entropy()
+        assert not rep.contains("t", "k")
+        assert rep._latest == {}
+        assert all(r.records == {} for r in rep.replicas)
+
+    def test_live_record_is_never_collected(self):
+        rep = ReplicatedBackend(3, seed=3)
+        rep.put("t", "k", 1)
+        rep.delete("t", "k")
+        rep.put("t", "k", 2)          # rewritten after the delete
+        rep.anti_entropy()
+        assert rep.get("t", "k") == 2
+        assert rep.permanently_lost() == 0
+
+
 def _replicated_run(seed: int):
-    """Top-level so the process-pool determinism test can pickle it."""
-    rep = ReplicatedBackend(3, seed=seed, loss_rate=0.3)
+    """Top-level so the process-pool determinism test can pickle it.
+
+    The seeded replication lags decide which deliveries reach a replica
+    before it crashes, so the loss and stale-read counts vary with the
+    seed."""
+    sim = Simulator()
+    rep = ReplicatedBackend(3, seed=seed, sim=sim)
     for i in range(20):
         rep.put("t", f"k{i % 7}", i)
+    sim.run(until=0.02)
     rep.crash_replica(seed % 3)
     for i in range(20, 30):
         rep.put("t", f"k{i % 7}", i)
+    sim.run(until=0.04)
     rep.restart_replica(seed % 3)
+    stale = [rep.get("t", f"k{i}") for i in range(7)]
+    sim.run()
     rep.anti_entropy()
-    return (rep.items("t"), rep.lost_writes, rep.stale_reads,
+    return (rep.items("t"), stale, rep.lost_writes, rep.stale_reads,
             rep.permanently_lost())
 
 
@@ -439,18 +486,18 @@ class TestWatchdogLateAttach:
         svc = TrafficControlService(tcsp, user, cert)
         svc.deploy(DeploymentScope.stub_borders(),
                    dst_graph_factory=drop_udp_factory)
-        nms.start_watchdog(interval=0.5)
+        nms.start_watchdog()  # ticks at 0.5 and 0.75
 
         def attach_and_deploy():
             nms.attach_devices([late_asn])
             svc.deploy(DeploymentScope.explicit([late_asn]),
                        dst_graph_factory=drop_udp_factory)
 
-        net.sim.schedule_at(0.6, attach_and_deploy)
+        net.sim.schedule_at(0.55, attach_and_deploy)
         # crash + wiped restart entirely before the device's first
         # heartbeat: only the attach-time baseline can catch this
-        net.sim.schedule_at(0.7, lambda: nms.devices[late_asn].crash())
-        net.sim.schedule_at(0.8, lambda: nms.devices[late_asn].restart())
+        net.sim.schedule_at(0.6, lambda: nms.devices[late_asn].crash())
+        net.sim.schedule_at(0.7, lambda: nms.devices[late_asn].restart())
         net.run(until=1.3)
         assert nms.services_reinstalled >= 1
         assert "acme" in nms.devices[late_asn].services

@@ -46,7 +46,7 @@ class TestParallelMap:
     def test_sweep_table_identical_across_worker_counts(self):
         base = ExperimentConfig(seed=42, scale=0.2)
         serial = sweep_table(base)
-        fanned = sweep_table(base.with_workers(2))
+        fanned = sweep_table(ExperimentConfig(seed=42, scale=0.2, workers=2))
         assert fanned.to_text() == serial.to_text()
 
     def test_serial_fallback_paths(self):

@@ -30,7 +30,8 @@ class TestBottleneckAgreement:
         capacity = Mbps(10)
         topo = TopologyBuilder.line(3)
         # fluid model
-        fluid = FluidNetwork(topo, capacity_fn=lambda a, b: capacity)
+        fluid = FluidNetwork(topo)
+        fluid.capacity = lambda a, b: capacity
         flows = FlowSet([Flow(0, 2, Mbps(offered_mbps))])
         fluid_delivered = fluid.evaluate(flows).delivered_rate()
         # packet model: same bottleneck on the inter-AS links

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MitigationError
 from repro.mitigation import IngressFiltering, deployment_sample
-from repro.net import ASRole, Network, TopologyBuilder
+from repro.net import Network, TopologyBuilder
 
 
 class TestDeploymentSample:
@@ -15,16 +15,6 @@ class TestDeploymentSample:
     def test_fraction_one_everything(self):
         t = TopologyBuilder.hierarchical(seed=1)
         assert deployment_sample(t, 1.0, seed=1) == set(t.as_numbers)
-
-    def test_role_restriction(self):
-        t = TopologyBuilder.hierarchical(seed=1)
-        picked = deployment_sample(t, 1.0, seed=1, roles=[ASRole.STUB])
-        assert picked == set(t.stub_ases)
-
-    def test_always_include(self):
-        t = TopologyBuilder.hierarchical(seed=1)
-        picked = deployment_sample(t, 0.0, seed=1, always_include=[5])
-        assert picked == {5}
 
     def test_fraction_counts(self):
         t = TopologyBuilder.powerlaw(n=100, seed=1)

@@ -34,7 +34,7 @@ class TestDetectionAndLimiting:
         pb.deploy(net, net.topology.as_numbers)
         sc.run()
         assert pb.activations > 0
-        assert pb.limits_installed() > 0
+        assert any(pb.limits.values())
         assert pb.rate_limited_drops > 0
 
     def test_no_trigger_without_congestion(self):
@@ -99,7 +99,7 @@ class TestPropagation:
         pb.deploy(net, [1, 2, 4, 5], until=1.0)
         flood.launch()
         net.run(until=1.2)
-        assert pb.limits_installed() > 0
+        assert any(pb.limits.values())
         limited = set(pb.limits)
         assert 3 not in limited
         assert 2 not in limited and 1 not in limited  # behind the gap

@@ -96,8 +96,6 @@ class TestSPIE:
     def test_invalid_parameters(self):
         with pytest.raises(MitigationError):
             SpieTraceback(window=0.0)
-        with pytest.raises(MitigationError):
-            SpieTraceback(capacity_per_window=0)
 
     def test_traces_direct_packet_to_agent_as(self):
         net, sc = run_scenario("direct-spoofed")

@@ -152,12 +152,20 @@ class TestFaultInjector:
     def test_link_flap_round_trip(self):
         net, tcsp, nms = build_world()
         a, b = 0, 1  # the core-core adjacency is redundant in this topology
+        before = {pair: (net.links[pair].bandwidth, net.links[pair].delay,
+                         net.links[pair].buffer_bytes)
+                  for pair in ((a, b), (b, a))}
         plan = FaultPlan([Fault(FaultKind.LINK_FLAP, 0.1, 0.2, (a, b))])
         FaultInjector(plan, net, nmses=[nms]).arm()
         net.run(until=0.2)
         assert (a, b) not in net.links
         net.run(until=1.0)
         assert (a, b) in net.links
+        # the restored link is the backbone link it was, not a default one
+        after = {pair: (net.links[pair].bandwidth, net.links[pair].delay,
+                        net.links[pair].buffer_bytes)
+                 for pair in ((a, b), (b, a))}
+        assert after == before
 
     def test_partitioning_link_flap_skipped(self):
         net, tcsp, nms = build_world()
@@ -287,8 +295,8 @@ class TestSimulatorReset:
 
     def test_reset_clears_watchdog_timer(self):
         net, tcsp, nms = build_world()
-        nms.start_watchdog(interval=0.1)
-        net.run(until=0.35)
+        nms.start_watchdog()  # ticks every 0.25 s
+        net.run(until=0.8)
         assert nms.watchdog_ticks == 3
         net.sim.reset()
         assert nms._watchdog_event is None
@@ -298,8 +306,8 @@ class TestSimulatorReset:
 
     def test_stop_watchdog_mid_run_stops_heartbeat(self):
         net, tcsp, nms = build_world()
-        nms.start_watchdog(interval=0.1)
-        net.run(until=0.35)
+        nms.start_watchdog()  # ticks every 0.25 s
+        net.run(until=0.8)
         nms.stop_watchdog()
         net.run(until=1.0)
         assert nms.watchdog_ticks == 3

@@ -91,7 +91,7 @@ def reference_evaluate(fn: FluidNetwork, flows, filters=(), congestion=True,
         unique_links = sorted(set(inc_link))
         link_index = {lk: j for j, lk in enumerate(unique_links)}
         inc_link_arr = np.array([link_index[lk] for lk in inc_link], dtype=np.int64)
-        caps = np.array([fn.capacity_fn(a, b) for a, b in unique_links])
+        caps = np.array([fn.capacity(a, b) for a, b in unique_links])
         for _ in range(congestion_iters if congestion else 1):
             contrib = rates[inc_flow_arr] * inc_scale_arr * scale[inc_flow_arr]
             loads = np.zeros(len(unique_links), dtype=np.float64)
@@ -191,22 +191,24 @@ class TestEvaluate:
         assert r.survival_fraction("legit") == pytest.approx(0.25)
 
     def test_congestion_scales_down(self):
-        fn = FluidNetwork(TopologyBuilder.line(3),
-                          capacity_fn=lambda a, b: 1e6)
+        fn = FluidNetwork(TopologyBuilder.line(3))
+        fn.capacity = lambda a, b: 1e6
         flows = FlowSet([Flow(0, 2, 4e6)])
         r = fn.evaluate(flows)
         assert r.delivered_rate() == pytest.approx(1e6, rel=0.01)
         assert float(r.congestion_lost.sum()) == pytest.approx(3e6, rel=0.01)
 
     def test_congestion_shared_proportionally(self):
-        fn = FluidNetwork(TopologyBuilder.line(3), capacity_fn=lambda a, b: 1e6)
+        fn = FluidNetwork(TopologyBuilder.line(3))
+        fn.capacity = lambda a, b: 1e6
         flows = FlowSet([Flow(0, 2, 3e6, kind="attack"), Flow(0, 2, 1e6, kind="legit")])
         r = fn.evaluate(flows)
         assert r.delivered_rate("attack") == pytest.approx(0.75e6, rel=0.02)
         assert r.delivered_rate("legit") == pytest.approx(0.25e6, rel=0.02)
 
     def test_congestion_disabled(self):
-        fn = FluidNetwork(TopologyBuilder.line(3), capacity_fn=lambda a, b: 1e6)
+        fn = FluidNetwork(TopologyBuilder.line(3))
+        fn.capacity = lambda a, b: 1e6
         r = fn.evaluate(FlowSet([Flow(0, 2, 4e6)]), congestion=False)
         assert r.delivered_rate() == pytest.approx(4e6)
         assert r.link_load[(0, 1)] == pytest.approx(4e6)
@@ -314,7 +316,8 @@ class TestArrayProgramParity:
     @settings(deadline=None)
     def test_generated_cases_match_reference(self, case):
         topo, flows, specs, capacity, congestion = case
-        fn = FluidNetwork(topo, capacity_fn=lambda a, b: capacity)
+        fn = FluidNetwork(topo)
+        fn.capacity = lambda a, b: capacity
         result = fn.evaluate(flows, [build_filter(s, topo, fn) for s in specs],
                              congestion=congestion)
         ref = reference_evaluate(fn, flows,

@@ -107,7 +107,8 @@ class TestFluidConservation:
         import numpy as np
 
         topo = TopologyBuilder.powerlaw(n=25, m=2, seed=seed)
-        fluid = FluidNetwork(topo, capacity_fn=lambda a, b: 1e6)
+        fluid = FluidNetwork(topo)
+        fluid.capacity = lambda a, b: 1e6
         rng = np.random.default_rng(seed + 1)
         nodes = topo.as_numbers
         flows = FlowSet([

@@ -4,13 +4,14 @@ import pytest
 
 
 class TestProbeObserverBounds:
-    def test_max_records_bound(self):
+    def test_max_records_bound(self, monkeypatch):
         from repro.core import NetworkUser
-        from repro.core.apps.debugging import ProbeObserver
+        from repro.core.apps import debugging
         from repro.core.components import ComponentContext
         from repro.net import IPv4Address, Packet, Prefix
 
-        observer = ProbeObserver(max_records=3)
+        monkeypatch.setattr(debugging, "MAX_RECORDS", 3)
+        observer = debugging.ProbeObserver()
         ctx = ComponentContext(
             now=0.0, asn=1, is_transit=False,
             local_prefix=Prefix.parse("10.0.0.0/16"), stage="dest",
@@ -65,28 +66,3 @@ class TestFmtHelpers:
         t = Table("x", ["a"])
         with pytest.raises(ValueError):
             t.column("nope")
-
-    def test_online_stats_stdev(self):
-        from repro.util import OnlineStats
-
-        s = OnlineStats()
-        for x in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            s.add(x)
-        assert s.stdev == pytest.approx(2.138, abs=0.01)
-
-
-class TestSpawnGeneratorSeeding:
-    def test_traffic_generator_accepts_generator_seed(self):
-        from repro.attack import TrafficGenerator
-        from repro.net import Network, Packet, TopologyBuilder
-        from repro.util import derive_rng
-
-        net = Network(TopologyBuilder.line(2))
-        a = net.add_host(0)
-        b = net.add_host(1)
-        gen = TrafficGenerator(a, lambda s, t: Packet.udp(a.address, b.address),
-                               rate_pps=100.0, duration=0.1, poisson=True,
-                               seed=derive_rng(5, "g"))
-        gen.install()
-        net.run()
-        assert gen.sent > 0

@@ -27,6 +27,22 @@ class TestCustomLinkParams:
         assert net.link_between(0, 1).bandwidth == Mbps(100)
         assert net.link_between(1, 0).bandwidth == Mbps(10)
 
+    def test_restored_link_keeps_its_custom_params(self):
+        def chooser(a, b):
+            bw = Mbps(100) if a < b else Mbps(10)
+            return LinkParams(bandwidth=bw, delay=ms(3), buffer_bytes=12_345)
+
+        topology = TopologyBuilder.star(3)
+        topology.graph.add_edge(1, 2)  # a redundant leaf-leaf adjacency
+        net = Network(topology, link_params_fn=chooser)
+        net.fail_link(2, 1)
+        net.restore_link(1, 2)
+        for x, y in ((1, 2), (2, 1)):
+            link = net.link_between(x, y)
+            want = chooser(x, y)
+            assert (link.bandwidth, link.delay, link.buffer_bytes) == (
+                want.bandwidth, want.delay, want.buffer_bytes)
+
 
 class TestByteHopAccounting:
     def test_delivered_traffic_counts_hops(self):

@@ -150,13 +150,6 @@ class TestPeriodic:
         sim.run()
         assert len(ticks) == 3
 
-    def test_explicit_start(self):
-        sim = Simulator()
-        ticks = []
-        sim.schedule_every(2.0, lambda: ticks.append(sim.now), start=0.5, until=5.0)
-        sim.run()
-        assert ticks == [0.5, 2.5, 4.5]
-
     def test_bad_interval(self):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -111,7 +111,7 @@ class TestTopologyQueries:
 
     def test_add_hosts_unique(self):
         t = TopologyBuilder.star(3)
-        addrs = t.add_hosts(2, 10)
+        addrs = [t.add_host(2) for _ in range(10)]
         assert len(set(addrs)) == 10
 
     def test_disconnected_graph_rejected(self):

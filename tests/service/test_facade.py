@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComponentGraph, NetworkUser, OwnershipRegistry
 from repro.core.components import (
+    BURST_BYTES,
     HeaderFilter,
     HeaderMatch,
     PrefixBlacklist,
@@ -15,6 +16,8 @@ from repro.service import ManualClock, ServiceFacade, TrafficController
 from repro.service.core import FLOW_CACHE_CAPACITY
 from repro.service.facade import DROP_ADMISSION, PASS_DIRECT, Verdict
 from repro.util import TokenBucket
+
+SIZE = int(BURST_BYTES)  # one packet this size drains a rate limiter's bucket
 
 A = IPv4Address.parse
 
@@ -253,28 +256,26 @@ class TestClockSeam:
         facade = ServiceFacade(clock=clock)
         user = NetworkUser("acme", prefixes=[Prefix.parse("10.1.0.0/16")])
         g = ComponentGraph("rl")
-        g.chain(RateLimiterComponent("limit", rate_bps=8 * 512.0,
-                                     burst_bytes=512.0))
+        g.chain(RateLimiterComponent("limit", rate_bps=8 * BURST_BYTES))
         facade.subscribe(user, dst_graph=g)
-        assert facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
+        assert facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
         # bucket empty, no time has passed
-        assert not facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
-        clock.advance(1.0)  # refills 512 bytes
-        assert facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
+        assert not facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
+        clock.advance(1.0)  # refills a whole burst
+        assert facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
 
     def test_sim_clock_drives_the_same_facade(self):
         sim = Simulator()
         facade = ServiceFacade(clock=sim.clock)
         user = NetworkUser("acme", prefixes=[Prefix.parse("10.1.0.0/16")])
         g = ComponentGraph("rl")
-        g.chain(RateLimiterComponent("limit", rate_bps=8 * 512.0,
-                                     burst_bytes=512.0))
+        g.chain(RateLimiterComponent("limit", rate_bps=8 * BURST_BYTES))
         facade.subscribe(user, dst_graph=g)
-        assert facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
-        assert not facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
+        assert facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
+        assert not facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
         sim.schedule(1.0, int)
         sim.run()
-        assert facade.check("172.16.0.1", "10.1.0.5", size=512).allowed
+        assert facade.check("172.16.0.1", "10.1.0.5", size=SIZE).allowed
 
     def test_explicit_now_overrides_the_clock(self):
         facade, _ = make_facade()

@@ -157,7 +157,7 @@ class TestSpaceSaving:
         ss.update_batch(keys)
         true = _true_counts(keys)
         for key, count in ss.top():
-            assert ss.guaranteed(key) <= true[key] <= count
+            assert count - ss.errors[key] <= true[key] <= count
 
     def test_heavy_keys_always_monitored(self):
         keys = _zipf_stream(21, n=10_000, fan_in=500)
@@ -198,7 +198,7 @@ class TestSpaceSaving:
         true = _true_counts(np.concatenate([left, right]))
         a.merge(b)
         for key, count in a.top():
-            assert a.guaranteed(key) <= true.get(key, 0) <= count
+            assert count - a.errors[key] <= true.get(key, 0) <= count
 
 
 def _state_fingerprint(seed):

@@ -1,61 +1,8 @@
-"""Unit tests for OnlineStats and WindowedCounter."""
+"""Unit tests for WindowedCounter."""
 
-import math
-
-import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.util import OnlineStats, WindowedCounter
-
-
-class TestOnlineStats:
-    def test_empty(self):
-        s = OnlineStats()
-        assert s.n == 0
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_simple_sequence(self):
-        s = OnlineStats()
-        for x in (1.0, 2.0, 3.0, 4.0):
-            s.add(x)
-        assert s.mean == 2.5
-        assert s.min == 1.0
-        assert s.max == 4.0
-        assert math.isclose(s.variance, np.var([1, 2, 3, 4], ddof=1))
-
-    @given(xs=st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=200))
-    def test_matches_numpy(self, xs):
-        s = OnlineStats()
-        for x in xs:
-            s.add(x)
-        assert math.isclose(s.mean, float(np.mean(xs)), rel_tol=1e-9, abs_tol=1e-6)
-        assert math.isclose(s.variance, float(np.var(xs, ddof=1)), rel_tol=1e-6, abs_tol=1e-3)
-
-    @given(
-        xs=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50),
-        ys=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50),
-    )
-    def test_merge_equals_concatenation(self, xs, ys):
-        a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-        for x in xs:
-            a.add(x)
-            c.add(x)
-        for y in ys:
-            b.add(y)
-            c.add(y)
-        a.merge(b)
-        assert a.n == c.n
-        assert math.isclose(a.mean, c.mean, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(a.variance, c.variance, rel_tol=1e-6, abs_tol=1e-6)
-
-    def test_merge_with_empty(self):
-        a, b = OnlineStats(), OnlineStats()
-        a.add(5.0)
-        a.merge(b)
-        assert a.n == 1 and a.mean == 5.0
-        b.merge(a)
-        assert b.n == 1 and b.mean == 5.0
+from repro.util import WindowedCounter
 
 
 class TestWindowedCounter:
@@ -107,4 +54,3 @@ class TestWindowedCounter:
             assert w.total(now) == naive
             assert w.rate(now) == (naive / window if window > 0 else 0.0)
             assert len(w) == sum(1 for t, _ in events if t >= now - window)
-

@@ -35,7 +35,7 @@ re-runs all of these at reduced scale.
 | E3 | Sec. 3.2 [15] | route-based filtering highly effective at ~20% AS coverage | yes — <1% survival at 20% top-degree deployment, robust under valley-free routing |
 | E4 | Sec. 4.3, 6 | TCS stops attacks close to the source and frees transport resources | yes — drop distance 0 hops; byte-hops fall 1:1 with victim protection |
 | E5 | Sec. 4.5 | every misuse avenue is closed | yes — 10/10 attempts blocked |
-| E6 | Sec. 5.3 | rules scale with subscribers, not hosts; redirect check is cheap | yes — linear in subscribers, flat in hosts |
+| E6 | Sec. 5.3 | rules scale with subscribers, not hosts; redirect check is cheap | yes — linear in subscribers, flat in hosts; CAIDA-scale (18k AS) fluid tables + 34x batched forwarding (like-for-like micro-benchmark) |
 | E7 | Sec. 5.1, Figs. 3-5 | one registration covers all ISPs; direct NMS path survives a DDoS on the TCSP | yes |
 | E8 | Sec. 4.3 | protocol-misuse (RST/ICMP) teardown attacks can be filtered out | yes — 0% -> 100% connection survival |
 | E9 | Sec. 3.1, 4.4 | traceback yields "a wrong attack source — the reflectors" | yes — all three traceback methods name only reflectors |
