@@ -59,23 +59,16 @@ class ConnectionPool:
         )
         if not teardown:
             return None
+        # the teardown must claim to come from the connection's peer: an
+        # ICMP unreachable says the peer became unreachable, an RST that
+        # the peer reset the connection
+        src = int(packet.src)
         for conn in self.connections:
-            if not conn.alive:
-                continue
-            if packet.proto is Protocol.ICMP:
-                # ICMP unreachable claims the *peer* became unreachable
-                if int(packet.src) == conn.peer or packet.icmp_type is ICMPType.HOST_UNREACHABLE:
-                    conn.alive = False
-                    conn.killed_at = now
-                    conn.killed_by = "icmp"
-                    break
-            else:
-                # RST must claim to come from the connection's peer
-                if int(packet.src) == conn.peer:
-                    conn.alive = False
-                    conn.killed_at = now
-                    conn.killed_by = "rst"
-                    break
+            if conn.alive and src == conn.peer:
+                conn.alive = False
+                conn.killed_at = now
+                conn.killed_by = "icmp" if packet.proto is Protocol.ICMP else "rst"
+                break
         return None
 
     @property

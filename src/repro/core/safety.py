@@ -25,8 +25,6 @@ prevented from the very beginning":
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.errors import SafetyViolation, VettingError
 from repro.core.components import Component
 from repro.net.packet import Packet
@@ -35,7 +33,6 @@ __all__ = [
     "FORBIDDEN_HEADER_FIELDS",
     "MAX_EXTRA_TRAFFIC_BPS",
     "vet_component",
-    "PacketSnapshot",
     "SafetyMonitor",
 ]
 
@@ -76,26 +73,14 @@ def vet_component(component: Component) -> None:
         )
 
 
-class PacketSnapshot(NamedTuple):
-    """Immutable copy of the safety-relevant header fields."""
-
-    src: int
-    dst: int
-    ttl: int
-    size: int
-
-    @classmethod
-    def of(cls, packet: Packet) -> "PacketSnapshot":
-        return cls(packet.src.value, packet.dst.value, packet.ttl, packet.size)
-
-
 class SafetyMonitor:
     """Runtime enforcement of the Sec. 4.5 conservation invariants.
 
-    The adaptive device snapshots each packet before a service graph runs
-    and calls :meth:`check` afterwards.  Violations raise
-    :class:`SafetyViolation`; the device disables the offending service
-    ("countermeasures against effects of misconfigurations and misuse").
+    The decision core reads each packet's src, dst, TTL and size before a
+    service graph runs and hands them, with what the graph let out, to
+    :meth:`check`.  Violations raise :class:`SafetyViolation`; the core
+    disables the offending service ("countermeasures against effects of
+    misconfigurations and misuse").
     """
 
     def __init__(self) -> None:
@@ -105,37 +90,35 @@ class SafetyMonitor:
         self.bytes_out = 0
         self.violations = 0
 
-    def note_in(self, packet: Packet) -> PacketSnapshot:
+    def check(self, src: int, dst: int, ttl: int, size: int,
+              packet: Packet | None, service_name: str) -> None:
+        """Account one packet into a service (its header held ``src``,
+        ``dst``, ``ttl`` and ``size`` on the way in) and validate what the
+        service let out: the packet, or None for a drop."""
         self.packets_in += 1
-        self.bytes_in += packet.size
-        return PacketSnapshot.of(packet)
-
-    def check(self, before: PacketSnapshot, packet: Packet | None,
-              service_name: str) -> None:
-        """Validate the packet (or its drop) against the pre-snapshot."""
-        if packet is None:  # dropped: conservation trivially holds
+        self.bytes_in += size
+        if packet is not None:
+            if packet.src.value != src or packet.dst.value != dst:
+                self.violations += 1
+                raise SafetyViolation(
+                    f"service {service_name!r} rewrote src/dst addresses "
+                    f"(rerouting could 'wreak havoc easily', Sec. 4.5)"
+                )
+            if packet.ttl != ttl:
+                self.violations += 1
+                raise SafetyViolation(
+                    f"service {service_name!r} modified the TTL field (Sec. 4.5)"
+                )
+            if packet.size > size:
+                self.violations += 1
+                raise SafetyViolation(
+                    f"service {service_name!r} grew the packet from "
+                    f"{size} to {packet.size} bytes: byte amplification"
+                )
+            self.packets_out += 1
+            self.bytes_out += packet.size
+        if self.packets_out > self.packets_in or self.bytes_out > self.bytes_in:
             self._assert_conservation(service_name)
-            return
-        if int(packet.src) != before.src or int(packet.dst) != before.dst:
-            self.violations += 1
-            raise SafetyViolation(
-                f"service {service_name!r} rewrote src/dst addresses "
-                f"(rerouting could 'wreak havoc easily', Sec. 4.5)"
-            )
-        if packet.ttl != before.ttl:
-            self.violations += 1
-            raise SafetyViolation(
-                f"service {service_name!r} modified the TTL field (Sec. 4.5)"
-            )
-        if packet.size > before.size:
-            self.violations += 1
-            raise SafetyViolation(
-                f"service {service_name!r} grew the packet from "
-                f"{before.size} to {packet.size} bytes: byte amplification"
-            )
-        self.packets_out += 1
-        self.bytes_out += packet.size
-        self._assert_conservation(service_name)
 
     def _assert_conservation(self, service_name: str) -> None:
         if self.packets_out > self.packets_in:

@@ -363,6 +363,14 @@ class ReplicatedBackend:
         self._m_repairs = _REPAIRS.labelled()
         self._m_replica_crashes = _REPLICA_CRASHES.labelled()
         self._lag_hist = _LAG_HIST.labelled()
+        if sim is not None:
+            sim.add_reset_hook(self._on_sim_reset)
+
+    def _on_sim_reset(self) -> None:
+        """A simulator reset drops the scheduled deliveries, so nothing is
+        in flight any more; re-arm for the next reset (hooks run once)."""
+        self._in_flight.clear()
+        self.sim.add_reset_hook(self._on_sim_reset)
 
     # ------------------------------------------------------------- accounting
     @property

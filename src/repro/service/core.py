@@ -28,7 +28,7 @@ the core itself declares no metric families and can run registry-free.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import DeploymentError, SafetyViolation
 from repro.core.components import ComponentContext, Verdict
@@ -41,7 +41,6 @@ from repro.net.packet import Packet, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.device import DeviceContext, ServiceInstance
-    from repro.policy.compiler import CompiledPolicy
 
 __all__ = ["DecisionCore", "FLOW_CACHE_CAPACITY"]
 
@@ -67,7 +66,8 @@ class DecisionCore:
 
     __slots__ = ("context", "registry", "services", "strict", "stage_order",
                  "flow_cache", "flow_cache_capacity", "_flow_cache_version",
-                 "generation",
+                 "generation", "_site", "_source_first",
+                 "_claimed", "_claimed_entry",
                  "m_redirected", "m_dropped", "m_safety_disables",
                  "m_fc_hits", "m_fc_misses")
 
@@ -89,13 +89,23 @@ class DecisionCore:
         #: ("first sending ... and then receiving", Sec. 4.1); "dst-first"
         #: exists only for the E13 ablation.
         self.stage_order = stage_order
-        #: per-flow fast path: 4-tuple -> (src_owner, dst_owner,
-        #: redirect?, src int, dst int), so repeat packets of a flow skip
-        #: both ownership LPM walks, the service-membership check and
-        #: address parsing.
+        #: per stage in order, whether it is the source stage
+        self._source_first = ((False, True) if stage_order == "dst-first"
+                              else (True, False))
+        #: the context fields every stage sees (DeviceContext is frozen)
+        self._site = (context.asn, context.is_transit, context.local_prefix)
+        #: per-flow fast path: 4-tuple -> (src_owner, dst_owner, False),
+        #: or (src_owner, dst_owner, True, src address, dst address) for a
+        #: redirected flow, so repeat packets of a flow skip both ownership
+        #: LPM walks, the service-membership check and address parsing,
+        #: and a live check builds no address object.
         self.flow_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self.flow_cache_capacity = flow_cache_capacity
         self._flow_cache_version = registry.version
+        #: the packet :meth:`wants` last redirected, and its entry, for
+        #: :meth:`process` to take instead of probing again
+        self._claimed: Optional[Packet] = None
+        self._claimed_entry: Optional[tuple] = None
         #: policy generation: bumped on every install (hot swaps included),
         #: uninstall and activation flip, so observers can tag cached
         #: decisions and verify a swap took effect atomically
@@ -117,7 +127,7 @@ class DecisionCore:
         Every graph compiles before anything is mutated, so a rejected
         graph leaves the installed policy untouched.  A new service flushes
         the flow cache; a hot swap onto an existing one keeps it, since
-        entries hold no program (:meth:`_stages` reads them per check).
+        entries hold no program (:meth:`run_stages` reads them per check).
         """
         from repro.core.device import ServiceInstance
 
@@ -166,26 +176,23 @@ class DecisionCore:
         """Drop every cached per-flow decision and advance the policy
         generation: for a change to which flows are redirected."""
         self.flow_cache.clear()
+        self._claimed = self._claimed_entry = None
         self.generation += 1
 
-    def synced_cache(self) -> "OrderedDict[tuple, tuple]":
-        """The flow cache, cleared first if the ownership registry changed
-        since the last lookup (detected via its version counter)."""
+    def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
+        """Resolve ``(src_owner, dst_owner, redirect?)`` for one flow
+        4-tuple, plus its two :class:`IPv4Address` objects when redirected
+        (addresses keyed as given, int or dotted quad, and parsed only on a
+        miss), caching the answer.
+
+        Entries survive until the LRU evicts them, :meth:`invalidate` runs,
+        or the ownership registry changes (detected via its version
+        counter, which clears the cache before the probe).
+        """
         cache = self.flow_cache
         if self._flow_cache_version != self.registry.version:
             cache.clear()
             self._flow_cache_version = self.registry.version
-        return cache
-
-    def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
-        """Resolve ``(src_owner, dst_owner, redirect?, src, dst)`` for one
-        flow 4-tuple (addresses keyed as given, int or dotted quad, and
-        parsed to the two ints only on a miss), caching the answer.
-
-        Entries survive until the LRU evicts them, :meth:`invalidate` runs,
-        or the ownership registry changes.
-        """
-        cache = self.synced_cache()
         key = (src, dst, proto, dport)
         entry = cache.get(key)
         if entry is not None:
@@ -194,10 +201,15 @@ class DecisionCore:
             return entry
         return self.flow_miss(key)
 
-    def flow_miss(self, key: tuple) -> tuple:
+    def flow_miss(self, key: tuple, packet: Optional[Packet] = None) -> tuple:
         """Slow path: parse each address once and resolve its owner via
         the registry (a bad address raises before anything is counted or
-        cached), then cache the result."""
+        cached), then cache the result.
+
+        Only a redirected entry holds the flow's two addresses: the
+        ``packet``'s own objects when one is given, else built here, once
+        per flow.
+        """
         src, dst = key[0], key[1]
         if type(src) is not int:
             src = _as_int(src)
@@ -212,9 +224,15 @@ class DecisionCore:
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
         # only *active* services claim the flow; whatever changes that
         # invalidates the cache so entries never go stale
-        wants = ((src_inst is not None and src_inst.active)
-                 or (dst_inst is not None and dst_inst.active))
-        entry = (src_owner, dst_owner, wants, src, dst)
+        if ((src_inst is not None and src_inst.active)
+                or (dst_inst is not None and dst_inst.active)):
+            if packet is not None:
+                entry = (src_owner, dst_owner, True, packet.src, packet.dst)
+            else:
+                entry = (src_owner, dst_owner, True,
+                         IPv4Address(src), IPv4Address(dst))
+        else:
+            entry = (src_owner, dst_owner, False)
         cache = self.flow_cache
         cache[key] = entry
         if len(cache) > self.flow_cache_capacity:
@@ -227,6 +245,8 @@ class DecisionCore:
 
         Mirrors :meth:`flow_entry` inline — this is the single hottest
         call in the simulator, so it spends no extra stack frame on a hit.
+        A redirected packet's entry is handed to :meth:`process`, so the
+        decision probes the cache once.
         """
         cache = self.flow_cache
         if self._flow_cache_version != self.registry.version:
@@ -234,89 +254,83 @@ class DecisionCore:
             self._flow_cache_version = self.registry.version
         key = (packet.src.value, packet.dst.value, packet.proto, packet.dport)
         entry = cache.get(key)
-        if entry is not None:
+        if entry is None:
+            entry = self.flow_miss(key, packet)
+        else:
             self.m_fc_hits.value += 1
             cache.move_to_end(key)
-            return entry[2]
-        return self.flow_miss(key)[2]
+        if entry[2]:
+            self._claimed, self._claimed_entry = packet, entry
+            return True
+        return False
 
     # --------------------------------------------------------------- pipeline
     def process(self, packet: Packet, now: float,
                 ingress_asn: Optional[int]) -> Optional[Packet]:
-        """Run the two processing stages; None means the packet was dropped."""
+        """Run the two processing stages; None means the packet was dropped.
+
+        Takes the owners from the entry :meth:`wants` handed over for this
+        packet, and probes the flow cache only when there is none.
+        """
         self.m_redirected.value += 1
-        entry = self.flow_entry(
-            packet.src.value, packet.dst.value, packet.proto, packet.dport)
+        if packet is self._claimed:
+            entry = self._claimed_entry
+            self._claimed = self._claimed_entry = None
+        else:
+            entry = self.flow_entry(
+                packet.src.value, packet.dst.value, packet.proto, packet.dport)
         return self.run_stages(packet, entry[0], entry[1], now, ingress_asn)
 
     def run_stages(self, packet: Packet, src_owner: Optional[NetworkUser],
                    dst_owner: Optional[NetworkUser], now: float,
                    ingress_asn: Optional[int]) -> Optional[Packet]:
         """The two-stage loop with owners already resolved (shared by
-        :meth:`process` and the live facade)."""
-        for owner, stage, instance, program in self._stages(src_owner,
-                                                            dst_owner):
-            packet_after = self._run_stage(
-                packet, instance, program,
-                self._context(owner, stage, now, ingress_asn))
-            if packet_after is None:
-                self.m_dropped.value += 1
-                return None
-            packet = packet_after
-        return packet
+        :meth:`process` and the live facade).
 
-    def _stages(self, src_owner: Optional[NetworkUser],
-                dst_owner: Optional[NetworkUser]) -> Iterator[tuple]:
-        """Yield ``(owner, stage, instance, program)`` for every stage
-        program that runs, in stage order.
-
-        Each stage is checked only when the caller reaches it, so a
-        service disabled by a violation in the first stage does not run
-        in the second.
+        Each stage is checked only when the loop reaches it, so a service
+        disabled by a violation in the first stage does not run in the
+        second.  Each stage runs under its service's Sec. 4.5 monitor.
         """
-        stages = [(src_owner, "source"), (dst_owner, "dest")]
-        if self.stage_order == "dst-first":  # E13 ablation only
-            stages.reverse()
-        for owner, stage in stages:
+        services = self.services
+        asn, is_transit, local_prefix = self._site
+        for source in self._source_first:
+            owner = src_owner if source else dst_owner
             if owner is None:
                 continue
-            instance = self.services.get(owner.user_id)
+            instance = services.get(owner.user_id)
             if (instance is None or not instance.active
                     or instance.disabled_for_violation):
                 continue
-            program = (instance.src_program if stage == "source"
-                       else instance.dst_program)
-            if program is not None:
-                yield owner, stage, instance, program
-
-    def _context(self, owner: NetworkUser, stage: str, now: float,
-                 ingress_asn: Optional[int]) -> ComponentContext:
-        """The Sec. 4.2 contextual information one stage's graph sees."""
-        context = self.context
-        # positional (keywords cost a dict per owned check), in field order
-        return ComponentContext(now, context.asn, context.is_transit,
-                                context.local_prefix, stage, owner,
-                                ingress_asn, ingress_asn is None)
-
-    def _run_stage(self, packet: Packet, instance: "ServiceInstance",
-                   program: "CompiledPolicy",
-                   ctx: ComponentContext) -> Optional[Packet]:
-        before = instance.monitor.note_in(packet)
-        verdict = program.process(packet, ctx)
-        result = packet if verdict is Verdict.PASS else None
-        try:
-            instance.monitor.check(before, result, program.graph.name)
-        except SafetyViolation:
-            # Sec. 4.5: contain the misbehaving service immediately.
-            instance.disabled_for_violation = True
-            self.m_safety_disables.value += 1
-            if self.strict:
-                raise
-            # fail-safe containment: undo the forbidden mutations and let
-            # the packet continue on the normal path
-            packet.src = IPv4Address(before.src)
-            packet.dst = IPv4Address(before.dst)
-            packet.ttl = before.ttl
-            packet.size = before.size
-            return packet
-        return result
+            program = instance.src_program if source else instance.dst_program
+            if program is None:
+                continue
+            # the Sec. 4.5 fields as the stage receives them
+            src, dst = packet.src.value, packet.dst.value
+            ttl, size = packet.ttl, packet.size
+            # the Sec. 4.2 context, positional (keywords cost a dict per
+            # owned check), in field order
+            verdict = program.process(packet, ComponentContext(
+                now, asn, is_transit, local_prefix,
+                "source" if source else "dest", owner,
+                ingress_asn, ingress_asn is None))
+            result = packet if verdict is Verdict.PASS else None
+            try:
+                instance.monitor.check(src, dst, ttl, size, result,
+                                       program.graph.name)
+            except SafetyViolation:
+                # Sec. 4.5: contain the misbehaving service immediately.
+                instance.disabled_for_violation = True
+                self.m_safety_disables.value += 1
+                if self.strict:
+                    raise
+                # fail-safe containment: undo the forbidden mutations and
+                # let the packet continue on the normal path
+                packet.src = IPv4Address(src)
+                packet.dst = IPv4Address(dst)
+                packet.ttl = ttl
+                packet.size = size
+                continue
+            if result is None:
+                self.m_dropped.value += 1
+                return None
+        return packet

@@ -29,8 +29,8 @@ from repro.core.device import DeviceContext
 from repro.core.graph import ComponentGraph
 from repro.errors import AddressError, DeploymentError
 from repro.core.ownership import NetworkUser, OwnershipRegistry
-from repro.net.addressing import IPv4Address, Prefix, _as_int
-from repro.net.packet import Packet, Protocol
+from repro.net.addressing import Prefix, _as_int
+from repro.net.packet import DEFAULT_TTL, Packet, Protocol
 from repro.net.topology import ASRole
 from repro.obs.metrics import declare
 from repro.service.clock import Clock, WallClock
@@ -194,8 +194,9 @@ class ServiceFacade:
 
         ``src``/``dst`` accept ints, :class:`IPv4Address`, or dotted
         strings, which key the flow cache as given: a cached flow parses
-        nothing, since its entry holds both addresses as ints.  A non-IPv4
-        address raises ``AddressError``.
+        nothing.  An owned check runs its :class:`Packet`, built from the
+        two address objects its flow's entry holds, through the two
+        stages.  A non-IPv4 address raises ``AddressError``.
         """
         core = self.core
         entry = core.flow_entry(src, dst, proto, dport)
@@ -206,8 +207,9 @@ class ServiceFacade:
         self._m_redirected.value += 1
         if now is None:
             now = self.clock.now()
-        packet = Packet(IPv4Address(entry[3]), IPv4Address(entry[4]),
-                        proto=proto, size=size, sport=sport, dport=dport)
+        # positional, in field order (keywords cost a dict per check)
+        packet = Packet(entry[3], entry[4], proto, size, DEFAULT_TTL,
+                        sport, dport)
         allowed = core.run_stages(packet, src_owner, dst_owner, now,
                                   None) is not None
         if allowed:

@@ -5,6 +5,7 @@ import pytest
 from repro.attack import ConnectionPool, ProtocolMisuseAttack
 from repro.errors import AttackConfigError
 from repro.net import Network, Packet, TopologyBuilder
+from repro.net.packet import ICMPType
 
 
 def setup():
@@ -38,6 +39,20 @@ class TestConnectionPool:
         net, victim, peers, attacker, pool = setup()
         rst = Packet.tcp_rst(attacker.address, victim.address)
         victim.receive(rst, None)
+        assert pool.alive_count == 3
+
+    def test_icmp_unreachable_from_peer_kills_connection(self):
+        net, victim, peers, attacker, pool = setup()
+        victim.receive(Packet.icmp(peers[1].address, victim.address,
+                                   ICMPType.HOST_UNREACHABLE), None)
+        killed = [c for c in pool.connections if not c.alive]
+        assert [c.peer for c in killed] == [int(peers[1].address)]
+        assert killed[0].killed_by == "icmp"
+
+    def test_icmp_unreachable_from_stranger_harmless(self):
+        net, victim, peers, attacker, pool = setup()
+        victim.receive(Packet.icmp(attacker.address, victim.address,
+                                   ICMPType.HOST_UNREACHABLE), None)
         assert pool.alive_count == 3
 
     def test_ordinary_traffic_harmless(self):

@@ -180,7 +180,8 @@ class TestProcessFastPath:
         assert device.wants(pkt)
         out = device.process(pkt, 0.0, None)
         assert out is not None
-        assert device.flow_cache_hits >= 1  # process reused the wants entry
+        # process took the entry wants found: one probe for the decision
+        assert (device.flow_cache_misses, device.flow_cache_hits) == (1, 0)
 
     def test_process_drop_still_counted(self):
         device, users, _ = make_device()

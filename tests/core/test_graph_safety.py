@@ -15,7 +15,7 @@ from repro.core.components import (
     PrefixBlacklist,
     Verdict,
 )
-from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, PacketSnapshot
+from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS
 from repro.errors import ComponentGraphError, SafetyViolation, VettingError
 from repro.net import IPv4Address, Packet, Prefix, Protocol
 from repro.policy import compile_policy
@@ -243,57 +243,64 @@ class TestSafetyMonitor:
     def _pkt(self, size=100):
         return Packet.udp(A("10.1.0.1"), A("10.2.0.1"), size=size)
 
+    @staticmethod
+    def _header(pkt):
+        """What the decision core reads before a stage runs."""
+        return int(pkt.src), int(pkt.dst), pkt.ttl, pkt.size
+
     def test_clean_pass(self):
         m = SafetyMonitor()
         pkt = self._pkt()
-        before = m.note_in(pkt)
-        m.check(before, pkt, "svc")
+        m.check(*self._header(pkt), pkt, "svc")
         assert m.conserving
         assert m.violations == 0
 
     def test_drop_is_conserving(self):
         m = SafetyMonitor()
-        before = m.note_in(self._pkt())
-        m.check(before, None, "svc")
+        m.check(*self._header(self._pkt()), None, "svc")
         assert m.conserving
 
     def test_address_rewrite_detected(self):
         m = SafetyMonitor()
         pkt = self._pkt()
-        before = m.note_in(pkt)
+        before = self._header(pkt)
         pkt.dst = A("10.3.0.1")
         with pytest.raises(SafetyViolation, match="src/dst"):
-            m.check(before, pkt, "svc")
+            m.check(*before, pkt, "svc")
         assert m.violations == 1
 
     def test_ttl_rewrite_detected(self):
         m = SafetyMonitor()
         pkt = self._pkt()
-        before = m.note_in(pkt)
+        before = self._header(pkt)
         pkt.ttl += 10
         with pytest.raises(SafetyViolation, match="TTL"):
-            m.check(before, pkt, "svc")
+            m.check(*before, pkt, "svc")
 
     def test_size_growth_detected(self):
         m = SafetyMonitor()
         pkt = self._pkt(size=100)
-        before = m.note_in(pkt)
+        before = self._header(pkt)
         pkt.size = 200
         with pytest.raises(SafetyViolation, match="amplification"):
-            m.check(before, pkt, "svc")
+            m.check(*before, pkt, "svc")
 
     def test_shrink_allowed(self):
         m = SafetyMonitor()
         pkt = self._pkt(size=100)
-        before = m.note_in(pkt)
+        before = self._header(pkt)
         pkt.size = 50
-        m.check(before, pkt, "svc")
+        m.check(*before, pkt, "svc")
         assert m.bytes_out == 50
 
-    def test_snapshot_of(self):
+    def test_check_counts_the_size_read_before(self):
+        m = SafetyMonitor()
         pkt = self._pkt(size=77)
-        snap = PacketSnapshot.of(pkt)
-        assert snap.size == 77 and snap.ttl == pkt.ttl
+        before = self._header(pkt)
+        pkt.size = 40  # a scrubber's shrink
+        m.check(*before, pkt, "svc")
+        assert (m.packets_in, m.bytes_in, m.packets_out, m.bytes_out) == (
+            1, 77, 1, 40)
 
     @given(sizes=st.lists(st.integers(min_value=20, max_value=1500), min_size=1, max_size=50),
            drop_pattern=st.lists(st.booleans(), min_size=1, max_size=50))
@@ -304,9 +311,8 @@ class TestSafetyMonitor:
         m = SafetyMonitor()
         for i, size in enumerate(sizes):
             pkt = self._pkt(size=size)
-            before = m.note_in(pkt)
             dropped = drop_pattern[i % len(drop_pattern)]
-            m.check(before, None if dropped else pkt, "svc")
+            m.check(*self._header(pkt), None if dropped else pkt, "svc")
         assert m.conserving
         assert m.packets_out <= m.packets_in
         assert m.bytes_out <= m.bytes_in

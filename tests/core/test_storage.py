@@ -292,6 +292,19 @@ class TestTombstoneCollection:
         assert rep._latest == {}
         assert all(r.records == {} for r in rep.replicas)
 
+    def test_simulator_reset_forgets_the_dropped_deliveries(self):
+        sim = Simulator()
+        rep = ReplicatedBackend(3, seed=2, replication_lag=0.05, sim=sim)
+        for _ in range(2):  # the second reset needs the hook re-armed
+            for i in range(100):
+                rep.put("t", f"k{i}", i)
+                assert rep.delete("t", f"k{i}")
+            sim.reset()       # the follower deliveries never arrive
+            rep.anti_entropy()
+            rep.anti_entropy()
+            assert rep._latest == {}
+            assert all(r.records == {} for r in rep.replicas)
+
     def test_live_record_is_never_collected(self):
         rep = ReplicatedBackend(3, seed=3)
         rep.put("t", "k", 1)

@@ -109,7 +109,10 @@ class TestFlowCache:
         assert len(core.flow_cache) == 1
         core.registry.register(
             NetworkUser("globex", prefixes=[Prefix.parse("10.2.0.0/16")]))
-        assert len(core.synced_cache()) == 0
+        # the next probe finds the cache cleared: the same flow misses
+        assert core.wants(Packet.udp(A("10.8.0.1"), A("10.1.0.1")))
+        assert (core.m_fc_misses.value, core.m_fc_hits.value) == (2, 0)
+        assert len(core.flow_cache) == 1
 
     def test_unpickled_protocol_hits_the_same_entry(self):
         # Protocol hashes by identity; unpickling returns the same member

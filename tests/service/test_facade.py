@@ -201,7 +201,11 @@ class TestFlowCacheFlushes:
             facade.check("203.0.113.9", "10.1.0.5")
             assert len(facade.core.flow_cache) == 1
             flush()
-            assert len(facade.core.synced_cache()) == 0
+            # the next probe finds the cache cleared: the same flow misses
+            misses = facade.core.m_fc_misses.value
+            facade.check("203.0.113.9", "10.1.0.5")
+            assert facade.core.m_fc_misses.value == misses + 1
+            assert len(facade.core.flow_cache) == 1
 
     def test_dotted_quad_and_int_keys_agree(self):
         facade, _ = make_facade()

@@ -326,7 +326,7 @@ backends; congestion conclusions require the packet engine.
 ## Reproduction environment
 
 * `python -m repro.experiments --seed 42 --scale 1.0`
-* Python 3.11, numpy/scipy/networkx only, no network access.
+* Python 3.11, numpy/networkx only, no network access.
 * All numbers above are deterministic for the given seed; different seeds
   move individual numbers but not any qualitative shape.
 """)
