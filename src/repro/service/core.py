@@ -176,7 +176,6 @@ class DecisionCore:
         """Drop every cached per-flow decision and advance the policy
         generation: for a change to which flows are redirected."""
         self.flow_cache.clear()
-        self._claimed = self._claimed_entry = None
         self.generation += 1
 
     def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
@@ -275,7 +274,7 @@ class DecisionCore:
         self.m_redirected.value += 1
         if packet is self._claimed:
             entry = self._claimed_entry
-            self._claimed = self._claimed_entry = None
+            self._claimed = None
         else:
             entry = self.flow_entry(
                 packet.src.value, packet.dst.value, packet.proto, packet.dport)
