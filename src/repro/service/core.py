@@ -66,7 +66,7 @@ class DecisionCore:
 
     __slots__ = ("context", "registry", "services", "strict", "stage_order",
                  "flow_cache", "flow_cache_capacity", "_flow_cache_version",
-                 "generation", "_site", "_source_first",
+                 "generation", "_site", "_stage_is_source",
                  "_claimed", "_claimed_entry",
                  "m_redirected", "m_dropped", "m_safety_disables",
                  "m_fc_hits", "m_fc_misses")
@@ -89,9 +89,9 @@ class DecisionCore:
         #: ("first sending ... and then receiving", Sec. 4.1); "dst-first"
         #: exists only for the E13 ablation.
         self.stage_order = stage_order
-        #: per stage in order, whether it is the source stage
-        self._source_first = ((False, True) if stage_order == "dst-first"
-                              else (True, False))
+        #: per stage, in run order: is it the source stage?
+        self._stage_is_source = ((False, True) if stage_order == "dst-first"
+                                 else (True, False))
         #: the context fields every stage sees (DeviceContext is frozen)
         self._site = (context.asn, context.is_transit, context.local_prefix)
         #: per-flow fast path: 4-tuple -> (src_owner, dst_owner, False),
@@ -105,7 +105,7 @@ class DecisionCore:
         #: the packet :meth:`wants` last redirected, and its entry, for
         #: :meth:`process` to take instead of probing again
         self._claimed: Optional[Packet] = None
-        self._claimed_entry: Optional[tuple] = None
+        self._claimed_entry: tuple = ()
         #: policy generation: bumped on every install (hot swaps included),
         #: uninstall and activation flip, so observers can tag cached
         #: decisions and verify a swap took effect atomically
@@ -223,6 +223,7 @@ class DecisionCore:
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
         # only *active* services claim the flow; whatever changes that
         # invalidates the cache so entries never go stale
+        entry: tuple
         if ((src_inst is not None and src_inst.active)
                 or (dst_inst is not None and dst_inst.active)):
             if packet is not None:
@@ -292,7 +293,7 @@ class DecisionCore:
         """
         services = self.services
         asn, is_transit, local_prefix = self._site
-        for source in self._source_first:
+        for source in self._stage_is_source:
             owner = src_owner if source else dst_owner
             if owner is None:
                 continue
