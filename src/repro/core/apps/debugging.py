@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.components import Component, Capabilities, ComponentContext, Verdict
+from repro.core.components import PASS, Component, Capabilities, ComponentContext, Verdict
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.graph import ComponentGraph
@@ -44,7 +44,7 @@ class ProbeObserver(Component):
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         if len(self.observations) < MAX_RECORDS:
             self.observations[packet.uid] = ctx.now
-        return Verdict.PASS
+        return PASS
 
 
 @dataclass

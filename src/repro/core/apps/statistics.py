@@ -20,7 +20,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.core.components import Capabilities, Component, ComponentContext, Verdict
+from repro.core.components import PASS, Capabilities, Component, ComponentContext, Verdict
 from repro.core.device import DeviceContext
 from repro.core.deployment import DeploymentScope
 from repro.core.flowstats import FlowStatsBackend, make_flow_stats
@@ -138,7 +138,7 @@ class TrafficMatrixCollector(Component):
         if self.first_seen is None:
             self.first_seen = ctx.now
         self.last_seen = ctx.now
-        return Verdict.PASS
+        return PASS
 
     # ----------------------------------------------------------- legacy view
     @property

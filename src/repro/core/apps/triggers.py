@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.components import (
+    PASS,
     ComponentContext,
     RateLimiterComponent,
     TriggerComponent,
@@ -92,14 +93,12 @@ class AutoReactionApp:
             the identified offenders when the trigger names any."""
 
             def process(self, packet: Packet, ctx: ComponentContext):
-                from repro.core.components import Verdict
-
                 if not reaction.active:
-                    return Verdict.PASS
+                    return PASS
                 if predicate is not None and not predicate(packet):
-                    return Verdict.PASS
+                    return PASS
                 if reaction.sources and int(packet.src) not in reaction.sources:
-                    return Verdict.PASS
+                    return PASS
                 return super().process(packet, ctx)
 
         gated = GatedLimiter("reaction-limit", self.limit_bps)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.components import Capabilities, Component, ComponentContext, Verdict
+from repro.core.components import DROP, PASS, Capabilities, Component, ComponentContext, Verdict
 from repro.net.packet import ICMPType, Packet, Protocol, TCPFlags
 
 __all__ = ["StatefulTeardownFilter", "TimingAnomalyFilter"]
@@ -94,11 +94,11 @@ class StatefulTeardownFilter(Component):
         if self._is_teardown(packet):
             if self._has_live_flow(packet, ctx.now):
                 self.legit_teardowns += 1
-                return Verdict.PASS
+                return PASS
             self.forged_dropped += 1
-            return Verdict.DROP
+            return DROP
         self._note_flow(packet, ctx.now)
-        return Verdict.PASS
+        return PASS
 
 
 class TimingAnomalyFilter(Component):
@@ -149,5 +149,5 @@ class TimingAnomalyFilter(Component):
                 else:
                     self.flagged_sources.discard(src)
         if src in self.flagged_sources:
-            return Verdict.DROP
-        return Verdict.PASS
+            return DROP
+        return PASS

@@ -157,13 +157,13 @@ def teardown_filter_table(cfg: ExperimentConfig) -> Table:
             # a real connection's data packet, then its legitimate RST
             data = Packet(src=peer, dst=victim, proto=Protocol.TCP,
                           sport=40000 + i, dport=80)
-            component(data, ctx(now))
+            component.process(data, ctx(now))
             legit_rst = Packet.tcp_rst(peer, victim, sport=40000 + i, dport=80)
-            if component(legit_rst, ctx(now + 0.01)) is Verdict.DROP:
+            if component.process(legit_rst, ctx(now + 0.01)) is Verdict.DROP:
                 legit_blocked += 1
             # a forged RST from a host the victim never talked to
             forged = Packet.tcp_rst(forger, victim, sport=i, dport=80)
-            if component(forged, ctx(now + 0.02)) is Verdict.DROP:
+            if component.process(forged, ctx(now + 0.02)) is Verdict.DROP:
                 forged_blocked += 1
         return forged_blocked / n * 100, legit_blocked / n * 100
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.components import Component, ComponentContext, Verdict
+from repro.core.components import DROP, PASS, Component, ComponentContext, Verdict
 from repro.core.safety import MAX_EXTRA_TRAFFIC_BPS, vet_component
 from repro.errors import ComponentGraphError, VettingError
 from repro.net.packet import Packet
@@ -181,25 +181,28 @@ class CompiledPolicy:
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
         """Walk the graph as compiled: follow each verdict's edge from the
-        entry; DROP is sticky.  Bumps the graph's counters."""
+        entry; DROP is sticky.  Bumps the graph's counters and each op's
+        ``processed``/``dropped``, and looks ``process`` up per call, so one
+        patched onto a component class after compiling (a tracer) runs."""
         self._g_in.value += 1
         plan = self._plan
-        comps, pn, dn = self.components, plan.pass_next, plan.drop_next
-        doomed = False
-        i = plan.entry
+        comps, pn, dn, i = self.components, plan.pass_next, plan.drop_next, plan.entry
+        result = PASS
         while i >= 0:
-            verdict = comps[i](packet, ctx)
-            if verdict is Verdict.DROP:
-                doomed = True
+            comp = comps[i]
+            comp._m_processed.value += 1
+            verdict = comp.process(packet, ctx)
+            if verdict is DROP:
+                comp._m_dropped.value += 1
+                result = DROP
                 i = dn[i]
-            elif verdict is Verdict.PASS:
+            elif verdict is PASS:
                 i = pn[i]
             else:  # pragma: no cover - a foreign verdict has no edge
                 i = -1
-        if doomed:
+        if result is DROP:
             self._g_dropped.value += 1
-            return Verdict.DROP
-        return Verdict.PASS
+        return result
 
 
 #: Live plans by key.  A plan lives only while some CompiledPolicy uses it.

@@ -31,7 +31,7 @@ from collections import OrderedDict
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import DeploymentError, SafetyViolation
-from repro.core.components import ComponentContext, Verdict
+from repro.core.components import PASS, ComponentContext
 from repro.core.graph import ComponentGraph
 from repro.core.ownership import NetworkUser, OwnershipRegistry
 from repro.net.addressing import IPv4Address, _as_int
@@ -74,7 +74,6 @@ class DecisionCore:
     def __init__(self, context: "DeviceContext", registry: OwnershipRegistry,
                  *, strict: bool = True,
                  stage_order: str = "src-first",
-                 flow_cache_capacity: int = FLOW_CACHE_CAPACITY,
                  counters: Optional[dict] = None) -> None:
         if stage_order not in ("src-first", "dst-first"):
             raise DeploymentError(f"unknown stage order {stage_order!r}")
@@ -100,7 +99,7 @@ class DecisionCore:
         #: LPM walks, the service-membership check and address parsing,
         #: and a live check builds no address object.
         self.flow_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self.flow_cache_capacity = flow_cache_capacity
+        self.flow_cache_capacity = FLOW_CACHE_CAPACITY
         self._flow_cache_version = registry.version
         #: the packet :meth:`wants` last redirected, and its entry, for
         #: :meth:`process` to take instead of probing again
@@ -313,7 +312,7 @@ class DecisionCore:
                 now, asn, is_transit, local_prefix,
                 "source" if source else "dest", owner,
                 ingress_asn, ingress_asn is None))
-            result = packet if verdict is Verdict.PASS else None
+            result = packet if verdict is PASS else None
             try:
                 instance.monitor.check(src, dst, ttl, size, result,
                                        program.graph.name)

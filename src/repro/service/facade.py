@@ -153,6 +153,13 @@ class ServiceFacade:
         self._m_policy_generation.value = self.core.generation
         return removed
 
+    def unsubscribe(self, user_id: str) -> None:
+        """Let a subscriber leave: unregister every prefix it owns, then
+        uninstall its service.  An unknown user raises ``OwnershipError``
+        before anything changes."""
+        self.registry.unregister(user_id)
+        self.uninstall(user_id)
+
     def set_active(self, user_id: str, active: bool) -> None:
         self.core.set_active(user_id, active)
         self._m_policy_generation.value = self.core.generation

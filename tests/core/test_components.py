@@ -19,6 +19,7 @@ from repro.core.components import (
     Verdict,
 )
 from repro.net import ICMPType, IPv4Address, Packet, Prefix, Protocol, TCPFlags
+from tests.policy.test_compiler import one_op_program
 
 P = Prefix.parse
 A = IPv4Address.parse
@@ -91,45 +92,46 @@ class TestHeaderMatch:
 class TestFilters:
     def test_header_filter_counts(self):
         f = HeaderFilter("f", HeaderMatch(proto=Protocol.ICMP))
-        assert f(Packet.icmp(A("1.1.1.1"), A("2.2.2.2"), ICMPType.ECHO_REQUEST), ctx()) is Verdict.DROP
-        assert f(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
+        program = one_op_program(f)
+        assert program.process(Packet.icmp(A("1.1.1.1"), A("2.2.2.2"), ICMPType.ECHO_REQUEST), ctx()) is Verdict.DROP
+        assert program.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
         assert f.processed == 2 and f.dropped == 1
 
     def test_prefix_blacklist(self):
         b = PrefixBlacklist("b", [P("10.5.0.0/16")])
-        assert b(Packet.udp(A("10.5.1.1"), A("2.2.2.2")), ctx()) is Verdict.DROP
-        assert b(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
+        assert b.process(Packet.udp(A("10.5.1.1"), A("2.2.2.2")), ctx()) is Verdict.DROP
+        assert b.process(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
         b.add(P("10.6.0.0/16"))
-        assert b(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.DROP
+        assert b.process(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.DROP
         b.remove(P("10.6.0.0/16"))
-        assert b(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
+        assert b.process(Packet.udp(A("10.6.1.1"), A("2.2.2.2")), ctx()) is Verdict.PASS
 
     def test_rate_limiter(self):
         burst = int(components.BURST_BYTES)
         r = RateLimiterComponent("r", rate_bps=8.0 * burst)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=burst)
-        assert r(pkt, ctx(now=0.0)) is Verdict.PASS
-        assert r(pkt.copy(), ctx(now=0.0)) is Verdict.DROP   # bucket drained
-        assert r(pkt.copy(), ctx(now=1.0)) is Verdict.PASS   # a burst refilled
+        assert r.process(pkt, ctx(now=0.0)) is Verdict.PASS
+        assert r.process(pkt.copy(), ctx(now=0.0)) is Verdict.DROP   # bucket drained
+        assert r.process(pkt.copy(), ctx(now=1.0)) is Verdict.PASS   # a burst refilled
 
     def test_payload_hash_filter(self):
         f = PayloadHashFilter("f", banned_digests=[b"worm-sig"])
         bad = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), payload_digest=b"worm-sig")
         good = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), payload_digest=b"cat-pic")
-        assert f(bad, ctx()) is Verdict.DROP
-        assert f(good, ctx()) is Verdict.PASS
+        assert f.process(bad, ctx()) is Verdict.DROP
+        assert f.process(good, ctx()) is Verdict.PASS
         f.ban(b"cat-pic")
-        assert f(good.copy(), ctx()) is Verdict.DROP
+        assert f.process(good.copy(), ctx()) is Verdict.DROP
 
     def test_payload_scrubber_shrinks_only(self):
         s = PayloadScrubber()
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=520, payload_digest=b"x")
-        assert s(pkt, ctx()) is Verdict.PASS
+        assert s.process(pkt, ctx()) is Verdict.PASS
         assert pkt.size == 20
         assert pkt.payload_digest == b""
         assert s.scrubbed_bytes == 500
         # idempotent on already-scrubbed packets
-        s(pkt, ctx())
+        s.process(pkt, ctx())
         assert s.scrubbed_bytes == 500
 
 
@@ -139,33 +141,33 @@ class TestSourceAntiSpoof:
     def test_drops_locally_injected_spoof_at_foreign_stub(self):
         c = SourceAntiSpoof("as", self.PROTECTED)
         pkt = Packet.udp(A("10.1.0.9"), A("2.2.2.2"))  # claims protected src
-        assert c(pkt, ctx(is_transit=False, local_origin=True,
+        assert c.process(pkt, ctx(is_transit=False, local_origin=True,
                           local_prefix="10.7.0.0/16")) is Verdict.DROP
 
     def test_passes_transit_traffic(self):
         """'Of course, transit traffic ... must not be blocked.'"""
         c = SourceAntiSpoof("as", self.PROTECTED)
         pkt = Packet.udp(A("10.1.0.9"), A("2.2.2.2"))
-        assert c(pkt, ctx(is_transit=True, local_origin=False)) is Verdict.PASS
+        assert c.process(pkt, ctx(is_transit=True, local_origin=False)) is Verdict.PASS
 
     def test_passes_at_owners_own_isp(self):
         """The web site's own uplink traffic must flow."""
         c = SourceAntiSpoof("as", self.PROTECTED)
         pkt = Packet.udp(A("10.1.0.9"), A("2.2.2.2"))
-        assert c(pkt, ctx(is_transit=False, local_origin=True,
+        assert c.process(pkt, ctx(is_transit=False, local_origin=True,
                           local_prefix="10.1.0.0/16")) is Verdict.PASS
 
     def test_passes_non_spoofed_local_traffic(self):
         c = SourceAntiSpoof("as", self.PROTECTED)
         pkt = Packet.udp(A("10.7.0.9"), A("10.1.0.1"))  # genuine local source
-        assert c(pkt, ctx(is_transit=False, local_origin=True,
+        assert c.process(pkt, ctx(is_transit=False, local_origin=True,
                           local_prefix="10.7.0.0/16")) is Verdict.PASS
 
     def test_passes_forwarded_traffic_at_stub(self):
         """Reply traffic *to* clients at this stub is not locally injected."""
         c = SourceAntiSpoof("as", self.PROTECTED)
         pkt = Packet.udp(A("10.1.0.9"), A("10.7.0.1"))
-        assert c(pkt, ctx(is_transit=False, local_origin=False,
+        assert c.process(pkt, ctx(is_transit=False, local_origin=False,
                           local_prefix="10.7.0.0/16", ingress=3)) is Verdict.PASS
 
 
@@ -173,15 +175,16 @@ class TestObservation:
     def test_logger_bounded(self, monkeypatch):
         monkeypatch.setattr(components, "MAX_LOG_ENTRIES", 2)
         lg = LoggerComponent()
+        program = one_op_program(lg)
         for i in range(5):
-            lg(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx(now=float(i)))
+            program.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2")), ctx(now=float(i)))
         assert len(lg.entries) == 2
         assert lg.processed == 5
 
     def test_statistics_collector(self):
         st = StatisticsCollector()
-        st(Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=100), ctx(now=0.0))
-        st(Packet.tcp_syn(A("1.1.1.1"), A("2.2.2.2")), ctx(now=1.0))
+        st.process(Packet.udp(A("1.1.1.1"), A("2.2.2.2"), size=100), ctx(now=0.0))
+        st.process(Packet.tcp_syn(A("1.1.1.1"), A("2.2.2.2")), ctx(now=1.0))
         assert st.packets_by_proto == {"UDP": 1, "TCP": 1}
         assert st.bytes_by_proto["UDP"] == 100
         assert st.rate.total(1.0) == 2.0
@@ -190,7 +193,7 @@ class TestObservation:
         ds = DigestStoreComponent(capacity=100)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         other = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
-        ds(pkt, ctx(now=0.5))
+        ds.process(pkt, ctx(now=0.5))
         assert ds.saw(pkt)
         assert not ds.saw(other)
 
@@ -198,7 +201,7 @@ class TestObservation:
         ds = DigestStoreComponent(capacity=10, window=1.0, max_windows=2)
         pkts = [Packet.udp(A("1.1.1.1"), A("2.2.2.2")) for _ in range(4)]
         for i, pkt in enumerate(pkts):
-            ds(pkt, ctx(now=float(i)))
+            ds.process(pkt, ctx(now=float(i)))
         assert len(ds.backlog) == 2
         assert not ds.saw(pkts[0])  # paged out
         assert ds.saw(pkts[3])
@@ -212,7 +215,7 @@ class TestTrigger:
                              window=1.0)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         for i in range(40):
-            t(pkt, ctx(now=i * 0.02))
+            t.process(pkt, ctx(now=i * 0.02))
         assert len(fired) == 1
         assert t.fired == 1
 
@@ -223,11 +226,11 @@ class TestTrigger:
                              window=0.5)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         for i in range(20):
-            t(pkt, ctx(now=i * 0.02))       # burst 1 -> fires
+            t.process(pkt, ctx(now=i * 0.02))       # burst 1 -> fires
         for i in range(20):
-            t(pkt, ctx(now=5.0 + i * 1.0))  # slow traffic -> rearm
+            t.process(pkt, ctx(now=5.0 + i * 1.0))  # slow traffic -> rearm
         for i in range(20):
-            t(pkt, ctx(now=30.0 + i * 0.02))  # burst 2 -> fires again
+            t.process(pkt, ctx(now=30.0 + i * 0.02))  # burst 2 -> fires again
         assert len(fired) == 2
 
     def test_predicate_filters_counted_packets(self):
@@ -238,7 +241,7 @@ class TestTrigger:
                              window=1.0)
         udp = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         for i in range(50):
-            t(udp, ctx(now=i * 0.01))
+            t.process(udp, ctx(now=i * 0.01))
         assert not fired  # UDP storm ignored
 
     def test_invalid_threshold(self):
@@ -279,4 +282,4 @@ class TestTrigger:
         t = TriggerComponent("t", threshold_pps=1.0, action=lambda c, r: None)
         pkt = Packet.udp(A("1.1.1.1"), A("2.2.2.2"))
         for i in range(100):
-            assert t(pkt, ctx(now=i * 0.001)) is Verdict.PASS
+            assert t.process(pkt, ctx(now=i * 0.001)) is Verdict.PASS

@@ -24,16 +24,16 @@ class TestStatefulTeardownFilter:
     def test_forged_rst_without_flow_dropped(self):
         f = StatefulTeardownFilter()
         rst = Packet.tcp_rst(PEER, VICTIM)
-        assert f(rst, ctx(0.0)) is Verdict.DROP
+        assert f.process(rst, ctx(0.0)) is Verdict.DROP
         assert f.forged_dropped == 1
 
     def test_rst_from_live_flow_passes(self):
         f = StatefulTeardownFilter()
         data = Packet(src=PEER, dst=VICTIM, proto=__import__("repro.net", fromlist=["Protocol"]).Protocol.TCP,
                       sport=40000, dport=80)
-        assert f(data, ctx(0.0)) is Verdict.PASS
+        assert f.process(data, ctx(0.0)) is Verdict.PASS
         rst = Packet.tcp_rst(PEER, VICTIM, sport=40000, dport=80)
-        assert f(rst, ctx(1.0)) is Verdict.PASS
+        assert f.process(rst, ctx(1.0)) is Verdict.PASS
         assert f.legit_teardowns == 1
 
     def test_flow_expires(self):
@@ -41,27 +41,27 @@ class TestStatefulTeardownFilter:
         from repro.net import Protocol
 
         data = Packet(src=PEER, dst=VICTIM, proto=Protocol.TCP, sport=1, dport=80)
-        f(data, ctx(0.0))
+        f.process(data, ctx(0.0))
         rst = Packet.tcp_rst(PEER, VICTIM, sport=1, dport=80)
-        assert f(rst, ctx(2 * stateful.FLOW_TIMEOUT)) is Verdict.DROP  # flow long gone
+        assert f.process(rst, ctx(2 * stateful.FLOW_TIMEOUT)) is Verdict.DROP  # flow long gone
 
     def test_icmp_unreachable_treated_like_rst(self):
         f = StatefulTeardownFilter()
         icmp = Packet.icmp(STRANGER, VICTIM, ICMPType.HOST_UNREACHABLE)
-        assert f(icmp, ctx(0.0)) is Verdict.DROP
+        assert f.process(icmp, ctx(0.0)) is Verdict.DROP
 
     def test_ordinary_icmp_passes(self):
         f = StatefulTeardownFilter()
         ping = Packet.icmp(STRANGER, VICTIM, ICMPType.ECHO_REQUEST)
-        assert f(ping, ctx(0.0)) is Verdict.PASS
+        assert f.process(ping, ctx(0.0)) is Verdict.PASS
 
     def test_different_ports_are_different_flows(self):
         f = StatefulTeardownFilter()
         from repro.net import Protocol
 
-        f(Packet(src=PEER, dst=VICTIM, proto=Protocol.TCP, sport=1, dport=80), ctx(0.0))
+        f.process(Packet(src=PEER, dst=VICTIM, proto=Protocol.TCP, sport=1, dport=80), ctx(0.0))
         rst_other_port = Packet.tcp_rst(PEER, VICTIM, sport=2, dport=80)
-        assert f(rst_other_port, ctx(0.1)) is Verdict.DROP
+        assert f.process(rst_other_port, ctx(0.1)) is Verdict.DROP
 
     def test_flow_table_bounded(self, monkeypatch):
         monkeypatch.setattr(stateful, "MAX_FLOWS", 10)
@@ -72,7 +72,7 @@ class TestStatefulTeardownFilter:
         for i in range(50):
             pkt = Packet(src=IPv4Address(i + 1), dst=VICTIM,
                          proto=Protocol.TCP, sport=i, dport=80)
-            f(pkt, ctx(i * gap))
+            f.process(pkt, ctx(i * gap))
         assert len(f._flows) <= 11
 
 
@@ -83,7 +83,7 @@ class TestTimingAnomalyFilter:
         for gap in gaps:
             now += gap
             pkt = Packet.udp(src, VICTIM)
-            verdicts.append(f(pkt, ctx(now)))
+            verdicts.append(f.process(pkt, ctx(now)))
         return verdicts
 
     def test_metronomic_source_flagged(self):

@@ -9,6 +9,7 @@ class TestProbeObserverBounds:
         from repro.core.apps import debugging
         from repro.core.components import ComponentContext
         from repro.net import IPv4Address, Packet, Prefix
+        from tests.policy.test_compiler import one_op_program
 
         monkeypatch.setattr(debugging, "MAX_RECORDS", 3)
         observer = debugging.ProbeObserver()
@@ -16,8 +17,9 @@ class TestProbeObserverBounds:
             now=0.0, asn=1, is_transit=False,
             local_prefix=Prefix.parse("10.0.0.0/16"), stage="dest",
             owner=NetworkUser("u", prefixes=[Prefix.parse("10.1.0.0/16")]))
+        program = one_op_program(observer)
         for i in range(10):
-            observer(Packet.udp(IPv4Address(1), IPv4Address(2)), ctx)
+            program.process(Packet.udp(IPv4Address(1), IPv4Address(2)), ctx)
         assert len(observer.observations) == 3
         assert observer.processed == 10
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.components import (
+    Component,
     ComponentContext,
     HeaderFilter,
     HeaderMatch,
@@ -23,7 +24,7 @@ from repro.core.ownership import NetworkUser
 from repro.errors import ComponentGraphError, VettingError
 from repro.net import ASRole, IPv4Address, Packet, Prefix, Protocol
 from repro.net.packet import TCPFlags
-from repro.policy import compile_policy, problems
+from repro.policy import CompiledPolicy, compile_policy, problems
 
 LOCAL = Prefix.parse("10.9.0.0/16")
 OWNER = NetworkUser("owner", prefixes=[Prefix.parse("10.1.0.0/16")])
@@ -97,17 +98,29 @@ def component_state(graph: ComponentGraph) -> dict:
 
 def reference_walk(graph: ComponentGraph, packet: Packet,
                    c: ComponentContext) -> Verdict:
-    """The graph's semantics, written plainly: from the entry, call each
-    component and follow its verdict's edge; DROP is sticky.  Touches no
-    graph counter."""
+    """The graph's semantics, written plainly: from the entry, run each
+    component, tally its ``processed``/``dropped``, and follow its
+    verdict's edge; DROP is sticky.  Touches no graph counter."""
     edges = graph.edges()
     doomed = False
     node = graph.entry
     while node is not None:
-        verdict = graph.component(node)(packet, c)
-        doomed = doomed or verdict is Verdict.DROP
+        component = graph.component(node)
+        component._m_processed.value += 1
+        verdict = component.process(packet, c)
+        if verdict is Verdict.DROP:
+            component._m_dropped.value += 1
+            doomed = True
         node = edges.get((node, verdict))
     return Verdict.DROP if doomed else Verdict.PASS
+
+
+def one_op_program(component: Component) -> CompiledPolicy:
+    """``component`` compiled alone: the one walk that tallies its
+    ``processed``/``dropped``."""
+    graph = ComponentGraph(component.name)
+    graph.chain(component)
+    return compile_policy(graph)
 
 
 def assert_counts(graph: ComponentGraph, verdicts: list) -> None:
@@ -132,6 +145,31 @@ def test_differential_reference_compiled_parity(builder):
     assert Verdict.DROP in verdicts_scalar and Verdict.PASS in verdicts_scalar
     assert component_state(g_ref) == component_state(g_scalar)
     assert_counts(g_scalar, verdicts_scalar)
+
+
+def test_walk_runs_the_class_current_process(monkeypatch):
+    """A ``process`` patched onto a component class after compiling still
+    runs, and the walk still tallies the op: a tracer wraps ``process``
+    on the class, not on the compiled program."""
+    graph = ComponentGraph("patched")
+    graph.chain(HeaderFilter("f-udp", HeaderMatch(proto=Protocol.UDP)))
+    program = compile_policy(graph)
+    original = HeaderFilter.process
+    seen = []
+
+    def traced(self, packet, c):
+        seen.append(packet)
+        return original(self, packet, c)
+
+    monkeypatch.setattr(HeaderFilter, "process", traced)
+    packets = random_packets(64, seed=3)
+    verdicts = [program.process(p, ctx()) for p in packets]
+    assert len(seen) == len(packets)
+    assert all(a is b for a, b in zip(seen, packets))
+    assert Verdict.DROP in verdicts and Verdict.PASS in verdicts
+    op = graph.component("f-udp")
+    assert (op.processed, op.dropped) == (64, verdicts.count(Verdict.DROP))
+    assert_counts(graph, verdicts)
 
 
 DEV = DeviceContext(asn=3, role=ASRole.STUB,
@@ -173,7 +211,6 @@ ACTION_LISTS = st.lists(st.sampled_from(sorted(RULES)), min_size=1,
 
 
 @given(ACTION_LISTS.flatmap(spec_for))
-@settings(max_examples=80, deadline=None)
 def test_generated_reference_compiled_parity(spec):
     """The reference walk and the compiled program agree on generated
     specs: verdicts and component state; the program also keeps the

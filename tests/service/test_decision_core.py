@@ -96,7 +96,8 @@ class TestFlowCache:
         assert core.m_fc_hits.value == 1
 
     def test_lru_eviction_respects_capacity(self):
-        core, acme = make_core(flow_cache_capacity=2)
+        core, acme = make_core()
+        core.flow_cache_capacity = 2
         core.install(acme, dst_graph=drop_udp_graph())
         for i in range(4):
             core.wants(Packet.udp(A(f"10.8.0.{i + 1}"), A("10.1.0.1")))

@@ -339,6 +339,19 @@ class TestSubscribe:
         assert "acme" in facade.registry
         assert "mallory" not in facade.registry
 
+    def test_unsubscribe_returns_the_prefixes_to_the_direct_path(self):
+        facade, _ = make_facade()
+        assert not facade.check("203.0.113.9", "10.1.0.5").allowed
+        generation = facade.core.generation
+        facade.unsubscribe("acme")
+        assert facade.check("203.0.113.9", "10.1.0.5") is PASS_DIRECT
+        assert "acme" not in facade.registry
+        assert "acme" not in facade.core.services
+        assert facade.core.generation > generation
+        assert facade._m_policy_generation.value == facade.core.generation
+        with pytest.raises(OwnershipError):
+            facade.unsubscribe("acme")
+
 
 class TestTrafficController:
     def make_controller(self, admission=None):

@@ -1,7 +1,7 @@
 """The facade's management lifecycle against a plain-dict model.
 
-A hypothesis state machine subscribes, uninstalls, swaps, (de)activates
-and checks in any order.  The model keeps each user's registered prefixes
+A hypothesis state machine subscribes, unsubscribes, uninstalls, swaps,
+(de)activates and checks in any order.  The model keeps each user's registered prefixes
 and installed stage graphs in dicts; every verdict must equal the one
 :func:`tests.policy.test_compiler.reference_walk` gives over the model's
 graphs, so a flow-cache entry left stale by a swap, an uninstall or a
@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -25,7 +26,7 @@ from repro.core.components import (
     PrefixBlacklist,
     Verdict as StageVerdict,
 )
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, OwnershipError
 from repro.net import IPv4Address, Prefix, Protocol
 from repro.net.packet import Packet
 from repro.service import ManualClock, ServiceFacade, TrafficController
@@ -50,6 +51,8 @@ EDGES = tuple(str(IPv4Address(a)) for prefixes in PREFIXES.values()
                         int(p.last) + 1))
 PROTOS = (Protocol.TCP, Protocol.UDP)
 DPORTS = (7, 80)
+#: an address no candidate prefix covers
+UNOWNED = int(IPv4Address.parse("40.0.0.1"))
 
 #: stage graphs as tuples of rules; the model builds its own copy
 RULES = {
@@ -151,6 +154,24 @@ class FacadeLifecycle(RuleBasedStateMachine):
     def uninstall(self, uid):
         assert self.facade.uninstall(uid) == (
             self.services.pop(uid, None) is not None)
+        self.recheck_seen()
+
+    @rule(uid=st.sampled_from(USERS))
+    def unsubscribe(self, uid):
+        if uid not in self.registered:
+            with pytest.raises(OwnershipError):
+                self.facade.unsubscribe(uid)
+            return
+        self.facade.unsubscribe(uid)
+        former = self.registered.pop(uid)
+        self.services.pop(uid, None)
+        # every address the user held checks direct unless another
+        # user's prefix covers it
+        for prefix in former:
+            for addr in (int(prefix.first), int(prefix.last)):
+                if self.owner(addr) is None:
+                    for flow in ((addr, UNOWNED), (UNOWNED, addr)):
+                        assert self.facade.check(*flow) is PASS_DIRECT
         self.recheck_seen()
 
     @rule(uid=st.sampled_from(USERS), src=maybe_specs, dst=maybe_specs)
