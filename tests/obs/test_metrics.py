@@ -108,6 +108,58 @@ class TestDeclarations:
         assert "test.obs.ambient" not in get_registry().snapshot()
 
 
+class TestDeclaredLabels:
+    """``declare(...).labelled(...)``: the path every Link, component,
+    graph and device creates its counters through."""
+
+    @pytest.mark.parametrize("labels, got", [
+        ({"device": "d1"}, "('device',)"),
+        ({}, "()"),
+        ({"asn": 1, "link": "l1"}, "('asn', 'link')"),
+    ], ids=["wrong", "missing", "extra"])
+    def test_label_names_must_match(self, labels, got):
+        decl = declare("test.obs.decl_labels", "counter", labels=("asn",))
+        with scoped():
+            with pytest.raises(MetricError) as info:
+                decl.labelled(**labels)
+        assert str(info.value) == (
+            "metric 'test.obs.decl_labels' takes labels ('asn',), got " + got)
+
+    def test_label_values_are_keyed_by_their_str(self):
+        decl = declare("test.obs.decl_str", "counter", labels=("asn",))
+        with scoped() as reg:
+            decl.labelled(asn=5).inc(2)
+            assert reg.snapshot() == {"test.obs.decl_str{asn=5}": 2}
+            assert list(reg.family("test.obs.decl_str", "counter",
+                                   ("asn",)).samples())[0][0] == ("5",)
+            # the int and its str name one series
+            assert decl.labelled(fresh=False, asn="5").get() == 2
+
+    def test_fresh_by_default_replaces_the_child(self):
+        decl = declare("test.obs.decl_fresh", "counter", labels=("link",))
+        with scoped() as reg:
+            first = decl.labelled(link="l1")
+            first.inc(5)
+            second = decl.labelled(link="l1")
+            assert second is not first
+            assert second.get() == 0
+            assert reg.snapshot() == {"test.obs.decl_fresh{link=l1}": 0}
+            assert decl.labelled(fresh=False, link="l1") is second
+
+    def test_cardinality_guard_of_a_small_family(self):
+        decl = declare("test.obs.decl_leak", "counter", labels=("pkt",))
+        with scoped() as reg:
+            reg.family("test.obs.decl_leak", "counter", ("pkt",), max_series=2)
+            decl.labelled(pkt=0)
+            decl.labelled(pkt=1)
+            with pytest.raises(MetricError, match="cardinality"):
+                decl.labelled(pkt=2)
+            # replacing an existing series is not a new one
+            decl.labelled(pkt=1).inc()
+            assert reg.snapshot() == {"test.obs.decl_leak{pkt=0}": 0,
+                                      "test.obs.decl_leak{pkt=1}": 1}
+
+
 class TestSnapshots:
     def test_snapshot_keys_are_sorted_and_labelled(self):
         reg = MetricRegistry()
