@@ -13,10 +13,13 @@ pushback's upstream propagation rely on.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import RoutingError, TopologyError
 from repro.net.topology import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Routing", "build_routing"]
 

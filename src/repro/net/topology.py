@@ -24,9 +24,8 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import TopologyError
@@ -38,6 +37,9 @@ from repro.net.addressing import (
     PrefixTable,
 )
 from repro.util.rng import derive_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ASRole", "ASInfo", "Topology", "TopologyBuilder",
            "parse_as_rel2", "synthesize_as_rel2"]
@@ -72,6 +74,8 @@ class Topology:
                  pool: str = "10.0.0.0/8") -> None:
         if graph.number_of_nodes() == 0:
             raise TopologyError("empty topology")
+        import networkx as nx
+
         if not nx.is_connected(graph):
             raise TopologyError("topology graph must be connected")
         self.graph = graph
@@ -166,6 +170,8 @@ class TopologyBuilder:
         if n_core < 1 or transit_per_core < 0 or stub_per_transit < 0:
             raise TopologyError("hierarchical: all tier sizes must be >= 0 (core >= 1)")
         rng = derive_rng(seed, "topo-hier")
+        import networkx as nx
+
         g = nx.Graph()
         asn = 0
         cores = []
@@ -209,6 +215,8 @@ class TopologyBuilder:
         if n < m + 1:
             raise TopologyError(f"powerlaw needs n > m (n={n}, m={m})")
         rng = derive_rng(seed, "topo-ba")
+        import networkx as nx
+
         g = nx.barabasi_albert_graph(n, m, seed=int(rng.integers(0, 2**31)))
         degrees = dict(g.degree())
         order = sorted(degrees, key=lambda v: -degrees[v])
@@ -237,6 +245,8 @@ class TopologyBuilder:
         CP/C -> stub.
         """
         rng = derive_rng(seed, "topo-inet")
+        import networkx as nx
+
         g = nx.random_internet_as_graph(n, seed=int(rng.integers(0, 2**31)))
         mapping = {"T": ASRole.CORE, "M": ASRole.TRANSIT, "CP": ASRole.STUB, "C": ASRole.STUB}
         for v in g.nodes:
@@ -252,6 +262,8 @@ class TopologyBuilder:
         """A path of ``n`` ASes; the two endpoints are stubs."""
         if n < 1:
             raise TopologyError("line needs n >= 1")
+        import networkx as nx
+
         g = nx.path_graph(n)
         for v in g.nodes:
             g.nodes[v]["role"] = ASRole.STUB if v in (0, n - 1) or n <= 2 else ASRole.TRANSIT
@@ -262,6 +274,8 @@ class TopologyBuilder:
         """A hub AS (transit) with ``leaves`` stub ASes around it."""
         if leaves < 1:
             raise TopologyError("star needs >= 1 leaf")
+        import networkx as nx
+
         g = nx.star_graph(leaves)
         g.nodes[0]["role"] = ASRole.TRANSIT
         for v in range(1, leaves + 1):
@@ -271,6 +285,8 @@ class TopologyBuilder:
     @staticmethod
     def tree(branching: int = 2, height: int = 3) -> Topology:
         """Balanced tree: root is core, leaves are stubs, middle is transit."""
+        import networkx as nx
+
         g = nx.balanced_tree(branching, height)
         for v in g.nodes:
             deg = g.degree[v]
@@ -352,6 +368,8 @@ def parse_as_rel2(source: Union[str, os.PathLike, Iterable[str]]) -> nx.Graph:
         lines = source.splitlines()
     else:
         lines = source
+    import networkx as nx
+
     g = nx.Graph()
     providers_of: dict[int, set[int]] = {}
     customers_of: dict[int, set[int]] = {}
