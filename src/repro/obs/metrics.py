@@ -187,11 +187,6 @@ class Family:
         self.buckets = tuple(buckets)
         self._children: dict[tuple, Any] = {}
 
-    def _new_child(self) -> Any:
-        if self.kind == "histogram":
-            return Histogram(self.buckets)
-        return _KINDS[self.kind]()
-
     def labelled(self, fresh: bool = False, **labels: str) -> Any:
         """The child instrument for ``labels`` (created on first use).
 
@@ -199,10 +194,15 @@ class Family:
         idiom for per-object counters (a reconstructed Link or device must
         start from zero even when an earlier namesake registered first).
         """
+        return self.child(labels, fresh)
+
+    def child(self, labels: dict, fresh: bool) -> Any:
+        key: tuple = ()
         try:
             if len(labels) != len(self.labelnames):
                 raise KeyError
-            key = tuple([str(labels[n]) for n in self.labelnames])
+            for name in self.labelnames:
+                key += (str(labels[name]),)
         except KeyError:
             raise MetricError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
@@ -215,7 +215,7 @@ class Family:
                 f"metric {self.name!r} exceeded its label-cardinality "
                 f"budget ({self.max_series} series); a label is probably "
                 f"unbounded (packet ids, timestamps, ...)")
-        child = self._new_child()
+        child = Histogram(self.buckets) if self.kind == "histogram" else _KINDS[self.kind]()
         self._children[key] = child
         return child
 
@@ -251,7 +251,7 @@ class MetricDecl:
             # creates the family, or raises on a shape conflict
             family = reg.family(self.name, self.kind, self.labelnames,
                                 help=self.help, buckets=self.buckets)
-        return family.labelled(fresh=fresh, **labels)
+        return family.child(labels, fresh)
 
 
 #: Every metric name the codebase can emit, filled at import time.
@@ -314,23 +314,23 @@ class MetricRegistry:
     def counter(self, name: str, *, help: str = "", fresh: bool = False,
                 **labels: str) -> Counter:
         return self.family(name, "counter", tuple(sorted(labels)),
-                           help=help).labelled(fresh=fresh, **labels)
+                           help=help).child(labels, fresh)
 
     def gauge(self, name: str, *, help: str = "", fresh: bool = False,
               **labels: str) -> Gauge:
         return self.family(name, "gauge", tuple(sorted(labels)),
-                           help=help).labelled(fresh=fresh, **labels)
+                           help=help).child(labels, fresh)
 
     def histogram(self, name: str, *, help: str = "",
                   buckets: tuple = DEFAULT_BUCKETS, fresh: bool = False,
                   **labels: str) -> Histogram:
         return self.family(name, "histogram", tuple(sorted(labels)),
-                           help=help, buckets=buckets).labelled(fresh=fresh, **labels)
+                           help=help, buckets=buckets).child(labels, fresh)
 
     def timer(self, name: str, *, help: str = "", fresh: bool = False,
               **labels: str) -> SpanTimer:
         return self.family(name, "timer", tuple(sorted(labels)),
-                           help=help).labelled(fresh=fresh, **labels)
+                           help=help).child(labels, fresh)
 
     # ----------------------------------------------------------------- spans
     @contextmanager
