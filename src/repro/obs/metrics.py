@@ -194,9 +194,9 @@ class Family:
         idiom for per-object counters (a reconstructed Link or device must
         start from zero even when an earlier namesake registered first).
         """
-        return self.child(labels, fresh)
+        return self._child(labels, fresh)
 
-    def child(self, labels: dict, fresh: bool) -> Any:
+    def _child(self, labels: dict, fresh: bool) -> Any:
         key: tuple = ()
         try:
             if len(labels) != len(self.labelnames):
@@ -251,7 +251,7 @@ class MetricDecl:
             # creates the family, or raises on a shape conflict
             family = reg.family(self.name, self.kind, self.labelnames,
                                 help=self.help, buckets=self.buckets)
-        return family.child(labels, fresh)
+        return family._child(labels, fresh)
 
 
 #: Every metric name the codebase can emit, filled at import time.
@@ -314,23 +314,23 @@ class MetricRegistry:
     def counter(self, name: str, *, help: str = "", fresh: bool = False,
                 **labels: str) -> Counter:
         return self.family(name, "counter", tuple(sorted(labels)),
-                           help=help).child(labels, fresh)
+                           help=help)._child(labels, fresh)
 
     def gauge(self, name: str, *, help: str = "", fresh: bool = False,
               **labels: str) -> Gauge:
         return self.family(name, "gauge", tuple(sorted(labels)),
-                           help=help).child(labels, fresh)
+                           help=help)._child(labels, fresh)
 
     def histogram(self, name: str, *, help: str = "",
                   buckets: tuple = DEFAULT_BUCKETS, fresh: bool = False,
                   **labels: str) -> Histogram:
         return self.family(name, "histogram", tuple(sorted(labels)),
-                           help=help, buckets=buckets).child(labels, fresh)
+                           help=help, buckets=buckets)._child(labels, fresh)
 
     def timer(self, name: str, *, help: str = "", fresh: bool = False,
               **labels: str) -> SpanTimer:
         return self.family(name, "timer", tuple(sorted(labels)),
-                           help=help).child(labels, fresh)
+                           help=help)._child(labels, fresh)
 
     # ----------------------------------------------------------------- spans
     @contextmanager
