@@ -197,7 +197,7 @@ class Family:
         return self._child(labels, fresh)
 
     def _child(self, labels: dict, fresh: bool) -> Any:
-        key: tuple = ()
+        key: tuple = ()  # a loop, not a comprehension: no frame per call
         try:
             if len(labels) != len(self.labelnames):
                 raise KeyError
