@@ -123,6 +123,9 @@ class Component:
     #: Sec. 4.2: components whose behaviour depends on the routing topology
     #: must be adapted or temporarily disabled on routing updates.
     topology_dependent: bool = False
+    #: True when ``process`` reads only the flow key (src, dst, proto,
+    #: dport) and keeps no state: a decision core may replay its verdicts
+    flow_invariant: bool = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -211,10 +214,18 @@ class HeaderFilter(Component):
 
     def __init__(self, name: str, match: HeaderMatch) -> None:
         super().__init__(name)
-        self.match = match
+        self._match = match
+        self.flow_invariant = (match.sport is None and match.flags_any is None
+                               and match.min_size is None and match.max_size is None
+                               and match.icmp_type is None)
+
+    @property
+    def match(self) -> HeaderMatch:
+        """Read-only, so no replayed verdict outlives its rule."""
+        return self._match
 
     def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
-        return DROP if self.match.matches(packet) else PASS
+        return DROP if self._match.matches(packet) else PASS
 
 
 class PrefixBlacklist(Component):

@@ -78,7 +78,7 @@ class DeviceContext:
         return self.role is not ASRole.STUB
 
 
-@dataclass
+@dataclass(eq=False)  # identity: a replay record names its instances
 class ServiceInstance:
     """One network user's installed service on one device.
 

@@ -167,23 +167,28 @@ class _Plan:
 
 class CompiledPolicy:
     """The compiler's output: a shared :class:`_Plan` bound to one graph's
-    live components (``components``, in insertion order) and counters."""
+    live components (``components``, in insertion order), counters and
+    ``flow_invariant`` (all components are; plan keys skip match fields)."""
 
-    __slots__ = ("graph", "components", "_plan", "_g_in", "_g_dropped")
+    __slots__ = ("graph", "components", "flow_invariant", "_plan", "_g_in",
+                 "_g_dropped")
 
     def __init__(self, graph: "ComponentGraph", components: list[Component],
                  plan: _Plan) -> None:
         self.graph = graph
         self.components = components
+        self.flow_invariant = all(c.flow_invariant for c in components)
         self._plan = plan
         self._g_in = graph._m_packets_in
         self._g_dropped = graph._m_packets_dropped
 
-    def process(self, packet: Packet, ctx: ComponentContext) -> Verdict:
+    def process(self, packet: Packet, ctx: ComponentContext,
+                trace: Optional[list] = None) -> Verdict:
         """Walk the graph as compiled: follow each verdict's edge from the
         entry; DROP is sticky.  Bumps the graph's counters and each op's
         ``processed``/``dropped``, and looks ``process`` up per call, so one
-        patched onto a component class after compiling (a tracer) runs."""
+        patched onto a component class after compiling (a tracer) runs.
+        A ``trace`` list receives each counter the walk bumps."""
         self._g_in.value += 1
         plan = self._plan
         comps, pn, dn, i = self.components, plan.pass_next, plan.drop_next, plan.entry
@@ -192,8 +197,12 @@ class CompiledPolicy:
             comp = comps[i]
             comp._m_processed.value += 1
             verdict = comp.process(packet, ctx)
+            if trace is not None:
+                trace.append(comp._m_processed)
             if verdict is DROP:
                 comp._m_dropped.value += 1
+                if trace is not None:
+                    trace.append(comp._m_dropped)
                 result = DROP
                 i = dn[i]
             elif verdict is PASS:
@@ -202,6 +211,10 @@ class CompiledPolicy:
                 i = -1
         if result is DROP:
             self._g_dropped.value += 1
+        if trace is not None:
+            trace.append(self._g_in)
+            if result is DROP:
+                trace.append(self._g_dropped)
         return result
 
 

@@ -67,7 +67,7 @@ class DecisionCore:
     __slots__ = ("context", "registry", "services", "strict", "stage_order",
                  "flow_cache", "flow_cache_capacity", "_flow_cache_version",
                  "generation", "_site", "_stage_is_source",
-                 "_claimed", "_claimed_entry",
+                 "_claimed", "_claimed_entry", "_records",
                  "m_redirected", "m_dropped", "m_safety_disables",
                  "m_fc_hits", "m_fc_misses")
 
@@ -93,18 +93,20 @@ class DecisionCore:
                                  else (True, False))
         #: the context fields every stage sees (DeviceContext is frozen)
         self._site = (context.asn, context.is_transit, context.local_prefix)
-        #: per-flow fast path: 4-tuple -> (src_owner, dst_owner, False),
-        #: or (src_owner, dst_owner, True, src address, dst address) for a
-        #: redirected flow, so repeat packets of a flow skip both ownership
-        #: LPM walks, the service-membership check and address parsing,
-        #: and a live check builds no address object.
-        self.flow_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: per-flow fast path: 4-tuple -> [src_owner, dst_owner, False],
+        #: or [src_owner, dst_owner, True, src address, dst address, replay
+        #: record or None] for a redirected flow, so repeat packets of a
+        #: flow skip both ownership LPM walks, the service-membership check
+        #: and address parsing, and a live check builds no address object.
+        self.flow_cache: "OrderedDict[tuple, list]" = OrderedDict()
         self.flow_cache_capacity = FLOW_CACHE_CAPACITY
         self._flow_cache_version = registry.version
         #: the packet :meth:`wants` last redirected, and its entry, for
         #: :meth:`process` to take instead of probing again
         self._claimed: Optional[Packet] = None
-        self._claimed_entry: tuple = ()
+        self._claimed_entry: list = []
+        #: replay records by content, shared by flows; cleared by install
+        self._records: dict[tuple, tuple] = {}
         #: policy generation: bumped on every install (hot swaps included),
         #: uninstall and activation flip, so observers can tag cached
         #: decisions and verify a swap took effect atomically
@@ -126,7 +128,7 @@ class DecisionCore:
         Every graph compiles before anything is mutated, so a rejected
         graph leaves the installed policy untouched.  A new service flushes
         the flow cache; a hot swap onto an existing one keeps it, since
-        entries hold no program (:meth:`run_stages` reads them per check).
+        a replay record checks the programs it ran (:meth:`replay`).
         """
         from repro.core.device import ServiceInstance
 
@@ -135,6 +137,7 @@ class DecisionCore:
         src_program, dst_program = (
             None if graph is None else compile_policy(graph)
             for graph in (src_graph, dst_graph))
+        self._records.clear()
         instance = self.services.get(user.user_id)
         if instance is None:
             instance = self.services[user.user_id] = ServiceInstance(user=user)
@@ -177,11 +180,11 @@ class DecisionCore:
         self.flow_cache.clear()
         self.generation += 1
 
-    def flow_entry(self, src, dst, proto: Protocol, dport: int) -> tuple:
-        """Resolve ``(src_owner, dst_owner, redirect?)`` for one flow
-        4-tuple, plus its two :class:`IPv4Address` objects when redirected
-        (addresses keyed as given, int or dotted quad, and parsed only on a
-        miss), caching the answer.
+    def flow_entry(self, src, dst, proto: Protocol, dport: int) -> list:
+        """Resolve ``[src_owner, dst_owner, redirect?]`` for one flow
+        4-tuple, plus its two :class:`IPv4Address` objects and its replay
+        slot when redirected (addresses keyed as given, int or dotted quad,
+        and parsed only on a miss), caching the answer.
 
         Entries survive until the LRU evicts them, :meth:`invalidate` runs,
         or the ownership registry changes (detected via its version
@@ -199,7 +202,7 @@ class DecisionCore:
             return entry
         return self.flow_miss(key)
 
-    def flow_miss(self, key: tuple, packet: Optional[Packet] = None) -> tuple:
+    def flow_miss(self, key: tuple, packet: Optional[Packet] = None) -> list:
         """Slow path: parse each address once and resolve its owner via
         the registry (a bad address raises before anything is counted or
         cached), then cache the result.
@@ -222,16 +225,17 @@ class DecisionCore:
         dst_inst = None if dst_owner is None else services.get(dst_owner.user_id)
         # only *active* services claim the flow; whatever changes that
         # invalidates the cache so entries never go stale
-        entry: tuple
+        entry: list
         if ((src_inst is not None and src_inst.active)
                 or (dst_inst is not None and dst_inst.active)):
             if packet is not None:
-                entry = (src_owner, dst_owner, True, packet.src, packet.dst)
+                entry = [src_owner, dst_owner, True, packet.src, packet.dst,
+                         None]
             else:
-                entry = (src_owner, dst_owner, True,
-                         IPv4Address(src), IPv4Address(dst))
+                entry = [src_owner, dst_owner, True,
+                         IPv4Address(src), IPv4Address(dst), None]
         else:
-            entry = (src_owner, dst_owner, False)
+            entry = [src_owner, dst_owner, False]
         cache = self.flow_cache
         cache[key] = entry
         if len(cache) > self.flow_cache_capacity:
@@ -278,29 +282,68 @@ class DecisionCore:
         else:
             entry = self.flow_entry(
                 packet.src.value, packet.dst.value, packet.proto, packet.dport)
-        return self.run_stages(packet, entry[0], entry[1], now, ingress_asn)
+        if not entry[2]:  # no active service here owns the flow
+            return packet
+        passed = self.replay(entry, packet.size)
+        if passed is not None:
+            return packet if passed else None
+        return self.run_stages(packet, entry, now, ingress_asn)
 
-    def run_stages(self, packet: Packet, src_owner: Optional[NetworkUser],
-                   dst_owner: Optional[NetworkUser], now: float,
+    def replay(self, entry: list, size: int) -> Optional[bool]:
+        """Bump the counters and tally the monitors of ``entry``'s recorded
+        :meth:`run_stages` for a ``size``-byte packet; return if it passed,
+        or None (no record, or a recorded service was disabled or swapped)."""
+        record = entry[5]
+        if record is None:
+            return None
+        stages, counters, tallies, passed = record
+        for instance, source, program in stages:
+            if instance.disabled_for_violation or program is not (
+                    instance.src_program if source else instance.dst_program):
+                return None
+        for counter in counters:
+            counter.value += 1
+        for monitor, out in tallies:
+            monitor.packets_in += 1
+            monitor.bytes_in += size
+            if out:
+                monitor.packets_out += 1
+                monitor.bytes_out += size
+        return passed
+
+    def run_stages(self, packet: Packet, entry: list, now: float,
                    ingress_asn: Optional[int]) -> Optional[Packet]:
-        """The two-stage loop with owners already resolved (shared by
-        :meth:`process` and the live facade).
+        """The two-stage loop for a redirected cache ``entry``'s flow
+        (shared by :meth:`process` and the live facade).
 
         Each stage is checked only when the loop reaches it, so a service
         disabled by a violation in the first stage does not run in the
         second.  Each stage runs under its service's Sec. 4.5 monitor.
+        The entry records the run for :meth:`replay` when every program run
+        is flow-invariant, no service met was disabled and no monitor raised.
         """
         services = self.services
         asn, is_transit, local_prefix = self._site
+        # the replay record: stages met, counters bumped, monitors to tally
+        stages: Optional[list] = []
+        counters: list = []
+        tallies: list = []
+        result: Optional[Packet] = packet
         for source in self._stage_is_source:
-            owner = src_owner if source else dst_owner
+            owner = entry[0] if source else entry[1]
             if owner is None:
                 continue
             instance = services.get(owner.user_id)
-            if (instance is None or not instance.active
-                    or instance.disabled_for_violation):
+            if instance is None or not instance.active:
+                continue
+            if instance.disabled_for_violation:
+                stages = None
                 continue
             program = instance.src_program if source else instance.dst_program
+            if program is not None and not program.flow_invariant:
+                stages = None
+            elif stages is not None:
+                stages.append((instance, source, program))
             if program is None:
                 continue
             # the Sec. 4.5 fields as the stage receives them
@@ -311,13 +354,15 @@ class DecisionCore:
             verdict = program.process(packet, ComponentContext(
                 now, asn, is_transit, local_prefix,
                 "source" if source else "dest", owner,
-                ingress_asn, ingress_asn is None))
+                ingress_asn, ingress_asn is None),
+                None if stages is None else counters)
             result = packet if verdict is PASS else None
             try:
                 instance.monitor.check(src, dst, ttl, size, result,
                                        program.graph.name)
             except SafetyViolation:
                 # Sec. 4.5: contain the misbehaving service immediately.
+                stages = None
                 instance.disabled_for_violation = True
                 self.m_safety_disables.value += 1
                 if self.strict:
@@ -329,7 +374,13 @@ class DecisionCore:
                 packet.ttl = ttl
                 packet.size = size
                 continue
+            tallies.append((instance.monitor, result is not None))
             if result is None:
                 self.m_dropped.value += 1
-                return None
-        return packet
+                counters.append(self.m_dropped)
+                break
+        if stages is not None:
+            record = (tuple(stages), tuple(counters), tuple(tallies),
+                      result is not None)
+            entry[5] = self._records.setdefault(record, record)
+        return result

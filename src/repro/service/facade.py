@@ -173,8 +173,8 @@ class ServiceFacade:
         non-None graph *before* anything is mutated, so a rejected swap
         leaves the old policy fully active — the compiler is the
         transaction guard.  On success the policy generation advances and
-        the next check runs the new programs; the flow cache is kept (its
-        entries hold no program).  The new generation is returned so
+        the next check runs the new programs; the flow cache is kept (a
+        replay checks its programs).  The new generation is returned so
         callers can verify the swap took effect.
         """
         if src_graph is None and dst_graph is None:
@@ -201,9 +201,9 @@ class ServiceFacade:
 
         ``src``/``dst`` accept ints, :class:`IPv4Address`, or dotted
         strings, which key the flow cache as given: a cached flow parses
-        nothing.  An owned check runs its :class:`Packet`, built from the
-        two address objects its flow's entry holds, through the two
-        stages.  A non-IPv4 address raises ``AddressError``.
+        nothing.  An owned check not replayed (:meth:`DecisionCore.replay`)
+        runs a :class:`Packet` built from its entry's two addresses through
+        the stages.  A non-IPv4 address raises ``AddressError``.
         """
         core = self.core
         entry = core.flow_entry(src, dst, proto, dport)
@@ -212,13 +212,14 @@ class ServiceFacade:
             return PASS_DIRECT
         src_owner, dst_owner = entry[0], entry[1]
         self._m_redirected.value += 1
-        if now is None:
-            now = self.clock.now()
-        # positional, in field order (keywords cost a dict per check)
-        packet = Packet(entry[3], entry[4], proto, size, DEFAULT_TTL,
-                        sport, dport)
-        allowed = core.run_stages(packet, src_owner, dst_owner, now,
-                                  None) is not None
+        allowed = core.replay(entry, size)
+        if allowed is None:
+            if now is None:
+                now = self.clock.now()
+            # positional, in field order (keywords cost a dict per check)
+            packet = Packet(entry[3], entry[4], proto, size, DEFAULT_TTL,
+                            sport, dport)
+            allowed = core.run_stages(packet, entry, now, None) is not None
         if allowed:
             self._m_pass.value += 1
         else:
