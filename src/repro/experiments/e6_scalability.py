@@ -154,8 +154,10 @@ def flow_cache_table(cfg: ExperimentConfig) -> Table:
     table.add_note("the cache is flushed when a service is added or "
                    "removed, switched on or off, and on any ownership-"
                    "registry change; a policy hot swap keeps it (entries "
-                   "hold owners, not programs), so correctness never "
-                   "depends on traffic patterns")
+                   "hold owners, and a redirected entry's replay record "
+                   "names the programs it ran and is not replayed once "
+                   "one is swapped out), so correctness never depends on "
+                   "traffic patterns")
     return table
 
 

@@ -14,15 +14,18 @@ from __future__ import annotations
 import hashlib
 import math
 
-import numpy as np
-
 from repro.errors import ReproError
 
 __all__ = ["BloomFilter", "DigestBacklog"]
 
+_MASK64 = (1 << 64) - 1
+
 
 class BloomFilter:
     """Fixed-size Bloom filter with ``k`` hash functions via double hashing.
+
+    The ``m`` bits are packed eight to a byte: bit ``i`` is bit ``i & 7``
+    of byte ``i >> 3``.
 
     >>> bf = BloomFilter(capacity=100, fp_rate=0.01)
     >>> bf.add(b"packet-digest")
@@ -41,16 +44,17 @@ class BloomFilter:
         m = max(8, int(math.ceil(-capacity * math.log(fp_rate) / (math.log(2) ** 2))))
         self.n_bits = m
         self.n_hashes = max(1, int(round(m / capacity * math.log(2))))
-        self._bits = np.zeros(m, dtype=bool)
+        self._bits = bytearray((m + 7) >> 3)
         self.count = 0
         self._salt = salt
 
-    def _indices(self, item: bytes) -> np.ndarray:
+    def _indices(self, item: bytes) -> list[int]:
         digest = hashlib.blake2b(item, digest_size=16, salt=self._salt.to_bytes(8, "little")).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
-        ks = np.arange(self.n_hashes, dtype=np.uint64)
-        return ((h1 + ks * h2) % np.uint64(self.n_bits)).astype(np.int64)
+        m = self.n_bits
+        # h1 + k*h2 wraps at 2**64, as it would in uint64 arithmetic
+        return [((h1 + k * h2) & _MASK64) % m for k in range(self.n_hashes)]
 
     def add(self, item: bytes) -> bool:
         """Insert ``item``; returns True when any bit was newly set.
@@ -59,24 +63,29 @@ class BloomFilter:
         flips no bit, so it no longer inflates ``count`` — keeping the
         saturation/capacity estimates honest under repeated inserts.
         """
-        idx = self._indices(item)
-        novel = not self._bits[idx].all()
+        bits = self._bits
+        novel = False
+        for i in self._indices(item):
+            mask = 1 << (i & 7)
+            if not bits[i >> 3] & mask:
+                bits[i >> 3] |= mask
+                novel = True
         if novel:
-            self._bits[idx] = True
             self.count += 1
         return novel
 
     def __contains__(self, item: bytes) -> bool:
-        return bool(self._bits[self._indices(item)].all())
+        bits = self._bits
+        return all(bits[i >> 3] >> (i & 7) & 1 for i in self._indices(item))
 
     @property
     def saturation(self) -> float:
         """Fraction of bits set — a proxy for the achieved false-positive rate."""
-        return float(self._bits.mean())
+        return int.from_bytes(self._bits, "little").bit_count() / self.n_bits
 
     def clear(self) -> None:
         """Drop all entries (used when a router pages out an old digest window)."""
-        self._bits[:] = False
+        self._bits = bytearray(len(self._bits))
         self.count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -20,7 +20,8 @@ Design contract shared by every sketch:
   :mod:`repro.core.flowstats`).
 * **Scalar and vectorised paths** — ``update(key, w)`` for per-packet
   code, ``update_batch(keys, weights)`` doing one NumPy scatter-add per
-  row over a whole key array.
+  row over a whole key array.  Batches hash one row at a time, so no
+  batch path ever holds a (depth, n) index matrix.
 * **Mergeability** — ``merge(other)`` combines same-shaped, same-seeded
   sketches by addition, so per-device sketches aggregate into one
   distributed view without shipping per-flow state.
@@ -89,6 +90,14 @@ def _as_i64_weights(weights, n: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _hash_column(mult: np.uint64, keys_u64: np.ndarray,
+                 shift: int) -> np.ndarray:
+    """``(mult * key) >> shift`` for every key, as one int64 column."""
+    col = mult * keys_u64
+    col >>= _U64(shift)
+    return col.view(np.int64)
+
+
 def _pow2_width(width: int) -> tuple[int, int]:
     """Round ``width`` up to a power of two; return (width, shift)."""
     if width <= 0:
@@ -122,11 +131,8 @@ class _HashedSketch:
     def _row_index(self, row: int, key_u64: int) -> int:
         return ((int(self._mult[row]) * key_u64) & _MASK64) >> self._shift
 
-    def _indices(self, keys_u64: np.ndarray) -> np.ndarray:
-        """(depth, n) index matrix — one multiply-shift per row."""
-        shift = _U64(self._shift)
-        return ((self._mult[:, None] * keys_u64[None, :]) >> shift
-                ).astype(np.int64)
+    def _row_indices(self, row: int, keys_u64: np.ndarray) -> np.ndarray:
+        return _hash_column(self._mult[row], keys_u64, self._shift)
 
     # ------------------------------------------------------------ plumbing
     def _check_mergeable(self, other: "_HashedSketch") -> None:
@@ -188,10 +194,9 @@ class CountMinSketch(_HashedSketch):
         if n == 0:
             return
         w = _as_i64_weights(weights, n)
-        idx = self._indices(keys_u64)
         table = self.table
         for row in range(self.depth):
-            np.add.at(table[row], idx[row], w)
+            np.add.at(table[row], self._row_indices(row, keys_u64), w)
         self.total += int(w.sum())
         self.updates += n
 
@@ -205,9 +210,12 @@ class CountMinSketch(_HashedSketch):
         keys_u64 = _as_u64(keys)
         if len(keys_u64) == 0:
             return np.zeros(0, dtype=np.int64)
-        idx = self._indices(keys_u64)
-        rows = np.arange(self.depth)[:, None]
-        return self.table[rows, idx].min(axis=0)
+        table = self.table
+        est = table[0][self._row_indices(0, keys_u64)]
+        for row in range(1, self.depth):
+            np.minimum(est, table[row][self._row_indices(row, keys_u64)],
+                       out=est)
+        return est
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
         """Fold ``other`` in (tables add; the estimate bound adds too)."""
@@ -239,10 +247,12 @@ class CountSketch(_HashedSketch):
         return 1 if ((int(self._sign_mult[row]) * key_u64) & _MASK64) >> 63 \
             else -1
 
-    def _signs(self, keys_u64: np.ndarray) -> np.ndarray:
-        """(depth, n) matrix of +/-1 signs."""
-        bits = (self._sign_mult[:, None] * keys_u64[None, :]) >> _U64(63)
-        return bits.astype(np.int64) * 2 - 1
+    def _row_signs(self, row: int, keys_u64: np.ndarray) -> np.ndarray:
+        """+/-1 sign of every key in ``row``."""
+        signs = _hash_column(self._sign_mult[row], keys_u64, 63)
+        signs *= 2
+        signs -= 1
+        return signs
 
     def update(self, key: int, w: int = 1) -> None:
         k = int(key) & _MASK64
@@ -259,11 +269,11 @@ class CountSketch(_HashedSketch):
         if n == 0:
             return
         w = _as_i64_weights(weights, n)
-        idx = self._indices(keys_u64)
-        signed = self._signs(keys_u64) * w[None, :]
         table = self.table
         for row in range(self.depth):
-            np.add.at(table[row], idx[row], signed[row])
+            signed = self._row_signs(row, keys_u64)
+            signed *= w
+            np.add.at(table[row], self._row_indices(row, keys_u64), signed)
         self.total += int(w.sum())
         self.updates += n
 
@@ -282,10 +292,12 @@ class CountSketch(_HashedSketch):
         keys_u64 = _as_u64(keys)
         if len(keys_u64) == 0:
             return np.zeros(0, dtype=np.int64)
-        idx = self._indices(keys_u64)
-        rows = np.arange(self.depth)[:, None]
-        votes = self.table[rows, idx] * self._signs(keys_u64)
-        med = np.median(votes, axis=0)
+        # the median needs every row's vote, but nothing else per row
+        votes = np.empty((self.depth, len(keys_u64)), dtype=np.int64)
+        for row in range(self.depth):
+            np.multiply(self.table[row][self._row_indices(row, keys_u64)],
+                        self._row_signs(row, keys_u64), out=votes[row])
+        med = np.median(votes, axis=0, overwrite_input=True)
         return np.trunc(med).astype(np.int64)
 
     def merge(self, other: "CountSketch") -> "CountSketch":
@@ -321,10 +333,8 @@ class CountingBloom:
         self.updates = 0
         self._mult = _derive_multipliers(seed, b"cbloom--", n_hashes)
 
-    def _indices(self, keys_u64: np.ndarray) -> np.ndarray:
-        shift = _U64(self._shift)
-        return ((self._mult[:, None] * keys_u64[None, :]) >> shift
-                ).astype(np.int64)
+    def _row_indices(self, row: int, keys_u64: np.ndarray) -> np.ndarray:
+        return _hash_column(self._mult[row], keys_u64, self._shift)
 
     def update(self, key: int, w: int = 1) -> None:
         k = _U64(int(key) & _MASK64)
@@ -341,21 +351,20 @@ class CountingBloom:
         if n == 0:
             return
         w = _as_i64_weights(weights, n)
-        idx = self._indices(keys_u64)
         cells = self.cells
         # per-key dedup would cost a sort per key; collisions of one key's
         # own hash functions are handled by updating each hash row once and
         # skipping rows that repeat an earlier row's cell for that key
-        seen = np.zeros((self.n_hashes, n), dtype=bool)
+        # (earlier rows are rehashed, not kept, to hold one row at a time)
         for row in range(self.n_hashes):
+            idx = self._row_indices(row, keys_u64)
+            fresh = np.ones(n, dtype=bool)
             for prev in range(row):
-                seen[row] |= idx[row] == idx[prev]
-        for row in range(self.n_hashes):
-            fresh = ~seen[row]
+                fresh &= idx != self._row_indices(prev, keys_u64)
             if fresh.all():
-                np.add.at(cells, idx[row], w)
+                np.add.at(cells, idx, w)
             else:
-                np.add.at(cells, idx[row][fresh], w[fresh])
+                np.add.at(cells, idx[fresh], w[fresh])
         self.total += int(w.sum())
         self.updates += n
 
@@ -363,12 +372,6 @@ class CountingBloom:
         k = _U64(int(key) & _MASK64)
         idx = ((self._mult * k) >> _U64(self._shift)).astype(np.int64)
         return int(self.cells[idx].min())
-
-    def estimate_batch(self, keys: ArrayLike) -> np.ndarray:
-        keys_u64 = _as_u64(keys)
-        if len(keys_u64) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.cells[self._indices(keys_u64)].min(axis=0)
 
     def __contains__(self, key: int) -> bool:
         return self.estimate(int(key)) > 0
@@ -385,11 +388,6 @@ class CountingBloom:
     @property
     def nbytes(self) -> int:
         return int(self.cells.nbytes)
-
-    def clear(self) -> None:
-        self.cells[:] = 0
-        self.total = 0
-        self.updates = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CountingBloom(cells={self.n_cells}, k={self.n_hashes}, "

@@ -12,10 +12,13 @@ the trigger heavy-hitter stream rely on:
 * SpaceSaving keeps ``count - error <= true <= count`` and monitors every
   key heavier than ``total / capacity``;
 * everything is a pure function of (seed, stream): serial, parallel_map
-  and a raw process pool produce byte-identical state.
+  and a raw process pool produce byte-identical state;
+* a batch update hashes one row at a time, so it never holds a
+  (depth, n) index matrix.
 """
 
 import hashlib
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -148,6 +151,28 @@ class TestCountingBloom:
         cb.update_batch(keys)
         for key, true in _true_counts(keys).items():
             assert cb.estimate(key) >= true
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("make", [
+        lambda depth: CountMinSketch(2048, depth, seed=1),
+        lambda depth: CountSketch(2048, depth, seed=1),
+        lambda depth: CountingBloom(8192, depth, seed=1),
+    ], ids=["cms", "countsketch", "countingbloom"])
+    def test_update_batch_peak_below_two_matrices(self, make):
+        """Hashing every row up front costs at least two (depth, n) int64
+        matrices (the product and its index cast); one row at a time
+        needs a few n-long columns."""
+        n, depth = 200_000, 4
+        keys = np.random.default_rng(0).integers(0, 2**63, n, dtype=np.int64)
+        sketch = make(depth)
+        tracemalloc.start()
+        try:
+            sketch.update_batch(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * depth * n * 8
 
 
 class TestSpaceSaving:
